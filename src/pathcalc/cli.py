@@ -25,7 +25,7 @@ import numpy as np
 from .convergence import ConvergenceConfig
 from .functionals import density_from_descriptor, functional_from_descriptor
 from .integration import follmer_integral_functional, ito_residual_functional
-from .partitions import PartitionSequence, dyadic, refine_with
+from .partitions import PartitionSequence
 from .paths import generate, read_path_csv
 from .quadvar import default_probe_times, qv_along, qv_matrix
 from .trading import (
@@ -73,25 +73,6 @@ def _load_config(args):
     return cfg
 
 
-def _partition_from_config(cfg):
-    part = cfg.get("partition")
-    if part is None:
-        raise ConfigError("config needs a 'partition' section")
-    kind = part.get("type", "dyadic")
-    if kind == "dyadic":
-        seq = dyadic(part.get("T", 1.0), part["max_level"])
-    elif kind == "explicit":
-        seq = PartitionSequence(part["T"], part["levels"],
-                                dense=part.get("dense", True),
-                                nested=part.get("nested", True))
-    else:
-        raise ConfigError(f"unknown partition type {kind!r}")
-    extra = part.get("extra_times")
-    if extra:
-        seq = refine_with(seq, extra)
-    return seq
-
-
 def _path_from_config(cfg, seq, seed=None):
     spec = cfg.get("path")
     if spec is None:
@@ -100,7 +81,7 @@ def _path_from_config(cfg, seq, seed=None):
         fname = spec["file"]
         if not os.path.exists(fname):
             raise ConfigError(f"path file not found: {fname}")
-        return read_path_csv(fname, jump_threshold=spec.get("jump_threshold", "auto"))
+        return read_path_csv(fname, jump_threshold=spec.get("jump_threshold"))
     return generate(spec, cfg["seed"] if seed is None else seed, seq)
 
 
@@ -151,8 +132,7 @@ def _outdir(cfg):
     return out
 
 
-def cmd_qv(cfg):
-    seq = _partition_from_config(cfg)
+def cmd_qv(cfg, seq):
     path = _path_from_config(cfg, seq)
     conv = _conv_config(cfg)
     probes = default_probe_times(seq, path, cfg["probe_level"])
@@ -169,8 +149,7 @@ def cmd_qv(cfg):
     return 0 if report.converged else 1
 
 
-def cmd_integrate(cfg):
-    seq = _partition_from_config(cfg)
+def cmd_integrate(cfg, seq):
     path = _path_from_config(cfg, seq)
     conv = _conv_config(cfg)
     F = functional_from_descriptor(cfg.get("functional", {"name": "identity_1"}))
@@ -194,8 +173,7 @@ def cmd_integrate(cfg):
     return 1 if caveat else 0
 
 
-def cmd_hedge(cfg):
-    seq = _partition_from_config(cfg)
+def cmd_hedge(cfg, seq):
     conv = _conv_config(cfg)
     hcfg = cfg.get("hedge")
     if hcfg is None:
@@ -258,8 +236,7 @@ def cmd_hedge(cfg):
     return 1 if caveat else 0
 
 
-def cmd_plausibility(cfg):
-    seq = _partition_from_config(cfg)
+def cmd_plausibility(cfg, seq):
     path = _path_from_config(cfg, seq)
     report = plausibility_diagnostic(path, seq)
     out = _outdir(cfg)
@@ -320,7 +297,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        return _COMMANDS[args.command](cfg)
+        part = cfg.get("partition")
+        if part is None:
+            raise ConfigError("config needs a 'partition' section")
+        seq = PartitionSequence.from_descriptor({"type": "dyadic", "T": 1.0, **part})
+        return _COMMANDS[args.command](cfg, seq)
     except ConfigError as exc:
         print(f"pathcalc: config error: {exc}", file=sys.stderr)
         return 2

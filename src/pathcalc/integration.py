@@ -23,9 +23,14 @@ import numpy as np
 
 from .convergence import assess
 from .functionals import CapabilityError
-from .partitions import refine_with
+from .partitions import refine_onto
 from .paths import StoppedPath, stepwise_approximation, stop
-from .quadvar import default_probe_times, qv_along, qv_matrix
+from .quadvar import (
+    _continuous_qv_increments,
+    default_probe_times,
+    qv_along,
+    qv_matrix,
+)
 
 
 def _truncated_dot_sums(x, li, g, probe_idx):
@@ -99,14 +104,6 @@ class IntegralReport:
         }
 
 
-def _prepare(path, seq):
-    refined = False
-    if path.jump_times and not seq.covers(path.jump_times):
-        seq = refine_with(seq, path.jump_times)
-        refined = True
-    return seq, refined
-
-
 def _make_report(path, seq, probes, levels, integrand_at, kind, config, refined):
     if probes is None:
         probes = default_probe_times(seq, path)
@@ -145,7 +142,7 @@ def follmer_integral_functional(
     """Riemann sums of grad F against the path, per level."""
     if F.pointwise_grad is None and not (F.has_gradient or allow_fd):
         raise CapabilityError(f"{F.name} provides no vertical gradient")
-    seq, refined = _prepare(path, seq)
+    seq, refined = refine_onto(seq, path.jump_times)
     return _make_report(
         path, seq, probes, levels,
         lambda n: follmer_integrand(F, path, seq, n, mode, allow_fd, bump),
@@ -156,7 +153,7 @@ def follmer_integral_functional(
 def follmer_integral_cylinder(f_prime, path, seq, probes=None, levels=None, config=None):
     """Riemann sums of f'(x(t_i)) . increments; the integrand reads the
     path value at the cell's left endpoint (never ahead of it)."""
-    seq, refined = _prepare(path, seq)
+    seq, refined = refine_onto(seq, path.jump_times)
 
     def integrand(n):
         li = path.grid_indices(seq.level(n))
@@ -198,20 +195,6 @@ class ItoReport:
         return self.initial + self.follmer_term + self.drift_term + self.qv_term + self.jump_term
 
 
-def _continuous_qv_increments(path, seq):
-    """d[x]^c between consecutive top-level times, as (m, d, d) outer
-    products with the exact jump mass removed."""
-    level = seq.level(seq.top)
-    li = path.grid_indices(level)
-    lx = path.values[li]
-    a = np.diff(lx, axis=0)
-    out = a[:, :, None] * a[:, None, :]
-    for tj, dlt in path.jumps:
-        k = int(np.searchsorted(level, tj)) - 1  # cell (t_k, t_{k+1}] contains tj
-        out[k] -= dlt[:, None] * dlt[None, :]
-    return out, level, li
-
-
 def _qv_flags(path, seq, config):
     rep = qv_along(path, seq, config=config) if path.dim == 1 else qv_matrix(
         path, seq, config=config
@@ -233,7 +216,7 @@ def ito_residual_functional(
     quadratic variation does not abort the computation - it is reported
     alongside.
     """
-    seq, _ = _prepare(path, seq)
+    seq, _ = refine_onto(seq, path.jump_times)
     if level is None:
         level = seq.top
     lhs = F.value(stop(path, path.T))
@@ -250,7 +233,7 @@ def ito_residual_functional(
         sp = stop(path, float(fine[k]), side="left")
         drift += F.horizontal(sp, allow_fd=allow_fd, step=step) * dt[k]
 
-    dqv, _, _ = _continuous_qv_increments(path, seq)
+    dqv = _continuous_qv_increments(path, seq)
     qv_term = 0.0
     for k in range(fine.size - 1):
         sp = stop(path, float(fine[k]), side="left")
@@ -286,7 +269,7 @@ def ito_residual_cylinder(f, f_prime, f_second, path, seq, level=None, config=No
     decomposition in which the jump correction omits the second-order term.
     ``level`` selects the Riemann-sum level as in the functional form.
     """
-    seq, _ = _prepare(path, seq)
+    seq, _ = refine_onto(seq, path.jump_times)
     if level is None:
         level = seq.top
     d = path.dim
@@ -311,7 +294,7 @@ def ito_residual_cylinder(f, f_prime, f_second, path, seq, level=None, config=No
 
     fine = seq.level(seq.top)
     fx = path.values[path.grid_indices(fine)]
-    dqv, _, _ = _continuous_qv_increments(path, seq)
+    dqv = _continuous_qv_increments(path, seq)
     qv_term = 0.0
     for k in range(fine.size - 1):
         hess = as_mat(f_second(arg(fx[k])))

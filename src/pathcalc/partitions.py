@@ -13,6 +13,25 @@ from __future__ import annotations
 import numpy as np
 
 
+def grid_positions(grid, ts):
+    """Where ``ts`` fall in the sorted ``grid``: the ``searchsorted``
+    insertion indices and the mask of exact members.
+
+    This is the one membership test of the package: ``hit[k]`` is True iff
+    ``grid[idx[k]] == ts[k]`` bit for bit.
+    """
+    ts = np.asarray(ts, dtype=float)
+    idx = np.searchsorted(grid, ts)
+    return idx, grid[np.minimum(idx, grid.size - 1)] == ts
+
+
+def require_finite(arr, what):
+    """Raise a ValueError naming ``what`` if ``arr`` holds NaN or inf."""
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise ValueError(f"{what} must be finite, got {float(arr[bad][0])!r}")
+
+
 class PartitionSequence:
     """Ordered list of time grids of [0, T], coarsest first.
 
@@ -22,14 +41,15 @@ class PartitionSequence:
     """
 
     def __init__(self, T, levels, dense=True, nested=True):
-        if T <= 0:
-            raise ValueError(f"horizon must be positive, got {T}")
+        if not np.isfinite(T) or T <= 0:
+            raise ValueError(f"horizon must be positive and finite, got {T}")
         self.T = float(T)
         self._levels = []
         for n, grid in enumerate(levels):
             arr = np.asarray(grid, dtype=float)
             if arr.ndim != 1 or arr.size < 2:
                 raise ValueError(f"level {n} must contain at least two times")
+            require_finite(arr, f"level {n} times")
             if arr[0] != 0.0 or arr[-1] != self.T:
                 raise ValueError(f"level {n} must start at 0 and end at T={self.T}")
             if np.any(np.diff(arr) <= 0):
@@ -42,12 +62,12 @@ class PartitionSequence:
         self.nested = bool(nested)
         if self.nested:
             for n in range(len(self._levels) - 1):
-                fine = set(self._levels[n + 1].tolist())
-                missing = [t for t in self._levels[n].tolist() if t not in fine]
-                if missing:
+                coarse = self._levels[n]
+                _, hit = grid_positions(self._levels[n + 1], coarse)
+                if not hit.all():
                     raise ValueError(
-                        f"declared nested but level {n} time {missing[0]!r} "
-                        f"is absent from level {n + 1}"
+                        f"declared nested but level {n} time "
+                        f"{float(coarse[~hit][0])!r} is absent from level {n + 1}"
                     )
         if self.dense and len(self._levels) > 1:
             meshes = [self.mesh(n) for n in range(len(self._levels))]
@@ -85,11 +105,7 @@ class PartitionSequence:
         """True if every time in ``times`` is a member of level ``n``
         (of every level when ``n`` is None).  Membership is exact."""
         levels = self._levels if n is None else [self._levels[n]]
-        for arr in levels:
-            members = set(arr.tolist())
-            if any(t not in members for t in times):
-                return False
-        return True
+        return all(grid_positions(arr, times)[1].all() for arr in levels)
 
     def to_descriptor(self):
         return {
@@ -149,16 +165,22 @@ def refine_with(base, extra_times):
     Inserting the same set everywhere preserves nestedness; it is the
     standard device for making the grids cover a path's jump times.
     """
-    extra = sorted(set(float(t) for t in extra_times))
-    if any(t < 0.0 or t > base.T for t in extra):
+    extra = np.asarray(extra_times, dtype=float).reshape(-1)
+    require_finite(extra, "extra times")
+    if np.any((extra < 0.0) | (extra > base.T)):
         raise ValueError("extra times must lie inside [0, T]")
-    if not extra:
+    if not extra.size:
         return base
-    levels = []
-    for n in range(base.num_levels):
-        merged = sorted(set(base.level(n).tolist()) | set(extra))
-        levels.append(merged)
+    levels = [np.union1d(base.level(n), extra) for n in range(base.num_levels)]
     return PartitionSequence(base.T, levels, dense=base.dense, nested=base.nested)
+
+
+def refine_onto(seq, times):
+    """``(seq, False)`` when every level already holds ``times``, else the
+    sequence refined onto them and True."""
+    if len(times) == 0 or seq.covers(times):
+        return seq, False
+    return refine_with(seq, times), True
 
 
 def last_index_before(seq, n, t):

@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from .partitions import grid_positions, require_finite
+
 
 class SampledPath:
     """d-dimensional cadlag path realized on a finite time grid."""
@@ -24,6 +26,7 @@ class SampledPath:
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("times must be a 1-d grid with at least two points")
+        require_finite(times, "path times")
         if times[0] != 0.0:
             raise ValueError("grid must start at 0")
         if np.any(np.diff(times) <= 0):
@@ -35,15 +38,15 @@ class SampledPath:
             raise ValueError(
                 f"got {values.shape[0]} values for {times.size} grid times"
             )
+        require_finite(values, "path values")
         self.times = times
         self.values = values
         self.times.flags.writeable = False
         self.values.flags.writeable = False
-        members = set(times.tolist())
         jump_map = {}
         for t, delta in jumps or ():
             t = float(t)
-            if t not in members:
+            if not grid_positions(times, t)[1]:
                 raise ValueError(
                     f"jump time {t!r} is not a grid time; refine the grid first"
                 )
@@ -54,6 +57,7 @@ class SampledPath:
             d = np.asarray(delta, dtype=float).reshape(-1).copy()
             if d.size != self.dim:
                 raise ValueError("jump dimension does not match the path")
+            require_finite(d, f"jump size at {t!r}")
             d.flags.writeable = False
             jump_map[t] = d
         self._jumps = dict(sorted(jump_map.items()))
@@ -94,11 +98,9 @@ class SampledPath:
     def grid_indices(self, ts):
         """Exact positions of ``ts`` in the grid; raises if any is absent."""
         ts = np.asarray(ts, dtype=float)
-        idx = np.searchsorted(self.times, ts)
-        ok = (idx < self.times.size) & (self.times[np.minimum(idx, self.times.size - 1)] == ts)
-        if not np.all(ok):
-            bad = ts[~ok][0]
-            raise ValueError(f"time {bad!r} is not on the path grid")
+        idx, hit = grid_positions(self.times, ts)
+        if not hit.all():
+            raise ValueError(f"time {float(ts[~hit][0])!r} is not on the path grid")
         return idx
 
     def __repr__(self):
@@ -409,47 +411,57 @@ def write_path_csv(path, f):
             fh.close()
 
 
-def read_path_csv(f, jump_threshold="auto"):
+def read_path_csv(f, jump_threshold=None):
     """Parse a path file.  Jump columns are authoritative when present.
 
-    Without jump columns, grid moves larger than ``jump_threshold`` are
-    recorded as jumps; the default threshold (10 * eps * max|x| per
-    coordinate) only catches discontinuities far above rounding noise.
-    Pass ``jump_threshold=None`` to read the file as continuous samples.
+    Without jump columns the file holds continuous samples, unless a
+    ``jump_threshold`` (a scalar or one value per coordinate) is given: grid
+    moves larger than it are then recorded as jumps.
     """
     own = isinstance(f, (str, bytes))
     fh = open(f, "r", newline="") if own else f
     try:
         reader = csv.reader(fh)
-        header = next(reader)
-        names = [h.strip() for h in header]
-        if not names or names[0] != "t":
-            raise ValueError("path file must start with a 't' column")
-        d = sum(1 for h in names if h.startswith("x"))
-        has_jumps = any(h.startswith("jump") for h in names)
-        rows = [[float(c) for c in row] for row in reader if row]
+        names = [h.strip() for h in next(reader, [])]
+        has_jumps = "jump1" in names
+        d = (len(names) - 1) // 2 if has_jumps else len(names) - 1
+        expected = ["t"] + [f"x{i + 1}" for i in range(d)]
+        if has_jumps:
+            expected += [f"jump{i + 1}" for i in range(d)]
+        if d < 1 or names != expected:
+            raise ValueError(
+                "path file header must be t,x1..xd[,jump1..jumpd], "
+                f"got {','.join(names)!r}"
+            )
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise ValueError(
+                    f"path file line {reader.line_num} has {len(row)} fields, "
+                    f"the header has {len(names)}"
+                )
+            try:
+                rows.append([float(c) for c in row])
+            except ValueError as exc:
+                raise ValueError(f"path file line {reader.line_num}: {exc}") from None
     finally:
         if own:
             fh.close()
-    data = np.asarray(rows, dtype=float)
+    data = np.asarray(rows, dtype=float).reshape(-1, len(names))
     times = data[:, 0]
     values = data[:, 1 : 1 + d]
-    jumps = []
     if has_jumps:
-        jcols = data[:, 1 + d : 1 + 2 * d]
-        for k in range(times.size):
-            if np.any(jcols[k] != 0.0):
-                jumps.append((times[k], jcols[k]))
+        sizes = data[:, 1 + d :]
+        at = np.nonzero(np.any(sizes != 0.0, axis=1))[0]
+        jumps = [(times[k], sizes[k]) for k in at]
     elif jump_threshold is not None:
-        thr = jump_threshold
-        if thr == "auto":
-            scale = np.max(np.abs(values), axis=0)
-            thr = 10.0 * np.finfo(float).eps * np.maximum(scale, 1e-300)
-        thr = np.broadcast_to(np.asarray(thr, dtype=float), (d,))
+        thr = np.broadcast_to(np.asarray(jump_threshold, dtype=float), (d,))
         diffs = np.diff(values, axis=0)
-        for k in range(diffs.shape[0]):
-            mask = np.abs(diffs[k]) > thr
-            if np.any(mask):
-                delta = np.where(mask, diffs[k], 0.0)
-                jumps.append((times[k + 1], delta))
+        mask = np.abs(diffs) > thr
+        at = np.nonzero(np.any(mask, axis=1))[0]
+        jumps = [(times[k + 1], np.where(mask[k], diffs[k], 0.0)) for k in at]
+    else:
+        jumps = []
     return SampledPath(times, values, jumps)

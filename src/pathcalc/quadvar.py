@@ -20,15 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convergence import ConvergenceConfig, assess
-from .partitions import refine_with
+from .partitions import refine_onto
 
 
 def default_probe_times(seq, path=None, probe_level=6):
     """Level-``probe_level`` grid plus the path's jump times."""
-    times = set(seq.level(min(probe_level, seq.top)).tolist())
-    if path is not None:
-        times |= set(path.jump_times)
-    return np.array(sorted(times))
+    jumps = () if path is None else path.jump_times
+    return np.union1d(seq.level(min(probe_level, seq.top)), jumps)
 
 
 def _truncated_sq_sums(x, li, probe_idx):
@@ -50,6 +48,18 @@ def _jump_part(path, probe_times, i, j):
     out = np.zeros(len(probe_times))
     for s, d in path.jumps:
         out += (d[i] * d[j]) * (probe_times >= s)
+    return out
+
+
+def _continuous_qv_increments(path, seq):
+    """d[x]^c between consecutive top-level times, as (m, d, d) outer
+    products of the increments with the exact jump mass removed."""
+    level = seq.level(seq.top)
+    a = np.diff(path.values[path.grid_indices(level)], axis=0)
+    out = a[:, :, None] * a[:, None, :]
+    for tj, dlt in path.jumps:
+        k = int(np.searchsorted(level, tj)) - 1  # cell (t_k, t_{k+1}] contains tj
+        out[k] -= dlt[:, None] * dlt[None, :]
     return out
 
 
@@ -98,11 +108,7 @@ def _prepare(path, seq):
     """Refine the sequence onto the jump times when needed."""
     if seq.num_levels < 2:
         raise ValueError("need at least two levels to talk about a limit")
-    refined = False
-    if path.jump_times and not seq.covers(path.jump_times):
-        seq = refine_with(seq, path.jump_times)
-        refined = True
-    return seq, refined
+    return refine_onto(seq, path.jump_times)
 
 
 def qv_along(path, seq, probe_times=None, config=None):

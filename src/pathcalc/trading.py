@@ -26,9 +26,15 @@ from .integration import (
     follmer_integral_functional,
     follmer_integrand,
 )
-from .partitions import last_index_before, refine_with
+from .partitions import last_index_before, refine_onto
 from .paths import stop
-from .quadvar import _truncated_sq_sums, default_probe_times, qv_along, qv_matrix
+from .quadvar import (
+    _continuous_qv_increments,
+    _truncated_sq_sums,
+    default_probe_times,
+    qv_along,
+    qv_matrix,
+)
 
 
 class SimpleStrategy:
@@ -203,9 +209,7 @@ def gain_from_vertical_form(
     hold to roundoff, and the per-level gains stay attached for the
     convergence check.
     """
-    seq_r = seq
-    if path.jump_times and not seq.covers(path.jump_times):
-        seq_r = refine_with(seq, path.jump_times)
+    seq_r, _ = refine_onto(seq, path.jump_times)
     if probes is None:
         probes = default_probe_times(seq_r, path)
     probes = np.asarray(probes, dtype=float)
@@ -388,23 +392,11 @@ def estimate_qv_density(path, seq, window=64):
     centered moving average.  Exact jump mass is removed before dividing.
     Returns an (m,) array for scalar paths, (m, d, d) otherwise.
     """
-    level = seq.level(seq.top)
-    li = path.grid_indices(level)
-    dt = np.diff(level)
+    dt = np.diff(seq.level(seq.top))
+    dqv = _continuous_qv_increments(path, seq)
     if path.dim == 1:
-        x = path.values[li, 0]
-        a2 = np.diff(x) ** 2
-        for tj, dlt in path.jumps:
-            k = int(np.searchsorted(level, tj)) - 1
-            a2[k] -= float(dlt[0]) ** 2
-        return _smooth_cells(a2 / dt, window)
-    lx = path.values[li]
-    a = np.diff(lx, axis=0)
-    outer = a[:, :, None] * a[:, None, :]
-    for tj, dlt in path.jumps:
-        k = int(np.searchsorted(level, tj)) - 1
-        outer[k] -= dlt[:, None] * dlt[None, :]
-    return _smooth_cells(outer / dt[:, None, None], window)
+        return _smooth_cells(dqv[:, 0, 0] / dt, window)
+    return _smooth_cells(dqv / dt[:, None, None], window)
 
 
 def hedge(

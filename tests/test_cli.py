@@ -182,6 +182,40 @@ def test_missing_path_file_named_in_diagnostic(tmp_path, capsys):
     assert "ghost.csv" in capsys.readouterr().err
 
 
+def test_continuous_path_file_matches_generator(tmp_path):
+    from pathcalc import dyadic, generate, write_path_csv
+
+    spec = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
+    partition = {"type": "dyadic", "T": 1.0, "max_level": 10}
+    write_path_csv(generate(spec, 5, dyadic(1.0, 10)), str(tmp_path / "walk.csv"))
+    gen = write_config(tmp_path, "gen.json", {
+        "seed": 5, "partition": partition, "path": spec, "out": str(tmp_path / "gen"),
+    })
+    csv = write_config(tmp_path, "csv.json", {
+        "partition": partition, "path": {"file": str(tmp_path / "walk.csv")},
+        "out": str(tmp_path / "csv"),
+    })
+    assert main(["qv", "--config", gen]) in (0, 1)
+    assert main(["qv", "--config", csv]) in (0, 1)
+    assert read_bytes(tmp_path, "csv", "qv_levels.csv") == read_bytes(
+        tmp_path, "gen", "qv_levels.csv"
+    )
+
+
+def test_partition_section_defaults_and_echo(tmp_path, capsys):
+    path = {"kind": "smooth", "name": "linear"}
+    cfg = write_config(tmp_path, "c.json", {
+        "partition": {"max_level": 12}, "path": path, "out": str(tmp_path / "out"),
+    })
+    assert main(["qv", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "qv_report.json").read_text())
+    assert report["config"]["partition"] == {"max_level": 12}
+    assert len(report["report"]["levels"]) == 13
+    bare = write_config(tmp_path, "bare.json", {"path": path})
+    assert main(["qv", "--config", bare]) == 2
+    assert "'partition' section" in capsys.readouterr().err
+
+
 def test_invalid_json_config(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

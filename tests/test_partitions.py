@@ -2,8 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathcalc import PartitionSequence, dyadic, last_index_before, refine_with
+from pathcalc import (
+    PartitionSequence,
+    SampledPath,
+    dyadic,
+    last_index_before,
+    refine_with,
+)
 
 
 def test_dyadic_levels_by_definition():
@@ -37,6 +45,8 @@ def test_dyadic_rejects_bad_arguments():
         dyadic(-1.0, 3)
     with pytest.raises(ValueError):
         dyadic(1.0, 0)
+    with pytest.raises(ValueError, match="horizon"):
+        dyadic(float("nan"), 3)
 
 
 def test_refine_with_inserts_everywhere():
@@ -62,6 +72,8 @@ def test_refine_with_keeps_extras_on_every_level():
 def test_refine_with_rejects_outsiders():
     with pytest.raises(ValueError):
         refine_with(dyadic(1.0, 2), [1.5])
+    with pytest.raises(ValueError, match="extra times must be finite, got nan"):
+        refine_with(dyadic(1.0, 2), [0.25, float("nan")])
 
 
 def test_last_index_before_definition():
@@ -104,8 +116,12 @@ def test_constructor_validates_levels():
         PartitionSequence(1.0, [[0.0, 0.5]])  # does not end at T
     with pytest.raises(ValueError):
         PartitionSequence(1.0, [[0.0, 0.5, 0.5, 1.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="level 1 time 0.4 is absent from level 2"):
         PartitionSequence(1.0, [[0.0, 1.0], [0.0, 0.4, 1.0], [0.0, 0.5, 1.0]])
+    with pytest.raises(ValueError, match="level 1 times must be finite, got nan"):
+        PartitionSequence(1.0, [[0.0, 1.0], [0.0, float("nan"), 1.0]])
+    with pytest.raises(ValueError, match="horizon"):
+        PartitionSequence(float("inf"), [[0.0, float("inf")]])
 
 
 def test_dense_flag_validation():
@@ -138,3 +154,47 @@ def test_truncate():
     short = seq.truncate(2)
     assert short.num_levels == 3
     assert short.level(2).tolist() == seq.level(2).tolist()
+
+
+@st.composite
+def grid_and_queries(draw):
+    """A sorted grid of [0, 1] and query times on it, between its points and
+    one ulp away from them."""
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          max_size=12, unique=True))
+    grid = np.array(sorted({0.0, 1.0, *inner}))
+    picks = draw(st.lists(st.sampled_from(grid.tolist()), max_size=8))
+    moves = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=len(picks),
+                          max_size=len(picks)))
+    others = draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+    queries = [float(np.nextafter(t, t + m)) if m else t for t, m in zip(picks, moves)]
+    return grid, queries + others
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_and_queries())
+def test_membership_agrees_with_set_reference(case):
+    grid, queries = case
+    members = set(grid.tolist())
+    expected = all(t in members for t in queries)
+    seq = PartitionSequence(1.0, [[0.0, 1.0], grid], dense=False, nested=False)
+    assert seq.covers(queries, 1) == expected
+    assert seq.covers(queries) == (expected and all(t in (0.0, 1.0) for t in queries))
+
+    coarse = sorted({0.0, 1.0, *(t for t in queries if 0.0 < t < 1.0)})
+    try:
+        PartitionSequence(1.0, [coarse, grid], dense=False, nested=True)
+        nested = True
+    except ValueError as exc:
+        missing = [t for t in coarse if t not in members]
+        assert f"time {missing[0]!r} is absent" in str(exc)
+        nested = False
+    assert nested == all(t in members for t in coarse)
+
+    path = SampledPath(grid, np.zeros(grid.size))
+    if expected:
+        index = {t: k for k, t in enumerate(grid.tolist())}
+        assert path.grid_indices(queries).tolist() == [index[t] for t in queries]
+    else:
+        with pytest.raises(ValueError, match="is not on the path grid"):
+            path.grid_indices(queries)

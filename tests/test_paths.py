@@ -341,6 +341,45 @@ def test_csv_jump_detection_threshold():
     assert silent.jump_times == ()
 
 
+def test_csv_continuous_roundtrip(tmp_path):
+    seq = dyadic(1.0, 10)
+    path = generate({"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}, 4, seq)
+    f = tmp_path / "walk.csv"
+    write_path_csv(path, str(f))
+    assert f.read_text().splitlines()[0] == "t,x1"
+    back = read_path_csv(str(f))
+    assert back.jump_times == ()
+    assert np.array_equal(back.times, path.times)
+    assert np.array_equal(back.values, path.values)
+
+
 def test_csv_header_validation():
     with pytest.raises(ValueError):
         read_path_csv(io.StringIO("a,b\n1,2\n"))
+    with pytest.raises(ValueError, match="header must be t,x1..xd"):
+        read_path_csv(io.StringIO("t,x1,xtra\n0,1,2\n1,2,3\n"))
+    with pytest.raises(ValueError, match="header must be t,x1..xd"):
+        read_path_csv(io.StringIO("t,x1,x2,jump1\n0,1,2,0\n1,2,3,0\n"))
+    with pytest.raises(ValueError, match="header must be t,x1..xd"):
+        read_path_csv(io.StringIO(""))
+
+
+def test_csv_bad_row_named_by_line():
+    text = "t,x1,jump1\n0.0,1.0,0.0\n0.5,1.5\n1.0,2.0,0.0\n"
+    with pytest.raises(ValueError, match="line 3 has 2 fields, the header has 3"):
+        read_path_csv(io.StringIO(text))
+    with pytest.raises(ValueError, match="line 4: could not convert string to float"):
+        read_path_csv(io.StringIO("t,x1\n0.0,1.0\n0.5,1.5\n1.0,abc\n"))
+
+
+def test_sampled_path_validation():
+    with pytest.raises(ValueError, match="path times must be finite, got nan"):
+        SampledPath([0.0, float("nan"), 1.0], [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="path values must be finite, got inf"):
+        SampledPath([0.0, 0.5, 1.0], [0.0, float("inf"), 2.0])
+    with pytest.raises(ValueError, match="jump size at 0.5 must be finite"):
+        SampledPath([0.0, 0.5, 1.0], [0.0, 1.0, 2.0], [(0.5, float("nan"))])
+    with pytest.raises(ValueError, match="jump time 0.3 is not a grid time"):
+        SampledPath([0.0, 0.5, 1.0], [0.0, 1.0, 2.0], [(0.3, 1.0)])
+    with pytest.raises(ValueError, match="time 0.3 is not on the path grid"):
+        SampledPath([0.0, 0.5, 1.0], [0.0, 1.0, 2.0]).grid_indices([0.5, 0.3])

@@ -25,7 +25,7 @@ import numpy as np
 from .convergence import ConvergenceConfig
 from .functionals import density_from_descriptor, functional_from_descriptor
 from .integration import follmer_integral_functional, ito_residual_functional
-from .partitions import PartitionSequence
+from .partitions import PartitionSequence, refine_onto
 from .paths import generate, read_path_csv
 from .quadvar import default_probe_times, qv_along, qv_matrix
 from .trading import (
@@ -81,8 +81,30 @@ def _path_from_config(cfg, seq, seed=None):
         fname = spec["file"]
         if not os.path.exists(fname):
             raise ConfigError(f"path file not found: {fname}")
-        return read_path_csv(fname, jump_threshold=spec.get("jump_threshold"))
+        path = read_path_csv(fname, jump_threshold=spec.get("jump_threshold"))
+        _require_finest_grid(fname, path, seq)
+        return path
     return generate(spec, cfg["seed"] if seed is None else seed, seq)
+
+
+def _require_finest_grid(fname, path, seq):
+    """A path file must be sampled on the partition's finest level (refined
+    onto the file's jump times), the grid every command sums along."""
+    fine = refine_onto(seq, path.jump_times)[0].level(seq.top)
+    if np.array_equal(path.times, fine):
+        return
+    n = min(path.times.size, fine.size)
+    differ = np.flatnonzero(path.times[:n] != fine[:n])
+    k = int(differ[0]) if differ.size else n
+
+    def at(ts):
+        return repr(float(ts[k])) if k < ts.size else "none"
+
+    raise ConfigError(
+        f"path file {fname} has {path.times.size} grid points, but partition level "
+        f"{seq.top} has {fine.size}; they first differ at index {k} "
+        f"(file time {at(path.times)}, partition time {at(fine)})"
+    )
 
 
 def _payoff_from_config(desc, F):
@@ -158,16 +180,15 @@ def cmd_integrate(cfg, seq):
     out = _outdir(cfg)
     _write_csv(out / "integral_levels.csv", ["level", "probe_time", "value"],
                report.rows())
-    sweep = cfg.get("integrate", {}).get("residual_levels", [])
-    rows = []
+    sweep = [int(n) for n in cfg.get("integrate", {}).get("residual_levels", [])]
     caveat = not report.converged
-    for n in sweep:
-        rep = ito_residual_functional(F, path, seq, level=int(n), config=conv)
-        rows.append((int(n), rep.residual, rep.qv_metric, rep.qv_converged))
-        caveat = caveat or not rep.qv_converged
-    if rows:
+    if sweep:
+        rep = ito_residual_functional(F, path, seq, levels=sweep, config=conv)
+        rows = [(n, rep.residual_by_level[n], rep.qv_metric, rep.qv_converged)
+                for n in sweep]
         _write_csv(out / "ito_residuals.csv",
                    ["level", "residual", "qv_metric", "qv_converged"], rows)
+        caveat = caveat or not rep.qv_converged
     _write_json(out / "integral_report.json",
                 {"config": cfg, "report": report.to_json_dict()})
     return 1 if caveat else 0
@@ -190,7 +211,7 @@ def cmd_hedge(cfg, seq):
     children = np.random.SeedSequence(cfg["seed"]).spawn(n_paths)
     rows = []
     curve_rows = []
-    caveat = False
+    reasons = {"fpde": 0, "qv_not_converged": 0}
     rel_residuals = []
     track_errors = []
     for pid, child in enumerate(children):
@@ -202,7 +223,8 @@ def cmd_hedge(cfg, seq):
         rel = report.residual / abs(report.predicted_error) if report.predicted_error else float("inf")
         rel_residuals.append(rel)
         track_errors.append(report.track_error)
-        caveat = caveat or report.fpde_flag or not report.qv_converged
+        reasons["fpde"] += bool(report.fpde_flag)
+        reasons["qv_not_converged"] += not report.qv_converged
         rows.append(
             (pid, report.realized_pnl, report.predicted_error, report.residual,
              rel, report.track_error, report.fpde_flag, report.qv_converged)
@@ -230,10 +252,11 @@ def cmd_hedge(cfg, seq):
         "median_rel_residual": float(np.median(finite)) if finite.size else None,
         "p95_rel_residual": float(np.quantile(finite, 0.95)) if finite.size else None,
         "max_track_error": float(np.max(track_errors)),
-        "caveat": bool(caveat),
+        "caveat": any(reasons.values()),
+        "caveat_reasons": reasons,
     }
     _write_json(out / "hedge_summary.json", {"config": cfg, "summary": summary})
-    return 1 if caveat else 0
+    return 1 if summary["caveat"] else 0
 
 
 def cmd_plausibility(cfg, seq):

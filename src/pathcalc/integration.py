@@ -17,7 +17,7 @@ classical forms) and the left Cauchy interval integral with its chain rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +85,8 @@ class IntegralReport:
     convergence_metric: float
     integrand_kind: str
     refined: bool = False
+    # level -> integrand rows the sums were built from; not serialised
+    integrands: dict = field(default_factory=dict, repr=False)
 
     def rows(self):
         for n in self.levels:
@@ -115,10 +117,11 @@ def _make_report(path, seq, probes, levels, integrand_at, kind, config, refined)
         levels = list(range(seq.num_levels))
     x = path.values
     sums = {}
+    integrands = {}
     for n in levels:
         li = path.grid_indices(seq.level(n))
-        g = integrand_at(n)
-        sums[n] = _truncated_dot_sums(x, li, g, probe_idx)
+        integrands[n] = integrand_at(n)
+        sums[n] = _truncated_dot_sums(x, li, integrands[n], probe_idx)
     levels = sorted(sums)
     limit = sums[levels[-1]]
     scale = max(float(np.max(np.abs(limit))), 1e-300)
@@ -132,6 +135,7 @@ def _make_report(path, seq, probes, levels, integrand_at, kind, config, refined)
         convergence_metric=metric,
         integrand_kind=kind,
         refined=refined,
+        integrands=integrands,
     )
 
 
@@ -189,6 +193,7 @@ class ItoReport:
     jump_term: float
     qv_converged: bool
     qv_metric: float
+    residual_by_level: dict = field(default_factory=dict)
 
     @property
     def rhs(self):
@@ -203,40 +208,37 @@ def _qv_flags(path, seq, config):
 
 
 def ito_residual_functional(
-    F, path, seq, level=None, config=None, allow_fd=True, bump=None, step=None,
+    F, path, seq, levels=None, config=None, allow_fd=True, bump=None, step=None,
 ):
     """Gap between F(T, x_T) and the four-term right-hand side of the
     functional change-of-variable identity.
 
-    ``level`` selects the Riemann-sum level (default: finest); the time
+    ``levels`` lists the Riemann-sum levels (default: the finest); the time
     integral, the quadratic term and the jump sum always use the finest
-    grid, so sweeping ``level`` exposes how the non-anticipative sums close
-    the identity.  Time integrals use the left endpoint; both the drift and
-    the second derivative read the left-stopped path.  A non-converged
-    quadratic variation does not abort the computation - it is reported
-    alongside.
+    grid, so they are computed once and only the non-anticipative sum is
+    redone per level, which exposes how those sums close the identity.
+    ``residual_by_level`` holds every listed level's residual; ``residual``
+    and ``follmer_term`` are those of the finest listed level.  Time
+    integrals use the left endpoint; both the drift and the second
+    derivative read the left-stopped path.  A non-converged quadratic
+    variation does not abort the computation - it is reported alongside.
     """
     seq, _ = refine_onto(seq, path.jump_times)
-    if level is None:
-        level = seq.top
+    if levels is None:
+        levels = [seq.top]
+    if len(levels) == 0:
+        raise ValueError("levels must list at least one level")
     lhs = F.value(stop(path, path.T))
     initial = F.value(stop(path, 0.0))
-    g = follmer_integrand(F, path, seq, level, "cadlag", allow_fd, bump)
-    sum_grid = seq.level(level)
-    lx = path.values[path.grid_indices(sum_grid)]
-    follmer_term = float(np.sum(g * np.diff(lx, axis=0)))
 
     fine = seq.level(seq.top)
     dt = np.diff(fine)
-    drift = 0.0
-    for k in range(fine.size - 1):
-        sp = stop(path, float(fine[k]), side="left")
-        drift += F.horizontal(sp, allow_fd=allow_fd, step=step) * dt[k]
-
     dqv = _continuous_qv_increments(path, seq)
+    drift = 0.0
     qv_term = 0.0
     for k in range(fine.size - 1):
         sp = stop(path, float(fine[k]), side="left")
+        drift += F.horizontal(sp, allow_fd=allow_fd, step=step) * dt[k]
         hess = F.hessian(sp, allow_fd=allow_fd, bump=bump)
         qv_term += 0.5 * float(np.trace(hess @ dqv[k]))
 
@@ -248,17 +250,23 @@ def ito_residual_functional(
         jump_term += F.value(right) - F.value(left) - float(grad_left @ dlt)
 
     qv_ok, qv_metric = _qv_flags(path, seq, config)
-    rhs = initial + follmer_term + drift + qv_term + jump_term
-    return ItoReport(
-        residual=abs(lhs - rhs),
+    residual_by_level = {}
+    for n in sorted(levels):
+        g = follmer_integrand(F, path, seq, n, "cadlag", allow_fd, bump)
+        lx = path.values[path.grid_indices(seq.level(n))]
+        follmer = float(np.sum(g * np.diff(lx, axis=0)))
+        residual_by_level[n] = abs(lhs - (initial + follmer + drift + qv_term + jump_term))
+    return ItoReport(  # the loop ends on the finest listed level
+        residual=residual_by_level[n],
         lhs=lhs,
         initial=initial,
-        follmer_term=follmer_term,
+        follmer_term=follmer,
         drift_term=drift,
         qv_term=qv_term,
         jump_term=jump_term,
         qv_converged=qv_ok,
         qv_metric=qv_metric,
+        residual_by_level=residual_by_level,
     )
 
 

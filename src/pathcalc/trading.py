@@ -22,6 +22,7 @@ import numpy as np
 from .convergence import assess
 from .functionals import density_matrix, fpde_residual
 from .integration import (
+    _qv_flags,
     _truncated_dot_sums,
     follmer_integral_functional,
     follmer_integrand,
@@ -32,8 +33,6 @@ from .quadvar import (
     _continuous_qv_increments,
     _truncated_sq_sums,
     default_probe_times,
-    qv_along,
-    qv_matrix,
 )
 
 
@@ -209,24 +208,15 @@ def gain_from_vertical_form(
     hold to roundoff, and the per-level gains stay attached for the
     convergence check.
     """
-    seq_r, _ = refine_onto(seq, path.jump_times)
-    if probes is None:
-        probes = default_probe_times(seq_r, path)
-    probes = np.asarray(probes, dtype=float)
-    if levels is None:
-        levels = list(range(seq_r.num_levels))
-    levels = sorted(levels)
-    probe_idx = path.grid_indices(probes)
-    level_gains = {}
-    lam_top = None
-    for n in levels:
-        lam = follmer_integrand(F, path, seq_r, n, mode, allow_fd, bump)
-        li = path.grid_indices(seq_r.level(n))
-        level_gains[n] = _truncated_dot_sums(path.values, li, lam, probe_idx)
-        lam_top = lam
+    rep = follmer_integral_functional(
+        F, path, seq, probes=probes, levels=levels, mode=mode, config=config,
+        allow_fd=allow_fd, bump=bump,
+    )
+    top = rep.levels[-1]
     v0 = F.value(stop(path, 0.0)) if initial_capital is None else float(initial_capital)
     return _ledger_from_holdings(
-        path, seq_r, levels[-1], lam_top, v0, probes, level_gains
+        path, refine_onto(seq, path.jump_times)[0], top, rep.integrands[top], v0,
+        rep.probe_times, rep.sums,
     )
 
 
@@ -359,14 +349,14 @@ class HedgeReport:
         }
 
 
-def _density_cells(A, ts, xs):
-    """Evaluate a scalar density-spec on cell left endpoints."""
-    if callable(A):
-        if getattr(A, "vectorized", False):
-            return np.asarray(A(ts, xs), dtype=float)
-        return np.array([float(np.asarray(A(t, x)).reshape(-1)[0]) for t, x in zip(ts, xs)])
-    a = np.asarray(A, dtype=float).reshape(-1)[0]
-    return np.full(ts.size, a)
+def _density_cells(A, ts, rows):
+    """A density-spec on the cell left endpoints, as (m, d, d) matrices."""
+    m, d = rows.shape
+    if not callable(A):
+        return np.broadcast_to(density_matrix(A, 0.0, rows[0], d), (m, d, d))
+    if d == 1 and getattr(A, "vectorized", False):
+        return np.asarray(A(ts, rows[:, 0]), dtype=float).reshape(m, 1, 1)
+    return np.array([density_matrix(A, float(t), x, d) for t, x in zip(ts, rows)])
 
 
 def _smooth_cells(dens, window):
@@ -410,10 +400,10 @@ def hedge(
     ``density`` is the diffusion density the functional was built for;
     ``realized_density`` is either a density-spec for the path's actual
     quadratic-variation density or ``"estimate"`` to read it off the path.
-    Multi-coordinate paths use matrix densities and the trace form of the
-    error integral.  A large pricing-equation residual is flagged, not
-    fatal: the error integral is still evaluated, its interpretation is
-    just void.
+    Densities are (d, d) matrices per cell and the error integral is the
+    trace form, for every dimension d.  A large pricing-equation residual
+    is flagged, not fatal: the error integral is still evaluated, its
+    interpretation is just void.
     """
     notes = []
     if np.any(path.values <= 0.0):
@@ -439,13 +429,11 @@ def hedge(
             "replication conclusions void"
         )
 
-    d = path.dim
-    qv = qv_along(path, seq, config=config) if d == 1 else qv_matrix(
-        path, seq, config=config
-    )
-    if not qv.converged:
+    qv_ok, qv_metric = _qv_flags(path, seq, config)
+    if not qv_ok:
         notes.append("quadratic variation not converged at the top level")
 
+    d = path.dim
     level = seq.level(seq.top)
     li = path.grid_indices(level)
     ts = level[:-1]
@@ -453,43 +441,20 @@ def hedge(
     dt = np.diff(level)
     estimate_requested = isinstance(realized_density, str) and realized_density == "estimate"
     realized_kind = "estimate" if estimate_requested else "supplied"
-    if d == 1:
-        xs = rows[:, 0]
-        a_cells = _density_cells(density, ts, xs)
-        tilde_cells = (
-            estimate_qv_density(path, seq, window=smooth_window)
-            if estimate_requested
-            else _density_cells(realized_density, ts, xs)
-        )
-        if F.pointwise_hess is not None:
-            gamma = np.asarray(F.pointwise_hess(ts, xs[:, None], path.T))[:, 0, 0]
-        else:
-            gamma = np.array(
-                [float(F.hessian(stop(path, float(t)), allow_fd=allow_fd, bump=bump)[0, 0])
-                 for t in ts]
-            )
-        predicted = 0.5 * float(((a_cells - tilde_cells) * gamma) @ dt)
+    a_cells = _density_cells(density, ts, rows)
+    tilde_cells = (
+        estimate_qv_density(path, seq, window=smooth_window).reshape(-1, d, d)
+        if estimate_requested
+        else _density_cells(realized_density, ts, rows)
+    )
+    if F.pointwise_hess is not None:
+        hess = np.asarray(F.pointwise_hess(ts, rows, path.T))
     else:
-        a_cells = np.array(
-            [density_matrix(density, float(t), x, d) for t, x in zip(ts, rows)]
+        hess = np.array(
+            [F.hessian(stop(path, float(t)), allow_fd=allow_fd, bump=bump) for t in ts]
         )
-        tilde_cells = (
-            estimate_qv_density(path, seq, window=smooth_window)
-            if estimate_requested
-            else np.array(
-                [density_matrix(realized_density, float(t), x, d)
-                 for t, x in zip(ts, rows)]
-            )
-        )
-        if F.pointwise_hess is not None:
-            hess = np.asarray(F.pointwise_hess(ts, rows, path.T))
-        else:
-            hess = np.array(
-                [F.hessian(stop(path, float(t)), allow_fd=allow_fd, bump=bump)
-                 for t in ts]
-            )
-        traces = np.einsum("kij,kji->k", a_cells - tilde_cells, hess)
-        predicted = 0.5 * float(traces @ dt)
+    traces = np.einsum("kij,kji->k", a_cells - tilde_cells, hess)
+    predicted = 0.5 * float(traces @ dt)
 
     if levels is None:
         levels = sorted({max(seq.top - 1, 0), seq.top})
@@ -506,10 +471,10 @@ def hedge(
             F.pointwise_value(path.times, path.values, path.T), dtype=float
         )
         track_by_level = {}
+        seq_r, _ = refine_onto(seq, path.jump_times)  # the grids of gain.integrands
         for n in gain.levels:
-            li_n = path.grid_indices(seq.level(n))
-            g = follmer_integrand(F, path, seq, n, "cadlag", allow_fd, bump)
-            s_full = _truncated_dot_sums(path.values, li_n, g, all_idx)
+            li_n = path.grid_indices(seq_r.level(n))
+            s_full = _truncated_dot_sums(path.values, li_n, gain.integrands[n], all_idx)
             track_by_level[n] = float(np.max(np.abs(f0 + s_full - f_curve_full)))
         f_curve = f_curve_full[path.grid_indices(probes)]
     else:
@@ -532,8 +497,8 @@ def hedge(
         track_error_by_level=track_by_level,
         fpde_max_residual=fpde_max,
         fpde_flag=fpde_flag,
-        qv_converged=qv.converged,
-        qv_metric=qv.convergence_metric,
+        qv_converged=qv_ok,
+        qv_metric=qv_metric,
         realized_density=realized_kind,
         warnings=notes,
     )

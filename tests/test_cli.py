@@ -127,6 +127,14 @@ def test_hedge_batch_summary(tmp_path):
     curves = (tmp_path / "out" / "hedge_curves.csv").read_text().splitlines()
     assert curves[0] == "path_id,t,value,functional"
     assert len(curves) > 4 * 50  # probe grid per path
+    flags = [row.split(",")[-2:] for row in rows[1:]]
+    reasons = summary["summary"]["caveat_reasons"]
+    assert reasons == {
+        "fpde": sum(f == "True" for f, _ in flags),
+        "qv_not_converged": sum(q == "False" for _, q in flags),
+    }
+    assert summary["summary"]["caveat"] is (sum(reasons.values()) > 0)
+    assert code == (1 if summary["summary"]["caveat"] else 0)
 
 
 def test_hedge_deterministic(tmp_path):
@@ -200,6 +208,28 @@ def test_continuous_path_file_matches_generator(tmp_path):
     assert read_bytes(tmp_path, "csv", "qv_levels.csv") == read_bytes(
         tmp_path, "gen", "qv_levels.csv"
     )
+
+
+def test_path_file_grid_must_be_the_finest_level(tmp_path, capsys):
+    from pathcalc import dyadic, generate, write_path_csv
+
+    spec = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
+    write_path_csv(generate(spec, 5, dyadic(1.0, 8)), str(tmp_path / "walk.csv"))
+    expected = {
+        6: "has 257 grid points, but partition level 6 has 65; they first differ "
+           "at index 1 (file time 0.00390625, partition time 0.015625)",
+        10: "has 257 grid points, but partition level 10 has 1025; they first "
+            "differ at index 1 (file time 0.00390625, partition time 0.0009765625)",
+    }
+    for level, message in expected.items():
+        cfg = write_config(tmp_path, f"c{level}.json", {
+            "partition": {"max_level": level},
+            "path": {"file": str(tmp_path / "walk.csv")},
+            "out": str(tmp_path / f"out{level}"),
+        })
+        assert main(["qv", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / f"out{level}").exists()
 
 
 def test_partition_section_defaults_and_echo(tmp_path, capsys):

@@ -153,7 +153,7 @@ def test_ito_functional_x_squared_small_and_decreasing():
     F = cylinder(lambda x: x * x, lambda x: 2 * x, lambda x: 2.0 + 0.0 * x,
                  vectorized=True)
     residuals = {
-        L: ito_residual_functional(F, path, seq, level=L).residual
+        L: ito_residual_functional(F, path, seq, levels=[L]).residual
         for L in [4, 8, 12]
     }
     lhs_scale = abs(path.values[-1, 0] ** 2) + 1.0
@@ -167,9 +167,44 @@ def test_ito_residual_level_sweep_net_decrease():
     F = cylinder(lambda x: x * x, lambda x: 2 * x, lambda x: 2.0 + 0.0 * x,
                  vectorized=True)
     for L in [12, 14]:
-        r_hi = ito_residual_functional(F, path, seq, level=L).residual
-        r_lo = ito_residual_functional(F, path, seq, level=L - 4).residual
+        r_hi = ito_residual_functional(F, path, seq, levels=[L]).residual
+        r_lo = ito_residual_functional(F, path, seq, levels=[L - 4]).residual
         assert r_hi < r_lo
+
+
+def jump_walk(level, seed=4):
+    # a jump on the finest level only, so every coarser level is refined
+    seq = dyadic(1.0, level)
+    spec = {"kind": "with_jumps",
+            "base": {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0},
+            "jumps": [[3 * 2.0**-level, [0.1]]]}
+    return generate(spec, seed, seq), seq
+
+
+def test_ito_residual_sweep_equals_single_level_calls():
+    path, seq = jump_walk(8)
+    F = black_scholes(0.2, 1.0)
+    sweep = ito_residual_functional(F, path, seq, levels=[6, 2, 8, 4])
+    assert sorted(sweep.residual_by_level) == [2, 4, 6, 8]
+    for n, residual in sweep.residual_by_level.items():
+        single = ito_residual_functional(F, path, seq, levels=[n])
+        assert residual == single.residual
+        assert single.residual_by_level == {n: single.residual}
+    top = ito_residual_functional(F, path, seq)
+    assert sweep.residual == top.residual == sweep.residual_by_level[8]
+    assert sweep.follmer_term == top.follmer_term
+    with pytest.raises(ValueError, match="at least one level"):
+        ito_residual_functional(F, path, seq, levels=[])
+
+
+def test_ito_residual_sweep_evaluates_drift_once():
+    path, seq = jump_walk(7)
+    F = black_scholes(0.2, 1.0)
+    calls = []
+    horizontal = F.horizontal
+    F.horizontal = lambda sp, **kw: calls.append(sp.time) or horizontal(sp, **kw)
+    ito_residual_functional(F, path, seq, levels=[3, 5, 7])
+    assert len(calls) == seq.level(seq.top).size - 1
 
 
 def test_ito_functional_cubic_on_step_path_closed_form():

@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathcalc import (
@@ -351,6 +351,34 @@ def test_csv_continuous_roundtrip(tmp_path):
     assert back.jump_times == ()
     assert np.array_equal(back.times, path.times)
     assert np.array_equal(back.values, path.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), steps=st.integers(1, 12))
+def test_csv_roundtrip_property(data, dim, steps):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    gaps = data.draw(st.lists(st.floats(1e-6, 1e3), min_size=steps, max_size=steps))
+    times = np.concatenate(([0.0], np.cumsum(gaps)))
+    assume(np.all(np.diff(times) > 0))
+    values = np.array(
+        data.draw(st.lists(st.lists(finite, min_size=dim, max_size=dim),
+                           min_size=steps + 1, max_size=steps + 1))
+    )
+    at = data.draw(st.lists(st.integers(1, steps), unique=True, max_size=steps))
+    jumps = []
+    for k in sorted(at):
+        size = data.draw(st.lists(finite, min_size=dim, max_size=dim))
+        assume(any(v != 0.0 for v in size))  # a zero row is no jump
+        jumps.append((times[k], size))
+    path = SampledPath(times, values, jumps)
+    fh = io.StringIO()
+    write_path_csv(path, fh)
+    fh.seek(0)
+    back = read_path_csv(fh)
+    assert back.times.tobytes() == path.times.tobytes()
+    assert back.values.tobytes() == path.values.tobytes()
+    assert back.jump_times == path.jump_times
+    assert [d.tobytes() for _, d in back.jumps] == [d.tobytes() for _, d in path.jumps]
 
 
 def test_csv_header_validation():

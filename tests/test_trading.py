@@ -9,6 +9,7 @@ from pathcalc import (
     constant_density,
     diffusion_density,
     dyadic,
+    follmer_integral_functional,
     generate,
     hedge,
     identity,
@@ -21,7 +22,7 @@ from pathcalc import (
     stack,
     strategy_from_functional,
 )
-from pathcalc.trading import gain_from_vertical_form
+from pathcalc.trading import _density_cells, gain_from_vertical_form
 
 
 def walk(level, seed=7, sigma=1.0, x0=0.0):
@@ -175,6 +176,24 @@ def test_vertical_form_matches_simple_gain_route():
             assert simple_gain(s, path, seq, float(t)) == pytest.approx(
                 ledger.level_gains[n][k], abs=1e-12
             )
+
+
+def test_vertical_form_level_gains_are_the_integral_sums():
+    seq = dyadic(1.0, 8)
+    path = generate(
+        {"kind": "with_jumps",
+         "base": {"kind": "geometric_walk", "sigma": 0.2, "x0": 1.0},
+         "jumps": [[5 * 2.0**-8, [0.2]]]},
+        3, seq,
+    )
+    F = black_scholes(0.2, 1.0)
+    ledger = gain_from_vertical_form(F, path, seq)
+    rep = follmer_integral_functional(F, path, seq)
+    assert sorted(ledger.level_gains) == rep.levels
+    for n in rep.levels:
+        assert np.array_equal(ledger.level_gains[n], rep.sums[n])
+    assert np.array_equal(ledger.holdings_values, rep.integrands[seq.top])
+    assert np.array_equal(ledger.times, rep.probe_times)
 
 
 def test_vertical_form_jump_condition():
@@ -363,6 +382,31 @@ def test_hedge_two_coordinates_product_functional_exact():
     assert rep.predicted_error == pytest.approx(-cross, abs=1e-10)
     assert rep.residual < 1e-10
     assert not rep.fpde_flag
+
+
+def test_density_cells_routes_agree_with_density_matrix():
+    # the batched and broadcast routes give the per-cell density_matrix
+    # values bit for bit
+    from pathcalc.functionals import density_matrix
+
+    path, seq = geometric(6, seed=37)
+    level = seq.level(seq.top)
+    ts, rows = level[:-1], path.values[:-1]
+    for spec in (diffusion_density(0.3), lambda t, s: 0.09 * s * s, 0.04,
+                 constant_density(0.04)):
+        cells = _density_cells(spec, ts, rows)
+        assert cells.shape == (ts.size, 1, 1)
+        ref = np.array([density_matrix(spec, float(t), x, 1) for t, x in zip(ts, rows)])
+        assert np.array_equal(cells, ref)
+    both = stack([path, path])
+    outer = lambda t, x: 0.09 * np.outer(x, x)
+    outer.vectorized = True  # batched only for scalar paths
+    for spec in (np.eye(2), outer):
+        cells = _density_cells(spec, ts, both.values[:-1])
+        assert cells.shape == (ts.size, 2, 2)
+        ref = np.array([density_matrix(spec, float(t), x, 2)
+                        for t, x in zip(ts, both.values[:-1])])
+        assert np.array_equal(cells, ref)
 
 
 # ---------------------------------------------------------------------------

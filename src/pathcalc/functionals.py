@@ -72,14 +72,6 @@ class Functional:
     def has_gradient(self):
         return self._grad is not None
 
-    @property
-    def has_hessian(self):
-        return self._hess is not None
-
-    @property
-    def has_horizontal(self):
-        return self._horiz is not None
-
     def gradient(self, sp, allow_fd=True, bump=None):
         if self._grad is not None:
             return np.asarray(self._grad(sp), dtype=float).reshape(self.dim)

@@ -27,7 +27,8 @@ from .partitions import refine_onto
 from .paths import StoppedPath, stepwise_approximation, stop
 from .quadvar import (
     _continuous_qv_increments,
-    default_probe_times,
+    _interval_grid,
+    _level_sums,
     qv_along,
     qv_matrix,
 )
@@ -106,22 +107,16 @@ class IntegralReport:
         }
 
 
-def _make_report(path, seq, probes, levels, integrand_at, kind, config, refined):
-    if probes is None:
-        probes = default_probe_times(seq, path)
-    probes = np.asarray(probes, dtype=float)
-    if np.any(np.diff(probes) <= 0):
-        raise ValueError("probe times must be strictly increasing")
-    probe_idx = path.grid_indices(probes)
-    if levels is None:
-        levels = list(range(seq.num_levels))
-    x = path.values
-    sums = {}
+def _make_report(path, seq, probes, levels, integrand_at, kind, config):
+    """Report of the sums of ``integrand_at(seq, n, li)`` rows against the
+    path's increments, on the sequence refined onto the jump times."""
     integrands = {}
-    for n in levels:
-        li = path.grid_indices(seq.level(n))
-        integrands[n] = integrand_at(n)
-        sums[n] = _truncated_dot_sums(x, li, integrands[n], probe_idx)
+
+    def level_sum(seq, n, li, probe_idx):
+        integrands[n] = integrand_at(seq, n, li)
+        return _truncated_dot_sums(path.values, li, integrands[n], probe_idx)
+
+    _, refined, probes, sums = _level_sums(path, seq, probes, levels, level_sum)
     levels = sorted(sums)
     limit = sums[levels[-1]]
     scale = max(float(np.max(np.abs(limit))), 1e-300)
@@ -146,21 +141,17 @@ def follmer_integral_functional(
     """Riemann sums of grad F against the path, per level."""
     if F.pointwise_grad is None and not (F.has_gradient or allow_fd):
         raise CapabilityError(f"{F.name} provides no vertical gradient")
-    seq, refined = refine_onto(seq, path.jump_times)
     return _make_report(
         path, seq, probes, levels,
-        lambda n: follmer_integrand(F, path, seq, n, mode, allow_fd, bump),
-        "functional-gradient", config, refined,
+        lambda seq, n, li: follmer_integrand(F, path, seq, n, mode, allow_fd, bump),
+        "functional-gradient", config,
     )
 
 
 def follmer_integral_cylinder(f_prime, path, seq, probes=None, levels=None, config=None):
     """Riemann sums of f'(x(t_i)) . increments; the integrand reads the
     path value at the cell's left endpoint (never ahead of it)."""
-    seq, refined = refine_onto(seq, path.jump_times)
-
-    def integrand(n):
-        li = path.grid_indices(seq.level(n))
+    def integrand(_seq, _n, li):
         pts = path.values[li[:-1]]
         if path.dim == 1:
             try:
@@ -172,9 +163,7 @@ def follmer_integral_cylinder(f_prime, path, seq, probes=None, levels=None, conf
             return vals[:, None]
         return np.array([np.asarray(f_prime(v), dtype=float) for v in pts])
 
-    return _make_report(
-        path, seq, probes, levels, integrand, "cylinder-gradient", config, refined
-    )
+    return _make_report(path, seq, probes, levels, integrand, "cylinder-gradient", config)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +334,9 @@ class LeftCauchyReport:
     follmer_gap: float | None = None
 
 
-def _interval_lc_sum(phi, path, level, u, v):
-    inner = level[(level > u) & (level < v)]
-    kappa = np.concatenate(([u], inner, [v]))
-    vals = np.array([path.value(t)[0] for t in kappa])
-    return float(np.sum(phi(vals[:-1]) * np.diff(vals)))
+def _left_cauchy_sum(phi_v, vals):
+    """sum_i phi(g(kappa_i)) (g(kappa_{i+1}) - g(kappa_i)) over knot values."""
+    return float(np.sum(phi_v(vals[:-1]) * np.diff(vals)))
 
 
 def left_cauchy_integral(phi, path, seq, intervals):
@@ -366,10 +353,8 @@ def left_cauchy_integral(phi, path, seq, intervals):
     gaps = []
     follmer_gap = None
     for k, (u, v) in enumerate(intervals):
-        if not 0 <= u < v <= path.T:
-            raise ValueError(f"bad interval [{u}, {v}]")
         sums = [
-            _interval_lc_sum(phi_v, path, seq.level(n), u, v)
+            _left_cauchy_sum(phi_v, _interval_grid(path, seq.level(n), u, v)[1])
             for n in range(seq.num_levels)
         ]
         per_level[k] = sums
@@ -408,16 +393,10 @@ def left_cauchy_chain_rule(Phi, phi, phi_prime, path, seq, interval):
     [u, v) and (u, v].
     """
     u, v = interval
-    if not 0 <= u < v <= path.T:
-        raise ValueError(f"bad interval [{u}, {v}]")
+    kappa, vals = _interval_grid(path, seq.level(seq.top), u, v)
     phi_v = np.vectorize(phi, otypes=[float])
-    lhs = float(Phi(float(path.value(v)[0]))) - float(Phi(float(path.value(u)[0])))
-    lc = _interval_lc_sum(phi_v, path, seq.level(seq.top), u, v)
-
-    level = seq.level(seq.top)
-    inner = level[(level > u) & (level < v)]
-    kappa = np.concatenate(([u], inner, [v]))
-    vals = np.array([path.value(t)[0] for t in kappa])
+    lhs = float(Phi(float(vals[-1]))) - float(Phi(float(vals[0])))
+    lc = _left_cauchy_sum(phi_v, vals)
     d2 = np.diff(vals) ** 2
     for tj, dlt in path.jumps:
         if u < tj <= v:

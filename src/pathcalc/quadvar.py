@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -43,11 +44,17 @@ def _truncated_sq_sums(x, li, probe_idx):
     return prefix[jstar] + boundary
 
 
-def _jump_part(path, probe_times, i, j):
-    """sum_{s <= t} dx_i(s) dx_j(s) at each probe time."""
-    out = np.zeros(len(probe_times))
-    for s, d in path.jumps:
-        out += (d[i] * d[j]) * (probe_times >= s)
+def _polarized_sq_sums(values, li, probe_idx):
+    """(probes, d, d) level sums: each coordinate's squared-increment sum on
+    the diagonal, and off it half the excess of the sum of x_i + x_j over
+    the sums of x_i and x_j."""
+    d = values.shape[1]
+    out = np.empty((probe_idx.size, d, d))
+    for i in range(d):
+        out[:, i, i] = _truncated_sq_sums(values[:, i], li, probe_idx)
+    for i, j in combinations(range(d), 2):
+        pair = _truncated_sq_sums(values[:, i] + values[:, j], li, probe_idx)
+        out[:, i, j] = out[:, j, i] = 0.5 * (pair - out[:, i, i] - out[:, j, j])
     return out
 
 
@@ -61,6 +68,37 @@ def _continuous_qv_increments(path, seq):
         k = int(np.searchsorted(level, tj)) - 1  # cell (t_k, t_{k+1}] contains tj
         out[k] -= dlt[:, None] * dlt[None, :]
     return out
+
+
+def _probe_times(seq, path, probes):
+    """``probes`` as a float array (by default :func:`default_probe_times`);
+    raises unless they are strictly increasing."""
+    if probes is None:
+        probes = default_probe_times(seq, path)
+    probes = np.asarray(probes, dtype=float)
+    if np.any(np.diff(probes) <= 0):
+        raise ValueError("probe times must be strictly increasing")
+    return probes
+
+
+def _level_sums(path, seq, probes, levels, level_sum):
+    """The one driver of the per-level partition sums read at probe times.
+
+    Refines ``seq`` onto the path's jump times, defaults and checks the
+    probes, maps the probes and each level (all by default) onto the path
+    grid once, and returns ``(seq, refined, probes, sums)`` with
+    ``sums[n] = level_sum(seq, n, li, probe_idx)`` on the refined ``seq``.
+    """
+    seq, refined = refine_onto(seq, path.jump_times)
+    probes = _probe_times(seq, path, probes)
+    probe_idx = path.grid_indices(probes)
+    if levels is None:
+        levels = range(seq.num_levels)
+    sums = {
+        n: level_sum(seq, n, path.grid_indices(seq.level(n)), probe_idx)
+        for n in levels
+    }
+    return seq, refined, probes, sums
 
 
 @dataclass
@@ -104,11 +142,42 @@ class QVReport:
         }
 
 
-def _prepare(path, seq):
-    """Refine the sequence onto the jump times when needed."""
+def _qv(path, seq, probe_times, config):
+    """Polarization QV report of a d-dimensional path; a scalar path is the
+    1x1 case, reported with (probes,) arrays."""
     if seq.num_levels < 2:
         raise ValueError("need at least two levels to talk about a limit")
-    return refine_onto(seq, path.jump_times)
+    d = path.dim
+    seq, refined, probes, approx = _level_sums(
+        path, seq, probe_times, None,
+        lambda _seq, _n, li, probe_idx: _polarized_sq_sums(path.values, li, probe_idx),
+    )
+    # sum_{s <= t} dx(s) dx(s)^T: a running sum over the jumps in time order
+    # (cumsum adds them one at a time), read at the count of jumps up to t.
+    dx = np.array([dlt for _, dlt in path.jumps]).reshape(-1, d)
+    running = np.cumsum(
+        np.concatenate((np.zeros((1, d, d)), dx[:, :, None] * dx[:, None, :])), axis=0
+    )
+    jump = running[np.searchsorted(np.asarray(path.jump_times, dtype=float), probes, "right")]
+    if d == 1:
+        approx = {n: a[:, 0, 0] for n, a in approx.items()}
+        jump = jump[:, 0, 0]
+    limit = approx[seq.top]
+    scale = max(float(np.max(np.ptp(path.values, axis=0))) ** 2, 1e-300)
+    converged, metric = assess(approx, scale, config)
+    return QVReport(
+        probe_times=probes,
+        levels=sorted(approx),
+        approx=approx,
+        limit=limit,
+        continuous_part=limit - jump,
+        jump_part=jump,
+        converged=converged,
+        convergence_metric=metric,
+        scale=scale,
+        refined=refined,
+        dim=d,
+    )
 
 
 def qv_along(path, seq, probe_times=None, config=None):
@@ -120,36 +189,7 @@ def qv_along(path, seq, probe_times=None, config=None):
     """
     if path.dim != 1:
         raise ValueError("qv_along expects a scalar path; use qv_matrix for d > 1")
-    seq, refined = _prepare(path, seq)
-    if probe_times is None:
-        probe_times = default_probe_times(seq, path)
-    probe_times = np.asarray(probe_times, dtype=float)
-    if np.any(np.diff(probe_times) <= 0):
-        raise ValueError("probe times must be strictly increasing")
-    probe_idx = path.grid_indices(probe_times)
-    x = path.values[:, 0]
-    approx = {}
-    for n in range(seq.num_levels):
-        li = path.grid_indices(seq.level(n))
-        approx[n] = _truncated_sq_sums(x, li, probe_idx)
-    levels = sorted(approx)
-    limit = approx[levels[-1]]
-    jump = _jump_part(path, probe_times, 0, 0)
-    scale = max(float(np.ptp(x)) ** 2, 1e-300)
-    converged, metric = assess(approx, scale, config)
-    return QVReport(
-        probe_times=probe_times,
-        levels=levels,
-        approx=approx,
-        limit=limit,
-        continuous_part=limit - jump,
-        jump_part=jump,
-        converged=converged,
-        convergence_metric=metric,
-        scale=scale,
-        refined=refined,
-        dim=1,
-    )
+    return _qv(path, seq, probe_times, config)
 
 
 def qv_matrix(path, seq, probe_times=None, config=None):
@@ -159,53 +199,9 @@ def qv_matrix(path, seq, probe_times=None, config=None):
     come from the polarization of pairwise sums, which makes the matrix
     symmetric by construction.
     """
-    d = path.dim
-    if d < 2:
+    if path.dim < 2:
         raise ValueError("qv_matrix expects at least two coordinates")
-    seq, refined = _prepare(path, seq)
-    if probe_times is None:
-        probe_times = default_probe_times(seq, path)
-    probe_times = np.asarray(probe_times, dtype=float)
-    probe_idx = path.grid_indices(probe_times)
-    level_idx = [path.grid_indices(seq.level(n)) for n in range(seq.num_levels)]
-
-    def scalar_sums(x):
-        return [_truncated_sq_sums(x, li, probe_idx) for li in level_idx]
-
-    comp = [scalar_sums(path.values[:, i]) for i in range(d)]
-    nlev = seq.num_levels
-    approx = {n: np.zeros((len(probe_times), d, d)) for n in range(nlev)}
-    for i in range(d):
-        for n in range(nlev):
-            approx[n][:, i, i] = comp[i][n]
-    for i in range(d):
-        for j in range(i + 1, d):
-            pair = scalar_sums(path.values[:, i] + path.values[:, j])
-            for n in range(nlev):
-                off = 0.5 * (pair[n] - comp[i][n] - comp[j][n])
-                approx[n][:, i, j] = off
-                approx[n][:, j, i] = off
-    levels = sorted(approx)
-    limit = approx[levels[-1]]
-    jump = np.zeros_like(limit)
-    for i in range(d):
-        for j in range(d):
-            jump[:, i, j] = _jump_part(path, probe_times, i, j)
-    scale = max(float(np.max(np.ptp(path.values, axis=0))) ** 2, 1e-300)
-    converged, metric = assess(approx, scale, config)
-    return QVReport(
-        probe_times=probe_times,
-        levels=levels,
-        approx=approx,
-        limit=limit,
-        continuous_part=limit - jump,
-        jump_part=jump,
-        converged=converged,
-        convergence_metric=metric,
-        scale=scale,
-        refined=refined,
-        dim=d,
-    )
+    return _qv(path, seq, probe_times, config)
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +237,7 @@ def p_variation(path, p, mode="exact_dp", seq=None):
     if mode == "along_levels":
         if seq is None:
             raise ValueError("along_levels mode needs a partition sequence")
-        out = 0.0
-        for n in range(seq.num_levels):
-            lv = v[path.grid_indices(seq.level(n))]
-            out = max(out, float(np.sum(np.abs(np.diff(lv)) ** p)))
-        return out
+        return max(0.0, *level_variation_sums(path, p, seq))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -312,12 +304,19 @@ class NorvaisaReport:
         return max((abs(c["gap"]) for c in self.jump_checks), default=0.0)
 
 
+def _interval_grid(path, level, u, v):
+    """Knots of the ``level`` grid restricted to [u, v] with both endpoints
+    added, and the scalar path's values there, read with the step
+    convention of :meth:`SampledPath.value`."""
+    if not 0 <= u < v <= path.T:
+        raise ValueError(f"bad interval [{u}, {v}]")
+    kappa = np.concatenate(([u], level[(level > u) & (level < v)], [v]))
+    return kappa, path.values[np.searchsorted(path.times, kappa, side="right") - 1, 0]
+
+
 def _interval_sq_sum(path, level, s, t):
     """s_2 over (level grid restricted to [s, t]) with both endpoints added."""
-    inner = level[(level > s) & (level < t)]
-    kappa = np.concatenate(([s], inner, [t]))
-    vals = np.array([path.value(u)[0] for u in kappa])
-    d = np.diff(vals)
+    d = np.diff(_interval_grid(path, level, s, t)[1])
     return float(np.sum(d * d))
 
 
@@ -338,8 +337,6 @@ def norvaisa_qv_check(path, seq, intervals):
     cauchy_gaps = []
     additivity_gaps = []
     for k, (s, t) in enumerate(intervals):
-        if not 0 <= s < t <= path.T:
-            raise ValueError(f"bad interval [{s}, {t}]")
         sums = [
             _interval_sq_sum(path, seq.level(n), s, t) for n in range(seq.num_levels)
         ]

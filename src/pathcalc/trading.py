@@ -31,6 +31,7 @@ from .partitions import last_index_before, refine_onto
 from .paths import stop
 from .quadvar import (
     _continuous_qv_increments,
+    _probe_times,
     _truncated_sq_sums,
     default_probe_times,
 )
@@ -78,13 +79,6 @@ class SimpleStrategy:
         return out
 
 
-def _strict_cell_index(level, t):
-    """k with t_k < t <= t_{k+1}; t = 0 maps to cell 0 (the 0+ stance)."""
-    if t <= 0.0:
-        return 0
-    return int(np.searchsorted(level, t, side="left")) - 1
-
-
 def simple_gain(strategy, path, seq, t):
     """Accumulated gain sum_{i<=k} lambda_{i-1} . increments, with the last
     increment cut at t.  Empty sum (zero) at t = 0."""
@@ -107,14 +101,8 @@ def simple_bond_holdings(strategy, path, seq, t):
     the strict index k(t, n)."""
     level = seq.level(strategy.level)
     lam = strategy.holding_values(path, seq)
-    li = path.grid_indices(level)
-    lx = path.values[li]
-    v0 = strategy.capital(path)
-    k = _strict_cell_index(level, t)
-    total = v0 - float(lam[0] @ lx[0])
-    for i in range(1, k + 1):
-        total -= float(lx[i] @ (lam[i] - lam[i - 1]))
-    return total
+    lx = path.values[path.grid_indices(level)]
+    return float(_bond_column(level, lx, lam, strategy.capital(path), [t])[0][0])
 
 
 @dataclass
@@ -149,17 +137,25 @@ class StrategyLedger:
         }
 
 
-def _ledger_from_holdings(path, seq, level_n, lam, v0, probes, level_gains):
-    level = seq.level(level_n)
-    li = path.grid_indices(level)
-    lx = path.values[li]
-    probe_idx = path.grid_indices(probes)
-    gains = _truncated_dot_sums(path.values, li, lam, probe_idx)
+def _bond_column(level, lx, lam, v0, times):
+    """Bond holdings at ``times`` by the rebalancing identity, and the
+    strict cell index k (t_k < t <= t_{k+1}, t = 0 in cell 0) of each time.
+
+    ``lx``: path values at the ``level`` times; ``lam``: holdings per cell.
+    """
     rebal = np.concatenate(
         ([0.0], np.cumsum(np.sum(lx[1:-1] * np.diff(lam, axis=0), axis=1)))
     )
-    ks = np.array([_strict_cell_index(level, float(t)) for t in probes])
-    bond = v0 - float(lam[0] @ lx[0]) - rebal[ks]
+    ks = np.maximum(np.searchsorted(level, times, side="left") - 1, 0)
+    return v0 - float(lam[0] @ lx[0]) - rebal[ks], ks
+
+
+def _ledger_from_holdings(path, seq, level_n, lam, v0, probes, level_gains):
+    level = seq.level(level_n)
+    li = path.grid_indices(level)
+    probe_idx = path.grid_indices(probes)
+    gains = _truncated_dot_sums(path.values, li, lam, probe_idx)
+    bond, ks = _bond_column(level, path.values[li], lam, v0, probes)
     position = lam[ks]
     value = v0 + gains
     return StrategyLedger(
@@ -247,18 +243,13 @@ def self_financing_check(ledger, tol=1e-10, config=None):
     )
     lam = ledger.holdings_values
     level = ledger.level_times
-    li = path.grid_indices(level)
-    lx = path.values[li]
-    rebal = np.concatenate(
-        ([0.0], np.cumsum(np.sum(lx[1:-1] * np.diff(lam, axis=0), axis=1)))
-    )
-    ks = np.array([_strict_cell_index(level, float(t)) for t in ledger.times])
-    bond_again = ledger.initial_capital - float(lam[0] @ lx[0]) - rebal[ks]
+    lx = path.values[path.grid_indices(level)]
+    bond_again, _ = _bond_column(level, lx, lam, ledger.initial_capital, ledger.times)
     bond_gap = float(np.max(np.abs(ledger.bond - bond_again)))
 
     jump_gap = 0.0
     for tj, dlt in path.jumps:
-        k = _strict_cell_index(level, tj)
+        k = int(np.searchsorted(level, tj)) - 1  # cell (t_k, t_{k+1}] holds tj > 0
         xr = path.value(tj)
         xl = xr - dlt
         v_right = float(lam[k] @ (xr - lx[k]))
@@ -409,9 +400,7 @@ def hedge(
     if np.any(path.values <= 0.0):
         notes.append("path reaches non-positive values; market semantics caveat")
 
-    if probes is None:
-        probes = default_probe_times(seq, path)
-    probes = np.asarray(probes, dtype=float)
+    probes = _probe_times(seq, path, probes)
     if probes[-1] != path.T:
         raise ValueError("probe times must include the horizon T")
 
@@ -458,32 +447,29 @@ def hedge(
 
     if levels is None:
         levels = sorted({max(seq.top - 1, 0), seq.top})
+    # The gains at every grid time, summed once per level.  The track error
+    # is taken at every grid time when F has a pointwise value, else at the
+    # probes, where F is read off stopped paths.
     gain = follmer_integral_functional(
-        F, path, seq, probes=probes, levels=levels, config=config,
+        F, path, seq, probes=path.times, levels=levels, config=config,
         allow_fd=allow_fd, bump=bump,
     )
     f0 = F.value(stop(path, 0.0))
     realized = f0 + float(gain.limit[-1]) - float(payoff(path))
 
+    probe_idx = path.grid_indices(probes)
     if F.pointwise_value is not None:
-        all_idx = np.arange(path.times.size)
-        f_curve_full = np.asarray(
-            F.pointwise_value(path.times, path.values, path.T), dtype=float
-        )
-        track_by_level = {}
-        seq_r, _ = refine_onto(seq, path.jump_times)  # the grids of gain.integrands
-        for n in gain.levels:
-            li_n = path.grid_indices(seq_r.level(n))
-            s_full = _truncated_dot_sums(path.values, li_n, gain.integrands[n], all_idx)
-            track_by_level[n] = float(np.max(np.abs(f0 + s_full - f_curve_full)))
-        f_curve = f_curve_full[path.grid_indices(probes)]
+        f_track = np.asarray(F.pointwise_value(path.times, path.values, path.T), dtype=float)
+        f_curve = f_track[probe_idx]
+        track_idx = slice(None)
     else:
-        f_curve = np.array([F.value(stop(path, float(t))) for t in probes])
-        track_by_level = {
-            n: float(np.max(np.abs(f0 + gain.sums[n] - f_curve)))
-            for n in gain.levels
-        }
-    v_curve = f0 + gain.sums[gain.levels[-1]]
+        f_track = f_curve = np.array([F.value(stop(path, float(t))) for t in probes])
+        track_idx = probe_idx
+    track_by_level = {
+        n: float(np.max(np.abs(f0 + gain.sums[n][track_idx] - f_track)))
+        for n in gain.levels
+    }
+    v_curve = f0 + gain.sums[gain.levels[-1]][probe_idx]
     track = track_by_level[gain.levels[-1]]
 
     return HedgeReport(

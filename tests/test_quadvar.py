@@ -2,11 +2,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcalc import (
     SampledPath,
+    component,
     dyadic,
+    follmer_integral_functional,
     generate,
+    identity,
     norvaisa_qv_check,
     p_variation,
     qv_along,
@@ -16,6 +21,7 @@ from pathcalc import (
     variation_index_estimate,
     vovk_uniform_check,
 )
+from pathcalc.quadvar import _interval_grid
 
 
 def seeded_walk(level, seed=7, sigma=1.0):
@@ -195,6 +201,56 @@ def test_matrix_symmetry_and_cauchy_schwarz():
     off = np.abs(inc[:, 0, 1])
     bound = np.sqrt(np.abs(inc[:, 0, 0]) * np.abs(inc[:, 1, 1]))
     assert np.all(off <= bound + 1e-9)
+
+
+def test_probe_times_must_increase():
+    path, seq = seeded_walk(6)
+    reports = (
+        lambda probes: qv_along(path, seq, probe_times=probes),
+        lambda probes: qv_matrix(stack([path, path]), seq, probe_times=probes),
+        lambda probes: follmer_integral_functional(identity(), path, seq, probes=probes),
+    )
+    for report in reports:
+        with pytest.raises(ValueError, match="probe times must be strictly increasing"):
+            report([0.5, 0.25])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), level=st.integers(3, 6))
+def test_one_qv_body_matches_scalar_route_and_interval_reference(data, dim, level):
+    seq = dyadic(1.0, level)
+    half_cells = 2 ** (level + 1)
+    # odd slots are cell midpoints, off every level, so the levels get refined;
+    # with at most 4 jumps the refined level 0 keeps a mesh of at least 1/5,
+    # coarser than the top level's 1/8, so the refined sequence stays dense
+    slots = data.draw(st.lists(st.integers(1, half_cells - 1), unique=True, max_size=4))
+    jump_times = np.array(sorted(slots), dtype=float) / half_cells
+    times = np.union1d(seq.level(level), jump_times)
+    value = st.floats(-1e3, 1e3)
+    values = data.draw(st.lists(st.lists(value, min_size=dim, max_size=dim),
+                                min_size=times.size, max_size=times.size))
+    # nonzero in every coordinate, so each component keeps every jump time
+    size = st.floats(-10.0, 10.0).filter(lambda x: x != 0.0)
+    jumps = [(t, data.draw(st.lists(size, min_size=dim, max_size=dim))) for t in jump_times]
+    path = SampledPath(times, values, jumps)
+
+    rep = qv_along(path, seq) if dim == 1 else qv_matrix(path, seq)
+    for i in range(dim):
+        ref = qv_along(component(path, i), seq)
+        assert rep.refined == ref.refined and np.array_equal(rep.probe_times, ref.probe_times)
+        diag = (lambda a: a) if dim == 1 else (lambda a: a[:, i, i])
+        for n in ref.levels:
+            assert np.array_equal(diag(rep.approx[n]), ref.approx[n])
+        assert np.array_equal(diag(rep.jump_part), ref.jump_part)
+
+    # the vectorised interval grid against per-point path.value reads
+    knots = st.one_of(st.sampled_from(times.tolist()), st.floats(0.0, 1.0))
+    u, v = sorted(data.draw(st.lists(knots, min_size=2, max_size=2, unique=True)))
+    for level_times in [*map(seq.level, range(seq.num_levels)), times]:
+        kappa, vals = _interval_grid(path, level_times, u, v)
+        ref_kappa = [u, *(t for t in level_times if u < t < v), v]
+        assert np.array_equal(kappa, ref_kappa)
+        assert np.array_equal(vals, [path.value(t)[0] for t in ref_kappa])
 
 
 def test_matrix_rejects_scalar():

@@ -114,6 +114,15 @@ def test_ledger_identities_and_negative_control():
     assert rep2.portfolio_identity_max > 1e-4
 
 
+def test_bond_holdings_equal_ledger_bond_exactly():
+    path, seq = walk(6, seed=8)
+    rng = np.random.default_rng(2)
+    s = SimpleStrategy.from_values(6, rng.normal(size=(64, 1)), 1.0)
+    ledger = simple_ledger(s, path, seq)
+    for t, bond in zip(ledger.times, ledger.bond):
+        assert simple_bond_holdings(s, path, seq, float(t)) == bond
+
+
 def test_holdings_receive_stopped_paths_only():
     seen = []
 

@@ -15,6 +15,7 @@ flag was raised), 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -148,6 +149,31 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _level_rows(probe_times, per_level):
+    """(level, probe_time, *index, value) rows of ``{level: array}`` tables
+    whose first axis runs over the probe times: levels ascending, then
+    probes, then the trailing indices in C order."""
+    for n in sorted(per_level):
+        values = per_level[n]
+        cells = list(np.ndindex(values.shape[1:]))
+        for k, t in enumerate(probe_times):
+            for idx in cells:
+                yield (n, t, *idx, values[(k, *idx)])
+
+
+def _report_json(report):
+    """Every field of a library report except its dict-valued per-level
+    tables, which the CSV files hold; arrays and numpy scalars become lists
+    and Python scalars."""
+    out = {}
+    for f in dataclasses.fields(report):
+        v = getattr(report, f.name)
+        if isinstance(v, dict):
+            continue
+        out[f.name] = v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
+    return out
+
+
 def _outdir(cfg):
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -165,9 +191,9 @@ def cmd_qv(cfg, seq):
         report = qv_matrix(path, seq, probes, conv)
         header = ["level", "probe_time", "i", "j", "value"]
     out = _outdir(cfg)
-    _write_csv(out / "qv_levels.csv", header, report.rows())
-    _write_json(out / "qv_report.json",
-                {"config": cfg, "report": report.to_json_dict()})
+    _write_csv(out / "qv_levels.csv", header,
+               _level_rows(report.probe_times, report.approx))
+    _write_json(out / "qv_report.json", {"config": cfg, "report": _report_json(report)})
     return 0 if report.converged else 1
 
 
@@ -179,7 +205,7 @@ def cmd_integrate(cfg, seq):
     report = follmer_integral_functional(F, path, seq, probes=probes, config=conv)
     out = _outdir(cfg)
     _write_csv(out / "integral_levels.csv", ["level", "probe_time", "value"],
-               report.rows())
+               _level_rows(report.probe_times, report.sums))
     sweep = [int(n) for n in cfg.get("integrate", {}).get("residual_levels", [])]
     caveat = not report.converged
     if sweep:
@@ -190,7 +216,7 @@ def cmd_integrate(cfg, seq):
                    ["level", "residual", "qv_metric", "qv_converged"], rows)
         caveat = caveat or not rep.qv_converged
     _write_json(out / "integral_report.json",
-                {"config": cfg, "report": report.to_json_dict()})
+                {"config": cfg, "report": _report_json(report)})
     return 1 if caveat else 0
 
 
@@ -273,21 +299,7 @@ def cmd_plausibility(cfg, seq):
         ["level", "identity_gap", "k_n", "k_partial_sum", "neg_series_partial_max"],
         rows,
     )
-    _write_json(
-        out / "plausibility.json",
-        {
-            "config": cfg,
-            "report": {
-                "levels": report.levels,
-                "identity_gaps": report.identity_gaps,
-                "k_values": report.k_values,
-                "k_partial_sums": report.k_partial_sums,
-                "negative_series_partial_max": report.negative_series_partial_max,
-                "series_bounded": report.series_bounded,
-                "verdict": report.verdict,
-            },
-        },
-    )
+    _write_json(out / "plausibility.json", {"config": cfg, "report": _report_json(report)})
     return 0
 
 

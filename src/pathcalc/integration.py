@@ -89,23 +89,6 @@ class IntegralReport:
     # level -> integrand rows the sums were built from; not serialised
     integrands: dict = field(default_factory=dict, repr=False)
 
-    def rows(self):
-        for n in self.levels:
-            vals = self.sums[n]
-            for k, t in enumerate(self.probe_times):
-                yield (n, float(t), float(vals[k]))
-
-    def to_json_dict(self):
-        return {
-            "probe_times": self.probe_times.tolist(),
-            "levels": list(self.levels),
-            "limit": self.limit.tolist(),
-            "converged": bool(self.converged),
-            "convergence_metric": self.convergence_metric,
-            "integrand_kind": self.integrand_kind,
-            "refined": self.refined,
-        }
-
 
 def _make_report(path, seq, probes, levels, integrand_at, kind, config):
     """Report of the sums of ``integrand_at(seq, n, li)`` rows against the
@@ -183,10 +166,6 @@ class ItoReport:
     qv_converged: bool
     qv_metric: float
     residual_by_level: dict = field(default_factory=dict)
-
-    @property
-    def rhs(self):
-        return self.initial + self.follmer_term + self.drift_term + self.qv_term + self.jump_term
 
 
 def _qv_flags(path, seq, config):

@@ -144,14 +144,13 @@ class StoppedPath:
     horizontal extension moves ``time`` forward while ``cut`` stays put.
     """
 
-    __slots__ = ("path", "time", "cut", "current", "_frozen")
+    __slots__ = ("path", "time", "cut", "current")
 
     def __init__(self, path, time, cut, current):
         self.path = path
         self.time = float(time)
         self.cut = float(cut)
         self.current = np.asarray(current, dtype=float).reshape(-1)
-        self._frozen = None
 
     @property
     def dim(self):
@@ -183,12 +182,8 @@ class StoppedPath:
 
     def frozen_values(self):
         """State values at every grid time, as an (m+1, d) array."""
-        if self._frozen is None:
-            mask = self.path.times < self.cut
-            out = np.where(mask[:, None], self.path.values, self.current[None, :])
-            out.flags.writeable = False
-            self._frozen = out
-        return self._frozen
+        mask = self.path.times < self.cut
+        return np.where(mask[:, None], self.path.values, self.current[None, :])
 
     def left_riemann_integral(self):
         """Integral of the state over [0, time], left endpoints, exact

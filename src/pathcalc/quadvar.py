@@ -115,32 +115,6 @@ class QVReport:
     refined: bool
     dim: int = 1
 
-    def rows(self):
-        """(level, probe_time, [i, j,] value) rows for a plot-ready table."""
-        for n in self.levels:
-            vals = self.approx[n]
-            for k, t in enumerate(self.probe_times):
-                if self.dim == 1:
-                    yield (n, float(t), float(vals[k]))
-                else:
-                    for i in range(self.dim):
-                        for j in range(self.dim):
-                            yield (n, float(t), i, j, float(vals[k, i, j]))
-
-    def to_json_dict(self):
-        return {
-            "probe_times": self.probe_times.tolist(),
-            "levels": list(self.levels),
-            "limit": self.limit.tolist(),
-            "continuous_part": self.continuous_part.tolist(),
-            "jump_part": self.jump_part.tolist(),
-            "converged": bool(self.converged),
-            "convergence_metric": self.convergence_metric,
-            "scale": self.scale,
-            "refined": self.refined,
-            "dim": self.dim,
-        }
-
 
 def _qv(path, seq, probe_times, config):
     """Polarization QV report of a d-dimensional path; a scalar path is the
@@ -397,9 +371,13 @@ def vovk_uniform_check(path, seq, config=None, n_boundary_samples=8, seed=0):
     x = path.values[:, 0]
     all_idx = np.arange(path.times.size)
     per_level = []
+    cells = []
     for n in range(seq.num_levels):
-        li = path.grid_indices(seq.level(n))
+        level = seq.level(n)
+        li = path.grid_indices(level)
         per_level.append(_truncated_sq_sums(x, li, all_idx))
+        lx = x[li]
+        cells.append((level, lx, np.diff(lx)))
     top_vals = per_level[-1]
     sup_gaps = [float(np.max(np.abs(vals - top_vals))) for vals in per_level]
     scale = max(float(np.ptp(x)) ** 2, 1e-300)
@@ -417,18 +395,11 @@ def vovk_uniform_check(path, seq, config=None, n_boundary_samples=8, seed=0):
     for t in samples:
         it = path.index_at(t)
         xt = x[it]
-        for n in range(seq.num_levels):
-            level = seq.level(n)
-            li = path.grid_indices(level)
+        for (level, lx, a), trunc in zip(cells, per_level):
             kbar = min(int(np.searchsorted(level, t, side="right")) - 1, level.size - 2)
-            lx = x[li]
-            a = np.diff(lx)
             untrunc = float(np.sum(a[: kbar + 1] ** 2))
-            trunc = float(
-                _truncated_sq_sums(x, li, np.array([it]))[0]
-            )
             rhs = (xt - lx[kbar]) ** 2 - (lx[kbar + 1] - lx[kbar]) ** 2
-            boundary_gap = max(boundary_gap, abs((trunc - untrunc) - rhs))
+            boundary_gap = max(boundary_gap, abs((float(trunc[it]) - untrunc) - rhs))
     return VovkReport(
         levels=list(range(seq.num_levels)),
         sup_gaps=sup_gaps,

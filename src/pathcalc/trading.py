@@ -119,23 +119,6 @@ class StrategyLedger:
     level_gains: dict
     path: object = field(repr=False, default=None)
 
-    def rows(self):
-        for k, t in enumerate(self.times):
-            pos = self.position[k]
-            yield (float(t), float(self.value[k]), float(self.gain[k]),
-                   float(self.bond[k]), *map(float, pos))
-
-    def to_json_dict(self):
-        return {
-            "times": self.times.tolist(),
-            "value": self.value.tolist(),
-            "gain": self.gain.tolist(),
-            "bond": self.bond.tolist(),
-            "position": self.position.tolist(),
-            "initial_capital": self.initial_capital,
-            "level": self.level,
-        }
-
 
 def _bond_column(level, lx, lam, v0, times):
     """Bond holdings at ``times`` by the rebalancing identity, and the
@@ -150,20 +133,17 @@ def _bond_column(level, lx, lam, v0, times):
     return v0 - float(lam[0] @ lx[0]) - rebal[ks], ks
 
 
-def _ledger_from_holdings(path, seq, level_n, lam, v0, probes, level_gains):
+def _ledger_from_holdings(path, seq, level_n, lam, v0, probes, gains, level_gains):
+    """Ledger of the level-``level_n`` holdings ``lam`` whose gains at the
+    ``probes`` are ``gains``."""
     level = seq.level(level_n)
-    li = path.grid_indices(level)
-    probe_idx = path.grid_indices(probes)
-    gains = _truncated_dot_sums(path.values, li, lam, probe_idx)
-    bond, ks = _bond_column(level, path.values[li], lam, v0, probes)
-    position = lam[ks]
-    value = v0 + gains
+    bond, ks = _bond_column(level, path.values[path.grid_indices(level)], lam, v0, probes)
     return StrategyLedger(
         times=probes,
-        value=value,
+        value=v0 + gains,
         gain=gains,
         bond=bond,
-        position=position,
+        position=lam[ks],
         initial_capital=v0,
         level=level_n,
         level_times=level,
@@ -180,7 +160,9 @@ def simple_ledger(strategy, path, seq, probes=None):
     probes = np.asarray(probes, dtype=float)
     lam = strategy.holding_values(path, seq)
     v0 = strategy.capital(path)
-    return _ledger_from_holdings(path, seq, strategy.level, lam, v0, probes, {})
+    li = path.grid_indices(seq.level(strategy.level))
+    gains = _truncated_dot_sums(path.values, li, lam, path.grid_indices(probes))
+    return _ledger_from_holdings(path, seq, strategy.level, lam, v0, probes, gains, {})
 
 
 def strategy_from_functional(F, path, seq, n, mode="cadlag", initial_capital=None,
@@ -204,6 +186,7 @@ def gain_from_vertical_form(
     hold to roundoff, and the per-level gains stay attached for the
     convergence check.
     """
+    seq = refine_onto(seq, path.jump_times)[0]
     rep = follmer_integral_functional(
         F, path, seq, probes=probes, levels=levels, mode=mode, config=config,
         allow_fd=allow_fd, bump=bump,
@@ -211,8 +194,7 @@ def gain_from_vertical_form(
     top = rep.levels[-1]
     v0 = F.value(stop(path, 0.0)) if initial_capital is None else float(initial_capital)
     return _ledger_from_holdings(
-        path, refine_onto(seq, path.jump_times)[0], top, rep.integrands[top], v0,
-        rep.probe_times, rep.sums,
+        path, seq, top, rep.integrands[top], v0, rep.probe_times, rep.sums[top], rep.sums,
     )
 
 
@@ -324,21 +306,6 @@ class HedgeReport:
     realized_density: str
     warnings: list
 
-    def to_json_dict(self):
-        return {
-            "realized_pnl": self.realized_pnl,
-            "predicted_error": self.predicted_error,
-            "residual": self.residual,
-            "track_error": self.track_error,
-            "track_error_by_level": {str(k): v for k, v in self.track_error_by_level.items()},
-            "fpde_max_residual": self.fpde_max_residual,
-            "fpde_flag": bool(self.fpde_flag),
-            "qv_converged": bool(self.qv_converged),
-            "qv_metric": self.qv_metric,
-            "realized_density": self.realized_density,
-            "warnings": list(self.warnings),
-        }
-
 
 def _density_cells(A, ts, rows):
     """A density-spec on the cell left endpoints, as (m, d, d) matrices."""
@@ -351,17 +318,20 @@ def _density_cells(A, ts, rows):
 
 
 def _smooth_cells(dens, window):
-    """Centered moving average along the first axis; edge windows shrink."""
+    """Centered moving average along the first axis; edge windows shrink,
+    also when the window is wider than the grid."""
     if not window or window <= 1:
         return dens
     kernel = np.ones(int(window))
-    cnt = np.convolve(np.ones(dens.shape[0]), kernel, mode="same")
-    if dens.ndim == 1:
-        return np.convolve(dens, kernel, mode="same") / cnt
+    m = dens.shape[0]
+    # The centred m values of the full convolution; mode="same" would give
+    # max(m, window) values.
+    lo = (kernel.size - 1) // 2
+    cnt = np.convolve(np.ones(m), kernel)[lo:lo + m]
     out = np.empty_like(dens)
     for idx in np.ndindex(dens.shape[1:]):
-        col = dens[(slice(None), *idx)]
-        out[(slice(None), *idx)] = np.convolve(col, kernel, mode="same") / cnt
+        col = (slice(None), *idx)
+        out[col] = np.convolve(dens[col], kernel)[lo:lo + m] / cnt
     return out
 
 

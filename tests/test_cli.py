@@ -284,3 +284,73 @@ def test_seed_and_level_overrides(tmp_path):
     assert report["config"]["seed"] == 2
     assert report["config"]["partition"]["max_level"] == 6
     assert len(report["report"]["levels"]) == 7
+
+
+def test_hedge_smoothing_window_wider_than_grid(tmp_path):
+    # level 5 has 32 cells, fewer than the default smooth_window of 64
+    cfg = write_config(tmp_path, "h.json", {
+        "seed": 9,
+        "partition": {"type": "dyadic", "T": 1.0, "max_level": 5},
+        "path": {"kind": "geometric_walk", "sigma": 0.25, "x0": 1.0},
+        "functional": {"name": "black_scholes", "sigma": 0.2, "strike": 1.0},
+        "hedge": {"density": {"kind": "bs", "sigma": 0.2},
+                  "payoff": {"kind": "call", "strike": 1.0}, "paths": 2},
+        "out": str(tmp_path / "out"),
+    })
+    assert main(["hedge", "--config", cfg]) in (0, 1)
+    rows = (tmp_path / "out" / "hedge_paths.csv").read_text().splitlines()
+    assert len(rows) == 3
+
+
+QV_KEYS = {"probe_times", "levels", "limit", "continuous_part", "jump_part",
+           "converged", "convergence_metric", "scale", "refined", "dim"}
+
+
+def test_output_layout(tmp_path):
+    walk = {"kind": "scaled_random_walk", "sigma": 1.0}
+    runs = {
+        "qv1": ("qv", {"path": walk}),
+        "qv2": ("qv", {"path": {"kind": "with_jumps",
+                                "base": {**walk, "dim": 2},
+                                "jumps": [[0.3125, [0.5, -0.2]]]}}),
+        "int": ("integrate", {"path": walk, "functional": {"name": "monomial", "power": 2}}),
+        "pl": ("plausibility", {"path": walk}),
+    }
+    report = {}
+    for name, (cmd, extra) in runs.items():
+        cfg = write_config(tmp_path, f"{name}.json", {
+            "seed": 2,
+            "partition": {"type": "dyadic", "T": 1.0, "max_level": 7},
+            "probe_level": 3,
+            "out": str(tmp_path / name),
+            **extra,
+        })
+        assert main([cmd, "--config", cfg]) in (0, 1)
+        doc = json.loads(next((tmp_path / name).glob("*.json")).read_text())
+        assert set(doc) == {"config", "report"}
+        report[name] = doc["report"]
+    assert set(report["qv1"]) == QV_KEYS
+    assert set(report["qv2"]) == QV_KEYS
+    assert set(report["int"]) == {"probe_times", "levels", "limit", "converged",
+                                  "convergence_metric", "integrand_kind", "refined"}
+    assert set(report["pl"]) == {"levels", "identity_gaps", "k_values", "k_partial_sums",
+                                 "negative_series_partial_max", "series_bounded",
+                                 "verdict"}
+
+    # d = 2 table: levels, then probes, then (i, j) in C order; the top
+    # level's rows are the report's limit
+    rep = report["qv2"]
+    lines = (tmp_path / "qv2" / "qv_levels.csv").read_text().splitlines()
+    assert lines[0] == "level,probe_time,i,j,value"
+    rows = [line.split(",") for line in lines[1:]]
+    probes = rep["probe_times"]
+    assert len(rows) == len(rep["levels"]) * len(probes) * 4
+    assert [(int(n), float(t), int(i), int(j)) for n, t, i, j, _ in rows] == [
+        (n, t, i, j) for n in rep["levels"] for t in probes
+        for i in range(2) for j in range(2)
+    ]
+    top = rows[-len(probes) * 4:]
+    assert [float(r[4]) for r in top] == [
+        rep["limit"][k][i][j] for k in range(len(probes))
+        for i in range(2) for j in range(2)
+    ]

@@ -413,6 +413,26 @@ def test_vovk_boundary_identity_with_jump():
     assert rep.boundary_max_gap < 1e-12
 
 
+def test_vovk_sums_each_level_once(monkeypatch):
+    import pathcalc.quadvar as qv
+
+    calls = []
+    real = qv._truncated_sq_sums
+    monkeypatch.setattr(
+        qv, "_truncated_sq_sums", lambda *a: calls.append(1) or real(*a)
+    )
+    seq = dyadic(1.0, 8)
+    path = generate(
+        {"kind": "with_jumps",
+         "base": {"kind": "scaled_random_walk", "sigma": 0.5},
+         "jumps": [[0.5, [2.0]]]},
+        19, seq,
+    )
+    rep = vovk_uniform_check(path, seq)
+    assert len(calls) == seq.num_levels
+    assert rep.boundary_max_gap < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # stability of the class under smooth images
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from pathcalc import (
     stack,
     strategy_from_functional,
 )
-from pathcalc.trading import _density_cells, gain_from_vertical_form
+from pathcalc.trading import _density_cells, estimate_qv_density, gain_from_vertical_form
 
 
 def walk(level, seed=7, sigma=1.0, x0=0.0):
@@ -205,6 +205,26 @@ def test_vertical_form_level_gains_are_the_integral_sums():
     assert np.array_equal(ledger.times, rep.probe_times)
 
 
+def test_vertical_form_refines_once(monkeypatch):
+    import pathcalc.partitions as partitions
+
+    calls = []
+    real = partitions.refine_with
+    monkeypatch.setattr(
+        partitions, "refine_with", lambda *a: calls.append(1) or real(*a)
+    )
+    seq = dyadic(1.0, 8)
+    path = generate(
+        {"kind": "with_jumps",
+         "base": {"kind": "geometric_walk", "sigma": 0.2, "x0": 1.0},
+         "jumps": [[0.30078125, [0.2]]]},
+        5, seq,
+    )
+    ledger = gain_from_vertical_form(black_scholes(0.2, 1.0), path, seq)
+    assert len(calls) == 1
+    assert np.array_equal(ledger.gain, ledger.level_gains[seq.top])
+
+
 def test_vertical_form_jump_condition():
     seq = dyadic(1.0, 8)
     path = generate(
@@ -221,6 +241,22 @@ def test_vertical_form_jump_condition():
 # ---------------------------------------------------------------------------
 # hedging
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("window", [40, 64])
+def test_qv_density_window_wider_than_grid(dim, window):
+    # 32 cells; each smoothed value is the mean over the centred window
+    # clipped to the grid (off-diagonal means cancel to ~1e-16)
+    seq = dyadic(1.0, 5)
+    path = generate({"kind": "scaled_random_walk", "sigma": 1.0, "dim": dim}, 4, seq)
+    raw = estimate_qv_density(path, seq, window=1)
+    dens = estimate_qv_density(path, seq, window=window)
+    assert dens.shape == raw.shape and raw.shape[0] == 32
+    lo = (window - 1) // 2
+    for k in range(32):
+        ref = raw[max(0, k - (window - 1 - lo)):k + lo + 1].mean(axis=0)
+        np.testing.assert_allclose(dens[k], ref, rtol=1e-13, atol=1e-13)
+
 
 def test_hedge_asian_exact_replication():
     seq = dyadic(1.0, 12)

@@ -65,6 +65,11 @@ class Functional:
         self.pointwise_grad = pointwise_grad
         self.pointwise_hess = pointwise_hess
 
+    def require_dim(self, path):
+        if path.dim != self.dim:
+            raise ValueError(f"functional {self.name!r} has dim {self.dim}, "
+                             f"the path has dim {path.dim}")
+
     def value(self, sp):
         return float(self._eval(sp))
 

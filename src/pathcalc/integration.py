@@ -122,6 +122,7 @@ def follmer_integral_functional(
     config=None, allow_fd=True, bump=None,
 ):
     """Riemann sums of grad F against the path, per level."""
+    F.require_dim(path)
     if F.pointwise_grad is None and not (F.has_gradient or allow_fd):
         raise CapabilityError(f"{F.name} provides no vertical gradient")
     return _make_report(
@@ -191,6 +192,7 @@ def ito_residual_functional(
     derivative read the left-stopped path.  A non-converged quadratic
     variation does not abort the computation - it is reported alongside.
     """
+    F.require_dim(path)
     seq, _ = refine_onto(seq, path.jump_times)
     if levels is None:
         levels = [seq.top]

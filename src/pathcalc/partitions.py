@@ -18,9 +18,14 @@ def grid_positions(grid, ts):
     insertion indices and the mask of exact members.
 
     This is the one membership test of the package: ``hit[k]`` is True iff
-    ``grid[idx[k]] == ts[k]`` bit for bit.
+    ``grid[idx[k]] == ts[k]`` bit for bit (with no search when ``ts`` is
+    ``grid[::k]``, as a dyadic level is of a finer one).
     """
     ts = np.asarray(ts, dtype=float)
+    if ts.ndim == 1 and 2 <= ts.size <= grid.size:
+        k, rem = divmod(grid.size - 1, ts.size - 1)
+        if rem == 0 and np.array_equal(grid[::k], ts):
+            return np.arange(0, grid.size, k), np.ones(ts.size, dtype=bool)
     idx = np.searchsorted(grid, ts)
     return idx, grid[np.minimum(idx, grid.size - 1)] == ts
 

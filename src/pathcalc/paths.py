@@ -11,6 +11,7 @@ off-grid except through that convention.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 
@@ -416,7 +417,8 @@ def read_path_csv(f, jump_threshold=None):
     own = isinstance(f, (str, bytes))
     fh = open(f, "r", newline="") if own else f
     try:
-        reader = csv.reader(fh)
+        lines = iter(fh)
+        reader = csv.reader(lines)
         names = [h.strip() for h in next(reader, [])]
         has_jumps = "jump1" in names
         d = (len(names) - 1) // 2 if has_jumps else len(names) - 1
@@ -428,23 +430,33 @@ def read_path_csv(f, jump_threshold=None):
                 "path file header must be t,x1..xd[,jump1..jumpd], "
                 f"got {','.join(names)!r}"
             )
-        rows = []
+        rest = list(lines)
+    finally:
+        if own:
+            fh.close()
+    # np.loadtxt reads rows as the csv + float loop below, bit for bit, but warns on
+    # blank text and takes fields past the csv limit or padded with \x1c-\x1f
+    text, data = "".join(rest), None
+    if (text.strip("\r\n") and max(map(len, rest)) <= csv.field_size_limit()
+            and not any(sep in text for sep in "\x1c\x1d\x1e\x1f")):
+        with contextlib.suppress(ValueError):
+            data = np.loadtxt(rest, delimiter=",", comments=None, ndmin=2)
+    if data is None or data.shape[1] != len(names):
+        header_lines, reader, rows = reader.line_num, csv.reader(rest), []
         for row in reader:
             if not row:
                 continue
+            line = header_lines + reader.line_num
             if len(row) != len(names):
                 raise ValueError(
-                    f"path file line {reader.line_num} has {len(row)} fields, "
+                    f"path file line {line} has {len(row)} fields, "
                     f"the header has {len(names)}"
                 )
             try:
                 rows.append([float(c) for c in row])
             except ValueError as exc:
-                raise ValueError(f"path file line {reader.line_num}: {exc}") from None
-    finally:
-        if own:
-            fh.close()
-    data = np.asarray(rows, dtype=float).reshape(-1, len(names))
+                raise ValueError(f"path file line {line}: {exc}") from None
+        data = np.asarray(rows, dtype=float).reshape(-1, len(names))
     times = data[:, 0]
     values = data[:, 1 : 1 + d]
     if has_jumps:

@@ -366,6 +366,7 @@ def hedge(
     is flagged, not fatal: the error integral is still evaluated, its
     interpretation is just void.
     """
+    F.require_dim(path)
     notes = []
     if np.any(path.values <= 0.0):
         notes.append("path reaches non-positive values; market semantics caveat")

@@ -190,6 +190,25 @@ def test_missing_path_file_named_in_diagnostic(tmp_path, capsys):
     assert "ghost.csv" in capsys.readouterr().err
 
 
+def test_functional_and_path_dims_must_match(tmp_path, capsys):
+    partition = {"type": "dyadic", "T": 1.0, "max_level": 6}
+    runs = {
+        "integrate": ({"kind": "scaled_random_walk", "sigma": 1.0, "dim": 2}, {},
+                      "functional 'identity_1' has dim 1, the path has dim 2"),
+        "hedge": ({"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0, "dim": 2},
+                  {"functional": {"name": "black_scholes", "sigma": 0.2, "strike": 1.0},
+                   "hedge": {"density": {"kind": "bs", "sigma": 0.2}, "paths": 1}},
+                  "functional 'black_scholes_call' has dim 1, the path has dim 2"),
+    }
+    for command, (path, extra, message) in runs.items():
+        cfg = write_config(tmp_path, f"{command}.json", {
+            "seed": 1, "partition": partition, "path": path,
+            "out": str(tmp_path / command), **extra,
+        })
+        assert main([command, "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_continuous_path_file_matches_generator(tmp_path):
     from pathcalc import dyadic, generate, write_path_csv
 

@@ -12,6 +12,7 @@ from pathcalc import (
     last_index_before,
     refine_with,
 )
+from pathcalc.partitions import grid_positions
 
 
 def test_dyadic_levels_by_definition():
@@ -168,14 +169,35 @@ def grid_and_queries(draw):
                           max_size=len(picks)))
     others = draw(st.lists(st.floats(0.0, 1.0), max_size=3))
     queries = [float(np.nextafter(t, t + m)) if m else t for t, m in zip(picks, moves)]
-    return grid, queries + others
+    # every k-th grid point, the same with one point moved one ulp, and as
+    # many points between the grid points and past T
+    cells = grid.size - 1
+    k = draw(st.sampled_from([k for k in range(1, cells + 1) if cells % k == 0]))
+    strided = grid[::k]
+    moved = strided.copy()
+    j = draw(st.integers(0, moved.size - 1))
+    moved[j] = np.nextafter(moved[j], draw(st.sampled_from([-1.0, 2.0])))
+    off = np.append((grid[:-1:k] + grid[1::k]) / 2, 2.0)
+    return grid, queries + others, [strided, moved, off]
 
 
 @settings(max_examples=200, deadline=None)
 @given(grid_and_queries())
 def test_membership_agrees_with_set_reference(case):
-    grid, queries = case
+    grid, queries, strided = case
     members = set(grid.tolist())
+    index = {t: k for k, t in enumerate(grid.tolist())}
+    strided_seq = PartitionSequence(1.0, [strided[0], grid], dense=False, nested=True)
+    for ts in strided:
+        idx, hit = grid_positions(grid, ts)
+        expect_hit = [t in members for t in ts.tolist()]
+        assert hit.tolist() == expect_hit
+        assert [i for i, h in zip(idx.tolist(), expect_hit) if h] == [
+            index[t] for t in ts.tolist() if t in members]
+        searched = np.searchsorted(grid, ts)
+        assert np.array_equal(idx, searched)
+        assert np.array_equal(hit, grid[np.minimum(searched, grid.size - 1)] == ts)
+        assert strided_seq.covers(ts, 1) == all(expect_hit)
     expected = all(t in members for t in queries)
     seq = PartitionSequence(1.0, [[0.0, 1.0], grid], dense=False, nested=False)
     assert seq.covers(queries, 1) == expected
@@ -192,8 +214,8 @@ def test_membership_agrees_with_set_reference(case):
     assert nested == all(t in members for t in coarse)
 
     path = SampledPath(grid, np.zeros(grid.size))
+    assert path.grid_indices(strided[0]).tolist() == [index[t] for t in strided[0]]
     if expected:
-        index = {t: k for k, t in enumerate(grid.tolist())}
         assert path.grid_indices(queries).tolist() == [index[t] for t in queries]
     else:
         with pytest.raises(ValueError, match="is not on the path grid"):

@@ -400,6 +400,77 @@ def test_csv_bad_row_named_by_line():
         read_path_csv(io.StringIO("t,x1\n0.0,1.0\n0.5,1.5\n1.0,abc\n"))
 
 
+def _repr_table(jumps):
+    """A path file of ``repr`` floats from 1e-300 to 1e300, both signs."""
+    rng = np.random.default_rng(11)
+    times = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-3, 1.0, 199))))
+    values = rng.standard_normal((200, 2)) * 10.0 ** rng.integers(-300, 300, (200, 2))
+    values[:3, 0] = [-0.0, 5e-324, -1.7976931348623157e308]
+    path = SampledPath(times, values, [(times[7], [0.5, -2e-300])] if jumps else [])
+    fh = io.StringIO()
+    write_path_csv(path, fh)
+    return fh.getvalue()
+
+
+READER_CASES = [
+    # (file text, whether np.loadtxt parses it)
+    pytest.param(_repr_table(jumps=True), True, id="repr-jumps"),
+    pytest.param(_repr_table(jumps=False), True, id="repr"),
+    pytest.param("t,x1\n0.0,1.0\n\n0.5,2.0\n\n\n1.0,3.0\n\n", True, id="blank-lines"),
+    pytest.param("t,x1\n0.0,1.0\n   \n1.0,3.0\n", False, id="whitespace-line"),
+    pytest.param("t,x1\n\t\n0.0,1.0\n1.0,3.0\n", False, id="tab-line"),
+    pytest.param("t,x1\n# note\n0.0,1.0\n1.0,3.0\n", False, id="hash-line"),
+    pytest.param("t,x1\n0.0,1.0\n1.0,3.0 # note\n", False, id="hash-tail"),
+    pytest.param("t,x1\n0.0,1_000\n1.0,3.0\n", False, id="underscore"),
+    pytest.param("t,x1\n0.0,\uff11\uff12\n1.0,3.0\n", False, id="full-width"),
+    pytest.param("t,x1\n0.0,nan\n1.0,3.0\n", True, id="nan"),
+    pytest.param("t,x1\n0.0,-inf\n1.0,3.0\n", True, id="inf"),
+    pytest.param("t,x1\r\n0.0,1.0\r\n\r\n1.0,3.0\r\n", True, id="crlf"),
+    pytest.param("t,x1\n0.0,1.0\n1.0,3.0", True, id="no-final-newline"),
+    pytest.param("t,x1\n", False, id="header-only"),
+    pytest.param("t,x1\n\n\r\n", False, id="header-and-blank-lines"),
+    pytest.param("t,x1\n0.0,1.0\n", True, id="one-row"),
+    pytest.param("t,x1\n 0.0 , 1.0\t\n1.0,\xa03.0\n", True, id="padded-fields"),
+    pytest.param('t,x1\n0.0,"1.0"\n1.0,3.0\n', False, id="quoted"),
+    pytest.param("t,x1\n0.0,1.0\x1c\n1.0,3.0\n", False, id="separator"),
+    pytest.param("t,x1\n0.0,1." + "0" * 200_000 + "\n1.0,3.0\n", False, id="long-field"),
+    pytest.param("t,x1\n0.0,1.0,0.0\n1.0,3.0,0.0\n", True, id="too-wide"),
+    pytest.param("t,x1,jump1\n0.0,1.0,0.0\n0.5,1.5\n1.0,2.0,0.0\n", False, id="ragged"),
+    pytest.param("t,x1\n0.0,1.0\n0.5,1.5\n1.0,abc\n", False, id="not-a-number"),
+]
+
+
+def _read_outcome(f):
+    try:
+        path = read_path_csv(f)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (path.times.tobytes(), path.values.tobytes(),
+            [(t, d.tobytes()) for t, d in path.jumps])
+
+
+@pytest.mark.parametrize("text, loadtxt_parses", READER_CASES)
+def test_csv_reader_equals_reference_route(tmp_path, monkeypatch, text, loadtxt_parses):
+    """The C parse gives the bits, the errors and the line numbers of the
+    ``csv`` + ``float`` route that ``read_path_csv`` falls back to."""
+    f = tmp_path / "path.csv"
+    f.write_bytes(text.encode())
+    loadtxt, parsed = np.loadtxt, []
+
+    def spy(*args, **kwargs):
+        parsed.append(loadtxt(*args, **kwargs))
+        return parsed[-1]
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    outcome = _read_outcome(str(f))
+    assert bool(parsed) == loadtxt_parses
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert _read_outcome(str(f)) == outcome
+
+
 def test_sampled_path_validation():
     with pytest.raises(ValueError, match="path times must be finite, got nan"):
         SampledPath([0.0, float("nan"), 1.0], [0.0, 1.0, 2.0])

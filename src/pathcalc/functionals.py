@@ -214,7 +214,8 @@ def bs_theta(s, strike, sigma, tau):
     return -s * _npdf(d1) * sigma / (2.0 * math.sqrt(tau))
 
 
-def _bs_price_vec(s, strike, sigma, tau, kind):
+def _bs_d1_vec(s, strike, sigma, tau):
+    """Vector-kernel prelude: s, live mask, s with dead points at 1, sigma sqrt(tau), d1."""
     s = np.asarray(s, dtype=float)
     tau = np.asarray(tau, dtype=float)
     live = (tau > 0.0) & (s > 0.0)
@@ -222,6 +223,11 @@ def _bs_price_vec(s, strike, sigma, tau, kind):
     safe_tau = np.where(live, tau, 1.0)
     v = sigma * np.sqrt(safe_tau)
     d1 = (np.log(safe_s / strike) + 0.5 * v * v) / v
+    return s, live, safe_s, v, d1
+
+
+def _bs_price_vec(s, strike, sigma, tau, kind):
+    s, live, safe_s, v, d1 = _bs_d1_vec(s, strike, sigma, tau)
     d2 = d1 - v
     if kind == "call":
         val = safe_s * ndtr(d1) - strike * ndtr(d2)
@@ -233,13 +239,7 @@ def _bs_price_vec(s, strike, sigma, tau, kind):
 
 
 def _bs_delta_vec(s, strike, sigma, tau, kind):
-    s = np.asarray(s, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    live = (tau > 0.0) & (s > 0.0)
-    safe_s = np.where(live, s, 1.0)
-    safe_tau = np.where(live, tau, 1.0)
-    v = sigma * np.sqrt(safe_tau)
-    d1 = (np.log(safe_s / strike) + 0.5 * v * v) / v
+    s, live, safe_s, v, d1 = _bs_d1_vec(s, strike, sigma, tau)
     if kind == "call":
         val = ndtr(d1)
         dead = np.where(s > strike, 1.0, np.where(s == strike, 0.5, 0.0))
@@ -250,13 +250,7 @@ def _bs_delta_vec(s, strike, sigma, tau, kind):
 
 
 def _bs_gamma_vec(s, strike, sigma, tau):
-    s = np.asarray(s, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    live = (tau > 0.0) & (s > 0.0)
-    safe_s = np.where(live, s, 1.0)
-    safe_tau = np.where(live, tau, 1.0)
-    v = sigma * np.sqrt(safe_tau)
-    d1 = (np.log(safe_s / strike) + 0.5 * v * v) / v
+    s, live, safe_s, v, d1 = _bs_d1_vec(s, strike, sigma, tau)
     pdf = np.exp(-0.5 * d1 * d1) * _INV_SQRT_2PI
     return np.where(live, pdf / (safe_s * v), 0.0)
 

@@ -176,6 +176,11 @@ def _qv_flags(path, seq, config):
     return rep.converged, rep.convergence_metric
 
 
+def _time_ordered_sum(terms):
+    """0.0 + terms[0] + terms[1] + ... like ``+=`` (``np.sum`` adds pairwise)."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+
+
 def ito_residual_functional(
     F, path, seq, levels=None, config=None, allow_fd=True, bump=None, step=None,
 ):
@@ -202,15 +207,19 @@ def ito_residual_functional(
     initial = F.value(stop(path, 0.0))
 
     fine = seq.level(seq.top)
-    dt = np.diff(fine)
+    left = path.values[path.grid_indices(fine)[:-1]]  # x(t_k-) at each cell start
+    for tj, dlt in path.jumps:
+        if tj < path.T:  # a jump at T starts no cell
+            left[np.searchsorted(fine, tj)] -= dlt
+    horiz = np.empty(left.shape[0])
+    hess = np.empty((left.shape[0], path.dim, path.dim))
+    for k in range(left.shape[0]):
+        sp = StoppedPath(path, fine[k], fine[k], left[k])
+        horiz[k] = F.horizontal(sp, allow_fd=allow_fd, step=step)
+        hess[k] = F.hessian(sp, allow_fd=allow_fd, bump=bump)
     dqv = _continuous_qv_increments(path, seq)
-    drift = 0.0
-    qv_term = 0.0
-    for k in range(fine.size - 1):
-        sp = stop(path, float(fine[k]), side="left")
-        drift += F.horizontal(sp, allow_fd=allow_fd, step=step) * dt[k]
-        hess = F.hessian(sp, allow_fd=allow_fd, bump=bump)
-        qv_term += 0.5 * float(np.trace(hess @ dqv[k]))
+    drift = _time_ordered_sum(horiz * np.diff(fine))
+    qv_term = _time_ordered_sum(0.5 * np.trace(np.matmul(hess, dqv), axis1=1, axis2=2))
 
     jump_term = 0.0
     for tj, dlt in path.jumps:

@@ -419,7 +419,10 @@ def read_path_csv(f, jump_threshold=None):
     try:
         lines = iter(fh)
         reader = csv.reader(lines)
-        names = [h.strip() for h in next(reader, [])]
+        try:
+            names = [h.strip() for h in next(reader, [])]
+        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+            raise ValueError(f"path file line {reader.line_num}: {exc}") from None
         has_jumps = "jump1" in names
         d = (len(names) - 1) // 2 if has_jumps else len(names) - 1
         expected = ["t"] + [f"x{i + 1}" for i in range(d)]
@@ -443,19 +446,22 @@ def read_path_csv(f, jump_threshold=None):
             data = np.loadtxt(rest, delimiter=",", comments=None, ndmin=2)
     if data is None or data.shape[1] != len(names):
         header_lines, reader, rows = reader.line_num, csv.reader(rest), []
-        for row in reader:
-            if not row:
-                continue
-            line = header_lines + reader.line_num
-            if len(row) != len(names):
-                raise ValueError(
-                    f"path file line {line} has {len(row)} fields, "
-                    f"the header has {len(names)}"
-                )
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError as exc:
-                raise ValueError(f"path file line {line}: {exc}") from None
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                line = header_lines + reader.line_num
+                if len(row) != len(names):
+                    raise ValueError(
+                        f"path file line {line} has {len(row)} fields, "
+                        f"the header has {len(names)}"
+                    )
+                try:
+                    rows.append([float(c) for c in row])
+                except ValueError as exc:
+                    raise ValueError(f"path file line {line}: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"path file line {header_lines + reader.line_num}: {exc}") from None
         data = np.asarray(rows, dtype=float).reshape(-1, len(names))
     times = data[:, 0]
     values = data[:, 1 : 1 + d]

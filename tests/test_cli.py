@@ -190,6 +190,21 @@ def test_missing_path_file_named_in_diagnostic(tmp_path, capsys):
     assert "ghost.csv" in capsys.readouterr().err
 
 
+def test_path_file_field_past_csv_limit_names_the_line(tmp_path, capsys):
+    long = "1." + "0" * 200_000
+    files = {"header": (f"t,x{long}\n0.0,1.0\n1.0,3.0\n", "path file line 1: "),
+             "row": (f"t,x1\n0.0,1.0\n0.5,{long}\n1.0,3.0\n", "path file line 3: ")}
+    for name, (text, message) in files.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+        cfg = write_config(tmp_path, f"{name}.json", {
+            "partition": {"type": "dyadic", "T": 1.0, "max_level": 1},
+            "path": {"file": str(tmp_path / f"{name}.csv")},
+            "out": str(tmp_path / name),
+        })
+        assert main(["qv", "--config", cfg]) == 2
+        assert message + "field larger than field limit" in capsys.readouterr().err
+
+
 def test_functional_and_path_dims_must_match(tmp_path, capsys):
     partition = {"type": "dyadic", "T": 1.0, "max_level": 6}
     runs = {

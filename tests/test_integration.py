@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcalc import (
+    Functional,
+    SampledPath,
     asian_forward,
     black_scholes,
     cylinder,
@@ -14,10 +20,14 @@ from pathcalc import (
     ito_residual_functional,
     left_cauchy_chain_rule,
     left_cauchy_integral,
+    monomial,
     qv_along,
     stack,
+    stop,
 )
 from pathcalc.integration import follmer_integrand
+from pathcalc.partitions import refine_onto
+from pathcalc.quadvar import _continuous_qv_increments
 
 
 def walk(level, seed=7, sigma=1.0):
@@ -205,6 +215,97 @@ def test_ito_residual_sweep_evaluates_drift_once():
     F.horizontal = lambda sp, **kw: calls.append(sp.time) or horizontal(sp, **kw)
     ito_residual_functional(F, path, seq, levels=[3, 5, 7])
     assert len(calls) == seq.level(seq.top).size - 1
+
+
+def _per_cell_ito_terms(F, path, seq, levels):
+    """Reference route: one left-stopped path per finest cell, the drift
+    and quadratic terms added with ``+=`` in time order from 0.0."""
+    seq = refine_onto(seq, path.jump_times)[0]
+    fine = seq.level(seq.top)
+    dt = np.diff(fine)
+    dqv = _continuous_qv_increments(path, seq)
+    drift = 0.0
+    qv_term = 0.0
+    for k in range(fine.size - 1):
+        sp = stop(path, float(fine[k]), side="left")
+        drift += F.horizontal(sp) * dt[k]
+        qv_term += 0.5 * float(np.trace(F.hessian(sp) @ dqv[k]))
+    lhs = F.value(stop(path, path.T))
+    initial = F.value(stop(path, 0.0))
+    jump_term = 0.0
+    for tj, dlt in path.jumps:
+        left, right = stop(path, tj, side="left"), stop(path, tj, side="right")
+        jump_term += F.value(right) - F.value(left) - float(F.gradient(left) @ dlt)
+    residuals = {}
+    for n in levels:
+        g = follmer_integrand(F, path, seq, n)
+        lx = path.values[path.grid_indices(seq.level(n))]
+        follmer = float(np.sum(g * np.diff(lx, axis=0)))
+        residuals[n] = abs(lhs - (initial + follmer + drift + qv_term + jump_term))
+    return drift, qv_term, residuals
+
+
+def _fd_only(dim):
+    # eval_fn alone: every derivative goes through perturb and extend_to
+    w = np.array([1.0, 0.7, -0.4])[:dim]
+    return Functional(dim, lambda sp: math.sin(float(sp.current @ w)) * (1.0 + sp.time**2),
+                      name=f"fd_only_{dim}")
+
+
+def _product_2d():
+    return cylinder(lambda v: v[0] * v[1], lambda v: np.array([v[1], v[0]]),
+                    lambda v: np.array([[0.0, 1.0], [1.0, 0.0]]), dim=2, name="product_2d")
+
+
+def _negative_zero_drift():
+    return Functional(1, lambda sp: float(sp.current[0]), hess=lambda sp: np.zeros((1, 1)),
+                      horiz=lambda sp: -0.0, name="negative_zero_drift")
+
+
+ITO_FUNCTIONALS = [
+    monomial(3), black_scholes(0.3, 1.0), black_scholes(0.2, 1.1, "put"), identity(),
+    _negative_zero_drift(), _fd_only(1), _product_2d(), identity(1, dim=2), _fd_only(2),
+    identity(2, dim=3), _fd_only(3),
+]
+
+
+@st.composite
+def ito_paths(draw, dim):
+    """A path of dimension ``dim`` on a dyadic grid with jumps on a level,
+    off every level (added to the grid) and at the horizon, each optional."""
+    level = draw(st.integers(2, 6))
+    grid = dyadic(1.0, level).level(level)
+    jump_times = set()
+    if draw(st.booleans()):  # on the finest level, or on coarser ones too
+        jump_times.add(float(grid[draw(st.integers(1, grid.size - 2))]))
+    if draw(st.booleans()):
+        jump_times.add(draw(st.sampled_from([0.3, 1.0 / 3.0, 0.71])))
+    if draw(st.booleans()):  # no cell starts at T
+        jump_times.add(1.0)
+    times = np.union1d(grid, sorted(jump_times))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    values = 1.0 + np.cumsum(0.1 * rng.standard_normal((times.size, dim)), axis=0)
+    jumps = []
+    for t in sorted(jump_times):
+        jumps.append((t, rng.choice([-1.0, 1.0], dim) * rng.uniform(0.01, 0.2, dim)))
+        values[np.searchsorted(times, t):] += jumps[-1][1]
+    levels = sorted(draw(st.sets(st.integers(0, level), min_size=1)))
+    return SampledPath(times, values, jumps), dyadic(1.0, level), levels
+
+
+@pytest.mark.parametrize("F", ITO_FUNCTIONALS, ids=lambda F: F.name)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_ito_terms_bit_equal_per_cell_reference(F, data):
+    path, seq, levels = data.draw(ito_paths(F.dim))
+    rep = ito_residual_functional(F, path, seq, levels=levels)
+    drift, qv_term, residuals = _per_cell_ito_terms(F, path, seq, levels)
+    assert rep.drift_term == drift
+    assert math.copysign(1.0, rep.drift_term) == math.copysign(1.0, drift)
+    assert rep.qv_term == qv_term
+    assert rep.residual_by_level == residuals
+    if F.name in ("identity_1", "negative_zero_drift"):
+        assert rep.drift_term == 0.0 and math.copysign(1.0, rep.drift_term) == 1.0
 
 
 def test_ito_functional_cubic_on_step_path_closed_form():

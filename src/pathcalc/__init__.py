@@ -44,7 +44,6 @@ from .paths import (
     stack,
     stepwise_approximation,
     stop,
-    vertical_perturbation,
     write_path_csv,
 )
 from .quadvar import (

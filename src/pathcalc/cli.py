@@ -64,7 +64,7 @@ def _load_config(args):
         cfg.setdefault("partition", {})["max_level"] = args.level
     if args.out is not None:
         cfg["out"] = args.out
-    cfg.setdefault("seed", 0)
+    _integer(cfg.setdefault("seed", 0), "seed", 0)
     cfg.setdefault("probe_level", 6)
     tol = dict(_DEFAULT_TOLERANCES)
     tol.update(cfg.get("tolerances", {}))
@@ -72,6 +72,13 @@ def _load_config(args):
     if "out" not in cfg:
         cfg["out"] = os.environ.get("PATHCALC_OUT", "pathcalc_out")
     return cfg
+
+
+def _integer(value, key, least):
+    """``value`` if it is an int (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def _path_from_config(cfg, seq, seed=None):
@@ -231,7 +238,7 @@ def cmd_hedge(cfg, seq):
     realized = hcfg.get("realized", "estimate")
     if realized != "estimate":
         realized = density_from_descriptor(realized)
-    n_paths = int(hcfg.get("paths", 1))
+    n_paths = _integer(hcfg.get("paths", 1), "hedge.paths", 1)
     fpde_tol = float(cfg["tolerances"]["fpde_tol"])
     window = int(hcfg.get("smooth_window", 64))
     children = np.random.SeedSequence(cfg["seed"]).spawn(n_paths)

@@ -73,10 +73,6 @@ class Functional:
     def value(self, sp):
         return float(self._eval(sp))
 
-    @property
-    def has_gradient(self):
-        return self._grad is not None
-
     def gradient(self, sp, allow_fd=True, bump=None):
         if self._grad is not None:
             return np.asarray(self._grad(sp), dtype=float).reshape(self.dim)
@@ -383,7 +379,7 @@ def black_scholes(sigma, strike, kind="call"):
     if kind not in ("call", "put"):
         raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
 
-    F = Functional(
+    return Functional(
         1,
         lambda sp: bs_price(float(sp.current[0]), strike, sigma, sp.T - sp.time, kind),
         grad=lambda sp: np.array(
@@ -401,10 +397,6 @@ def black_scholes(sigma, strike, kind="call"):
             :, None, None
         ],
     )
-    F.sigma = sigma
-    F.strike = strike
-    F.kind = kind
-    return F
 
 
 def builtin(name, **params):

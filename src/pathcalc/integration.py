@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convergence import assess
-from .functionals import CapabilityError
 from .partitions import refine_onto
 from .paths import StoppedPath, stepwise_approximation, stop
 from .quadvar import (
@@ -45,34 +44,21 @@ def _truncated_dot_sums(x, li, g, probe_idx):
     return prefix[jstar] + np.where(jstar >= g.shape[0], 0.0, boundary)
 
 
-def follmer_integrand(F, path, seq, n, mode="cadlag", allow_fd=True, bump=None):
-    """Gradient rows of F at the level-n summation states.
-
-    ``mode='cadlag'`` perturbs the frozen left limit by the jump at each
-    grid time (the composite argument of the cadlag summation); for a
-    continuous path both modes coincide.
-    """
+def follmer_integrand(F, path, seq, n):
+    """Gradient rows of F at the level-n summation states: the frozen left
+    limit perturbed by the jump at each grid time t_i, so that the current
+    value is x(t_i) (the composite argument of the cadlag summation)."""
     level = seq.level(n)
     li = path.grid_indices(level)
     m = level.size - 1
     if F.pointwise_grad is not None:
-        ts = level[:-1]
-        if mode == "cadlag":
-            s = path.values[li[:-1]]
-        else:
-            s = np.array([path.left_limit(t) for t in level[:-1]])
-        g = np.asarray(F.pointwise_grad(ts, s, path.T), dtype=float)
+        g = np.asarray(F.pointwise_grad(level[:-1], path.values[li[:-1]], path.T), dtype=float)
         return g.reshape(m, path.dim)
     xn = stepwise_approximation(path, seq, n)
     g = np.empty((m, path.dim))
     for i in range(m):
         t_i = float(level[i])
-        if mode == "cadlag":
-            current = path.values[li[i]]
-        else:
-            current = path.left_limit(t_i)
-        state = StoppedPath(xn, t_i, t_i, current)
-        g[i] = F.gradient(state, allow_fd=allow_fd, bump=bump)
+        g[i] = F.gradient(StoppedPath(xn, t_i, t_i, path.values[li[i]]))
     return g
 
 
@@ -117,17 +103,12 @@ def _make_report(path, seq, probes, levels, integrand_at, kind, config):
     )
 
 
-def follmer_integral_functional(
-    F, path, seq, probes=None, levels=None, mode="cadlag",
-    config=None, allow_fd=True, bump=None,
-):
+def follmer_integral_functional(F, path, seq, probes=None, levels=None, config=None):
     """Riemann sums of grad F against the path, per level."""
     F.require_dim(path)
-    if F.pointwise_grad is None and not (F.has_gradient or allow_fd):
-        raise CapabilityError(f"{F.name} provides no vertical gradient")
     return _make_report(
         path, seq, probes, levels,
-        lambda seq, n, li: follmer_integrand(F, path, seq, n, mode, allow_fd, bump),
+        lambda seq, n, li: follmer_integrand(F, path, seq, n),
         "functional-gradient", config,
     )
 
@@ -181,9 +162,7 @@ def _time_ordered_sum(terms):
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
-def ito_residual_functional(
-    F, path, seq, levels=None, config=None, allow_fd=True, bump=None, step=None,
-):
+def ito_residual_functional(F, path, seq, levels=None, config=None):
     """Gap between F(T, x_T) and the four-term right-hand side of the
     functional change-of-variable identity.
 
@@ -215,8 +194,8 @@ def ito_residual_functional(
     hess = np.empty((left.shape[0], path.dim, path.dim))
     for k in range(left.shape[0]):
         sp = StoppedPath(path, fine[k], fine[k], left[k])
-        horiz[k] = F.horizontal(sp, allow_fd=allow_fd, step=step)
-        hess[k] = F.hessian(sp, allow_fd=allow_fd, bump=bump)
+        horiz[k] = F.horizontal(sp)
+        hess[k] = F.hessian(sp)
     dqv = _continuous_qv_increments(path, seq)
     drift = _time_ordered_sum(horiz * np.diff(fine))
     qv_term = _time_ordered_sum(0.5 * np.trace(np.matmul(hess, dqv), axis1=1, axis2=2))
@@ -225,13 +204,12 @@ def ito_residual_functional(
     for tj, dlt in path.jumps:
         left = stop(path, tj, side="left")
         right = stop(path, tj, side="right")
-        grad_left = F.gradient(left, allow_fd=allow_fd, bump=bump)
-        jump_term += F.value(right) - F.value(left) - float(grad_left @ dlt)
+        jump_term += F.value(right) - F.value(left) - float(F.gradient(left) @ dlt)
 
     qv_ok, qv_metric = _qv_flags(path, seq, config)
     residual_by_level = {}
     for n in sorted(levels):
-        g = follmer_integrand(F, path, seq, n, "cadlag", allow_fd, bump)
+        g = follmer_integrand(F, path, seq, n)
         lx = path.values[path.grid_indices(seq.level(n))]
         follmer = float(np.sum(g * np.diff(lx, axis=0)))
         residual_by_level[n] = abs(lhs - (initial + follmer + drift + qv_term + jump_term))

@@ -92,34 +92,18 @@ class PartitionSequence:
 
     def level(self, n):
         """Grid of level ``n`` as a read-only float array."""
+        if not 0 <= n <= self.top:
+            raise ValueError(f"level {n} outside 0..{self.top}")
         return self._levels[n]
 
     def mesh(self, n):
-        return float(np.max(np.diff(self._levels[n])))
-
-    def truncate(self, n):
-        """Sequence made of levels 0..n only."""
-        if not 0 <= n <= self.top:
-            raise ValueError(f"level {n} outside 0..{self.top}")
-        return PartitionSequence(
-            self.T, [self.level(i) for i in range(n + 1)],
-            dense=self.dense, nested=self.nested,
-        )
+        return float(np.max(np.diff(self.level(n))))
 
     def covers(self, times, n=None):
         """True if every time in ``times`` is a member of level ``n``
         (of every level when ``n`` is None).  Membership is exact."""
-        levels = self._levels if n is None else [self._levels[n]]
+        levels = self._levels if n is None else [self.level(n)]
         return all(grid_positions(arr, times)[1].all() for arr in levels)
-
-    def to_descriptor(self):
-        return {
-            "type": "explicit",
-            "T": self.T,
-            "levels": [arr.tolist() for arr in self._levels],
-            "dense": self.dense,
-            "nested": self.nested,
-        }
 
     @staticmethod
     def from_descriptor(desc):

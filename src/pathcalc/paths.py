@@ -217,11 +217,6 @@ def stop(path, t, side="right"):
     return StoppedPath(path, t, t, current)
 
 
-def vertical_perturbation(sp, delta):
-    """omega_t^delta: shift the frozen part of a stopped path by delta."""
-    return sp.perturb(delta)
-
-
 def d_infinity(a, b):
     """Distance between stopped paths: sup-norm gap plus time gap."""
     if a.dim != b.dim:

@@ -273,10 +273,6 @@ class NorvaisaReport:
     jump_checks: list
     additivity_gaps: list
 
-    @property
-    def max_jump_gap(self):
-        return max((abs(c["gap"]) for c in self.jump_checks), default=0.0)
-
 
 def _interval_grid(path, level, u, v):
     """Knots of the ``level`` grid restricted to [u, v] with both endpoints

@@ -165,18 +165,16 @@ def simple_ledger(strategy, path, seq, probes=None):
     return _ledger_from_holdings(path, seq, strategy.level, lam, v0, probes, gains, {})
 
 
-def strategy_from_functional(F, path, seq, n, mode="cadlag", initial_capital=None,
-                             allow_fd=True, bump=None):
+def strategy_from_functional(F, path, seq, n, initial_capital=None):
     """The explicit approximating simple strategy at level n: holdings are
     the gradient of F at the piecewise-constant summation states."""
-    lam = follmer_integrand(F, path, seq, n, mode, allow_fd, bump)
+    lam = follmer_integrand(F, path, seq, n)
     v0 = F.value(stop(path, 0.0)) if initial_capital is None else initial_capital
     return SimpleStrategy.from_values(n, lam, v0)
 
 
 def gain_from_vertical_form(
-    F, path, seq, probes=None, mode="cadlag", initial_capital=None,
-    levels=None, config=None, allow_fd=True, bump=None,
+    F, path, seq, probes=None, initial_capital=None, levels=None, config=None,
 ):
     """Ledger of the limit strategy built from a vertical 1-form.
 
@@ -187,10 +185,7 @@ def gain_from_vertical_form(
     convergence check.
     """
     seq = refine_onto(seq, path.jump_times)[0]
-    rep = follmer_integral_functional(
-        F, path, seq, probes=probes, levels=levels, mode=mode, config=config,
-        allow_fd=allow_fd, bump=bump,
-    )
+    rep = follmer_integral_functional(F, path, seq, probes=probes, levels=levels, config=config)
     top = rep.levels[-1]
     v0 = F.value(stop(path, 0.0)) if initial_capital is None else float(initial_capital)
     return _ledger_from_holdings(
@@ -353,7 +348,7 @@ def estimate_qv_density(path, seq, window=64):
 def hedge(
     F, payoff, density, path, seq, realized_density="estimate",
     probes=None, levels=None, config=None, fpde_tol=1e-6,
-    smooth_window=64, allow_fd=True, bump=None, step=None,
+    smooth_window=64,
 ):
     """Delta-hedge F against the claim and compare the realized shortfall
     with the explicit second-order error integral.
@@ -379,9 +374,7 @@ def hedge(
     sample = interior[:: max(1, interior.size // 8)] if interior.size else []
     fpde_max = 0.0
     for t in sample:
-        r = fpde_residual(F, density, stop(path, float(t)), allow_fd=allow_fd,
-                          bump=bump, step=step)
-        fpde_max = max(fpde_max, abs(r))
+        fpde_max = max(fpde_max, abs(fpde_residual(F, density, stop(path, float(t)))))
     fpde_flag = fpde_max > fpde_tol
     if fpde_flag:
         notes.append(
@@ -410,9 +403,7 @@ def hedge(
     if F.pointwise_hess is not None:
         hess = np.asarray(F.pointwise_hess(ts, rows, path.T))
     else:
-        hess = np.array(
-            [F.hessian(stop(path, float(t)), allow_fd=allow_fd, bump=bump) for t in ts]
-        )
+        hess = np.array([F.hessian(stop(path, float(t))) for t in ts])
     traces = np.einsum("kij,kji->k", a_cells - tilde_cells, hess)
     predicted = 0.5 * float(traces @ dt)
 
@@ -422,8 +413,7 @@ def hedge(
     # is taken at every grid time when F has a pointwise value, else at the
     # probes, where F is read off stopped paths.
     gain = follmer_integral_functional(
-        F, path, seq, probes=path.times, levels=levels, config=config,
-        allow_fd=allow_fd, bump=bump,
+        F, path, seq, probes=path.times, levels=levels, config=config
     )
     f0 = F.value(stop(path, 0.0))
     realized = f0 + float(gain.limit[-1]) - float(payoff(path))

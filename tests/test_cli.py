@@ -224,6 +224,48 @@ def test_functional_and_path_dims_must_match(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, level", [
+    ({"integrate": {"residual_levels": [99]}}, 99),
+    ({"integrate": {"residual_levels": "8"}}, 8),
+    ({"integrate": {"residual_levels": [-1]}}, -1),
+    ({"probe_level": -3}, -3),
+], ids=["residual_99", "residual_str_8", "residual_minus_1", "probe_minus_3"])
+def test_level_outside_partition_is_config_error(tmp_path, capsys, extra, level):
+    cfg = write_config(tmp_path, "i.json", {
+        "seed": 3,
+        "partition": {"type": "dyadic", "T": 1.0, "max_level": 6},
+        "path": {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0},
+        "functional": {"name": "black_scholes", "sigma": 0.2, "strike": 1.0},
+        "out": str(tmp_path / "out"),
+        **extra,
+    })
+    assert main(["integrate", "--config", cfg]) == 2
+    assert f"level {level} outside 0..6" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "ito_residuals.csv").exists()
+
+
+def test_hedge_paths_and_seed_are_named(tmp_path, capsys):
+    base = {
+        "seed": 1,
+        "partition": {"type": "dyadic", "T": 1.0, "max_level": 4},
+        "path": {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0},
+        "functional": {"name": "black_scholes", "sigma": 0.2, "strike": 1.0},
+        "out": str(tmp_path / "out"),
+    }
+    hedge = {"density": {"kind": "bs", "sigma": 0.2}}
+    cases = [({"hedge": {**hedge, "paths": p}}, "hedge.paths") for p in (-1, 0, 1.5, "2", True)]
+    cases += [({"hedge": {**hedge, "paths": 1}, "seed": s}, "seed")
+              for s in ("abc", 1.5, -1, True, None)]
+    for extra, key in cases:
+        cfg = write_config(tmp_path, "h.json", {**base, **extra})
+        assert main(["hedge", "--config", cfg]) == 2, extra
+        err = capsys.readouterr().err
+        assert f"config error: {key} must be an integer >= " in err, (extra, err)
+    cfg = write_config(tmp_path, "q.json", {**base, "path": {"kind": "smooth", "name": "linear"}})
+    assert main(["qv", "--config", cfg, "--seed", "-2"]) == 2
+    assert "seed must be an integer >= 0, got -2" in capsys.readouterr().err
+
+
 def test_continuous_path_file_matches_generator(tmp_path):
     from pathcalc import dyadic, generate, write_path_csv
 

@@ -141,11 +141,22 @@ def test_fast_and_loop_integrands_agree():
 def test_integrand_uses_jump_perturbed_state():
     path, seq = one_jump_step(6)
     F = cylinder(lambda x: x * x, lambda x: 2 * x)
-    g = follmer_integrand(F, path, seq, seq.top, mode="cadlag")
+    g = follmer_integrand(F, path, seq, seq.top)
     i = int(np.searchsorted(seq.level(seq.top), 0.5))
     assert g[i, 0] == 2.0  # gradient at x(t_i) = left limit + jump = 1
-    g_cont = follmer_integrand(F, path, seq, seq.top, mode="continuous")
-    assert g_cont[i, 0] == 0.0  # no perturbation: left limit only
+
+
+def test_path_level_entry_points_have_one_derivative_policy():
+    import inspect
+
+    import pathcalc
+    from pathcalc.trading import gain_from_vertical_form, hedge, strategy_from_functional
+
+    for fn in (follmer_integrand, follmer_integral_functional, strategy_from_functional,
+               gain_from_vertical_form, ito_residual_functional, hedge):
+        params = set(inspect.signature(fn).parameters)
+        assert not params & {"mode", "allow_fd", "bump", "step"}, fn.__name__
+    assert not hasattr(pathcalc, "vertical_perturbation")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from pathcalc import (
     stack,
     stepwise_approximation,
     stop,
-    vertical_perturbation,
     write_path_csv,
 )
 
@@ -67,14 +66,14 @@ def test_vertical_perturbation_zero_is_identity():
     seq = dyadic(1.0, 4)
     path = generate({"kind": "scaled_random_walk", "sigma": 1.0}, 5, seq)
     sp = stop(path, 0.5)
-    bumped = vertical_perturbation(sp, [0.0])
+    bumped = sp.perturb([0.0])
     assert all(bumped.value(u)[0] == sp.value(u)[0] for u in path.times)
 
 
 def test_vertical_perturbation_shifts_only_future():
     seq = dyadic(1.0, 3)
     path = generate({"kind": "smooth", "name": "linear"}, 0, seq)
-    bumped = vertical_perturbation(stop(path, 0.5), [2.0])
+    bumped = stop(path, 0.5).perturb([2.0])
     assert bumped.value(0.25)[0] == 0.25
     assert bumped.value(0.5)[0] == 2.5
     assert bumped.value(1.0)[0] == 2.5

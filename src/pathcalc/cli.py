@@ -65,7 +65,7 @@ def _load_config(args):
     if args.out is not None:
         cfg["out"] = args.out
     _integer(cfg.setdefault("seed", 0), "seed", 0)
-    cfg.setdefault("probe_level", 6)
+    _integer(cfg.setdefault("probe_level", 6), "probe_level")
     tol = dict(_DEFAULT_TOLERANCES)
     tol.update(cfg.get("tolerances", {}))
     cfg["tolerances"] = tol
@@ -74,11 +74,21 @@ def _load_config(args):
     return cfg
 
 
-def _integer(value, key, least):
-    """``value`` if it is an int (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+def _integer(value, key, least=None):
+    """``value`` if it is an int (not a bool), of at least ``least`` if given."""
+    if isinstance(value, bool) or not isinstance(value, int) or (
+        least is not None and value < least
+    ):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{key} must be an integer{bound}, got {value!r}")
     return value
+
+
+def _number(value, key):
+    """``value`` as a float if it is an int or a float (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _path_from_config(cfg, seq, seed=None):
@@ -92,6 +102,7 @@ def _path_from_config(cfg, seq, seed=None):
         path = read_path_csv(fname, jump_threshold=spec.get("jump_threshold"))
         _require_finest_grid(fname, path, seq)
         return path
+    _integer(spec.get("dim", 1), "path.dim", 1)
     return generate(spec, cfg["seed"] if seed is None else seed, seq)
 
 
@@ -130,9 +141,19 @@ def _payoff_from_config(desc, F):
     raise ConfigError(f"unknown payoff kind {kind!r}")
 
 
+def _functional_from_config(desc):
+    for key in ("sigma", "strike", "K", "power", "coeff"):
+        if key in desc:
+            _number(desc[key], f"functional.{key}")
+    return functional_from_descriptor(desc)
+
+
 def _conv_config(cfg):
     tol = cfg["tolerances"]
-    return ConvergenceConfig(tol=float(tol["conv_tol"]), window=int(tol["qv_window"]))
+    return ConvergenceConfig(
+        tol=_number(tol["conv_tol"], "tolerances.conv_tol"),
+        window=_integer(tol["qv_window"], "tolerances.qv_window", 1),
+    )
 
 
 def _fmt(x):
@@ -207,7 +228,7 @@ def cmd_qv(cfg, seq):
 def cmd_integrate(cfg, seq):
     path = _path_from_config(cfg, seq)
     conv = _conv_config(cfg)
-    F = functional_from_descriptor(cfg.get("functional", {"name": "identity_1"}))
+    F = _functional_from_config(cfg.get("functional", {"name": "identity_1"}))
     probes = default_probe_times(seq, path, cfg["probe_level"])
     report = follmer_integral_functional(F, path, seq, probes=probes, config=conv)
     out = _outdir(cfg)
@@ -232,14 +253,18 @@ def cmd_hedge(cfg, seq):
     hcfg = cfg.get("hedge")
     if hcfg is None:
         raise ConfigError("config needs a 'hedge' section")
-    F = functional_from_descriptor(cfg["functional"])
+    F = _functional_from_config(cfg["functional"])
     payoff = _payoff_from_config(hcfg.get("payoff", {"kind": "terminal"}), F)
     density = density_from_descriptor(hcfg["density"])
     realized = hcfg.get("realized", "estimate")
     if realized != "estimate":
+        if isinstance(realized, str):
+            raise ConfigError(
+                f'hedge.realized must be "estimate" or a density, got {realized!r}'
+            )
         realized = density_from_descriptor(realized)
     n_paths = _integer(hcfg.get("paths", 1), "hedge.paths", 1)
-    fpde_tol = float(cfg["tolerances"]["fpde_tol"])
+    fpde_tol = _number(cfg["tolerances"]["fpde_tol"], "tolerances.fpde_tol")
     window = int(hcfg.get("smooth_window", 64))
     children = np.random.SeedSequence(cfg["seed"]).spawn(n_paths)
     rows = []
@@ -342,6 +367,8 @@ def main(argv=None):
         part = cfg.get("partition")
         if part is None:
             raise ConfigError("config needs a 'partition' section")
+        if "max_level" in part:
+            _integer(part["max_level"], "partition.max_level", 1)
         seq = PartitionSequence.from_descriptor({"type": "dyadic", "T": 1.0, **part})
         return _COMMANDS[args.command](cfg, seq)
     except ConfigError as exc:

@@ -16,7 +16,11 @@ import numpy as np
 @dataclass(frozen=True)
 class ConvergenceConfig:
     tol: float = 1e-3
-    window: int = 3
+    window: int = 3  # trailing inter-level gaps that must not grow
+
+    def __post_init__(self):
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window!r}")
 
 
 def assess(level_values, scale, config=None):

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convergence import assess
+from .convergence import ConvergenceConfig, assess
 from .partitions import refine_onto
 from .paths import StoppedPath, stepwise_approximation, stop
 from .quadvar import (
+    _cell_index,
     _continuous_qv_increments,
     _interval_grid,
     _level_sums,
@@ -38,7 +39,7 @@ def _truncated_dot_sums(x, li, g, probe_idx):
     lx = x[li]
     a = np.diff(lx, axis=0)
     prefix = np.concatenate(([0.0], np.cumsum(np.sum(g * a, axis=1))))
-    jstar = np.searchsorted(li, probe_idx, side="right") - 1
+    jstar = _cell_index(li, probe_idx)
     safe = np.minimum(jstar, g.shape[0] - 1)
     boundary = np.sum(g[safe] * (x[probe_idx] - lx[jstar]), axis=1)
     return prefix[jstar] + np.where(jstar >= g.shape[0], 0.0, boundary)
@@ -104,13 +105,25 @@ def _make_report(path, seq, probes, levels, integrand_at, kind, config):
 
 
 def follmer_integral_functional(F, path, seq, probes=None, levels=None, config=None):
-    """Riemann sums of grad F against the path, per level."""
+    """Riemann sums of grad F against the path, per level.
+
+    A pointwise gradient is evaluated once, at every grid time before T, and
+    each level reads the rows of its cell starts; otherwise each level's
+    rows come from :func:`follmer_integrand`.
+    """
     F.require_dim(path)
-    return _make_report(
-        path, seq, probes, levels,
-        lambda seq, n, li: follmer_integrand(F, path, seq, n),
-        "functional-gradient", config,
-    )
+    if F.pointwise_grad is None:
+        def integrand(seq, n, li):
+            return follmer_integrand(F, path, seq, n)
+    else:
+        g = np.asarray(
+            F.pointwise_grad(path.times[:-1], path.values[:-1], path.T), dtype=float
+        ).reshape(path.times.size - 1, path.dim)
+
+        def integrand(_seq, _n, li):
+            return g[li[:-1]]
+
+    return _make_report(path, seq, probes, levels, integrand, "functional-gradient", config)
 
 
 def follmer_integral_cylinder(f_prime, path, seq, probes=None, levels=None, config=None):
@@ -151,9 +164,12 @@ class ItoReport:
 
 
 def _qv_flags(path, seq, config):
-    rep = qv_along(path, seq, config=config) if path.dim == 1 else qv_matrix(
-        path, seq, config=config
-    )
+    """The QV convergence verdict, summed on only the ``window + 1`` finest
+    levels: :func:`assess` reads no gap below them."""
+    window = (config or ConvergenceConfig()).window
+    levels = range(max(seq.num_levels - window - 1, 0), seq.num_levels)
+    qv = qv_along if path.dim == 1 else qv_matrix
+    rep = qv(path, seq, config=config, levels=levels)
     return rep.converged, rep.convergence_metric
 
 

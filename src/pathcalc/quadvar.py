@@ -30,6 +30,19 @@ def default_probe_times(seq, path=None, probe_level=6):
     return np.union1d(seq.level(min(probe_level, seq.top)), jumps)
 
 
+def _cell_index(li, probe_idx):
+    """Cell j of each grid index p in ``[0, li[-1]]``: ``li[j] <= p <
+    li[j+1]``, and j = m at ``p = li[m]``.  It is ``p // k`` when ``li`` is
+    ``arange(0, k * li.size, k)`` and there are no fewer probes than level
+    times (checking the stride costs more than a search over few probes)."""
+    m = li.size - 1
+    if probe_idx.size > m:
+        k = li[-1] // m
+        if np.array_equal(li, np.arange(0, k * li.size, k)):
+            return probe_idx // k
+    return np.searchsorted(li, probe_idx, side="right") - 1
+
+
 def _truncated_sq_sums(x, li, probe_idx):
     """A_n at probe grid indices for one scalar coordinate.
 
@@ -39,7 +52,7 @@ def _truncated_sq_sums(x, li, probe_idx):
     lx = x[li]
     a = np.diff(lx)
     prefix = np.concatenate(([0.0], np.cumsum(a * a)))
-    jstar = np.searchsorted(li, probe_idx, side="right") - 1
+    jstar = _cell_index(li, probe_idx)
     boundary = (x[probe_idx] - lx[jstar]) ** 2
     return prefix[jstar] + boundary
 
@@ -94,6 +107,8 @@ def _level_sums(path, seq, probes, levels, level_sum):
     probe_idx = path.grid_indices(probes)
     if levels is None:
         levels = range(seq.num_levels)
+    if len(levels) == 0:
+        raise ValueError("levels must list at least one level")
     sums = {
         n: level_sum(seq, n, path.grid_indices(seq.level(n)), probe_idx)
         for n in levels
@@ -116,14 +131,14 @@ class QVReport:
     dim: int = 1
 
 
-def _qv(path, seq, probe_times, config):
+def _qv(path, seq, probe_times, config, levels):
     """Polarization QV report of a d-dimensional path; a scalar path is the
     1x1 case, reported with (probes,) arrays."""
     if seq.num_levels < 2:
         raise ValueError("need at least two levels to talk about a limit")
     d = path.dim
     seq, refined, probes, approx = _level_sums(
-        path, seq, probe_times, None,
+        path, seq, probe_times, levels,
         lambda _seq, _n, li, probe_idx: _polarized_sq_sums(path.values, li, probe_idx),
     )
     # sum_{s <= t} dx(s) dx(s)^T: a running sum over the jumps in time order
@@ -136,12 +151,13 @@ def _qv(path, seq, probe_times, config):
     if d == 1:
         approx = {n: a[:, 0, 0] for n, a in approx.items()}
         jump = jump[:, 0, 0]
-    limit = approx[seq.top]
+    levels = sorted(approx)
+    limit = approx[levels[-1]]
     scale = max(float(np.max(np.ptp(path.values, axis=0))) ** 2, 1e-300)
     converged, metric = assess(approx, scale, config)
     return QVReport(
         probe_times=probes,
-        levels=sorted(approx),
+        levels=levels,
         approx=approx,
         limit=limit,
         continuous_part=limit - jump,
@@ -154,19 +170,20 @@ def _qv(path, seq, probe_times, config):
     )
 
 
-def qv_along(path, seq, probe_times=None, config=None):
-    """Squared-increment sums of a scalar path along every level.
+def qv_along(path, seq, probe_times=None, config=None, levels=None):
+    """Squared-increment sums of a scalar path along the listed levels
+    (default: every level).
 
-    The report carries per-level values at the probe times, the top level as
-    the limit estimate, the exact jump part and the continuous remainder,
-    plus the shared Cauchy convergence verdict.
+    The report carries per-level values at the probe times, the finest
+    listed level as the limit estimate, the exact jump part and the
+    continuous remainder, plus the shared Cauchy convergence verdict.
     """
     if path.dim != 1:
         raise ValueError("qv_along expects a scalar path; use qv_matrix for d > 1")
-    return _qv(path, seq, probe_times, config)
+    return _qv(path, seq, probe_times, config, levels)
 
 
-def qv_matrix(path, seq, probe_times=None, config=None):
+def qv_matrix(path, seq, probe_times=None, config=None, levels=None):
     """Matrix quadratic variation for d >= 2 coordinates.
 
     Diagonal entries are the scalar sums of each coordinate; off-diagonals
@@ -175,7 +192,7 @@ def qv_matrix(path, seq, probe_times=None, config=None):
     """
     if path.dim < 2:
         raise ValueError("qv_matrix expects at least two coordinates")
-    return _qv(path, seq, probe_times, config)
+    return _qv(path, seq, probe_times, config, levels)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,48 @@ def test_hedge_paths_and_seed_are_named(tmp_path, capsys):
     assert "seed must be an integer >= 0, got -2" in capsys.readouterr().err
 
 
+_WALK = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("hedge", {"partition": {"type": "dyadic", "T": 1.0, "max_level": "a"}},
+     "partition.max_level must be an integer >= 1, got 'a'"),
+    ("hedge", {"functional": {"name": "black_scholes", "sigma": "x", "strike": 1.0}},
+     "functional.sigma must be a number, got 'x'"),
+    ("hedge", {"functional": {"name": "black_scholes", "sigma": 0.2, "strike": "x"}},
+     "functional.strike must be a number, got 'x'"),
+    ("hedge", {"probe_level": "x"}, "probe_level must be an integer, got 'x'"),
+    ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": 0.2}, "realized": "estimat"}},
+     "hedge.realized must be \"estimate\" or a density, got 'estimat'"),
+    ("qv", {"path": {**_WALK, "dim": 0}}, "path.dim must be an integer >= 1, got 0"),
+    ("qv", {"path": {**_WALK, "dim": -1}}, "path.dim must be an integer >= 1, got -1"),
+    ("qv", {"tolerances": {"qv_window": 0}},
+     "tolerances.qv_window must be an integer >= 1, got 0"),
+    ("qv", {"tolerances": {"qv_window": -2}},
+     "tolerances.qv_window must be an integer >= 1, got -2"),
+    ("qv", {"tolerances": {"qv_window": "x"}},
+     "tolerances.qv_window must be an integer >= 1, got 'x'"),
+    ("qv", {"tolerances": {"conv_tol": "x"}}, "tolerances.conv_tol must be a number, got 'x'"),
+    ("hedge", {"tolerances": {"fpde_tol": "x"}},
+     "tolerances.fpde_tol must be a number, got 'x'"),
+], ids=["max_level_a", "sigma_x", "strike_x", "probe_level_x", "realized_estimat",
+        "dim_0", "dim_minus_1", "qv_window_0", "qv_window_minus_2", "qv_window_x",
+        "conv_tol_x", "fpde_tol_x"])
+def test_config_value_of_wrong_type_is_named(tmp_path, capsys, command, extra, message):
+    cfg = write_config(tmp_path, "c.json", {
+        "seed": 1,
+        "partition": {"type": "dyadic", "T": 1.0, "max_level": 4},
+        "path": _WALK,
+        "functional": {"name": "black_scholes", "sigma": 0.2, "strike": 1.0},
+        "hedge": {"density": {"kind": "bs", "sigma": 0.2}},
+        "out": str(tmp_path / "out"),
+        **extra,
+    })
+    assert main([command, "--config", cfg]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_continuous_path_file_matches_generator(tmp_path):
     from pathcalc import dyadic, generate, write_path_csv
 

@@ -22,10 +22,12 @@ from pathcalc import (
     left_cauchy_integral,
     monomial,
     qv_along,
+    qv_matrix,
     stack,
     stop,
 )
-from pathcalc.integration import follmer_integrand
+from pathcalc.convergence import ConvergenceConfig
+from pathcalc.integration import _qv_flags, _truncated_dot_sums, follmer_integrand
 from pathcalc.partitions import refine_onto
 from pathcalc.quadvar import _continuous_qv_increments
 
@@ -317,6 +319,50 @@ def test_ito_terms_bit_equal_per_cell_reference(F, data):
     assert rep.residual_by_level == residuals
     if F.name in ("identity_1", "negative_zero_drift"):
         assert rep.drift_term == 0.0 and math.copysign(1.0, rep.drift_term) == 1.0
+
+
+POINTWISE_GRAD_FUNCTIONALS = [
+    identity(), identity(1, dim=2), identity(2, dim=3), monomial(3), monomial(2, 0.5),
+    asian_forward(), black_scholes(0.3, 1.0), black_scholes(0.2, 1.1, "put"),
+    cylinder(np.sin, np.cos, vectorized=True),
+]
+
+
+@pytest.mark.parametrize("F", POINTWISE_GRAD_FUNCTIONALS, ids=lambda F: F.name)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_single_gradient_evaluation_equals_per_level_integrands(F, data):
+    assert F.pointwise_grad is not None
+    path, seq, levels = data.draw(ito_paths(F.dim))
+    if data.draw(st.booleans()):
+        levels = None  # every level
+    rep = follmer_integral_functional(F, path, seq, levels=levels)
+    seq = refine_onto(seq, path.jump_times)[0]
+    probe_idx = path.grid_indices(rep.probe_times)
+    assert rep.levels == (list(range(seq.num_levels)) if levels is None else levels)
+    for n in rep.levels:
+        g = follmer_integrand(F, path, seq, n)
+        assert np.array_equal(rep.integrands[n], g)
+        li = path.grid_indices(seq.level(n))
+        assert np.array_equal(rep.sums[n], _truncated_dot_sums(path.values, li, g, probe_idx))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 2))
+def test_qv_flags_from_trailing_levels_equal_all_levels(data, dim):
+    path, seq, _ = data.draw(ito_paths(dim))
+    # an infinite tolerance makes the verdict the monotone-tail test alone
+    tol = data.draw(st.sampled_from([1e-3, 1.0, math.inf]))
+    for window in range(1, seq.num_levels + 3):
+        config = ConvergenceConfig(tol=tol, window=window)
+        full = (qv_along if dim == 1 else qv_matrix)(path, seq, config=config)
+        assert _qv_flags(path, seq, config) == (full.converged, full.convergence_metric)
+
+
+@pytest.mark.parametrize("window", [0, -2])
+def test_convergence_window_below_one_rejected(window):
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        ConvergenceConfig(window=window)
 
 
 def test_ito_functional_cubic_on_step_path_closed_form():

@@ -22,7 +22,7 @@ from pathcalc import (
     variation_index_estimate,
     vovk_uniform_check,
 )
-from pathcalc.quadvar import _interval_grid
+from pathcalc.quadvar import _cell_index, _interval_grid
 
 
 def seeded_walk(level, seed=7, sigma=1.0):
@@ -252,6 +252,39 @@ def test_one_qv_body_matches_scalar_route_and_interval_reference(data, dim, leve
         ref_kappa = [u, *(t for t in level_times if u < t < v), v]
         assert np.array_equal(kappa, ref_kappa)
         assert np.array_equal(vals, [path.value(t)[0] for t in ref_kappa])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cell_index_matches_search(data):
+    m = data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(1, 6))
+    if data.draw(st.booleans()):  # a level of a dyadic grid, or with an offset
+        li = np.arange(0, k * (m + 1), k) + data.draw(st.sampled_from([0, 0, 1]))
+    else:
+        picks = st.sets(st.integers(0, k * m + m), min_size=m + 1, max_size=m + 1)
+        li = np.array(sorted(data.draw(picks)))
+    if data.draw(st.booleans()):  # every grid index as a probe
+        probe_idx = np.arange(li[-1] + 1)
+    else:  # at most m probes
+        probes = st.sets(st.integers(0, int(li[-1])), min_size=1, max_size=m)
+        probe_idx = np.array(sorted(data.draw(probes)))
+    assert np.array_equal(
+        _cell_index(li, probe_idx), np.searchsorted(li, probe_idx, side="right") - 1
+    )
+
+
+def test_qv_levels_argument():
+    path, seq = seeded_walk(6)
+    full = qv_along(path, seq)
+    part = qv_along(path, seq, levels=[2, 4, 5])
+    assert part.levels == [2, 4, 5]
+    for n in part.levels:
+        assert np.array_equal(part.approx[n], full.approx[n])
+    assert np.array_equal(part.limit, full.approx[5])
+    assert np.array_equal(part.continuous_part, full.approx[5] - full.jump_part)
+    with pytest.raises(ValueError, match="at least one level"):
+        qv_matrix(stack([path, path]), seq, levels=[])
 
 
 def test_matrix_rejects_scalar():

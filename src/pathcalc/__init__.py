@@ -8,7 +8,6 @@ hedges - all as deterministic numerical procedures on sampled cadlag paths.
 
 from .convergence import ConvergenceConfig
 from .functionals import (
-    CapabilityError,
     Functional,
     asian_forward,
     black_scholes,

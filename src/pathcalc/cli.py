@@ -27,7 +27,7 @@ from .convergence import ConvergenceConfig
 from .functionals import density_from_descriptor, functional_from_descriptor
 from .integration import follmer_integral_functional, ito_residual_functional
 from .partitions import PartitionSequence, refine_onto
-from .paths import generate, read_path_csv
+from .paths import generate, read_path_csv, stop
 from .quadvar import default_probe_times, qv_along, qv_matrix
 from .trading import (
     call_payoff,
@@ -91,6 +91,13 @@ def _number(value, key):
     return float(value)
 
 
+def _numbers(desc, keys, prefix):
+    """Check that each of ``keys`` that ``desc`` sets is a number."""
+    for key in keys:
+        if key in desc:
+            _number(desc[key], f"{prefix}.{key}")
+
+
 def _path_from_config(cfg, seq, seed=None):
     spec = cfg.get("path")
     if spec is None:
@@ -103,6 +110,7 @@ def _path_from_config(cfg, seq, seed=None):
         _require_finest_grid(fname, path, seq)
         return path
     _integer(spec.get("dim", 1), "path.dim", 1)
+    _numbers(spec, ("sigma", "x0"), "path")
     return generate(spec, cfg["seed"] if seed is None else seed, seq)
 
 
@@ -129,23 +137,28 @@ def _require_finest_grid(fname, path, seq):
 def _payoff_from_config(desc, F):
     kind = desc.get("kind", "terminal")
     if kind == "call":
-        return call_payoff(float(desc["strike"]))
+        return call_payoff(_number(desc["strike"], "hedge.payoff.strike"))
     if kind == "put":
-        return put_payoff(float(desc["strike"]))
+        return put_payoff(_number(desc["strike"], "hedge.payoff.strike"))
     if kind == "integral":
         return integral_payoff(desc.get("rule", "left"))
     if kind == "terminal":
-        from .paths import stop
-
         return lambda path: F.value(stop(path, path.T))
     raise ConfigError(f"unknown payoff kind {kind!r}")
 
 
 def _functional_from_config(desc):
-    for key in ("sigma", "strike", "K", "power", "coeff"):
-        if key in desc:
-            _number(desc[key], f"functional.{key}")
+    _numbers(desc, ("sigma", "strike", "K", "power", "coeff"), "functional")
     return functional_from_descriptor(desc)
+
+
+def _density_from_config(desc, key, expected="a mapping or a number"):
+    """A density: a number (constant) or a descriptor mapping."""
+    if isinstance(desc, dict):
+        _numbers(desc, ("sigma", "value"), key)
+    elif isinstance(desc, bool) or not isinstance(desc, (int, float)):
+        raise ConfigError(f"{key} must be {expected}, got {desc!r}")
+    return density_from_descriptor(desc)
 
 
 def _conv_config(cfg):
@@ -255,17 +268,13 @@ def cmd_hedge(cfg, seq):
         raise ConfigError("config needs a 'hedge' section")
     F = _functional_from_config(cfg["functional"])
     payoff = _payoff_from_config(hcfg.get("payoff", {"kind": "terminal"}), F)
-    density = density_from_descriptor(hcfg["density"])
+    density = _density_from_config(hcfg["density"], "hedge.density")
     realized = hcfg.get("realized", "estimate")
     if realized != "estimate":
-        if isinstance(realized, str):
-            raise ConfigError(
-                f'hedge.realized must be "estimate" or a density, got {realized!r}'
-            )
-        realized = density_from_descriptor(realized)
+        realized = _density_from_config(realized, "hedge.realized", '"estimate" or a density')
     n_paths = _integer(hcfg.get("paths", 1), "hedge.paths", 1)
     fpde_tol = _number(cfg["tolerances"]["fpde_tol"], "tolerances.fpde_tol")
-    window = int(hcfg.get("smooth_window", 64))
+    window = _integer(hcfg.get("smooth_window", 64), "hedge.smooth_window")
     children = np.random.SeedSequence(cfg["seed"]).spawn(n_paths)
     rows = []
     curve_rows = []

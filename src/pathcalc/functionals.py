@@ -17,10 +17,6 @@ import numpy as np
 from scipy.special import ndtr
 
 
-class CapabilityError(RuntimeError):
-    """A derivative was requested that the functional cannot provide."""
-
-
 REGULARITY_TAGS = frozenset(
     {"left-continuous", "right-continuous", "jointly-continuous", "boundedness-preserving"}
 )
@@ -73,27 +69,21 @@ class Functional:
     def value(self, sp):
         return float(self._eval(sp))
 
-    def gradient(self, sp, allow_fd=True, bump=None):
+    def gradient(self, sp):
         if self._grad is not None:
             return np.asarray(self._grad(sp), dtype=float).reshape(self.dim)
-        if not allow_fd:
-            raise CapabilityError(f"{self.name} has no vertical gradient")
-        return vertical_derivative_fd(self, sp, bump)
+        return vertical_derivative_fd(self, sp)
 
-    def hessian(self, sp, allow_fd=True, bump=None):
+    def hessian(self, sp):
         if self._hess is not None:
             h = np.asarray(self._hess(sp), dtype=float).reshape(self.dim, self.dim)
             return h
-        if not allow_fd:
-            raise CapabilityError(f"{self.name} has no second vertical derivative")
-        return vertical_hessian_fd(self, sp, bump)
+        return vertical_hessian_fd(self, sp)
 
-    def horizontal(self, sp, allow_fd=True, step=None):
+    def horizontal(self, sp):
         if self._horiz is not None:
             return float(self._horiz(sp))
-        if not allow_fd:
-            raise CapabilityError(f"{self.name} has no horizontal derivative")
-        return horizontal_derivative_fd(self, sp, step)
+        return horizontal_derivative_fd(self, sp)
 
     def __repr__(self):
         return f"Functional({self.name!r}, d={self.dim})"
@@ -491,11 +481,11 @@ def spot_check_continuity(F, sp, radius=1e-4, samples=8, seed=0):
     return worst
 
 
-def fpde_residual(F, A, sp, allow_fd=True, bump=None, step=None):
+def fpde_residual(F, A, sp):
     """Residual of DF + 0.5 tr(A hess) at a stopped path (t < T)."""
     if sp.time >= sp.T:
         raise ValueError("the pricing equation is posed on t < T")
-    df = F.horizontal(sp, allow_fd=allow_fd, step=step)
-    hess = F.hessian(sp, allow_fd=allow_fd, bump=bump)
+    df = F.horizontal(sp)
+    hess = F.hessian(sp)
     a = density_matrix(A, sp.time, sp.current, F.dim)
     return df + 0.5 * float(np.trace(a @ hess))

@@ -104,26 +104,23 @@ def _make_report(path, seq, probes, levels, integrand_at, kind, config):
     )
 
 
-def follmer_integral_functional(F, path, seq, probes=None, levels=None, config=None):
-    """Riemann sums of grad F against the path, per level.
-
-    A pointwise gradient is evaluated once, at every grid time before T, and
-    each level reads the rows of its cell starts; otherwise each level's
-    rows come from :func:`follmer_integrand`.
-    """
-    F.require_dim(path)
+def _gradient_rows(F, path):
+    """The level-n gradient rows ``rows(seq, n, li)`` of F: a pointwise gradient
+    is evaluated once, at every grid time before T, and each level reads the
+    rows of its cell starts; otherwise they come from :func:`follmer_integrand`."""
     if F.pointwise_grad is None:
-        def integrand(seq, n, li):
-            return follmer_integrand(F, path, seq, n)
-    else:
-        g = np.asarray(
-            F.pointwise_grad(path.times[:-1], path.values[:-1], path.T), dtype=float
-        ).reshape(path.times.size - 1, path.dim)
+        return lambda seq, n, li: follmer_integrand(F, path, seq, n)
+    g = np.asarray(
+        F.pointwise_grad(path.times[:-1], path.values[:-1], path.T), dtype=float
+    ).reshape(path.times.size - 1, path.dim)
+    return lambda seq, n, li: g[li[:-1]]
 
-        def integrand(_seq, _n, li):
-            return g[li[:-1]]
 
-    return _make_report(path, seq, probes, levels, integrand, "functional-gradient", config)
+def follmer_integral_functional(F, path, seq, probes=None, levels=None, config=None):
+    """Riemann sums of grad F against the path, per level."""
+    F.require_dim(path)
+    rows = _gradient_rows(F, path)
+    return _make_report(path, seq, probes, levels, rows, "functional-gradient", config)
 
 
 def follmer_integral_cylinder(f_prime, path, seq, probes=None, levels=None, config=None):
@@ -178,6 +175,36 @@ def _time_ordered_sum(terms):
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
+def _ito_report(path, seq, levels, rows, lhs, initial, drift, hess, jump_term, config):
+    """Residuals of a change-of-variable form from its own terms: ``hess`` at the
+    finest cell starts in the form's limit convention, ``rows`` as from
+    :func:`_gradient_rows`, ``seq`` refined onto the jumps."""
+    if levels is None:
+        levels = [seq.top]
+    if len(levels) == 0:
+        raise ValueError("levels must list at least one level")
+    dqv = _continuous_qv_increments(path, seq)
+    qv_term = _time_ordered_sum(0.5 * np.trace(np.matmul(hess, dqv), axis1=1, axis2=2))
+    qv_ok, qv_metric = _qv_flags(path, seq, config)
+    residual_by_level = {}
+    for n in sorted(levels):
+        li = path.grid_indices(seq.level(n))
+        follmer = float(np.sum(rows(seq, n, li) * np.diff(path.values[li], axis=0)))
+        residual_by_level[n] = abs(lhs - (initial + follmer + drift + qv_term + jump_term))
+    return ItoReport(  # the loop ends on the finest listed level
+        residual=residual_by_level[n],
+        lhs=lhs,
+        initial=initial,
+        follmer_term=follmer,
+        drift_term=drift,
+        qv_term=qv_term,
+        jump_term=jump_term,
+        qv_converged=qv_ok,
+        qv_metric=qv_metric,
+        residual_by_level=residual_by_level,
+    )
+
+
 def ito_residual_functional(F, path, seq, levels=None, config=None):
     """Gap between F(T, x_T) and the four-term right-hand side of the
     functional change-of-variable identity.
@@ -194,10 +221,6 @@ def ito_residual_functional(F, path, seq, levels=None, config=None):
     """
     F.require_dim(path)
     seq, _ = refine_onto(seq, path.jump_times)
-    if levels is None:
-        levels = [seq.top]
-    if len(levels) == 0:
-        raise ValueError("levels must list at least one level")
     lhs = F.value(stop(path, path.T))
     initial = F.value(stop(path, 0.0))
 
@@ -212,74 +235,37 @@ def ito_residual_functional(F, path, seq, levels=None, config=None):
         sp = StoppedPath(path, fine[k], fine[k], left[k])
         horiz[k] = F.horizontal(sp)
         hess[k] = F.hessian(sp)
-    dqv = _continuous_qv_increments(path, seq)
     drift = _time_ordered_sum(horiz * np.diff(fine))
-    qv_term = _time_ordered_sum(0.5 * np.trace(np.matmul(hess, dqv), axis1=1, axis2=2))
 
     jump_term = 0.0
     for tj, dlt in path.jumps:
         left = stop(path, tj, side="left")
         right = stop(path, tj, side="right")
         jump_term += F.value(right) - F.value(left) - float(F.gradient(left) @ dlt)
-
-    qv_ok, qv_metric = _qv_flags(path, seq, config)
-    residual_by_level = {}
-    for n in sorted(levels):
-        g = follmer_integrand(F, path, seq, n)
-        lx = path.values[path.grid_indices(seq.level(n))]
-        follmer = float(np.sum(g * np.diff(lx, axis=0)))
-        residual_by_level[n] = abs(lhs - (initial + follmer + drift + qv_term + jump_term))
-    return ItoReport(  # the loop ends on the finest listed level
-        residual=residual_by_level[n],
-        lhs=lhs,
-        initial=initial,
-        follmer_term=follmer,
-        drift_term=drift,
-        qv_term=qv_term,
-        jump_term=jump_term,
-        qv_converged=qv_ok,
-        qv_metric=qv_metric,
-        residual_by_level=residual_by_level,
-    )
+    return _ito_report(path, seq, levels, _gradient_rows(F, path), lhs, initial, drift,
+                       hess, jump_term, config)
 
 
-def ito_residual_cylinder(f, f_prime, f_second, path, seq, level=None, config=None):
+def ito_residual_cylinder(f, f_prime, f_second, path, seq, config=None):
     """Classical form: f(x(T)) against integral, quadratic and jump terms.
 
     The second-derivative integrand reads the right limit x(s), matching the
     decomposition in which the jump correction omits the second-order term.
-    ``level`` selects the Riemann-sum level as in the functional form.
+    The Riemann sum is taken on the finest level.
     """
     seq, _ = refine_onto(seq, path.jump_times)
-    if level is None:
-        level = seq.top
     d = path.dim
 
     def as_vec(v):
         return np.asarray(v, dtype=float).reshape(d)
-
-    def as_mat(v):
-        return np.asarray(v, dtype=float).reshape(d, d)
 
     def arg(v):
         return float(v[0]) if d == 1 else v
 
     lhs = float(f(arg(path.values[-1])))
     initial = float(f(arg(path.values[0])))
-
-    sum_grid = seq.level(level)
-    lx = path.values[path.grid_indices(sum_grid)]
-    a = np.diff(lx, axis=0)
-    g = np.array([as_vec(f_prime(arg(v))) for v in lx[:-1]])
-    follmer_term = float(np.sum(g * a))
-
-    fine = seq.level(seq.top)
-    fx = path.values[path.grid_indices(fine)]
-    dqv = _continuous_qv_increments(path, seq)
-    qv_term = 0.0
-    for k in range(fine.size - 1):
-        hess = as_mat(f_second(arg(fx[k])))
-        qv_term += 0.5 * float(np.trace(hess @ dqv[k]))
+    fx = path.values[path.grid_indices(seq.level(seq.top))[:-1]]  # x(t_k) at each cell start
+    hess = np.array([np.reshape(f_second(arg(v)), (d, d)) for v in fx], dtype=float)
 
     jump_term = 0.0
     for tj, dlt in path.jumps:
@@ -289,19 +275,10 @@ def ito_residual_cylinder(f, f_prime, f_second, path, seq, level=None, config=No
             float(f(arg(xr))) - float(f(arg(xl))) - float(as_vec(f_prime(arg(xl))) @ dlt)
         )
 
-    qv_ok, qv_metric = _qv_flags(path, seq, config)
-    rhs = initial + follmer_term + qv_term + jump_term
-    return ItoReport(
-        residual=abs(lhs - rhs),
-        lhs=lhs,
-        initial=initial,
-        follmer_term=follmer_term,
-        drift_term=0.0,
-        qv_term=qv_term,
-        jump_term=jump_term,
-        qv_converged=qv_ok,
-        qv_metric=qv_metric,
-    )
+    def rows(_seq, _n, li):
+        return np.array([as_vec(f_prime(arg(v))) for v in path.values[li[:-1]]])
+
+    return _ito_report(path, seq, None, rows, lhs, initial, 0.0, hess, jump_term, config)
 
 
 # ---------------------------------------------------------------------------

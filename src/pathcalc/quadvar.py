@@ -202,34 +202,27 @@ def qv_matrix(path, seq, probe_times=None, config=None, levels=None):
 DP_POINT_LIMIT = 4096
 
 
-def p_variation(path, p, mode="exact_dp", seq=None):
+def p_variation(path, p):
     """p-variation of a scalar path.
 
-    ``exact_dp`` solves the sup over all subsets of sample points by an
-    O(n^2) dynamic program (grids up to 4096 points); ``along_levels``
-    returns the max of the level sums, a lower bound.  p < 1 is rejected:
-    the sup degenerates under refinement there.
+    Solves the sup over all subsets of sample points by an O(n^2) dynamic
+    program (grids up to 4096 points).  p < 1 is rejected: the sup
+    degenerates under refinement there.
     """
     if path.dim != 1:
         raise ValueError("p_variation expects a scalar path")
     if p < 1:
         raise ValueError("p must be >= 1")
     v = path.values[:, 0]
-    if mode == "exact_dp":
-        n = v.size
-        if n > DP_POINT_LIMIT:
-            raise ValueError(
-                f"exact_dp is limited to {DP_POINT_LIMIT} points, got {n}"
-            )
-        best = np.zeros(n)
-        for j in range(1, n):
-            best[j] = np.max(best[:j] + np.abs(v[j] - v[:j]) ** p)
-        return float(best[-1])
-    if mode == "along_levels":
-        if seq is None:
-            raise ValueError("along_levels mode needs a partition sequence")
-        return max(0.0, *level_variation_sums(path, p, seq))
-    raise ValueError(f"unknown mode {mode!r}")
+    n = v.size
+    if n > DP_POINT_LIMIT:
+        raise ValueError(
+            f"p_variation is limited to {DP_POINT_LIMIT} points, got {n}"
+        )
+    best = np.zeros(n)
+    for j in range(1, n):
+        best[j] = np.max(best[:j] + np.abs(v[j] - v[:j]) ** p)
+    return float(best[-1])
 
 
 def level_variation_sums(path, p, seq):

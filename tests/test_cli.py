@@ -290,9 +290,24 @@ _WALK = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
     ("qv", {"tolerances": {"conv_tol": "x"}}, "tolerances.conv_tol must be a number, got 'x'"),
     ("hedge", {"tolerances": {"fpde_tol": "x"}},
      "tolerances.fpde_tol must be a number, got 'x'"),
+    ("hedge", {"hedge": {"density": "bs"}}, "hedge.density must be a mapping or a number, "
+     "got 'bs'"),
+    ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": 0.2}, "realized": [0.09]}},
+     "hedge.realized must be \"estimate\" or a density, got [0.09]"),
+    ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": 0.2}, "smooth_window": "x"}},
+     "hedge.smooth_window must be an integer, got 'x'"),
+    ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": "x"}}},
+     "hedge.density.sigma must be a number, got 'x'"),
+    ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": 0.2},
+                         "payoff": {"kind": "call", "strike": "x"}}},
+     "hedge.payoff.strike must be a number, got 'x'"),
+    ("hedge", {"path": {**_WALK, "sigma": "x"}}, "path.sigma must be a number, got 'x'"),
+    ("hedge", {"path": {**_WALK, "x0": "x"}}, "path.x0 must be a number, got 'x'"),
 ], ids=["max_level_a", "sigma_x", "strike_x", "probe_level_x", "realized_estimat",
         "dim_0", "dim_minus_1", "qv_window_0", "qv_window_minus_2", "qv_window_x",
-        "conv_tol_x", "fpde_tol_x"])
+        "conv_tol_x", "fpde_tol_x", "density_bs_string", "realized_list",
+        "smooth_window_x", "density_sigma_x", "payoff_strike_x", "path_sigma_x",
+        "path_x0_x"])
 def test_config_value_of_wrong_type_is_named(tmp_path, capsys, command, extra, message):
     cfg = write_config(tmp_path, "c.json", {
         "seed": 1,
@@ -306,6 +321,23 @@ def test_config_value_of_wrong_type_is_named(tmp_path, capsys, command, extra, m
     assert main([command, "--config", cfg]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_numeric_density_is_a_constant_density(tmp_path):
+    outputs = []
+    for density in (0.04, {"kind": "const", "value": 0.04}):
+        out = tmp_path / str(len(outputs))
+        cfg = write_config(tmp_path, "n.json", {
+            "seed": 1,
+            "partition": {"type": "dyadic", "T": 1.0, "max_level": 6},
+            "path": _WALK,
+            "functional": {"name": "black_scholes", "sigma": 0.2, "strike": 1.0},
+            "hedge": {"density": density, "realized": density, "paths": 2},
+            "out": str(out),
+        })
+        assert main(["hedge", "--config", cfg]) in (0, 1)
+        outputs.append(read_bytes(out, "hedge_paths.csv"))
+    assert outputs[0] == outputs[1]
 
 
 def test_continuous_path_file_matches_generator(tmp_path):

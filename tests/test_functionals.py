@@ -5,7 +5,6 @@ import pytest
 from scipy.stats import norm
 
 from pathcalc import (
-    CapabilityError,
     Functional,
     asian_forward,
     black_scholes,
@@ -118,17 +117,14 @@ def test_fd_hessian_symmetric_and_correct():
     assert H[0, 1] == pytest.approx(2 * x, abs=1e-5)
 
 
-def test_capability_error_when_fd_disabled():
+def test_bare_functional_derivatives_fall_back_to_fd():
     F = Functional(1, lambda sp: float(sp.current[0]))
     seq = dyadic(1.0, 3)
     path = generate({"kind": "smooth", "name": "linear"}, 0, seq)
     sp = stop(path, 0.5)
-    with pytest.raises(CapabilityError):
-        F.gradient(sp, allow_fd=False)
-    with pytest.raises(CapabilityError):
-        F.hessian(sp, allow_fd=False)
-    # with FD enabled it works
     assert F.gradient(sp)[0] == pytest.approx(1.0, abs=1e-9)
+    assert F.hessian(sp)[0, 0] == pytest.approx(0.0, abs=1e-6)
+    assert F.horizontal(sp) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +290,13 @@ def test_fpde_residual_misspecified_sigma_closed_form():
     assert fpde_residual(F, wrong, sp) == pytest.approx(expected, rel=1e-12)
 
 
-def test_fpde_residual_rejects_horizon_and_missing_derivs():
+def test_fpde_residual_rejects_horizon_and_falls_back_to_fd():
     seq = dyadic(1.0, 3)
     path = generate({"kind": "smooth", "name": "linear", "offset": 1.0}, 0, seq)
     F = black_scholes(0.2, 1.0)
     with pytest.raises(ValueError):
         fpde_residual(F, diffusion_density(0.2), stop(path, 1.0))
     bare = Functional(1, lambda sp: float(sp.current[0]))
-    with pytest.raises(CapabilityError):
-        fpde_residual(bare, diffusion_density(0.2), stop(path, 0.5), allow_fd=False)
+    assert fpde_residual(bare, diffusion_density(0.2), stop(path, 0.5)) == pytest.approx(
+        0.0, abs=1e-6
+    )

@@ -152,10 +152,12 @@ def test_path_level_entry_points_have_one_derivative_policy():
     import inspect
 
     import pathcalc
+    from pathcalc.functionals import fpde_residual
     from pathcalc.trading import gain_from_vertical_form, hedge, strategy_from_functional
 
     for fn in (follmer_integrand, follmer_integral_functional, strategy_from_functional,
-               gain_from_vertical_form, ito_residual_functional, hedge):
+               gain_from_vertical_form, ito_residual_functional, hedge, Functional.gradient,
+               Functional.hessian, Functional.horizontal, fpde_residual):
         params = set(inspect.signature(fn).parameters)
         assert not params & {"mode", "allow_fd", "bump", "step"}, fn.__name__
     assert not hasattr(pathcalc, "vertical_perturbation")
@@ -357,6 +359,71 @@ def test_qv_flags_from_trailing_levels_equal_all_levels(data, dim):
         config = ConvergenceConfig(tol=tol, window=window)
         full = (qv_along if dim == 1 else qv_matrix)(path, seq, config=config)
         assert _qv_flags(path, seq, config) == (full.converged, full.convergence_metric)
+
+
+def _per_cell_cylinder_terms(f, f_prime, f_second, path, seq):
+    """Reference route: the classical form with the quadratic term added
+    with ``+=`` one finest cell at a time, at the right limit x(t_k)."""
+    seq, _ = refine_onto(seq, path.jump_times)
+    d = path.dim
+
+    def as_vec(v):
+        return np.asarray(v, dtype=float).reshape(d)
+
+    def as_mat(v):
+        return np.asarray(v, dtype=float).reshape(d, d)
+
+    def arg(v):
+        return float(v[0]) if d == 1 else v
+
+    lhs = float(f(arg(path.values[-1])))
+    initial = float(f(arg(path.values[0])))
+    fx = path.values[path.grid_indices(seq.level(seq.top))]
+    g = np.array([as_vec(f_prime(arg(v))) for v in fx[:-1]])
+    follmer_term = float(np.sum(g * np.diff(fx, axis=0)))
+    dqv = _continuous_qv_increments(path, seq)
+    qv_term = 0.0
+    for k in range(fx.shape[0] - 1):
+        qv_term += 0.5 * float(np.trace(as_mat(f_second(arg(fx[k]))) @ dqv[k]))
+    jump_term = 0.0
+    for tj, dlt in path.jumps:
+        xr = path.value(tj)
+        xl = xr - dlt
+        jump_term += (
+            float(f(arg(xr))) - float(f(arg(xl))) - float(as_vec(f_prime(arg(xl))) @ dlt)
+        )
+    residual = abs(lhs - (initial + follmer_term + qv_term + jump_term))
+    return qv_term, jump_term, follmer_term, residual, seq.top
+
+
+CYLINDER_FORMS = {  # name -> (dim, f, f', f'')
+    "cube": (1, lambda x: x**3, lambda x: 3 * x * x, lambda x: 6 * x),
+    "sin": (1, math.sin, math.cos, lambda x: -math.sin(x)),
+    "product_2d": (2, lambda v: v[0] * v[1], lambda v: np.array([v[1], v[0]]),
+                   lambda v: np.array([[0.0, 1.0], [1.0, 0.0]])),
+    "product_3d": (3, lambda v: v[0] * v[1] * v[2],
+                   lambda v: np.array([v[1] * v[2], v[0] * v[2], v[0] * v[1]]),
+                   lambda v: np.array([[0.0, v[2], v[1]], [v[2], 0.0, v[0]],
+                                       [v[1], v[0], 0.0]])),
+}
+
+
+@pytest.mark.parametrize("name", CYLINDER_FORMS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_ito_cylinder_bit_equal_per_cell_reference(name, data):
+    dim, f, f_prime, f_second = CYLINDER_FORMS[name]
+    path, seq, _ = data.draw(ito_paths(dim))
+    rep = ito_residual_cylinder(f, f_prime, f_second, path, seq)
+    qv_term, jump_term, follmer_term, residual, top = _per_cell_cylinder_terms(
+        f, f_prime, f_second, path, seq
+    )
+    assert rep.qv_term == qv_term
+    assert rep.jump_term == jump_term
+    assert rep.follmer_term == follmer_term
+    assert rep.residual == residual
+    assert rep.drift_term == 0.0
+    assert rep.residual_by_level == {top: residual}
 
 
 @pytest.mark.parametrize("window", [0, -2])

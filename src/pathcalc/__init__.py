@@ -20,7 +20,6 @@ from .functionals import (
     identity,
     monomial,
     running_integral,
-    spot_check_continuity,
     vertical_derivative_fd,
     vertical_hessian_fd,
 )
@@ -67,8 +66,6 @@ from .trading import (
     plausibility_diagnostic,
     put_payoff,
     self_financing_check,
-    simple_bond_holdings,
-    simple_gain,
     simple_ledger,
     strategy_from_functional,
 )

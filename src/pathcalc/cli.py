@@ -15,9 +15,11 @@ flag was raised), 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -37,15 +39,126 @@ from .trading import (
     put_payoff,
 )
 
-_DEFAULT_TOLERANCES = {
-    "conv_tol": 1e-3,
-    "fpde_tol": 1e-6,
-    "qv_window": 3,
-}
-
 
 class ConfigError(Exception):
     pass
+
+
+_number = lambda v: type(v) in (int, float)  # not a bool
+_numbers = lambda v: type(v) is list and all(map(_number, v))
+_size = lambda v: _number(v) or _numbers(v)
+# Value types: what a value must be, and its test ("level" and "levels" are
+# also checked against the partition's levels).  A type that names a
+# section of _SCHEMA and is not listed here takes a mapping.
+_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "int>=0": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "int>=1": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "level": ("an integer", lambda v: type(v) is int),
+    "levels": ("a list of integers", lambda v: type(v) is list and all(type(n) is int for n in v)),
+    "number": ("a number", _number),
+    "numbers": ("a list of numbers", _numbers),
+    "grids": ("a list of lists of numbers", lambda v: type(v) is list and all(map(_numbers, v))),
+    "threshold": ("a number or a list of numbers", _size),
+    "jumps": ("a list of [time, size] pairs", lambda v: type(v) is list and all(
+        type(j) is list and len(j) == 2 and _number(j[0]) and _size(j[1]) for j in v)),
+    "str": ("a string", lambda v: type(v) is str),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "density": ("a mapping or a number", lambda v: type(v) is dict or _number(v)),
+    "realized": ('"estimate" or a density', lambda v: v == "estimate" or _TYPES["density"][1](v)),
+}
+
+# The config schema (docs/formats.md, "Config keys").  Each section maps a
+# key to (type, default).  The type is a name in _TYPES, a section that
+# resolves a mapping value, or a dict of variants (each name a regular
+# expression matched in full): the value picks one, whose keys join the
+# section.  A tuple of sections takes the first whose leading key is set.
+# Default ... marks a required key; None an optional one the library
+# defaults (not echoed); any other default is written into the config.
+_WALK = {"sigma": ("number", ...), "dim": ("int>=1", 1)}
+_SCALE = {"scale": ("number", 1.0)}
+_GENERATOR = {"kind": ({
+    "smooth": {"name": ({"linear": _SCALE, "quadratic": _SCALE, "sine": {
+        "amp": ("number", 1.0), "freq": ("number", 1.0)}}, "linear"),
+        "offset": ("number", 0.0)},
+    "scaled_random_walk": {**_WALK, "x0": ("number", 0.0)},
+    "geometric_walk": {**_WALK, "x0": ("number", 1.0)},
+    "with_jumps": {"base": ("generator", ...), "jumps": ("jumps", ...)},
+    "qv_descent": {"total": ("number", 1.0), "x0": ("number", 0.0), "drain": ("number", None)},
+}, ...)}
+_STRIKE = {"strike": ("number", ...)}
+_DENSITY = {"kind": ({"bs": {"sigma": ("number", ...)}, "const": {"value": ("number", ...)}}, ...)}
+_SCHEMA = {
+    "config": {"seed": ("int>=0", 0), "out": ("str", "pathcalc_out"),
+               "tolerances": ("tolerances", {}), "partition": ("partition", ...),
+               "probe_level": ("level", 6), "path": ("path", ...)},
+    "tolerances": {"conv_tol": ("number", 1e-3), "fpde_tol": ("number", 1e-6),
+                   "qv_window": ("int>=1", 3)},
+    "partition": {"type": ({"dyadic": {"max_level": ("int>=1", ...)}, "explicit": {
+        "levels": ("grids", ...), "dense": ("bool", True), "nested": ("bool", True)}}, "dyadic"),
+        "T": ("number", 1.0), "extra_times": ("numbers", None)},
+    "path": ({"file": ("str", ...), "jump_threshold": ("threshold", None)}, _GENERATOR),
+    "generator": _GENERATOR,
+    "functional": {"name": ({
+        "identity(_[1-9][0-9]*)?": {"index": ("int>=0", None), "dim": ("int>=1", None)},
+        "monomial": {"power": ("int>=0", ...), "coeff": ("number", 1.0)},
+        "running_integral": {}, "asian_forward": {},
+        "black_scholes": {"sigma": ("number", ...), **_STRIKE,
+                          "kind": ({"call": {}, "put": {}}, "call")},
+    }, ...)},
+    "integrate": {"residual_levels": ("levels", [])},
+    "hedge": {"density": ("density", ...), "realized": ("realized", "estimate"),
+              "payoff": ("payoff", {}), "paths": ("int>=1", 1), "smooth_window": ("int", 64)},
+    "density": _DENSITY,
+    "realized": _DENSITY,
+    "payoff": {"kind": ({"terminal": {}, "call": _STRIKE, "put": _STRIKE, "integral": {
+        "rule": ({"left": {}, "right": {}}, "left")}}, "terminal")},
+}
+# The sections that integrate and hedge read besides "config".
+_COMMAND_SECTIONS = {
+    "integrate": {"functional": ("functional", {"name": "identity_1"}), "integrate": ("integrate", {})},
+    "hedge": {"functional": ("functional", ...), "hedge": ("hedge", ...)},
+}
+
+
+def resolve(cfg, command):
+    """Check the mapping ``cfg`` against the schema in place, before any numerics,
+    and write every constant default into it, so that it echoes what ran."""
+    _resolve(cfg, {**_SCHEMA["config"], **_COMMAND_SECTIONS.get(command, {})}, "", cfg)
+    return cfg
+
+
+def _resolve(spec, table, prefix, cfg):
+    if isinstance(table, tuple):
+        table = next((t for t in table if next(iter(t)) in spec), table[-1])
+    entries = list(table.items())
+    for key, (kind, default) in entries:  # a variant appends its keys
+        name = prefix + key
+        if default is None and spec.get(key) is None:
+            continue
+        if key not in spec:
+            if default is ...:
+                what = "section" if isinstance(kind, str) and kind in _SCHEMA else "key"
+                raise ConfigError(f"config needs a {name!r} {what}")
+            spec[key] = copy.deepcopy(default)
+        value = spec[key]
+        if isinstance(kind, dict):
+            picked = [v for k, v in kind.items() if type(value) is str and re.fullmatch(k, value)]
+            if not picked:
+                raise ConfigError(f"{name} must be one of {', '.join(kind)}, got {value!r}")
+            entries += picked[0].items()
+            continue
+        what, test = _TYPES.get(kind, ("a mapping", lambda v: type(v) is dict))
+        if not test(value):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        if kind in _SCHEMA and type(value) is dict:
+            _resolve(value, _SCHEMA[kind], name + ".", cfg)
+        elif kind in ("level", "levels"):
+            part = cfg["partition"]
+            top = part["max_level"] if part["type"] == "dyadic" else len(part["levels"]) - 1
+            for n in value if kind == "levels" else [value]:
+                if n < 0 or n > top and kind == "levels":
+                    raise ConfigError(f"{name}: level {n} outside 0..{top}")
 
 
 def _load_config(args):
@@ -58,60 +171,30 @@ def _load_config(args):
         raise ConfigError(f"config file not found: {args.config}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if type(cfg) is not dict:
+        raise ConfigError(f"config must be a mapping, got {cfg!r}")
+    # the flags override the file, and PATHCALC_OUT the default of "out"
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.level is not None:
-        cfg.setdefault("partition", {})["max_level"] = args.level
+    if args.level is not None and type(cfg.setdefault("partition", {})) is dict:
+        cfg["partition"]["max_level"] = args.level
     if args.out is not None:
         cfg["out"] = args.out
-    _integer(cfg.setdefault("seed", 0), "seed", 0)
-    _integer(cfg.setdefault("probe_level", 6), "probe_level")
-    tol = dict(_DEFAULT_TOLERANCES)
-    tol.update(cfg.get("tolerances", {}))
-    cfg["tolerances"] = tol
-    if "out" not in cfg:
-        cfg["out"] = os.environ.get("PATHCALC_OUT", "pathcalc_out")
-    return cfg
-
-
-def _integer(value, key, least=None):
-    """``value`` if it is an int (not a bool), of at least ``least`` if given."""
-    if isinstance(value, bool) or not isinstance(value, int) or (
-        least is not None and value < least
-    ):
-        bound = "" if least is None else f" >= {least}"
-        raise ConfigError(f"{key} must be an integer{bound}, got {value!r}")
-    return value
-
-
-def _number(value, key):
-    """``value`` as a float if it is an int or a float (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _numbers(desc, keys, prefix):
-    """Check that each of ``keys`` that ``desc`` sets is a number."""
-    for key in keys:
-        if key in desc:
-            _number(desc[key], f"{prefix}.{key}")
+    if "out" not in cfg and "PATHCALC_OUT" in os.environ:
+        cfg["out"] = os.environ["PATHCALC_OUT"]
+    return resolve(cfg, args.command)
 
 
 def _path_from_config(cfg, seq, seed=None):
-    spec = cfg.get("path")
-    if spec is None:
-        raise ConfigError("config needs a 'path' section")
-    if "file" in spec:
-        fname = spec["file"]
-        if not os.path.exists(fname):
-            raise ConfigError(f"path file not found: {fname}")
-        path = read_path_csv(fname, jump_threshold=spec.get("jump_threshold"))
-        _require_finest_grid(fname, path, seq)
-        return path
-    _integer(spec.get("dim", 1), "path.dim", 1)
-    _numbers(spec, ("sigma", "x0"), "path")
-    return generate(spec, cfg["seed"] if seed is None else seed, seq)
+    spec = cfg["path"]
+    if "file" not in spec:
+        return generate(spec, cfg["seed"] if seed is None else seed, seq)
+    fname = spec["file"]
+    if not os.path.exists(fname):
+        raise ConfigError(f"path file not found: {fname}")
+    path = read_path_csv(fname, jump_threshold=spec.get("jump_threshold"))
+    _require_finest_grid(fname, path, seq)
+    return path
 
 
 def _require_finest_grid(fname, path, seq):
@@ -135,42 +218,17 @@ def _require_finest_grid(fname, path, seq):
 
 
 def _payoff_from_config(desc, F):
-    kind = desc.get("kind", "terminal")
-    if kind == "call":
-        return call_payoff(_number(desc["strike"], "hedge.payoff.strike"))
-    if kind == "put":
-        return put_payoff(_number(desc["strike"], "hedge.payoff.strike"))
+    kind = desc["kind"]
     if kind == "integral":
-        return integral_payoff(desc.get("rule", "left"))
+        return integral_payoff(desc["rule"])
     if kind == "terminal":
         return lambda path: F.value(stop(path, path.T))
-    raise ConfigError(f"unknown payoff kind {kind!r}")
-
-
-def _functional_from_config(desc):
-    _numbers(desc, ("sigma", "strike", "K", "power", "coeff"), "functional")
-    return functional_from_descriptor(desc)
-
-
-def _density_from_config(desc, key, expected="a mapping or a number"):
-    """A density: a number (constant) or a descriptor mapping."""
-    if isinstance(desc, dict):
-        _numbers(desc, ("sigma", "value"), key)
-    elif isinstance(desc, bool) or not isinstance(desc, (int, float)):
-        raise ConfigError(f"{key} must be {expected}, got {desc!r}")
-    return density_from_descriptor(desc)
+    return (call_payoff if kind == "call" else put_payoff)(float(desc["strike"]))
 
 
 def _conv_config(cfg):
     tol = cfg["tolerances"]
-    return ConvergenceConfig(
-        tol=_number(tol["conv_tol"], "tolerances.conv_tol"),
-        window=_integer(tol["qv_window"], "tolerances.qv_window", 1),
-    )
-
-
-def _fmt(x):
-    return repr(float(x))
+    return ConvergenceConfig(tol=float(tol["conv_tol"]), window=tol["qv_window"])
 
 
 def _write_csv(path, header, rows):
@@ -178,7 +236,7 @@ def _write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             cells = [
-                str(c) if isinstance(c, (int, np.integer, str, bool)) else _fmt(c)
+                str(c) if isinstance(c, (int, np.integer, str, bool)) else repr(float(c))
                 for c in row
             ]
             fh.write(",".join(cells) + "\n")
@@ -241,13 +299,13 @@ def cmd_qv(cfg, seq):
 def cmd_integrate(cfg, seq):
     path = _path_from_config(cfg, seq)
     conv = _conv_config(cfg)
-    F = _functional_from_config(cfg.get("functional", {"name": "identity_1"}))
+    F = functional_from_descriptor(cfg["functional"])
     probes = default_probe_times(seq, path, cfg["probe_level"])
     report = follmer_integral_functional(F, path, seq, probes=probes, config=conv)
     out = _outdir(cfg)
     _write_csv(out / "integral_levels.csv", ["level", "probe_time", "value"],
                _level_rows(report.probe_times, report.sums))
-    sweep = [int(n) for n in cfg.get("integrate", {}).get("residual_levels", [])]
+    sweep = cfg["integrate"]["residual_levels"]
     caveat = not report.converged
     if sweep:
         rep = ito_residual_functional(F, path, seq, levels=sweep, config=conv)
@@ -263,59 +321,38 @@ def cmd_integrate(cfg, seq):
 
 def cmd_hedge(cfg, seq):
     conv = _conv_config(cfg)
-    hcfg = cfg.get("hedge")
-    if hcfg is None:
-        raise ConfigError("config needs a 'hedge' section")
-    F = _functional_from_config(cfg["functional"])
-    payoff = _payoff_from_config(hcfg.get("payoff", {"kind": "terminal"}), F)
-    density = _density_from_config(hcfg["density"], "hedge.density")
-    realized = hcfg.get("realized", "estimate")
+    hcfg = cfg["hedge"]
+    F = functional_from_descriptor(cfg["functional"])
+    payoff = _payoff_from_config(hcfg["payoff"], F)
+    density = density_from_descriptor(hcfg["density"])
+    realized = hcfg["realized"]
     if realized != "estimate":
-        realized = _density_from_config(realized, "hedge.realized", '"estimate" or a density')
-    n_paths = _integer(hcfg.get("paths", 1), "hedge.paths", 1)
-    fpde_tol = _number(cfg["tolerances"]["fpde_tol"], "tolerances.fpde_tol")
-    window = _integer(hcfg.get("smooth_window", 64), "hedge.smooth_window")
-    children = np.random.SeedSequence(cfg["seed"]).spawn(n_paths)
+        realized = density_from_descriptor(realized)
     rows = []
     curve_rows = []
-    reasons = {"fpde": 0, "qv_not_converged": 0}
-    rel_residuals = []
-    track_errors = []
-    for pid, child in enumerate(children):
+    for pid, child in enumerate(np.random.SeedSequence(cfg["seed"]).spawn(hcfg["paths"])):
         path = _path_from_config(cfg, seq, seed=child)
         report = hedge(
-            F, payoff, density, path, seq, realized_density=realized,
-            config=conv, fpde_tol=fpde_tol, smooth_window=window,
+            F, payoff, density, path, seq, realized_density=realized, config=conv,
+            fpde_tol=float(cfg["tolerances"]["fpde_tol"]), smooth_window=hcfg["smooth_window"],
         )
         rel = report.residual / abs(report.predicted_error) if report.predicted_error else float("inf")
-        rel_residuals.append(rel)
-        track_errors.append(report.track_error)
-        reasons["fpde"] += bool(report.fpde_flag)
-        reasons["qv_not_converged"] += not report.qv_converged
-        rows.append(
-            (pid, report.realized_pnl, report.predicted_error, report.residual,
-             rel, report.track_error, report.fpde_flag, report.qv_converged)
-        )
-        for k, t in enumerate(report.probe_times):
-            curve_rows.append(
-                (pid, t, report.value_curve[k], report.functional_curve[k])
-            )
+        rows.append((pid, report.realized_pnl, report.predicted_error, report.residual,
+                     rel, report.track_error, report.fpde_flag, report.qv_converged))
+        curve_rows += [(pid, *point) for point in zip(
+            report.probe_times, report.value_curve, report.functional_curve)]
     out = _outdir(cfg)
-    _write_csv(
-        out / "hedge_paths.csv",
-        ["path_id", "realized", "predicted", "residual", "rel_residual",
-         "track_error", "fpde_flag", "qv_converged"],
-        rows,
-    )
-    _write_csv(
-        out / "hedge_curves.csv",
-        ["path_id", "t", "value", "functional"],
-        curve_rows,
-    )
-    rel = np.array(rel_residuals)
+    _write_csv(out / "hedge_paths.csv",
+               ["path_id", "realized", "predicted", "residual", "rel_residual",
+                "track_error", "fpde_flag", "qv_converged"], rows)
+    _write_csv(out / "hedge_curves.csv", ["path_id", "t", "value", "functional"], curve_rows)
+    *_, rel, track_errors, fpde_flags, qv_converged = zip(*rows)
+    reasons = {"fpde": sum(map(bool, fpde_flags)),
+               "qv_not_converged": sum(not q for q in qv_converged)}
+    rel = np.array(rel)
     finite = rel[np.isfinite(rel)]  # replication runs have predicted == 0
     summary = {
-        "paths": n_paths,
+        "paths": hcfg["paths"],
         "median_rel_residual": float(np.median(finite)) if finite.size else None,
         "p95_rel_residual": float(np.quantile(finite, 0.95)) if finite.size else None,
         "max_track_error": float(np.max(track_errors)),
@@ -330,16 +367,10 @@ def cmd_plausibility(cfg, seq):
     path = _path_from_config(cfg, seq)
     report = plausibility_diagnostic(path, seq)
     out = _outdir(cfg)
-    rows = [
-        (n, report.identity_gaps[k], report.k_values[k],
-         report.k_partial_sums[k], report.negative_series_partial_max[k])
-        for k, n in enumerate(report.levels)
-    ]
-    _write_csv(
-        out / "plausibility.csv",
-        ["level", "identity_gap", "k_n", "k_partial_sum", "neg_series_partial_max"],
-        rows,
-    )
+    rows = zip(report.levels, report.identity_gaps, report.k_values,
+               report.k_partial_sums, report.negative_series_partial_max)
+    _write_csv(out / "plausibility.csv", ["level", "identity_gap", "k_n", "k_partial_sum",
+                                          "neg_series_partial_max"], rows)
     _write_json(out / "plausibility.json", {"config": cfg, "report": _report_json(report)})
     return 0
 
@@ -373,12 +404,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        part = cfg.get("partition")
-        if part is None:
-            raise ConfigError("config needs a 'partition' section")
-        if "max_level" in part:
-            _integer(part["max_level"], "partition.max_level", 1)
-        seq = PartitionSequence.from_descriptor({"type": "dyadic", "T": 1.0, **part})
+        seq = PartitionSequence.from_descriptor(cfg["partition"])
         return _COMMANDS[args.command](cfg, seq)
     except ConfigError as exc:
         print(f"pathcalc: config error: {exc}", file=sys.stderr)

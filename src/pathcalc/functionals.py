@@ -462,25 +462,6 @@ def density_from_descriptor(desc):
     raise ValueError(f"unknown density descriptor {kind!r}")
 
 
-def spot_check_continuity(F, sp, radius=1e-4, samples=8, seed=0):
-    """Max deviation of F over a handful of nearby stopped paths.
-
-    Samples vertical shifts and small time extensions within ``radius`` of
-    the given state.  This is spot sampling of the declared regularity tags,
-    never a verification of them.
-    """
-    rng = np.random.default_rng(seed)
-    base = F.value(sp)
-    worst = 0.0
-    for _ in range(samples):
-        state = sp.perturb(rng.uniform(-radius, radius, size=F.dim))
-        room = sp.T - sp.time
-        if room > 0:
-            state = state.extend_to(sp.time + rng.uniform(0.0, min(radius, room)))
-        worst = max(worst, abs(F.value(state) - base))
-    return worst
-
-
 def fpde_residual(F, A, sp):
     """Residual of DF + 0.5 tr(A hess) at a stopped path (t < T)."""
     if sp.time >= sp.T:

@@ -42,6 +42,7 @@ class SampledPath:
         require_finite(values, "path values")
         self.times = times
         self.values = values
+        self.T = float(times[-1])
         self.times.flags.writeable = False
         self.values.flags.writeable = False
         jump_map = {}
@@ -68,10 +69,6 @@ class SampledPath:
         return self.values.shape[1]
 
     @property
-    def T(self):
-        return float(self.times[-1])
-
-    @property
     def jumps(self):
         return tuple((t, d.copy()) for t, d in self._jumps.items())
 
@@ -83,7 +80,7 @@ class SampledPath:
         """Index of the last grid time <= u."""
         if u < 0 or u > self.T:
             raise ValueError(f"time {u} outside [0, {self.T}]")
-        return int(np.searchsorted(self.times, u, side="right")) - 1
+        return int(self.times.searchsorted(u, side="right")) - 1
 
     def value(self, u):
         return self.values[self.index_at(u)]
@@ -335,6 +332,8 @@ def generate(spec, seed, seq):
         for t, delta in spec["jumps"]:
             t = float(t)
             delta = np.asarray(delta, dtype=float).reshape(-1)
+            if delta.size not in (1, base.dim):  # one size moves every coordinate
+                raise ValueError(f"jump at {t!r} has {delta.size} sizes for a dim-{base.dim} path")
             idx = base.grid_indices([t])[0]
             values[idx:] += delta[None, :]
             jumps[t] = jumps.get(t, np.zeros(base.dim)) + delta

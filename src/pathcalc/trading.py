@@ -27,7 +27,7 @@ from .integration import (
     follmer_integral_functional,
     follmer_integrand,
 )
-from .partitions import last_index_before, refine_onto
+from .partitions import refine_onto
 from .paths import stop
 from .quadvar import (
     _continuous_qv_increments,
@@ -77,32 +77,6 @@ class SimpleStrategy:
                 self.holdings[i](stop(path, float(level[i]))), dtype=float
             ).reshape(path.dim)
         return out
-
-
-def simple_gain(strategy, path, seq, t):
-    """Accumulated gain sum_{i<=k} lambda_{i-1} . increments, with the last
-    increment cut at t.  Empty sum (zero) at t = 0."""
-    if t == 0.0:
-        return 0.0
-    k = last_index_before(seq, strategy.level, t)
-    level = seq.level(strategy.level)
-    lam = strategy.holding_values(path, seq)
-    li = path.grid_indices(level)
-    lx = path.values[li]
-    total = 0.0
-    for i in range(1, k + 1):
-        total += float(lam[i - 1] @ (lx[i] - lx[i - 1]))
-    total += float(lam[k] @ (path.value(t) - lx[k]))
-    return total
-
-
-def simple_bond_holdings(strategy, path, seq, t):
-    """Bond account: V0 - lambda_0 . omega(0) - rebalancing cost sum up to
-    the strict index k(t, n)."""
-    level = seq.level(strategy.level)
-    lam = strategy.holding_values(path, seq)
-    lx = path.values[path.grid_indices(level)]
-    return float(_bond_column(level, lx, lam, strategy.capital(path), [t])[0][0])
 
 
 @dataclass

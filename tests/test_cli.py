@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from pathcalc import cli
 from pathcalc.cli import main
 
 
@@ -224,13 +230,17 @@ def test_functional_and_path_dims_must_match(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra, level", [
-    ({"integrate": {"residual_levels": [99]}}, 99),
-    ({"integrate": {"residual_levels": "8"}}, 8),
-    ({"integrate": {"residual_levels": [-1]}}, -1),
-    ({"probe_level": -3}, -3),
-], ids=["residual_99", "residual_str_8", "residual_minus_1", "probe_minus_3"])
-def test_level_outside_partition_is_config_error(tmp_path, capsys, extra, level):
+@pytest.mark.parametrize("extra, message", [
+    ({"integrate": {"residual_levels": [99]}}, "level 99 outside 0..6"),
+    ({"integrate": {"residual_levels": "8"}},
+     "integrate.residual_levels must be a list of integers, got '8'"),
+    ({"integrate": {"residual_levels": [-1]}}, "level -1 outside 0..6"),
+    ({"probe_level": -3}, "level -3 outside 0..6"),
+    ({"integrate": {"residual_levels": "14"}},
+     "integrate.residual_levels must be a list of integers, got '14'"),
+], ids=["residual_99", "residual_str_8", "residual_minus_1", "probe_minus_3",
+        "residual_str_14"])
+def test_level_outside_partition_is_config_error(tmp_path, capsys, extra, message):
     cfg = write_config(tmp_path, "i.json", {
         "seed": 3,
         "partition": {"type": "dyadic", "T": 1.0, "max_level": 6},
@@ -240,7 +250,7 @@ def test_level_outside_partition_is_config_error(tmp_path, capsys, extra, level)
         **extra,
     })
     assert main(["integrate", "--config", cfg]) == 2
-    assert f"level {level} outside 0..6" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "ito_residuals.csv").exists()
 
 
@@ -303,11 +313,29 @@ _WALK = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
      "hedge.payoff.strike must be a number, got 'x'"),
     ("hedge", {"path": {**_WALK, "sigma": "x"}}, "path.sigma must be a number, got 'x'"),
     ("hedge", {"path": {**_WALK, "x0": "x"}}, "path.x0 must be a number, got 'x'"),
+    ("hedge", {"partition": {"type": "dyadic", "T": "1", "max_level": 4}},
+     "partition.T must be a number, got '1'"),
+    ("qv", {"path": {"kind": "smooth", "name": "sine", "amp": "x"}},
+     "path.amp must be a number, got 'x'"),
+    ("hedge", {"functional": {"name": "cylinder"}},
+     "functional.name must be one of identity(_[1-9][0-9]*)?, monomial, running_integral, "
+     "asian_forward, black_scholes, got 'cylinder'"),
+    ("hedge", {"hedge": {"density": {"sigma": 0.2}}},
+     "config needs a 'hedge.density.kind' key"),
+    ("qv", {"path": {"sigma": 0.3}}, "config needs a 'path.kind' key"),
+    ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": 0.2}, "payoff": {"kind": "call"}}},
+     "config needs a 'hedge.payoff.strike' key"),
+    ("qv", {"path": {"kind": "with_jumps", "base": {**_WALK, "sigma": "x"}, "jumps": []}},
+     "path.base.sigma must be a number, got 'x'"),
+    ("qv", {"partition": {"max_level": 4, "extra_times": ["x"]}},
+     "partition.extra_times must be a list of numbers, got ['x']"),
 ], ids=["max_level_a", "sigma_x", "strike_x", "probe_level_x", "realized_estimat",
         "dim_0", "dim_minus_1", "qv_window_0", "qv_window_minus_2", "qv_window_x",
         "conv_tol_x", "fpde_tol_x", "density_bs_string", "realized_list",
         "smooth_window_x", "density_sigma_x", "payoff_strike_x", "path_sigma_x",
-        "path_x0_x"])
+        "path_x0_x", "partition_T_string", "smooth_amp_x", "functional_cylinder",
+        "density_without_kind", "path_without_kind", "call_without_strike",
+        "jumps_base_sigma_x", "extra_times_x"])
 def test_config_value_of_wrong_type_is_named(tmp_path, capsys, command, extra, message):
     cfg = write_config(tmp_path, "c.json", {
         "seed": 1,
@@ -389,7 +417,7 @@ def test_partition_section_defaults_and_echo(tmp_path, capsys):
     })
     assert main(["qv", "--config", cfg]) == 0
     report = json.loads((tmp_path / "out" / "qv_report.json").read_text())
-    assert report["config"]["partition"] == {"max_level": 12}
+    assert report["config"]["partition"] == {"type": "dyadic", "T": 1.0, "max_level": 12}
     assert len(report["report"]["levels"]) == 13
     bare = write_config(tmp_path, "bare.json", {"path": path})
     assert main(["qv", "--config", bare]) == 2
@@ -504,3 +532,157 @@ def test_output_layout(tmp_path):
         rep["limit"][k][i][j] for k in range(len(probes))
         for i in range(2) for j in range(2)
     ]
+
+
+def _schema_keys(table, prefix="", chain=()):
+    """Dotted keys of a schema table: its keys, each variant's keys and the
+    keys of nested sections.  A section already open on the way in (the
+    generator under ``path.base``) is listed by its own key only."""
+    tables = table if isinstance(table, tuple) else (table,)
+    chain += tuple(map(id, tables))
+    for t in tables:
+        for key, (kind, _) in t.items():
+            yield prefix + key
+            if isinstance(kind, dict):
+                for variant in kind.values():
+                    yield from _schema_keys(variant, prefix, chain)
+            elif kind in cli._SCHEMA and id(cli._SCHEMA[kind]) not in chain:
+                yield from _schema_keys(cli._SCHEMA[kind], f"{prefix}{key}.", chain)
+
+
+def _command_table(command):
+    return {**cli._SCHEMA["config"], **cli._COMMAND_SECTIONS.get(command, {})}
+
+
+SCHEMA_KEYS = {key for command in cli._COMMANDS for key in _schema_keys(_command_table(command))}
+
+
+def test_config_keys_table_matches_schema():
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    documented = re.findall(r"^\| `([^`]+)` \|", text, flags=re.M)
+    assert sorted(documented) == sorted(SCHEMA_KEYS)
+
+
+def _constant_defaults(spec, table, prefix=""):
+    """Dotted keys of the constant defaults of ``table`` that apply to the
+    resolved ``spec``, following its variants and nested sections."""
+    if isinstance(table, tuple):
+        table = next((t for t in table if next(iter(t)) in spec), table[-1])
+    entries = list(table.items())
+    for key, (kind, default) in entries:
+        if default is not ... and default is not None:
+            yield prefix + key
+        value = spec.get(key)
+        if isinstance(kind, dict):
+            entries += next(v for k, v in kind.items() if re.fullmatch(k, value)).items()
+        elif kind in cli._SCHEMA and isinstance(value, dict):
+            yield from _constant_defaults(value, cli._SCHEMA[kind], f"{prefix}{key}.")
+
+
+def _dotted(cfg, prefix=""):
+    for key, value in cfg.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _dotted(value, f"{prefix}{key}.")
+
+
+_BS = {"name": "black_scholes", "sigma": 0.2, "strike": 1.0}
+REPLAYS = {
+    "qv_d1": ("qv", {"path": {"kind": "scaled_random_walk", "sigma": 1.0}}),
+    "qv_d2": ("qv", {"path": {"kind": "with_jumps",
+                              "base": {"kind": "scaled_random_walk", "sigma": 1.0, "dim": 2},
+                              "jumps": [[0.3125, [0.5, -0.2]]]}}),
+    "integrate": ("integrate", {"path": {"kind": "geometric_walk", "sigma": 0.3},
+                                "functional": _BS, "integrate": {"residual_levels": [6, 8]}}),
+    "hedge": ("hedge", {"path": {"kind": "geometric_walk", "sigma": 0.3}, "functional": _BS,
+                        "hedge": {"density": {"kind": "bs", "sigma": 0.2}, "paths": 2}}),
+    "plausibility": ("plausibility", {"path": {"kind": "qv_descent"}}),
+}
+
+
+@pytest.mark.parametrize("name", list(REPLAYS))
+def test_echo_replays_the_run(tmp_path, name):
+    command, minimal = REPLAYS[name]
+    first, again = tmp_path / "first", tmp_path / "again"
+    cfg = write_config(tmp_path, "first.json",
+                       {"partition": {"max_level": 8}, **minimal, "out": str(first)})
+    assert main([command, "--config", cfg]) in (0, 1)
+    (report,) = first.glob("*.json")
+    echo = json.loads(report.read_text())["config"]
+    # the echo is resolved: resolving it again changes nothing, and it holds
+    # every constant default that applies to it
+    assert cli.resolve(json.loads(json.dumps(echo)), command) == echo
+    assert set(_constant_defaults(echo, _command_table(command))) <= set(_dotted(echo))
+    assert echo["partition"] == {"type": "dyadic", "T": 1.0, "max_level": 8}
+    replay = write_config(tmp_path, "again.json", {**echo, "out": str(again)})
+    assert main([command, "--config", replay]) in (0, 1)
+    assert sorted(p.name for p in again.iterdir()) == sorted(p.name for p in first.iterdir())
+    for path in first.iterdir():
+        text = (again / path.name).read_text()
+        assert text.replace(json.dumps(str(again)), json.dumps(str(first))) == path.read_text()
+
+
+# Valid configs of this module, at small levels, for the mutation test.
+_VALID = [
+    ("qv", {"seed": 0, "partition": {"type": "dyadic", "T": 1.0, "max_level": 6},
+            "path": {"kind": "smooth", "name": "linear"}}),
+    ("qv", REPLAYS["qv_d2"][1] | {"seed": 2, "probe_level": 3,
+                                  "partition": {"type": "dyadic", "T": 1.0, "max_level": 5}}),
+    ("integrate", {"seed": 5, "partition": {"type": "dyadic", "T": 1.0, "max_level": 6},
+                   "path": {"kind": "scaled_random_walk", "sigma": 1.0},
+                   "functional": {"name": "monomial", "power": 2},
+                   "integrate": {"residual_levels": [4, 6]}}),
+    ("hedge", {"seed": 42, "partition": {"type": "dyadic", "T": 1.0, "max_level": 6},
+               "path": _WALK, "functional": _BS,
+               "hedge": {"density": {"kind": "bs", "sigma": 0.2},
+                         "realized": {"kind": "bs", "sigma": 0.3},
+                         "payoff": {"kind": "call", "strike": 1.0}, "paths": 2}}),
+    ("plausibility", {"seed": 7, "partition": {"max_level": 6}, "path": {"kind": "qv_descent"}}),
+]
+_WRONG_TYPES = ["x", True, None, [], {}, [1, "a"]]
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 99), st.none()),
+    st.tuples(st.just("retype"), st.integers(0, 99), st.sampled_from(_WRONG_TYPES + [1.5])),
+    st.tuples(st.just("set"), st.sampled_from([
+        "path.dim", "path.base.dim", "integrate.residual_levels", "probe_level", "hedge.paths",
+    ]), st.sampled_from([1, 2, -1, [7], [-1], []])),
+)
+# Python and numpy texts that name no input
+_UNNAMED = ("could not convert", "invalid literal", "broadcast", "reshape", "object of type",
+            "not supported between", "indices must be", "unhashable", "has no attribute")
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(range(len(_VALID))), _MUTATIONS)
+def test_mutated_configs_exit_cleanly_and_name_the_key(tmp_path, monkeypatch, which, mutation):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PATHCALC_OUT", str(tmp_path / "default_out"))
+    command, cfg = _VALID[which]
+    cfg = json.loads(json.dumps({**cfg, "out": str(tmp_path / "out")}))
+    action, where, value = mutation
+    keys = sorted(_dotted(cfg))
+    key = where if action == "set" else keys[where % len(keys)]
+    *parents, leaf = key.split(".")
+    spec = cfg
+    for part in parents:
+        spec = spec.setdefault(part, {})
+    if action == "drop":
+        spec.pop(leaf)
+    else:
+        spec[leaf] = value
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(tmp_path / "c.json")])
+    assert code in (0, 1, 2)
+    if code != 2:
+        return
+    message = err.getvalue().strip().split("error: ", 1)[1]
+    # a key of the schema, or one below it (path.base.kind under path.base)
+    assert any(word.startswith(known) and word[len(known):len(known) + 1] in ("", ".")
+               for word in re.findall(r"[\w.]+", message) for known in SCHEMA_KEYS), message
+    assert not re.fullmatch(r"'[^']*'", message), message
+    assert not any(text in message for text in _UNNAMED), message
+    if action == "retype" and value in _WRONG_TYPES:
+        assert key in message, message

@@ -246,18 +246,6 @@ def test_regularity_tags_validated():
     assert "left-continuous" in F.regularity
 
 
-def test_spot_check_continuity_separates_smooth_from_discontinuous():
-    from pathcalc import spot_check_continuity
-
-    seq = dyadic(1.0, 6)
-    path = generate({"kind": "geometric_walk", "sigma": 0.2, "x0": 1.0}, 1, seq)
-    sp = stop(path, 0.5)
-    smooth_dev = spot_check_continuity(black_scholes(0.2, 1.0), sp, radius=1e-4)
-    assert smooth_dev < 1e-3  # Lipschitz-size response to a 1e-4 ball
-    spiky = Functional(1, lambda s: 0.0 if s.current[0] <= sp.current[0] else 1.0)
-    assert spot_check_continuity(spiky, sp, radius=1e-4) == 1.0
-
-
 # ---------------------------------------------------------------------------
 # pricing-equation residual
 # ---------------------------------------------------------------------------

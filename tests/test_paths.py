@@ -262,6 +262,9 @@ def test_generator_rejects_bad_params():
         generate({"kind": "scaled_random_walk", "sigma": 0.0}, 0, seq)
     with pytest.raises(ValueError):
         generate({"kind": "nope"}, 0, seq)
+    with pytest.raises(ValueError, match="jump at 0.5 has 2 sizes for a dim-1 path"):
+        generate({"kind": "with_jumps", "base": {"kind": "scaled_random_walk", "sigma": 1.0},
+                  "jumps": [[0.5, [1.0, 2.0]]]}, 0, seq)
 
 
 def test_with_jumps_records_and_applies():

@@ -14,15 +14,19 @@ from pathcalc import (
     hedge,
     identity,
     integral_payoff,
+    last_index_before,
     plausibility_diagnostic,
     self_financing_check,
-    simple_bond_holdings,
-    simple_gain,
     simple_ledger,
     stack,
     strategy_from_functional,
 )
-from pathcalc.trading import _density_cells, estimate_qv_density, gain_from_vertical_form
+from pathcalc.trading import (
+    _bond_column,
+    _density_cells,
+    estimate_qv_density,
+    gain_from_vertical_form,
+)
 
 
 def walk(level, seed=7, sigma=1.0, x0=0.0):
@@ -37,6 +41,33 @@ def geometric(level, seed=5, sigma=0.2):
     return generate(
         {"kind": "geometric_walk", "sigma": sigma, "x0": 1.0}, seed, seq
     ), seq
+
+
+def simple_gain(strategy, path, seq, t):
+    """Reference route of the ledger gains: the accumulated gain
+    sum_{i<=k} lambda_{i-1} . increments, one cell at a time, with the last
+    increment cut at t.  Empty sum (zero) at t = 0."""
+    if t == 0.0:
+        return 0.0
+    k = last_index_before(seq, strategy.level, t)
+    level = seq.level(strategy.level)
+    lam = strategy.holding_values(path, seq)
+    li = path.grid_indices(level)
+    lx = path.values[li]
+    total = 0.0
+    for i in range(1, k + 1):
+        total += float(lam[i - 1] @ (lx[i] - lx[i - 1]))
+    total += float(lam[k] @ (path.value(t) - lx[k]))
+    return total
+
+
+def simple_bond_holdings(strategy, path, seq, t):
+    """Bond account at one time: V0 - lambda_0 . omega(0) - rebalancing cost
+    sum up to the strict index k(t, n)."""
+    level = seq.level(strategy.level)
+    lam = strategy.holding_values(path, seq)
+    lx = path.values[path.grid_indices(level)]
+    return float(_bond_column(level, lx, lam, strategy.capital(path), [t])[0][0])
 
 
 # ---------------------------------------------------------------------------

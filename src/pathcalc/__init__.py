@@ -28,15 +28,11 @@ from .integration import (
     follmer_integral_functional,
     ito_residual_cylinder,
     ito_residual_functional,
-    left_cauchy_chain_rule,
-    left_cauchy_integral,
 )
 from .partitions import PartitionSequence, dyadic, last_index_before, refine_with
 from .paths import (
     SampledPath,
     StoppedPath,
-    component,
-    d_infinity,
     generate,
     read_path_csv,
     stack,
@@ -51,7 +47,6 @@ from .quadvar import (
     p_variation,
     qv_along,
     qv_matrix,
-    variation_index_estimate,
     vovk_uniform_check,
 )
 from .trading import (

@@ -57,6 +57,7 @@ _TYPES = {
     "level": ("an integer", lambda v: type(v) is int),
     "levels": ("a list of integers", lambda v: type(v) is list and all(type(n) is int for n in v)),
     "number": ("a number", _number),
+    "number>0": ("a number > 0", lambda v: _number(v) and v > 0),
     "numbers": ("a list of numbers", _numbers),
     "grids": ("a list of lists of numbers", lambda v: type(v) is list and all(map(_numbers, v))),
     "threshold": ("a number or a list of numbers", _size),
@@ -75,16 +76,17 @@ _TYPES = {
 # section.  A tuple of sections takes the first whose leading key is set.
 # Default ... marks a required key; None an optional one the library
 # defaults (not echoed); any other default is written into the config.
-_WALK = {"sigma": ("number", ...), "dim": ("int>=1", 1)}
+# A key that the table and its picked variants do not list is rejected.
+_WALK = {"sigma": ("number>0", ...), "dim": ("int>=1", 1)}
 _SCALE = {"scale": ("number", 1.0)}
 _GENERATOR = {"kind": ({
     "smooth": {"name": ({"linear": _SCALE, "quadratic": _SCALE, "sine": {
         "amp": ("number", 1.0), "freq": ("number", 1.0)}}, "linear"),
         "offset": ("number", 0.0)},
     "scaled_random_walk": {**_WALK, "x0": ("number", 0.0)},
-    "geometric_walk": {**_WALK, "x0": ("number", 1.0)},
+    "geometric_walk": {**_WALK, "x0": ("number>0", 1.0)},
     "with_jumps": {"base": ("generator", ...), "jumps": ("jumps", ...)},
-    "qv_descent": {"total": ("number", 1.0), "x0": ("number", 0.0), "drain": ("number", None)},
+    "qv_descent": {"total": ("number>0", 1.0), "x0": ("number", 0.0), "drain": ("number", None)},
 }, ...)}
 _STRIKE = {"strike": ("number", ...)}
 _DENSITY = {"kind": ({"bs": {"sigma": ("number", ...)}, "const": {"value": ("number", ...)}}, ...)}
@@ -96,14 +98,14 @@ _SCHEMA = {
                    "qv_window": ("int>=1", 3)},
     "partition": {"type": ({"dyadic": {"max_level": ("int>=1", ...)}, "explicit": {
         "levels": ("grids", ...), "dense": ("bool", True), "nested": ("bool", True)}}, "dyadic"),
-        "T": ("number", 1.0), "extra_times": ("numbers", None)},
+        "T": ("number>0", 1.0), "extra_times": ("numbers", None)},
     "path": ({"file": ("str", ...), "jump_threshold": ("threshold", None)}, _GENERATOR),
     "generator": _GENERATOR,
     "functional": {"name": ({
         "identity(_[1-9][0-9]*)?": {"index": ("int>=0", None), "dim": ("int>=1", None)},
         "monomial": {"power": ("int>=0", ...), "coeff": ("number", 1.0)},
         "running_integral": {}, "asian_forward": {},
-        "black_scholes": {"sigma": ("number", ...), **_STRIKE,
+        "black_scholes": {"sigma": ("number>0", ...), "strike": ("number>0", ...),
                           "kind": ({"call": {}, "put": {}}, "call")},
     }, ...)},
     "integrate": {"residual_levels": ("levels", [])},
@@ -114,16 +116,19 @@ _SCHEMA = {
     "payoff": {"kind": ({"terminal": {}, "call": _STRIKE, "put": _STRIKE, "integral": {
         "rule": ({"left": {}, "right": {}}, "left")}}, "terminal")},
 }
-# The sections that integrate and hedge read besides "config".
+# The sections that integrate and hedge read besides "config".  Any command's
+# config may hold them; a command that does not read one leaves it as it is.
 _COMMAND_SECTIONS = {
     "integrate": {"functional": ("functional", {"name": "identity_1"}), "integrate": ("integrate", {})},
     "hedge": {"functional": ("functional", ...), "hedge": ("hedge", ...)},
 }
+_SECTIONS = {key for sections in _COMMAND_SECTIONS.values() for key in sections}
 
 
 def resolve(cfg, command):
     """Check the mapping ``cfg`` against the schema in place, before any numerics,
-    and write every constant default into it, so that it echoes what ran."""
+    reject the keys it does not list, and write every constant default into
+    it, so that it echoes what ran."""
     _resolve(cfg, {**_SCHEMA["config"], **_COMMAND_SECTIONS.get(command, {})}, "", cfg)
     return cfg
 
@@ -159,6 +164,10 @@ def _resolve(spec, table, prefix, cfg):
             for n in value if kind == "levels" else [value]:
                 if n < 0 or n > top and kind == "levels":
                     raise ConfigError(f"{name}: level {n} outside 0..{top}")
+    known = {key for key, _ in entries} | (_SECTIONS if spec is cfg else set())
+    unknown = sorted(spec.keys() - known)
+    if unknown:
+        raise ConfigError(f"unknown key {prefix + unknown[0]!r}")
 
 
 def _load_config(args):

@@ -7,6 +7,8 @@ horizontal extension (forward one-sided, matching the one-sided limit that
 defines the time derivative).  Built-ins additionally carry ``pointwise_*``
 fast paths - vectorized functions of (t, omega(t)) - that the integration
 routines use when the derivative provably depends on the current value only.
+The paper's hypotheses on F (continuity, boundedness-preserving) are the
+caller's to meet: nothing here declares or checks them.
 """
 
 from __future__ import annotations
@@ -15,11 +17,6 @@ import math
 
 import numpy as np
 from scipy.special import ndtr
-
-
-REGULARITY_TAGS = frozenset(
-    {"left-continuous", "right-continuous", "jointly-continuous", "boundedness-preserving"}
-)
 
 
 def default_vertical_bump(sp):
@@ -40,7 +37,6 @@ class Functional:
         hess=None,
         horiz=None,
         name="functional",
-        regularity=(),
         pointwise_value=None,
         pointwise_grad=None,
         pointwise_hess=None,
@@ -51,10 +47,6 @@ class Functional:
         self._hess = hess
         self._horiz = horiz
         self.name = name
-        self.regularity = frozenset(regularity)
-        unknown = self.regularity - REGULARITY_TAGS
-        if unknown:
-            raise ValueError(f"unknown regularity tags {sorted(unknown)}")
         # Optional vectorized evaluators with signature (t, s, T) -> array,
         # valid only when the quantity depends on the path through (t, omega(t)).
         self.pointwise_value = pointwise_value
@@ -261,7 +253,6 @@ def identity(index=0, dim=1):
         hess=lambda sp: zero,
         horiz=lambda sp: 0.0,
         name=f"identity_{index + 1}",
-        regularity={"left-continuous", "right-continuous", "boundedness-preserving"},
         pointwise_value=lambda t, s, T: s[:, index],
         pointwise_grad=lambda t, s, T: np.broadcast_to(e, (t.size, dim)),
         pointwise_hess=lambda t, s, T: np.zeros((t.size, dim, dim)),
@@ -285,7 +276,6 @@ def cylinder(f, f_prime=None, f_second=None, dim=1, vectorized=False, name="cyli
         hess=(lambda sp: f_second(current_arg(sp))) if f_second else None,
         horiz=lambda sp: 0.0,
         name=name,
-        regularity={"left-continuous", "right-continuous"},
     )
     if vectorized and dim == 1:
         if f_prime is not None:
@@ -328,7 +318,6 @@ def running_integral():
         hess=lambda sp: np.zeros((1, 1)),
         horiz=lambda sp: float(sp.current[0]),
         name="running_integral",
-        regularity={"left-continuous", "right-continuous", "jointly-continuous"},
     )
 
 
@@ -348,7 +337,6 @@ def asian_forward():
         hess=lambda sp: np.zeros((1, 1)),
         horiz=lambda sp: 0.0,
         name="asian_forward",
-        regularity={"left-continuous", "right-continuous", "jointly-continuous"},
         pointwise_grad=lambda t, s, T: (T - t)[:, None],
         pointwise_hess=lambda t, s, T: np.zeros((t.size, 1, 1)),
     )
@@ -380,7 +368,6 @@ def black_scholes(sigma, strike, kind="call"):
         ),
         horiz=lambda sp: bs_theta(float(sp.current[0]), strike, sigma, sp.T - sp.time),
         name=f"black_scholes_{kind}",
-        regularity={"left-continuous", "right-continuous", "jointly-continuous"},
         pointwise_value=lambda t, s, T: _bs_price_vec(s[:, 0], strike, sigma, T - t, kind),
         pointwise_grad=lambda t, s, T: _bs_delta_vec(s[:, 0], strike, sigma, T - t, kind)[:, None],
         pointwise_hess=lambda t, s, T: _bs_gamma_vec(s[:, 0], strike, sigma, T - t)[

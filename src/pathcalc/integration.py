@@ -11,8 +11,8 @@ is what makes the batched fast path on built-in functionals legitimate: when
 the gradient depends on the path only through (t, omega(t)) both routes
 produce the same numbers (tested).
 
-Also here: residuals of the change-of-variable identities (functional and
-classical forms) and the left Cauchy interval integral with its chain rule.
+Also here: the residuals of the change-of-variable identity, in its
+functional form and in Follmer's classical form f(x(t)).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .paths import StoppedPath, stepwise_approximation, stop
 from .quadvar import (
     _cell_index,
     _continuous_qv_increments,
-    _interval_grid,
     _level_sums,
     qv_along,
     qv_matrix,
@@ -125,7 +124,11 @@ def follmer_integral_functional(F, path, seq, probes=None, levels=None, config=N
 
 def follmer_integral_cylinder(f_prime, path, seq, probes=None, levels=None, config=None):
     """Riemann sums of f'(x(t_i)) . increments; the integrand reads the
-    path value at the cell's left endpoint (never ahead of it)."""
+    path value at the cell's left endpoint (never ahead of it).
+
+    This is the integral of Follmer's classical change-of-variable formula,
+    whose residual :func:`ito_residual_cylinder` reports (acceptance
+    criterion 4) from the same left-endpoint sum on the finest level."""
     def integrand(_seq, _n, li):
         pts = path.values[li[:-1]]
         if path.dim == 1:
@@ -279,106 +282,3 @@ def ito_residual_cylinder(f, f_prime, f_second, path, seq, config=None):
         return np.array([as_vec(f_prime(arg(v))) for v in path.values[li[:-1]]])
 
     return _ito_report(path, seq, None, rows, lhs, initial, 0.0, hess, jump_term, config)
-
-
-# ---------------------------------------------------------------------------
-# Left Cauchy interval integral and its chain rule
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LeftCauchyReport:
-    intervals: list
-    per_level: dict
-    top_values: list
-    cauchy_gaps: list
-    follmer_gap: float | None = None
-
-
-def _left_cauchy_sum(phi_v, vals):
-    """sum_i phi(g(kappa_i)) (g(kappa_{i+1}) - g(kappa_i)) over knot values."""
-    return float(np.sum(phi_v(vals[:-1]) * np.diff(vals)))
-
-
-def left_cauchy_integral(phi, path, seq, intervals):
-    """Interval sums of phi(g(t_i)) (g(t_{i+1}) - g(t_i)) along nested
-    levels restricted to each [u, v].  When [0, T] is among the intervals
-    the top value is cross-checked against the cylinder Riemann sums."""
-    if not seq.nested:
-        raise ValueError("the interval integral requires a nested sequence")
-    if path.dim != 1:
-        raise ValueError("left_cauchy_integral expects a scalar path")
-    phi_v = np.vectorize(phi, otypes=[float])
-    per_level = {}
-    top_values = []
-    gaps = []
-    follmer_gap = None
-    for k, (u, v) in enumerate(intervals):
-        sums = [
-            _left_cauchy_sum(phi_v, _interval_grid(path, seq.level(n), u, v)[1])
-            for n in range(seq.num_levels)
-        ]
-        per_level[k] = sums
-        top_values.append(sums[-1])
-        gaps.append(abs(sums[-1] - sums[-2]) if len(sums) > 1 else float("nan"))
-        if u == 0.0 and v == path.T:
-            rep = follmer_integral_cylinder(
-                phi, path, seq, probes=[path.T], levels=[seq.top]
-            )
-            follmer_gap = abs(float(rep.limit[0]) - sums[-1])
-    return LeftCauchyReport(
-        intervals=list(intervals),
-        per_level=per_level,
-        top_values=top_values,
-        cauchy_gaps=gaps,
-        follmer_gap=follmer_gap,
-    )
-
-
-@dataclass
-class ChainRuleReport:
-    residual: float
-    lhs: float
-    lc_term: float
-    qv_term: float
-    left_jump_sum: float
-    right_jump_sum: float
-
-
-def left_cauchy_chain_rule(Phi, phi, phi_prime, path, seq, interval):
-    """Residual of the interval chain rule for Phi (an antiderivative of
-    phi) composed with the path, evaluated at the top level.
-
-    The right-jump sum is identically zero for cadlag paths; jumps placed
-    exactly at the interval endpoints follow the literal summation ranges
-    [u, v) and (u, v].
-    """
-    u, v = interval
-    kappa, vals = _interval_grid(path, seq.level(seq.top), u, v)
-    phi_v = np.vectorize(phi, otypes=[float])
-    lhs = float(Phi(float(vals[-1]))) - float(Phi(float(vals[0])))
-    lc = _left_cauchy_sum(phi_v, vals)
-    d2 = np.diff(vals) ** 2
-    for tj, dlt in path.jumps:
-        if u < tj <= v:
-            k = int(np.searchsorted(kappa, tj)) - 1  # cell (kappa_k, kappa_{k+1}] holds tj
-            d2[k] -= float(dlt[0]) ** 2
-    phi_prime_v = np.vectorize(phi_prime, otypes=[float])
-    qv_term = 0.5 * float(np.sum(phi_prime_v(vals[:-1]) * d2))
-
-    left_jump = 0.0
-    for tj, dlt in path.jumps:
-        if u <= tj < v:
-            xr = float(path.value(tj)[0])
-            xl = xr - float(dlt[0])
-            left_jump += float(Phi(xr)) - float(Phi(xl)) - float(phi(xl)) * (xr - xl)
-    right_jump = 0.0  # cadlag: no right jumps
-    rhs = lc + qv_term + left_jump + right_jump
-    return ChainRuleReport(
-        residual=abs(lhs - rhs),
-        lhs=lhs,
-        lc_term=lc,
-        qv_term=qv_term,
-        left_jump_sum=left_jump,
-        right_jump_sum=right_jump,
-    )

@@ -108,14 +108,6 @@ class SampledPath:
         )
 
 
-def component(path, i):
-    """Scalar path made of coordinate ``i``."""
-    jumps = [
-        (t, d[i]) for t, d in path.jumps if d[i] != 0.0
-    ]
-    return SampledPath(path.times, path.values[:, i], jumps)
-
-
 def stack(paths):
     """Combine same-grid scalar/vector paths into one multi-dim path."""
     first = paths[0]
@@ -212,22 +204,6 @@ def stop(path, t, side="right"):
     else:
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     return StoppedPath(path, t, t, current)
-
-
-def d_infinity(a, b):
-    """Distance between stopped paths: sup-norm gap plus time gap."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.T != b.T:
-        raise ValueError("stopped paths live on different horizons")
-    breaks = np.union1d(a.path.times, b.path.times)
-    breaks = np.union1d(breaks, [a.cut, b.cut])
-    breaks = breaks[(breaks >= 0) & (breaks <= a.T)]
-    gap = 0.0
-    for u in breaks:
-        diff = a.value(u) - b.value(u)
-        gap = max(gap, float(np.linalg.norm(diff)))
-    return gap + abs(a.time - b.time)
 
 
 def stepwise_approximation(path, seq, n):

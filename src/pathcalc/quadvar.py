@@ -14,7 +14,6 @@ algebraic identity checked in :func:`vovk_uniform_check`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -225,50 +224,6 @@ def p_variation(path, p):
     return float(best[-1])
 
 
-def level_variation_sums(path, p, seq):
-    """s_p along every level; the raw material for the variation index."""
-    v = path.values[:, 0]
-    return [
-        float(np.sum(np.abs(np.diff(v[path.grid_indices(seq.level(n))])) ** p))
-        for n in range(seq.num_levels)
-    ]
-
-
-@dataclass
-class VariationIndexReport:
-    estimate: float
-    diverging: dict
-    table: dict
-    caveat: str = "finite-resolution estimate"
-
-
-def variation_index_estimate(path, p_grid, seq, growth_ratio=1.3, span=3):
-    """Smallest p in the grid whose level sums stop growing.
-
-    Divergence is declared when the top-level sum exceeds ``growth_ratio``
-    times the sum ``span`` levels earlier; with a handful of levels this is a
-    coarse threshold test, hence the caveat flag on the report.
-    """
-    p_grid = list(p_grid)
-    if not p_grid:
-        raise ValueError("p_grid must not be empty")
-    if any(p < 1 for p in p_grid):
-        raise ValueError("p values must be >= 1")
-    if sorted(p_grid) != p_grid:
-        raise ValueError("p_grid must be increasing")
-    table = {}
-    diverging = {}
-    span = min(span, seq.num_levels - 1)
-    for p in p_grid:
-        sums = level_variation_sums(path, p, seq)
-        table[p] = sums
-        base = sums[-1 - span]
-        diverging[p] = sums[-1] > growth_ratio * base if base > 0 else False
-    finite = [p for p in p_grid if not diverging[p]]
-    estimate = finite[0] if finite else math.inf
-    return VariationIndexReport(estimate=estimate, diverging=diverging, table=table)
-
-
 # ---------------------------------------------------------------------------
 # Interval (Norvaisa) and uniform (Vovk) forms
 # ---------------------------------------------------------------------------
@@ -365,15 +320,15 @@ class VovkReport:
     scale: float
 
 
-def vovk_uniform_check(path, seq, config=None, n_boundary_samples=8, seed=0):
-    """Uniform-in-time comparison of the level sums, plus an exact check of
-    the two-incomplete-cell identity linking the truncated and untruncated
-    summation conventions at sampled times."""
+def vovk_uniform_check(path, seq, n_boundary_samples=8):
+    """Uniform-in-time comparison of the level sums (default convergence
+    config), plus an exact check of the two-incomplete-cell identity linking
+    the truncated and untruncated conventions at seeded sample times."""
     if not seq.nested:
         raise ValueError("the uniform form requires a nested sequence")
     if path.dim != 1:
         raise ValueError("vovk_uniform_check expects a scalar path")
-    config = config or ConvergenceConfig()
+    config = ConvergenceConfig()
     x = path.values[:, 0]
     all_idx = np.arange(path.times.size)
     per_level = []
@@ -393,7 +348,7 @@ def vovk_uniform_check(path, seq, config=None, n_boundary_samples=8, seed=0):
         len(sup_gaps) < 2 or sup_gaps[-2] <= config.tol * scale
     )
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     samples = list(rng.uniform(0.0, path.T, size=n_boundary_samples))
     samples += [float(path.times[k]) for k in
                 rng.integers(0, path.times.size, size=n_boundary_samples)]

@@ -31,7 +31,6 @@ from .partitions import refine_onto
 from .paths import stop
 from .quadvar import (
     _continuous_qv_increments,
-    _probe_times,
     _truncated_sq_sums,
     default_probe_times,
 )
@@ -139,12 +138,12 @@ def simple_ledger(strategy, path, seq, probes=None):
     return _ledger_from_holdings(path, seq, strategy.level, lam, v0, probes, gains, {})
 
 
-def strategy_from_functional(F, path, seq, n, initial_capital=None):
+def strategy_from_functional(F, path, seq, n):
     """The explicit approximating simple strategy at level n: holdings are
-    the gradient of F at the piecewise-constant summation states."""
+    the gradient of F at the piecewise-constant summation states, and the
+    initial capital is F at time 0."""
     lam = follmer_integrand(F, path, seq, n)
-    v0 = F.value(stop(path, 0.0)) if initial_capital is None else initial_capital
-    return SimpleStrategy.from_values(n, lam, v0)
+    return SimpleStrategy.from_values(n, lam, F.value(stop(path, 0.0)))
 
 
 def gain_from_vertical_form(
@@ -179,9 +178,9 @@ class SelfFinancingReport:
     passed: bool
 
 
-def self_financing_check(ledger, tol=1e-10, config=None):
-    """Verify the ledger identities and the jump condition exactly, and the
-    convergence of the per-level gains when they were retained."""
+def self_financing_check(ledger):
+    """Verify the ledger identities and the jump condition to 1e-10 of the
+    value scale, and the convergence of the per-level gains if retained."""
     path = ledger.path
     probe_idx = path.grid_indices(ledger.times)
     omega = path.values[probe_idx]
@@ -211,13 +210,13 @@ def self_financing_check(ledger, tol=1e-10, config=None):
     converged = True
     if ledger.level_gains:
         g_scale = max(1.0, float(np.max(np.abs(ledger.gain))))
-        converged, _ = assess(ledger.level_gains, g_scale, config)
+        converged, _ = assess(ledger.level_gains, g_scale)
         keys = sorted(ledger.level_gains)
         gaps = [
             float(np.max(np.abs(ledger.level_gains[b] - ledger.level_gains[a])))
             for a, b in zip(keys, keys[1:])
         ]
-    passed = max(portfolio, budget, bond_gap, jump_gap) <= tol * scale
+    passed = max(portfolio, budget, bond_gap, jump_gap) <= 1e-10 * scale
     return SelfFinancingReport(
         portfolio_identity_max=portfolio,
         budget_identity_max=budget,
@@ -321,8 +320,7 @@ def estimate_qv_density(path, seq, window=64):
 
 def hedge(
     F, payoff, density, path, seq, realized_density="estimate",
-    probes=None, levels=None, config=None, fpde_tol=1e-6,
-    smooth_window=64,
+    levels=None, config=None, fpde_tol=1e-6, smooth_window=64,
 ):
     """Delta-hedge F against the claim and compare the realized shortfall
     with the explicit second-order error integral.
@@ -333,17 +331,17 @@ def hedge(
     Densities are (d, d) matrices per cell and the error integral is the
     trace form, for every dimension d.  A large pricing-equation residual
     is flagged, not fatal: the error integral is still evaluated, its
-    interpretation is just void.
+    interpretation is just void.  The value and functional curves are read
+    at :func:`default_probe_times`, which end at T.
     """
     F.require_dim(path)
+    if seq.T != path.T:
+        raise ValueError(f"the partition horizon {seq.T} is not the path's horizon {path.T}")
     notes = []
     if np.any(path.values <= 0.0):
         notes.append("path reaches non-positive values; market semantics caveat")
 
-    probes = _probe_times(seq, path, probes)
-    if probes[-1] != path.T:
-        raise ValueError("probe times must include the horizon T")
-
+    probes = default_probe_times(seq, path)
     interior = probes[(probes > 0) & (probes < path.T)]
     sample = interior[:: max(1, interior.size // 8)] if interior.size else []
     fpde_max = 0.0
@@ -455,24 +453,19 @@ def _cross_term_sum(x, li_coarse, li_fine, it):
     return float(np.sum(per_cell))
 
 
-def plausibility_diagnostic(path, seq, t_probes=None, flat_ratio=2.0):
+def plausibility_diagnostic(path, seq):
     """Level-by-level diagnostics of the squared-increment refinement
     algebra: the exact cross-term identity, the minimal monotonicity
     corrections k_n, and the partial sums whose boundedness the
     finite-quadratic-variation hypothesis requires.
 
     The verdict looks at the tail of the k_n sequence: corrections that
-    settle at a constant size (tail spread below ``flat_ratio`` while
+    settle at a constant size (tail spread below a factor 2 while
     staying above rounding scale) signal a linearly growing correction
     series, the refinement-diverging signature."""
     if path.dim != 1:
         raise ValueError("plausibility diagnostics are scalar-path only")
-    if t_probes is None:
-        t_probes = default_probe_times(seq, path)
-    t_probes = np.asarray(t_probes, dtype=float)
-    if t_probes[-1] != path.T:
-        t_probes = np.append(t_probes, path.T)
-    probe_idx = path.grid_indices(t_probes)
+    probe_idx = path.grid_indices(default_probe_times(seq, path))
     x = path.values[:, 0]
     level_idx = [path.grid_indices(seq.level(n)) for n in range(seq.num_levels)]
     approx = [
@@ -481,7 +474,7 @@ def plausibility_diagnostic(path, seq, t_probes=None, flat_ratio=2.0):
     levels = list(range(1, seq.num_levels))
     identity_gaps = []
     k_values = []
-    neg_partial = np.zeros(t_probes.size)
+    neg_partial = np.zeros(probe_idx.size)
     neg_partial_max = []
     for n in levels:
         diff = approx[n] - approx[n - 1]
@@ -501,7 +494,7 @@ def plausibility_diagnostic(path, seq, t_probes=None, flat_ratio=2.0):
     if np.min(tail) <= floor:
         bounded = True
     else:
-        bounded = float(np.max(tail) / np.min(tail)) >= flat_ratio
+        bounded = float(np.max(tail) / np.min(tail)) >= 2.0
     return PlausibilityReport(
         levels=levels,
         identity_gaps=identity_gaps,

@@ -283,9 +283,9 @@ _WALK = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
     ("hedge", {"partition": {"type": "dyadic", "T": 1.0, "max_level": "a"}},
      "partition.max_level must be an integer >= 1, got 'a'"),
     ("hedge", {"functional": {"name": "black_scholes", "sigma": "x", "strike": 1.0}},
-     "functional.sigma must be a number, got 'x'"),
+     "functional.sigma must be a number > 0, got 'x'"),
     ("hedge", {"functional": {"name": "black_scholes", "sigma": 0.2, "strike": "x"}},
-     "functional.strike must be a number, got 'x'"),
+     "functional.strike must be a number > 0, got 'x'"),
     ("hedge", {"probe_level": "x"}, "probe_level must be an integer, got 'x'"),
     ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": 0.2}, "realized": "estimat"}},
      "hedge.realized must be \"estimate\" or a density, got 'estimat'"),
@@ -311,10 +311,10 @@ _WALK = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
     ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": 0.2},
                          "payoff": {"kind": "call", "strike": "x"}}},
      "hedge.payoff.strike must be a number, got 'x'"),
-    ("hedge", {"path": {**_WALK, "sigma": "x"}}, "path.sigma must be a number, got 'x'"),
-    ("hedge", {"path": {**_WALK, "x0": "x"}}, "path.x0 must be a number, got 'x'"),
+    ("hedge", {"path": {**_WALK, "sigma": "x"}}, "path.sigma must be a number > 0, got 'x'"),
+    ("hedge", {"path": {**_WALK, "x0": "x"}}, "path.x0 must be a number > 0, got 'x'"),
     ("hedge", {"partition": {"type": "dyadic", "T": "1", "max_level": 4}},
-     "partition.T must be a number, got '1'"),
+     "partition.T must be a number > 0, got '1'"),
     ("qv", {"path": {"kind": "smooth", "name": "sine", "amp": "x"}},
      "path.amp must be a number, got 'x'"),
     ("hedge", {"functional": {"name": "cylinder"}},
@@ -326,16 +326,28 @@ _WALK = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
     ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": 0.2}, "payoff": {"kind": "call"}}},
      "config needs a 'hedge.payoff.strike' key"),
     ("qv", {"path": {"kind": "with_jumps", "base": {**_WALK, "sigma": "x"}, "jumps": []}},
-     "path.base.sigma must be a number, got 'x'"),
+     "path.base.sigma must be a number > 0, got 'x'"),
     ("qv", {"partition": {"max_level": 4, "extra_times": ["x"]}},
      "partition.extra_times must be a list of numbers, got ['x']"),
+    ("qv", {"path": {**_WALK, "sigma": -1}}, "path.sigma must be a number > 0, got -1"),
+    ("hedge", {"functional": {"name": "black_scholes", "sigma": -0.2, "strike": 1.0}},
+     "functional.sigma must be a number > 0, got -0.2"),
+    ("hedge", {"functional": {"name": "black_scholes", "sigma": 0.2, "strike": 0}},
+     "functional.strike must be a number > 0, got 0"),
+    ("qv", {"partition": {"type": "dyadic", "T": -1, "max_level": 4}},
+     "partition.T must be a number > 0, got -1"),
+    ("qv", {"path": {**_WALK, "x0": -1}}, "path.x0 must be a number > 0, got -1"),
+    ("plausibility", {"path": {"kind": "qv_descent", "total": 0}},
+     "path.total must be a number > 0, got 0"),
 ], ids=["max_level_a", "sigma_x", "strike_x", "probe_level_x", "realized_estimat",
         "dim_0", "dim_minus_1", "qv_window_0", "qv_window_minus_2", "qv_window_x",
         "conv_tol_x", "fpde_tol_x", "density_bs_string", "realized_list",
         "smooth_window_x", "density_sigma_x", "payoff_strike_x", "path_sigma_x",
         "path_x0_x", "partition_T_string", "smooth_amp_x", "functional_cylinder",
         "density_without_kind", "path_without_kind", "call_without_strike",
-        "jumps_base_sigma_x", "extra_times_x"])
+        "jumps_base_sigma_x", "extra_times_x", "path_sigma_minus_1",
+        "functional_sigma_minus_0_2", "strike_0", "partition_T_minus_1", "path_x0_minus_1",
+        "total_0"])
 def test_config_value_of_wrong_type_is_named(tmp_path, capsys, command, extra, message):
     cfg = write_config(tmp_path, "c.json", {
         "seed": 1,
@@ -349,6 +361,51 @@ def test_config_value_of_wrong_type_is_named(tmp_path, capsys, command, extra, m
     assert main([command, "--config", cfg]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, extra, flags, key", [
+    ("qv", {"partition": {"type": "dyadic", "T": 1.0, "max_level": 4, "max_levle": 6}}, [],
+     "partition.max_levle"),
+    ("qv", {"sede": 3}, [], "sede"),
+    ("qv", {"path": {"kind": "smooth", "sigma": 0.3}}, [], "path.sigma"),
+    ("qv", {"path": {"file": "walk.csv", "kind": "geometric_walk"}}, [], "path.kind"),
+    ("qv", {"path": {"kind": "with_jumps", "base": {**_WALK, "file": "a.csv"}, "jumps": []}},
+     [], "path.base.file"),
+    ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": 0.2, "value": 0.04}}}, [],
+     "hedge.density.value"),
+    ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": 0.2}, "pathz": 2}}, [],
+     "hedge.pathz"),
+    ("integrate", {"functional": {"name": "monomial", "power": 2, "strike": 1.0}}, [],
+     "functional.strike"),
+    ("qv", {"partition": {"type": "explicit", "levels": [[0.0, 1.0], [0.0, 0.5, 1.0]]},
+            "path": {"kind": "smooth"}}, ["--level", "3"], "partition.max_level"),
+], ids=["typo", "top_level", "other_variant", "file_and_kind", "base_file", "density_value",
+        "hedge_typo", "monomial_strike", "explicit_level_flag"])
+def test_unknown_config_key_is_named(tmp_path, capsys, command, extra, flags, key):
+    cfg = write_config(tmp_path, "c.json", {
+        "seed": 1,
+        "partition": {"type": "dyadic", "T": 1.0, "max_level": 4},
+        "path": _WALK,
+        "functional": {"name": "black_scholes", "sigma": 0.2, "strike": 1.0},
+        "hedge": {"density": {"kind": "bs", "sigma": 0.2}},
+        "out": str(tmp_path / "out"),
+        **extra,
+    })
+    assert main([command, "--config", cfg, *flags]) == 2
+    assert f"config error: unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sections_of_other_commands_are_left_as_they_are(tmp_path):
+    sections = {"functional": {"name": "nonesuch"}, "integrate": {"residual_levels": "x"},
+                "hedge": {"pathz": 2}}
+    cfg = write_config(tmp_path, "c.json", {
+        "partition": {"max_level": 6}, "path": {"kind": "smooth"}, **sections,
+        "out": str(tmp_path / "out"),
+    })
+    assert main(["qv", "--config", cfg]) in (0, 1)
+    echo = json.loads((tmp_path / "out" / "qv_report.json").read_text())["config"]
+    assert {key: echo[key] for key in sections} == sections
 
 
 def test_numeric_density_is_a_constant_density(tmp_path):
@@ -563,6 +620,14 @@ def test_config_keys_table_matches_schema():
     assert sorted(documented) == sorted(SCHEMA_KEYS)
 
 
+def test_readme_quick_tour_runs(capsys):
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    tour = text.split("## Library quick tour", 1)[1]
+    exec(re.search(r"```python\n(.*?)```", tour, flags=re.S).group(1), {})
+    realized, predicted, residual = map(float, capsys.readouterr().out.split())
+    assert residual == abs(realized - predicted)
+
+
 def _constant_defaults(spec, table, prefix=""):
     """Dotted keys of the constant defaults of ``table`` that apply to the
     resolved ``spec``, following its variants and nested sections."""
@@ -620,6 +685,45 @@ def test_echo_replays_the_run(tmp_path, name):
     for path in first.iterdir():
         text = (again / path.name).read_text()
         assert text.replace(json.dumps(str(again)), json.dumps(str(first))) == path.read_text()
+
+
+class _RecordingConfig(dict):
+    """A config that records the dotted key of each read that yields a
+    value: an item read, or a ``get`` that does not return None."""
+
+    def __init__(self, mapping, reads, prefix=""):
+        super().__init__({key: _RecordingConfig(value, reads, f"{prefix}{key}.")
+                          if type(value) is dict else value for key, value in mapping.items()})
+        self.reads, self.prefix = reads, prefix
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        self.reads.add(self.prefix + key)
+        return value
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        if value is not None:
+            self.reads.add(self.prefix + key)
+        return value
+
+
+@pytest.mark.parametrize("name", list(REPLAYS))
+def test_every_read_is_echoed(tmp_path, monkeypatch, name):
+    command, minimal = REPLAYS[name]
+    reads = set()
+    resolve = cli.resolve
+    monkeypatch.setattr(cli, "resolve", lambda cfg, command: _RecordingConfig(
+        resolve(cfg, command), reads))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "c.json", {"partition": {"max_level": 8}, **minimal,
+                                             "out": str(out)})
+    assert main([command, "--config", cfg]) in (0, 1)
+    (report,) = out.glob("*.json")
+    echo = json.loads(report.read_text())["config"]
+    assert {"partition.max_level", "path.kind"} <= reads
+    # path.drain of qv_descent is a computed default, not echoed (docs/formats.md)
+    assert reads - {"path.drain"} <= set(_dotted(echo))
 
 
 # Valid configs of this module, at small levels, for the mutation test.

@@ -239,13 +239,6 @@ def test_builtin_dispatch_and_validation():
         builtin("what_is_this")
 
 
-def test_regularity_tags_validated():
-    with pytest.raises(ValueError):
-        Functional(1, lambda sp: 0.0, regularity={"smooth-ish"})
-    F = identity()
-    assert "left-continuous" in F.regularity
-
-
 # ---------------------------------------------------------------------------
 # pricing-equation residual
 # ---------------------------------------------------------------------------

@@ -18,8 +18,6 @@ from pathcalc import (
     identity,
     ito_residual_cylinder,
     ito_residual_functional,
-    left_cauchy_chain_rule,
-    left_cauchy_integral,
     monomial,
     qv_along,
     qv_matrix,
@@ -482,68 +480,3 @@ def test_ito_reports_qv_caveat():
     rep = ito_residual_functional(F, path, seq)
     assert rep.qv_converged in (True, False)
     assert rep.qv_metric > 0
-
-
-# ---------------------------------------------------------------------------
-# left Cauchy integral and chain rule
-# ---------------------------------------------------------------------------
-
-def test_left_cauchy_constant_integrand():
-    path, seq = walk(9, seed=12)
-    rep = left_cauchy_integral(lambda g: 1.0, path, seq, [(0.25, 0.75), (0.0, 1.0)])
-    x = path.values[:, 0]
-    for k, (u, v) in enumerate(rep.intervals):
-        expected = float(path.value(v)[0] - path.value(u)[0])
-        for n, s in enumerate(rep.per_level[k]):
-            assert s == pytest.approx(expected, abs=1e-12)
-
-
-def test_left_cauchy_matches_cylinder_on_full_interval():
-    seq = dyadic(1.0, 9)
-    path = generate({"kind": "smooth", "name": "sine"}, 0, seq)
-    rep = left_cauchy_integral(lambda g: 2.0 * g, path, seq, [(0.0, 1.0)])
-    assert rep.follmer_gap is not None
-    assert rep.follmer_gap < 1e-12
-
-
-def test_left_cauchy_requires_nested():
-    from pathcalc import PartitionSequence
-
-    path, _ = walk(3)
-    seq = PartitionSequence(
-        1.0, [[0.0, 0.3, 1.0], [0.0, 0.5, 1.0]], dense=False, nested=False
-    )
-    with pytest.raises(ValueError):
-        left_cauchy_integral(lambda g: g, path, seq, [(0.0, 1.0)])
-
-
-def test_chain_rule_quadratic_exact_on_smooth():
-    seq = dyadic(1.0, 9)
-    path = generate({"kind": "smooth", "name": "sine"}, 0, seq)
-    rep = left_cauchy_chain_rule(
-        lambda y: y * y, lambda y: 2.0 * y, lambda y: 2.0, path, seq, (0.25, 1.0)
-    )
-    assert rep.residual < 1e-12
-
-
-def test_chain_rule_accepts_scalar_only_callables():
-    import math
-
-    seq = dyadic(1.0, 8)
-    path = generate({"kind": "smooth", "name": "sine", "amp": 0.3}, 0, seq)
-    rep = left_cauchy_chain_rule(
-        lambda y: math.exp(y), lambda y: math.exp(y), lambda y: math.exp(y),
-        path, seq, (0.0, 1.0),
-    )
-    # exp chain rule closes to second order in the increments
-    assert rep.residual < 1e-5
-
-
-def test_chain_rule_with_interior_jump():
-    path, seq = one_jump_step(8, t=0.5, height=1.5)
-    rep = left_cauchy_chain_rule(
-        lambda y: y * y, lambda y: 2.0 * y, lambda y: 2.0, path, seq, (0.25, 0.75)
-    )
-    assert rep.residual < 1e-12
-    assert rep.left_jump_sum == pytest.approx(1.5**2, abs=1e-12)
-    assert rep.right_jump_sum == 0.0

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from pathcalc import (
     SampledPath,
-    component,
-    d_infinity,
     dyadic,
     generate,
     read_path_csv,
@@ -131,68 +129,6 @@ def test_reconstruction_value_equals_left_limit_plus_jump():
 
 
 # ---------------------------------------------------------------------------
-# d_infinity
-# ---------------------------------------------------------------------------
-
-def test_d_infinity_identical_is_zero():
-    seq = dyadic(1.0, 4)
-    path = generate({"kind": "scaled_random_walk", "sigma": 1.0}, 4, seq)
-    assert d_infinity(stop(path, 0.5), stop(path, 0.5)) == 0.0
-
-
-def test_d_infinity_same_path_two_times():
-    seq = dyadic(1.0, 4)
-    path = generate({"kind": "smooth", "f": lambda t: 1.0}, 0, seq)
-    # constant path: only the time gap contributes
-    assert d_infinity(stop(path, 0.25), stop(path, 0.75)) == 0.5
-
-
-def test_d_infinity_same_walk_two_times_brute_force():
-    seq = dyadic(1.0, 5)
-    path = generate({"kind": "scaled_random_walk", "sigma": 1.0}, 14, seq)
-    t1, t2 = 0.25, 0.75
-    a, b = stop(path, t1), stop(path, t2)
-    sup = max(
-        abs(float(path.value(min(u, t1))[0]) - float(path.value(min(u, t2))[0]))
-        for u in path.times
-    )
-    assert d_infinity(a, b) == pytest.approx(sup + (t2 - t1), abs=1e-14)
-
-
-def test_d_infinity_constant_gap():
-    seq = dyadic(1.0, 3)
-    zero = generate({"kind": "smooth", "scale": 0.0, "name": "linear"}, 0, seq)
-    c = generate({"kind": "smooth", "f": lambda t: -2.0}, 0, seq)
-    assert d_infinity(stop(zero, 0.0), stop(c, 0.0)) == 2.0
-
-
-def test_d_infinity_dimension_mismatch():
-    seq = dyadic(1.0, 2)
-    a = generate({"kind": "smooth", "name": "linear"}, 0, seq)
-    b = generate({"kind": "scaled_random_walk", "sigma": 1.0, "dim": 2}, 0, seq)
-    with pytest.raises(ValueError):
-        d_infinity(stop(a, 0.5), stop(b, 0.5))
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    seeds=st.tuples(st.integers(0, 2**20), st.integers(0, 2**20), st.integers(0, 2**20)),
-    times=st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
-                    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
-                    st.sampled_from([0.0, 0.25, 0.5, 1.0])),
-)
-def test_d_infinity_metric_properties(seeds, times):
-    seq = dyadic(1.0, 4)
-    stopped = [
-        stop(generate({"kind": "scaled_random_walk", "sigma": 1.0}, s, seq), t)
-        for s, t in zip(seeds, times)
-    ]
-    a, b, c = stopped
-    assert d_infinity(a, b) == pytest.approx(d_infinity(b, a), abs=1e-14)
-    assert d_infinity(a, c) <= d_infinity(a, b) + d_infinity(b, c) + 1e-12
-
-
-# ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
 
@@ -301,10 +237,8 @@ def test_component_and_stack_roundtrip():
                   "jumps": [[0.5, [1.0]]]}, 2, seq)
     both = stack([a, b])
     assert both.dim == 2
-    assert np.array_equal(component(both, 0).values, a.values)
-    assert np.array_equal(component(both, 1).values, b.values)
-    assert component(both, 1).jump_times == (0.5,)
-    assert component(both, 0).jump_times == ()
+    assert np.array_equal(both.values, np.hstack([a.values, b.values]))
+    assert [(t, d.tolist()) for t, d in both.jumps] == [(0.5, [0.0, 1.0])]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pathcalc import (
     PartitionSequence,
     SampledPath,
-    component,
     dyadic,
     follmer_integral_functional,
     generate,
@@ -19,10 +18,16 @@ from pathcalc import (
     qv_matrix,
     refine_with,
     stack,
-    variation_index_estimate,
     vovk_uniform_check,
 )
 from pathcalc.quadvar import _cell_index, _interval_grid
+
+
+def component(path, i):
+    """Scalar path of coordinate ``i``, with the jumps that move it: the
+    per-coordinate reference route of the matrix QV."""
+    jumps = [(t, d[i]) for t, d in path.jumps if d[i] != 0.0]
+    return SampledPath(path.times, path.values[:, i], jumps)
 
 
 def seeded_walk(level, seed=7, sigma=1.0):
@@ -339,31 +344,6 @@ def test_p_variation_rejects_bad_input():
     big = SampledPath(np.linspace(0, 1, 5000), np.zeros(5000))
     with pytest.raises(ValueError):
         p_variation(big, 2.0)
-
-
-def test_variation_index_three_regimes():
-    grid = [1.0, 1.5, 2.0, 2.5, 3.0]
-    seq = dyadic(1.0, 12)
-    smooth = generate({"kind": "smooth", "name": "quadratic"}, 0, seq)
-    assert variation_index_estimate(smooth, grid, seq).estimate == 1.0
-    walk = generate({"kind": "scaled_random_walk", "sigma": 1.0}, 7, seq)
-    assert variation_index_estimate(walk, grid, seq).estimate == 2.0
-    step = generate(
-        {"kind": "with_jumps",
-         "base": {"kind": "smooth", "name": "linear", "scale": 0.0},
-         "jumps": [[0.5, [1.0]]]},
-        0, seq,
-    )
-    assert variation_index_estimate(step, grid, seq).estimate == 1.0
-    assert variation_index_estimate(step, grid, seq).caveat
-
-
-def test_variation_index_checks_grid():
-    path, seq = seeded_walk(5)
-    with pytest.raises(ValueError):
-        variation_index_estimate(path, [], seq)
-    with pytest.raises(ValueError):
-        variation_index_estimate(path, [2.0, 1.0], seq)
 
 
 # ---------------------------------------------------------------------------

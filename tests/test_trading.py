@@ -431,6 +431,14 @@ def test_hedge_warns_on_nonpositive_paths():
     assert any("non-positive" in w for w in rep.warnings)
 
 
+def test_hedge_rejects_a_partition_on_another_horizon():
+    # every level of dyadic(1, 7) lies on the grid of a path on [0, 2]
+    path = generate({"kind": "geometric_walk", "sigma": 0.3}, 1, dyadic(2.0, 8))
+    with pytest.raises(ValueError, match="partition horizon 1.0 is not the path's horizon 2.0"):
+        hedge(black_scholes(0.2, 1.0), call_payoff(1.0), diffusion_density(0.2), path,
+              dyadic(1.0, 7))
+
+
 def test_hedge_two_coordinates_product_functional_exact():
     # f(x, y) = x y has zero drift and constant cross hessian, so with the
     # raw per-cell realized density the error integral reproduces the

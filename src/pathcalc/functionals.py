@@ -4,9 +4,9 @@ A functional evaluates stopped paths.  Derivatives come in two flavours:
 analytic closures attached at construction time, or finite differences built
 on vertical perturbations (central, second order) and on the frozen
 horizontal extension (forward one-sided, matching the one-sided limit that
-defines the time derivative).  Built-ins additionally carry ``pointwise_*``
-fast paths - vectorized functions of (t, omega(t)) - that the integration
-routines use when the derivative provably depends on the current value only.
+defines the time derivative).  Built-ins additionally carry a pointwise
+evaluator - vectorized value, gradient and Hessian of (t, omega(t)) - that
+the integration and hedging routines use when F depends on omega(t) only.
 The paper's hypotheses on F (continuity, boundedness-preserving) are the
 caller's to meet: nothing here declares or checks them.
 """
@@ -29,29 +29,18 @@ def default_horizontal_step(sp):
 
 
 class Functional:
-    def __init__(
-        self,
-        dim,
-        eval_fn,
-        grad=None,
-        hess=None,
-        horiz=None,
-        name="functional",
-        pointwise_value=None,
-        pointwise_grad=None,
-        pointwise_hess=None,
-    ):
+    def __init__(self, dim, eval_fn, grad=None, hess=None, horiz=None, name="functional",
+                 pointwise=None):
         self.dim = int(dim)
         self._eval = eval_fn
         self._grad = grad
         self._hess = hess
         self._horiz = horiz
         self.name = name
-        # Optional vectorized evaluators with signature (t, s, T) -> array,
-        # valid only when the quantity depends on the path through (t, omega(t)).
-        self.pointwise_value = pointwise_value
-        self.pointwise_grad = pointwise_grad
-        self.pointwise_hess = pointwise_hess
+        # Optional (t, s, T, want) -> tuple: per name in ``want`` ("value", "grad",
+        # "hess") an (n,), (n, d) or (n, d, d) array at the n points, or None if
+        # F has no pointwise form of it; valid when F depends on omega(t) only.
+        self.pointwise = pointwise
 
     def require_dim(self, path):
         if path.dim != self.dim:
@@ -68,8 +57,7 @@ class Functional:
 
     def hessian(self, sp):
         if self._hess is not None:
-            h = np.asarray(self._hess(sp), dtype=float).reshape(self.dim, self.dim)
-            return h
+            return np.asarray(self._hess(sp), dtype=float).reshape(self.dim, self.dim)
         return vertical_hessian_fd(self, sp)
 
     def horizontal(self, sp):
@@ -204,38 +192,39 @@ def _bs_d1_vec(s, strike, sigma, tau):
     return s, live, safe_s, v, d1
 
 
-def _bs_price_vec(s, strike, sigma, tau, kind):
+def _bs_vec(s, strike, sigma, tau, kind, want):
+    """Price (n,), delta (n, 1) and gamma (n, 1, 1), those named in ``want``
+    in that order, from one d1 and one ``ndtr(d1)``.  Dead points (tau <= 0
+    or s <= 0) take the payoff, its slope (half at the strike) and 0."""
     s, live, safe_s, v, d1 = _bs_d1_vec(s, strike, sigma, tau)
-    d2 = d1 - v
-    if kind == "call":
-        val = safe_s * ndtr(d1) - strike * ndtr(d2)
-        dead = np.maximum(s - strike, 0.0)
-    else:
-        val = strike * ndtr(-d2) - safe_s * ndtr(-d1)
-        dead = np.maximum(strike - s, 0.0)
-    return np.where(live, val, dead)
-
-
-def _bs_delta_vec(s, strike, sigma, tau, kind):
-    s, live, safe_s, v, d1 = _bs_d1_vec(s, strike, sigma, tau)
-    if kind == "call":
-        val = ndtr(d1)
-        dead = np.where(s > strike, 1.0, np.where(s == strike, 0.5, 0.0))
-    else:
-        val = ndtr(d1) - 1.0
-        dead = np.where(s < strike, -1.0, np.where(s == strike, -0.5, 0.0))
-    return np.where(live, val, dead)
-
-
-def _bs_gamma_vec(s, strike, sigma, tau):
-    s, live, safe_s, v, d1 = _bs_d1_vec(s, strike, sigma, tau)
-    pdf = np.exp(-0.5 * d1 * d1) * _INV_SQRT_2PI
-    return np.where(live, pdf / (safe_s * v), 0.0)
+    call = kind == "call"
+    n1 = ndtr(d1) if "grad" in want or (call and "value" in want) else None
+    out = {}
+    if "value" in want:
+        d2 = d1 - v
+        if call:
+            val, dead = safe_s * n1 - strike * ndtr(d2), np.maximum(s - strike, 0.0)
+        else:
+            val, dead = strike * ndtr(-d2) - safe_s * ndtr(-d1), np.maximum(strike - s, 0.0)
+        out["value"] = np.where(live, val, dead)
+    if "grad" in want:  # a put's delta is the call's less 1, also at dead points
+        delta = np.where(live, n1, np.where(s > strike, 1.0, np.where(s == strike, 0.5, 0.0)))
+        out["grad"] = (delta if call else delta - 1.0)[:, None]
+    if "hess" in want:
+        pdf = np.exp(-0.5 * d1 * d1) * _INV_SQRT_2PI
+        out["hess"] = np.where(live, pdf / (safe_s * v), 0.0)[:, None, None]
+    return tuple(out[q] for q in want)
 
 
 # ---------------------------------------------------------------------------
 # Built-in functionals
 # ---------------------------------------------------------------------------
+
+
+def _evaluator(**parts):
+    """A pointwise evaluator from one (t, s, T) -> array callable per name;
+    a name without one, or with None, answers None."""
+    return lambda t, s, T, want: tuple(parts[q](t, s, T) if parts.get(q) else None for q in want)
 
 
 def identity(index=0, dim=1):
@@ -253,37 +242,38 @@ def identity(index=0, dim=1):
         hess=lambda sp: zero,
         horiz=lambda sp: 0.0,
         name=f"identity_{index + 1}",
-        pointwise_value=lambda t, s, T: s[:, index],
-        pointwise_grad=lambda t, s, T: np.broadcast_to(e, (t.size, dim)),
-        pointwise_hess=lambda t, s, T: np.zeros((t.size, dim, dim)),
+        pointwise=_evaluator(
+            value=lambda t, s, T: s[:, index],
+            grad=lambda t, s, T: np.broadcast_to(e, (t.size, dim)),
+            hess=lambda t, s, T: np.zeros((t.size, dim, dim)),
+        ),
     )
 
 
 def cylinder(f, f_prime=None, f_second=None, dim=1, vectorized=False, name="cylinder"):
     """F(t, omega) = f(omega(t)); scalar argument when dim == 1.
 
-    ``vectorized=True`` declares that f_prime / f_second accept numpy arrays
-    elementwise, enabling the batched integration fast path.
+    ``vectorized=True`` declares that f, f_prime and f_second accept numpy
+    arrays elementwise, which gives a scalar F a pointwise evaluator.
     """
 
     def current_arg(sp):
         return sp.current[0] if dim == 1 else sp.current
 
-    F = Functional(
+    pointwise = _evaluator(
+        value=lambda t, s, T: np.asarray(f(s[:, 0])),
+        grad=(lambda t, s, T: np.asarray(f_prime(s[:, 0]))[:, None]) if f_prime else None,
+        hess=(lambda t, s, T: np.asarray(f_second(s[:, 0]))[:, None, None]) if f_second else None,
+    )
+    return Functional(
         dim,
         lambda sp: f(current_arg(sp)),
         grad=(lambda sp: f_prime(current_arg(sp))) if f_prime else None,
         hess=(lambda sp: f_second(current_arg(sp))) if f_second else None,
         horiz=lambda sp: 0.0,
         name=name,
+        pointwise=pointwise if vectorized and dim == 1 else None,
     )
-    if vectorized and dim == 1:
-        if f_prime is not None:
-            F.pointwise_grad = lambda t, s, T: np.asarray(f_prime(s[:, 0]))[:, None]
-        if f_second is not None:
-            F.pointwise_hess = lambda t, s, T: np.asarray(f_second(s[:, 0]))[:, None, None]
-        F.pointwise_value = lambda t, s, T: np.asarray(f(s[:, 0]))
-    return F
 
 
 def monomial(power, coeff=1.0):
@@ -337,8 +327,10 @@ def asian_forward():
         hess=lambda sp: np.zeros((1, 1)),
         horiz=lambda sp: 0.0,
         name="asian_forward",
-        pointwise_grad=lambda t, s, T: (T - t)[:, None],
-        pointwise_hess=lambda t, s, T: np.zeros((t.size, 1, 1)),
+        pointwise=_evaluator(
+            grad=lambda t, s, T: (T - t)[:, None],
+            hess=lambda t, s, T: np.zeros((t.size, 1, 1)),
+        ),
     )
 
 
@@ -368,11 +360,7 @@ def black_scholes(sigma, strike, kind="call"):
         ),
         horiz=lambda sp: bs_theta(float(sp.current[0]), strike, sigma, sp.T - sp.time),
         name=f"black_scholes_{kind}",
-        pointwise_value=lambda t, s, T: _bs_price_vec(s[:, 0], strike, sigma, T - t, kind),
-        pointwise_grad=lambda t, s, T: _bs_delta_vec(s[:, 0], strike, sigma, T - t, kind)[:, None],
-        pointwise_hess=lambda t, s, T: _bs_gamma_vec(s[:, 0], strike, sigma, T - t)[
-            :, None, None
-        ],
+        pointwise=lambda t, s, T, want: _bs_vec(s[:, 0], strike, sigma, T - t, kind, want),
     )
 
 

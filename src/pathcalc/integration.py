@@ -51,9 +51,10 @@ def follmer_integrand(F, path, seq, n):
     level = seq.level(n)
     li = path.grid_indices(level)
     m = level.size - 1
-    if F.pointwise_grad is not None:
-        g = np.asarray(F.pointwise_grad(level[:-1], path.values[li[:-1]], path.T), dtype=float)
-        return g.reshape(m, path.dim)
+    (g,) = (None,) if F.pointwise is None else F.pointwise(
+        level[:-1], path.values[li[:-1]], path.T, ("grad",))
+    if g is not None:
+        return np.asarray(g, dtype=float).reshape(m, path.dim)
     xn = stepwise_approximation(path, seq, n)
     g = np.empty((m, path.dim))
     for i in range(m):
@@ -103,15 +104,16 @@ def _make_report(path, seq, probes, levels, integrand_at, kind, config):
     )
 
 
-def _gradient_rows(F, path):
+def _gradient_rows(F, path, g=None):
     """The level-n gradient rows ``rows(seq, n, li)`` of F: a pointwise gradient
     is evaluated once, at every grid time before T, and each level reads the
-    rows of its cell starts; otherwise they come from :func:`follmer_integrand`."""
-    if F.pointwise_grad is None:
+    rows of its cell starts; otherwise they come from :func:`follmer_integrand`.
+    ``g``: that pointwise gradient, when the caller has evaluated it already."""
+    if g is None and F.pointwise is not None:
+        (g,) = F.pointwise(path.times[:-1], path.values[:-1], path.T, ("grad",))
+    if g is None:
         return lambda seq, n, li: follmer_integrand(F, path, seq, n)
-    g = np.asarray(
-        F.pointwise_grad(path.times[:-1], path.values[:-1], path.T), dtype=float
-    ).reshape(path.times.size - 1, path.dim)
+    g = np.asarray(g, dtype=float).reshape(path.times.size - 1, path.dim)
     return lambda seq, n, li: g[li[:-1]]
 
 

@@ -93,6 +93,11 @@ def _probe_times(seq, path, probes):
     return probes
 
 
+def _check_horizon(seq, path):
+    if seq.T != path.T:
+        raise ValueError(f"the partition horizon {seq.T} is not the path's horizon {path.T}")
+
+
 def _level_sums(path, seq, probes, levels, level_sum):
     """The one driver of the per-level partition sums read at probe times.
 
@@ -101,6 +106,7 @@ def _level_sums(path, seq, probes, levels, level_sum):
     grid once, and returns ``(seq, refined, probes, sums)`` with
     ``sums[n] = level_sum(seq, n, li, probe_idx)`` on the refined ``seq``.
     """
+    _check_horizon(seq, path)
     seq, refined = refine_onto(seq, path.jump_times)
     probes = _probe_times(seq, path, probes)
     probe_idx = path.grid_indices(probes)

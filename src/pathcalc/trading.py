@@ -22,6 +22,8 @@ import numpy as np
 from .convergence import assess
 from .functionals import density_matrix, fpde_residual
 from .integration import (
+    _gradient_rows,
+    _make_report,
     _qv_flags,
     _truncated_dot_sums,
     follmer_integral_functional,
@@ -30,6 +32,7 @@ from .integration import (
 from .partitions import refine_onto
 from .paths import stop
 from .quadvar import (
+    _check_horizon,
     _continuous_qv_increments,
     _truncated_sq_sums,
     default_probe_times,
@@ -335,8 +338,6 @@ def hedge(
     at :func:`default_probe_times`, which end at T.
     """
     F.require_dim(path)
-    if seq.T != path.T:
-        raise ValueError(f"the partition horizon {seq.T} is not the path's horizon {path.T}")
     notes = []
     if np.any(path.values <= 0.0):
         notes.append("path reaches non-positive values; market semantics caveat")
@@ -372,27 +373,27 @@ def hedge(
         if estimate_requested
         else _density_cells(realized_density, ts, rows)
     )
-    if F.pointwise_hess is not None:
-        hess = np.asarray(F.pointwise_hess(ts, rows, path.T))
-    else:
-        hess = np.array([F.hessian(stop(path, float(t))) for t in ts])
+    # One pointwise evaluation on the whole grid serves the error integral, the
+    # gains and the track error; what it lacks is read off stopped paths.
+    value, grad, hess = (None,) * 3 if F.pointwise is None else F.pointwise(
+        path.times, path.values, path.T, ("value", "grad", "hess"))
+    hess = (np.array([F.hessian(stop(path, float(t))) for t in ts]) if hess is None
+            else np.asarray(hess)[li[:-1]])
     traces = np.einsum("kij,kji->k", a_cells - tilde_cells, hess)
     predicted = 0.5 * float(traces @ dt)
 
     if levels is None:
         levels = sorted({max(seq.top - 1, 0), seq.top})
     # The gains at every grid time, summed once per level.  The track error
-    # is taken at every grid time when F has a pointwise value, else at the
-    # probes, where F is read off stopped paths.
-    gain = follmer_integral_functional(
-        F, path, seq, probes=path.times, levels=levels, config=config
-    )
+    # is taken at every grid time when F has a pointwise value, else at the probes.
+    rows_at = _gradient_rows(F, path, None if grad is None else grad[:-1])
+    gain = _make_report(path, seq, path.times, levels, rows_at, "functional-gradient", config)
     f0 = F.value(stop(path, 0.0))
     realized = f0 + float(gain.limit[-1]) - float(payoff(path))
 
     probe_idx = path.grid_indices(probes)
-    if F.pointwise_value is not None:
-        f_track = np.asarray(F.pointwise_value(path.times, path.values, path.T), dtype=float)
+    if value is not None:
+        f_track = np.asarray(value, dtype=float)
         f_curve = f_track[probe_idx]
         track_idx = slice(None)
     else:
@@ -465,6 +466,7 @@ def plausibility_diagnostic(path, seq):
     series, the refinement-diverging signature."""
     if path.dim != 1:
         raise ValueError("plausibility diagnostics are scalar-path only")
+    _check_horizon(seq, path)
     probe_idx = path.grid_indices(default_probe_times(seq, path))
     x = path.values[:, 0]
     level_idx = [path.grid_indices(seq.level(n)) for n in range(seq.num_levels)]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from pathcalc import (
@@ -194,14 +195,105 @@ def test_black_scholes_vectorized_matches_scalar():
     F = black_scholes(0.2, 1.0)
     ts = np.array([0.0, 0.25, 0.5, 0.9, 1.0])
     ss = np.array([0.8, 1.0, 1.3, 1.05, 0.7])
-    vals = F.pointwise_value(ts, ss[:, None], 1.0)
-    deltas = F.pointwise_grad(ts, ss[:, None], 1.0)[:, 0]
-    gammas = F.pointwise_hess(ts, ss[:, None], 1.0)[:, 0, 0]
+    vals, deltas, gammas = F.pointwise(ts, ss[:, None], 1.0, ("value", "grad", "hess"))
+    deltas, gammas = deltas[:, 0], gammas[:, 0, 0]
     for k in range(ts.size):
         tau = 1.0 - ts[k]
         assert vals[k] == pytest.approx(bs_price(ss[k], 1.0, 0.2, tau), abs=1e-14)
         assert deltas[k] == pytest.approx(bs_delta(ss[k], 1.0, 0.2, tau), abs=1e-14)
         assert gammas[k] == pytest.approx(bs_gamma(ss[k], 1.0, 0.2, tau), abs=1e-14)
+
+
+# Reference route of the Black-Scholes evaluator: one kernel per quantity,
+# each working out its own d1 and ndtr values.
+
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _ref_d1(s, strike, sigma, tau):
+    s = np.asarray(s, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    live = (tau > 0.0) & (s > 0.0)
+    safe_s = np.where(live, s, 1.0)
+    safe_tau = np.where(live, tau, 1.0)
+    v = sigma * np.sqrt(safe_tau)
+    d1 = (np.log(safe_s / strike) + 0.5 * v * v) / v
+    return s, live, safe_s, v, d1
+
+
+def _bs_price_vec(s, strike, sigma, tau, kind):
+    s, live, safe_s, v, d1 = _ref_d1(s, strike, sigma, tau)
+    d2 = d1 - v
+    if kind == "call":
+        val = safe_s * ndtr(d1) - strike * ndtr(d2)
+        dead = np.maximum(s - strike, 0.0)
+    else:
+        val = strike * ndtr(-d2) - safe_s * ndtr(-d1)
+        dead = np.maximum(strike - s, 0.0)
+    return np.where(live, val, dead)
+
+
+def _bs_delta_vec(s, strike, sigma, tau, kind):
+    s, live, safe_s, v, d1 = _ref_d1(s, strike, sigma, tau)
+    if kind == "call":
+        val = ndtr(d1)
+        dead = np.where(s > strike, 1.0, np.where(s == strike, 0.5, 0.0))
+    else:
+        val = ndtr(d1) - 1.0
+        dead = np.where(s < strike, -1.0, np.where(s == strike, -0.5, 0.0))
+    return np.where(live, val, dead)
+
+
+def _bs_gamma_vec(s, strike, sigma, tau):
+    s, live, safe_s, v, d1 = _ref_d1(s, strike, sigma, tau)
+    pdf = np.exp(-0.5 * d1 * d1) * _INV_SQRT_2PI
+    return np.where(live, pdf / (safe_s * v), 0.0)
+
+
+# (t, s) of the first point: live, at the horizon (tau == 0), at s == 0,
+# below zero, at the strike before T (live) and at the strike at T
+FIRST_POINTS = [(0.3, 1.1), (1.0, 1.1), (0.3, 0.0), (0.3, -0.5), (0.3, 1.2), (1.0, 1.2)]
+
+
+@pytest.mark.parametrize("kind", ["call", "put"])
+@pytest.mark.parametrize("size", [1, 2, 16_385])
+@pytest.mark.parametrize("first", FIRST_POINTS)
+def test_black_scholes_evaluator_bit_equal_per_quantity_reference(kind, size, first):
+    sigma, strike, T = 0.25, 1.2, 1.0
+    rng = np.random.default_rng(size)
+    t = np.sort(rng.uniform(0.0, T, size))
+    s = 1.2 * np.exp(0.3 * rng.standard_normal(size))
+    if size > 2:  # dead points throughout: at T, at and below zero, at the strike
+        t[-1] = T
+        s[1::97], s[2::89], s[3::83] = 0.0, -0.1, strike
+        t[4::71] = T
+        s[4::142] = strike
+    t[0], s[0] = first
+    F = black_scholes(sigma, strike, kind)
+    ref = {
+        "value": _bs_price_vec(s, strike, sigma, T - t, kind),
+        "grad": _bs_delta_vec(s, strike, sigma, T - t, kind)[:, None],
+        "hess": _bs_gamma_vec(s, strike, sigma, T - t)[:, None, None],
+    }
+    for want in [("value", "grad", "hess"), ("grad",), ("hess",), ("value",),
+                 ("hess", "value")]:
+        got = F.pointwise(t, s[:, None], T, want)
+        assert len(got) == len(want)
+        for q, arr in zip(want, got):
+            assert arr.shape == ref[q].shape
+            assert np.array_equal(arr, ref[q]), (q, want)
+
+
+def test_evaluator_answers_none_where_there_is_no_pointwise_form():
+    t, s = np.array([0.0, 0.5]), np.array([[1.0], [2.0]])
+    value, grad, hess = asian_forward().pointwise(t, s, 1.0, ("value", "grad", "hess"))
+    assert value is None
+    assert np.array_equal(grad, [[1.0], [0.5]]) and np.array_equal(hess, np.zeros((2, 1, 1)))
+    no_second = cylinder(np.sin, np.cos, vectorized=True)
+    value, grad, hess = no_second.pointwise(t, s, 1.0, ("value", "grad", "hess"))
+    assert hess is None
+    assert np.array_equal(value, np.sin(s[:, 0])) and np.array_equal(grad, np.cos(s))
+    assert cylinder(np.sin, np.cos, lambda x: -np.sin(x)).pointwise is None
 
 
 def test_asian_forward_at_horizon_is_integral():
@@ -223,7 +315,7 @@ def test_monomial_matches_cylinder_closed_forms():
     assert F.value(sp) == 2.0 * 1.5**3
     assert F.gradient(sp)[0] == 6.0 * 1.5**2
     assert F.hessian(sp)[0, 0] == 12.0 * 1.5
-    assert F.pointwise_grad is not None
+    assert F.pointwise(np.array([0.5]), np.array([[1.5]]), 1.0, ("grad",))[0] is not None
 
 
 def test_builtin_dispatch_and_validation():

@@ -133,7 +133,7 @@ def test_fast_and_loop_integrands_agree():
     path = generate({"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}, 3, seq)
     F = black_scholes(0.2, 1.0)
     fast = follmer_integrand(F, path, seq, 6)
-    F.pointwise_grad = None  # force the generic state-by-state route
+    F.pointwise = None  # force the generic state-by-state route
     slow = follmer_integrand(F, path, seq, 6)
     assert np.max(np.abs(fast - slow)) < 1e-12
 
@@ -332,8 +332,8 @@ POINTWISE_GRAD_FUNCTIONALS = [
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_single_gradient_evaluation_equals_per_level_integrands(F, data):
-    assert F.pointwise_grad is not None
     path, seq, levels = data.draw(ito_paths(F.dim))
+    assert F.pointwise(path.times, path.values, path.T, ("grad",))[0] is not None
     if data.draw(st.booleans()):
         levels = None  # every level
     rep = follmer_integral_functional(F, path, seq, levels=levels)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,21 @@ from pathcalc import (
     black_scholes,
     call_payoff,
     constant_density,
+    cylinder,
     diffusion_density,
     dyadic,
+    follmer_integral_cylinder,
     follmer_integral_functional,
     generate,
     hedge,
     identity,
     integral_payoff,
+    ito_residual_cylinder,
+    ito_residual_functional,
     last_index_before,
     plausibility_diagnostic,
+    qv_along,
+    qv_matrix,
     self_financing_check,
     simple_ledger,
     stack,
@@ -437,6 +445,46 @@ def test_hedge_rejects_a_partition_on_another_horizon():
     with pytest.raises(ValueError, match="partition horizon 1.0 is not the path's horizon 2.0"):
         hedge(black_scholes(0.2, 1.0), call_payoff(1.0), diffusion_density(0.2), path,
               dyadic(1.0, 7))
+
+
+def test_hedge_evaluates_the_functional_once_per_path():
+    path, seq = geometric(10, seed=11)
+    F = black_scholes(0.2, 1.0)
+    evaluate, calls = F.pointwise, []
+    F.pointwise = lambda t, s, T, want: calls.append(want) or evaluate(t, s, T, want)
+    once = hedge(F, call_payoff(1.0), diffusion_density(0.2), path, seq)
+    assert calls == [("value", "grad", "hess")]
+    # the same quantities asked for one at a time give the same report
+    split = black_scholes(0.2, 1.0)
+    split.pointwise = lambda t, s, T, want: tuple(evaluate(t, s, T, (q,))[0] for q in want)
+    ref = hedge(split, call_payoff(1.0), diffusion_density(0.2), path, seq)
+    for f in fields(once):
+        a, b = getattr(once, f.name), getattr(ref, f.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+
+
+SHORT_HORIZON_ENTRY_POINTS = {
+    "qv_along": lambda path, seq: qv_along(path, seq),
+    "qv_matrix": lambda path, seq: qv_matrix(stack([path, path]), seq),
+    "follmer_integral_functional": lambda path, seq: follmer_integral_functional(
+        identity(), path, seq),
+    "follmer_integral_cylinder": lambda path, seq: follmer_integral_cylinder(
+        np.cos, path, seq),
+    "ito_residual_functional": lambda path, seq: ito_residual_functional(
+        cylinder(np.sin, np.cos, lambda x: -np.sin(x)), path, seq),
+    "ito_residual_cylinder": lambda path, seq: ito_residual_cylinder(
+        np.sin, np.cos, lambda x: -np.sin(x), path, seq),
+    "plausibility_diagnostic": lambda path, seq: plausibility_diagnostic(path, seq),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SHORT_HORIZON_ENTRY_POINTS))
+def test_partition_on_another_horizon_is_rejected(entry):
+    # every level of dyadic(1, 7) lies on the grid of a path on [0, 2], so
+    # without the check each report would cover [0, 1] only
+    path = generate({"kind": "scaled_random_walk", "sigma": 1.0}, 3, dyadic(2.0, 8))
+    with pytest.raises(ValueError, match="partition horizon 1.0 is not the path's horizon 2.0"):
+        SHORT_HORIZON_ENTRY_POINTS[entry](path, dyadic(1.0, 7))
 
 
 def test_hedge_two_coordinates_product_functional_exact():

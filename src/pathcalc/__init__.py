@@ -24,7 +24,6 @@ from .functionals import (
     vertical_hessian_fd,
 )
 from .integration import (
-    follmer_integral_cylinder,
     follmer_integral_functional,
     ito_residual_cylinder,
     ito_residual_functional,

@@ -5,7 +5,7 @@ analytic closures attached at construction time, or finite differences built
 on vertical perturbations (central, second order) and on the frozen
 horizontal extension (forward one-sided, matching the one-sided limit that
 defines the time derivative).  Built-ins additionally carry a pointwise
-evaluator - vectorized value, gradient and Hessian of (t, omega(t)) - that
+evaluator - value, gradient and Hessian of (t, omega(t)) - that
 the integration and hedging routines use when F depends on omega(t) only.
 The paper's hypotheses on F (continuity, boundedness-preserving) are the
 caller's to meet: nothing here declares or checks them.
@@ -250,21 +250,29 @@ def identity(index=0, dim=1):
     )
 
 
-def cylinder(f, f_prime=None, f_second=None, dim=1, vectorized=False, name="cylinder"):
-    """F(t, omega) = f(omega(t)); scalar argument when dim == 1.
+def _elementwise(fn, *arrays):
+    """``fn`` applied to equal-length 1-d arrays element by element: one call
+    on the whole arrays, kept when it gives one value per element, else one
+    call per element.  The only place a user function meets a grid."""
+    try:
+        out = np.asarray(fn(*arrays), dtype=float)
+        if out.shape == arrays[0].shape:
+            return out
+    except Exception:
+        pass
+    return np.array([np.asarray(fn(*args), dtype=float).item() for args in zip(*arrays)])
 
-    ``vectorized=True`` declares that f, f_prime and f_second accept numpy
-    arrays elementwise, which gives a scalar F a pointwise evaluator.
-    """
+
+def cylinder(f, f_prime=None, f_second=None, dim=1, name="cylinder"):
+    """F(t, omega) = f(omega(t)); scalar argument when dim == 1, where f,
+    f_prime and f_second also give F a pointwise evaluator."""
 
     def current_arg(sp):
         return sp.current[0] if dim == 1 else sp.current
 
-    pointwise = _evaluator(
-        value=lambda t, s, T: np.asarray(f(s[:, 0])),
-        grad=(lambda t, s, T: np.asarray(f_prime(s[:, 0]))[:, None]) if f_prime else None,
-        hess=(lambda t, s, T: np.asarray(f_second(s[:, 0]))[:, None, None]) if f_second else None,
-    )
+    def on_grid(fn, shape):
+        return (lambda t, s, T: _elementwise(fn, s[:, 0]).reshape(shape)) if fn else None
+
     return Functional(
         dim,
         lambda sp: f(current_arg(sp)),
@@ -272,7 +280,8 @@ def cylinder(f, f_prime=None, f_second=None, dim=1, vectorized=False, name="cyli
         hess=(lambda sp: f_second(current_arg(sp))) if f_second else None,
         horiz=lambda sp: 0.0,
         name=name,
-        pointwise=pointwise if vectorized and dim == 1 else None,
+        pointwise=_evaluator(value=on_grid(f, (-1,)), grad=on_grid(f_prime, (-1, 1)),
+                             hess=on_grid(f_second, (-1, 1, 1))) if dim == 1 else None,
     )
 
 
@@ -291,7 +300,7 @@ def monomial(power, coeff=1.0):
     def f_second(x):
         return coeff * p * (p - 1) * x ** (p - 2) if p >= 2 else 0.0 * x
 
-    return cylinder(f, f_prime, f_second, vectorized=True, name=f"monomial_{p}")
+    return cylinder(f, f_prime, f_second, name=f"monomial_{p}")
 
 
 def running_integral():
@@ -415,15 +424,11 @@ def density_matrix(A, t, x, dim):
 def diffusion_density(sigma):
     """a(t, s) = sigma^2 s^2, the density matched by the functional built by
     ``black_scholes(sigma, ...)``.  Accepts scalars or arrays."""
-    fn = lambda t, s: (sigma * sigma) * np.square(s)
-    fn.vectorized = True
-    return fn
+    return lambda t, s: (sigma * sigma) * np.square(s)
 
 
 def constant_density(value):
-    fn = lambda t, s: value + 0.0 * np.asarray(s)
-    fn.vectorized = True
-    return fn
+    return lambda t, s: value + 0.0 * np.asarray(s)
 
 
 def density_from_descriptor(desc):

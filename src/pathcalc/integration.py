@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convergence import ConvergenceConfig, assess
+from .functionals import cylinder
 from .partitions import refine_onto
 from .paths import StoppedPath, stepwise_approximation, stop
 from .quadvar import (
@@ -47,14 +48,11 @@ def _truncated_dot_sums(x, li, g, probe_idx):
 def follmer_integrand(F, path, seq, n):
     """Gradient rows of F at the level-n summation states: the frozen left
     limit perturbed by the jump at each grid time t_i, so that the current
-    value is x(t_i) (the composite argument of the cadlag summation)."""
+    value is x(t_i) (the composite argument of the cadlag summation).  The
+    stopped-path route of :func:`_gradient_rows`, and its reference."""
     level = seq.level(n)
     li = path.grid_indices(level)
     m = level.size - 1
-    (g,) = (None,) if F.pointwise is None else F.pointwise(
-        level[:-1], path.values[li[:-1]], path.T, ("grad",))
-    if g is not None:
-        return np.asarray(g, dtype=float).reshape(m, path.dim)
     xn = stepwise_approximation(path, seq, n)
     g = np.empty((m, path.dim))
     for i in range(m):
@@ -77,7 +75,7 @@ class IntegralReport:
     integrands: dict = field(default_factory=dict, repr=False)
 
 
-def _make_report(path, seq, probes, levels, integrand_at, kind, config):
+def _make_report(path, seq, probes, levels, integrand_at, config):
     """Report of the sums of ``integrand_at(seq, n, li)`` rows against the
     path's increments, on the sequence refined onto the jump times."""
     integrands = {}
@@ -98,16 +96,17 @@ def _make_report(path, seq, probes, levels, integrand_at, kind, config):
         limit=limit,
         converged=converged,
         convergence_metric=metric,
-        integrand_kind=kind,
+        integrand_kind="functional-gradient",
         refined=refined,
         integrands=integrands,
     )
 
 
 def _gradient_rows(F, path, g=None):
-    """The level-n gradient rows ``rows(seq, n, li)`` of F: a pointwise gradient
-    is evaluated once, at every grid time before T, and each level reads the
-    rows of its cell starts; otherwise they come from :func:`follmer_integrand`.
+    """The level-n gradient rows ``rows(seq, n, li)`` of F, and the one place
+    that picks their route: a pointwise gradient is evaluated once, at every
+    grid time before T, and each level reads the rows of its cell starts;
+    otherwise they come from :func:`follmer_integrand`.
     ``g``: that pointwise gradient, when the caller has evaluated it already."""
     if g is None and F.pointwise is not None:
         (g,) = F.pointwise(path.times[:-1], path.values[:-1], path.T, ("grad",))
@@ -120,30 +119,7 @@ def _gradient_rows(F, path, g=None):
 def follmer_integral_functional(F, path, seq, probes=None, levels=None, config=None):
     """Riemann sums of grad F against the path, per level."""
     F.require_dim(path)
-    rows = _gradient_rows(F, path)
-    return _make_report(path, seq, probes, levels, rows, "functional-gradient", config)
-
-
-def follmer_integral_cylinder(f_prime, path, seq, probes=None, levels=None, config=None):
-    """Riemann sums of f'(x(t_i)) . increments; the integrand reads the
-    path value at the cell's left endpoint (never ahead of it).
-
-    This is the integral of Follmer's classical change-of-variable formula,
-    whose residual :func:`ito_residual_cylinder` reports (acceptance
-    criterion 4) from the same left-endpoint sum on the finest level."""
-    def integrand(_seq, _n, li):
-        pts = path.values[li[:-1]]
-        if path.dim == 1:
-            try:
-                vals = np.asarray(f_prime(pts[:, 0]), dtype=float)
-                if vals.shape != (pts.shape[0],):
-                    raise TypeError
-            except Exception:
-                vals = np.array([float(f_prime(float(v))) for v in pts[:, 0]])
-            return vals[:, None]
-        return np.array([np.asarray(f_prime(v), dtype=float) for v in pts])
-
-    return _make_report(path, seq, probes, levels, integrand, "cylinder-gradient", config)
+    return _make_report(path, seq, probes, levels, _gradient_rows(F, path), config)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +186,15 @@ def _ito_report(path, seq, levels, rows, lhs, initial, drift, hess, jump_term, c
     )
 
 
+def _jump_term(F, path):
+    """The sum over the jumps of F(right) - F(left) - grad F(left) . jump."""
+    jump_term = 0.0
+    for tj, dlt in path.jumps:
+        left, right = stop(path, tj, side="left"), stop(path, tj, side="right")
+        jump_term += F.value(right) - F.value(left) - float(F.gradient(left) @ dlt)
+    return jump_term
+
+
 def ito_residual_functional(F, path, seq, levels=None, config=None):
     """Gap between F(T, x_T) and the four-term right-hand side of the
     functional change-of-variable identity.
@@ -241,46 +226,25 @@ def ito_residual_functional(F, path, seq, levels=None, config=None):
         horiz[k] = F.horizontal(sp)
         hess[k] = F.hessian(sp)
     drift = _time_ordered_sum(horiz * np.diff(fine))
-
-    jump_term = 0.0
-    for tj, dlt in path.jumps:
-        left = stop(path, tj, side="left")
-        right = stop(path, tj, side="right")
-        jump_term += F.value(right) - F.value(left) - float(F.gradient(left) @ dlt)
     return _ito_report(path, seq, levels, _gradient_rows(F, path), lhs, initial, drift,
-                       hess, jump_term, config)
+                       hess, _jump_term(F, path), config)
 
 
 def ito_residual_cylinder(f, f_prime, f_second, path, seq, config=None):
-    """Classical form: f(x(T)) against integral, quadratic and jump terms.
+    """Classical form: f(x(T)) against integral, quadratic and jump terms,
+    the functional form of the cylinder F(t, omega) = f(omega(t)) with its
+    zero drift left out.
 
     The second-derivative integrand reads the right limit x(s), matching the
     decomposition in which the jump correction omits the second-order term.
     The Riemann sum is taken on the finest level.
     """
+    F = cylinder(f, f_prime, f_second, dim=path.dim)
     seq, _ = refine_onto(seq, path.jump_times)
-    d = path.dim
-
-    def as_vec(v):
-        return np.asarray(v, dtype=float).reshape(d)
-
-    def arg(v):
-        return float(v[0]) if d == 1 else v
-
-    lhs = float(f(arg(path.values[-1])))
-    initial = float(f(arg(path.values[0])))
-    fx = path.values[path.grid_indices(seq.level(seq.top))[:-1]]  # x(t_k) at each cell start
-    hess = np.array([np.reshape(f_second(arg(v)), (d, d)) for v in fx], dtype=float)
-
-    jump_term = 0.0
-    for tj, dlt in path.jumps:
-        xr = path.value(tj)
-        xl = xr - dlt
-        jump_term += (
-            float(f(arg(xr))) - float(f(arg(xl))) - float(as_vec(f_prime(arg(xl))) @ dlt)
-        )
-
-    def rows(_seq, _n, li):
-        return np.array([as_vec(f_prime(arg(v))) for v in path.values[li[:-1]]])
-
-    return _ito_report(path, seq, None, rows, lhs, initial, 0.0, hess, jump_term, config)
+    ts = seq.level(seq.top)[:-1]
+    (hess,) = (None,) if F.pointwise is None else F.pointwise(
+        ts, path.values[path.grid_indices(ts)], path.T, ("hess",))
+    if hess is None:
+        hess = np.array([F.hessian(stop(path, float(t))) for t in ts])
+    return _ito_report(path, seq, None, _gradient_rows(F, path), F.value(stop(path, path.T)),
+                       F.value(stop(path, 0.0)), 0.0, hess, _jump_term(F, path), config)

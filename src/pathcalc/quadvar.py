@@ -98,6 +98,11 @@ def _check_horizon(seq, path):
         raise ValueError(f"the partition horizon {seq.T} is not the path's horizon {path.T}")
 
 
+def _check_two_levels(seq):
+    if seq.num_levels < 2:
+        raise ValueError("need at least two levels to talk about a limit")
+
+
 def _level_sums(path, seq, probes, levels, level_sum):
     """The one driver of the per-level partition sums read at probe times.
 
@@ -139,8 +144,7 @@ class QVReport:
 def _qv(path, seq, probe_times, config, levels):
     """Polarization QV report of a d-dimensional path; a scalar path is the
     1x1 case, reported with (probes,) arrays."""
-    if seq.num_levels < 2:
-        raise ValueError("need at least two levels to talk about a limit")
+    _check_two_levels(seq)
     d = path.dim
     seq, refined, probes, approx = _level_sums(
         path, seq, probe_times, levels,

@@ -20,19 +20,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convergence import assess
-from .functionals import density_matrix, fpde_residual
+from .functionals import _elementwise, density_matrix, fpde_residual
 from .integration import (
     _gradient_rows,
     _make_report,
     _qv_flags,
     _truncated_dot_sums,
     follmer_integral_functional,
-    follmer_integrand,
 )
 from .partitions import refine_onto
 from .paths import stop
 from .quadvar import (
     _check_horizon,
+    _check_two_levels,
     _continuous_qv_increments,
     _truncated_sq_sums,
     default_probe_times,
@@ -145,7 +145,7 @@ def strategy_from_functional(F, path, seq, n):
     """The explicit approximating simple strategy at level n: holdings are
     the gradient of F at the piecewise-constant summation states, and the
     initial capital is F at time 0."""
-    lam = follmer_integrand(F, path, seq, n)
+    lam = _gradient_rows(F, path)(seq, n, path.grid_indices(seq.level(n)))
     return SimpleStrategy.from_values(n, lam, F.value(stop(path, 0.0)))
 
 
@@ -283,8 +283,8 @@ def _density_cells(A, ts, rows):
     m, d = rows.shape
     if not callable(A):
         return np.broadcast_to(density_matrix(A, 0.0, rows[0], d), (m, d, d))
-    if d == 1 and getattr(A, "vectorized", False):
-        return np.asarray(A(ts, rows[:, 0]), dtype=float).reshape(m, 1, 1)
+    if d == 1:
+        return _elementwise(A, ts, rows[:, 0]).reshape(m, 1, 1)
     return np.array([density_matrix(A, float(t), x, d) for t, x in zip(ts, rows)])
 
 
@@ -387,7 +387,7 @@ def hedge(
     # The gains at every grid time, summed once per level.  The track error
     # is taken at every grid time when F has a pointwise value, else at the probes.
     rows_at = _gradient_rows(F, path, None if grad is None else grad[:-1])
-    gain = _make_report(path, seq, path.times, levels, rows_at, "functional-gradient", config)
+    gain = _make_report(path, seq, path.times, levels, rows_at, config)
     f0 = F.value(stop(path, 0.0))
     realized = f0 + float(gain.limit[-1]) - float(payoff(path))
 
@@ -466,6 +466,7 @@ def plausibility_diagnostic(path, seq):
     series, the refinement-diverging signature."""
     if path.dim != 1:
         raise ValueError("plausibility diagnostics are scalar-path only")
+    _check_two_levels(seq)
     _check_horizon(seq, path)
     probe_idx = path.grid_indices(default_probe_times(seq, path))
     x = path.values[:, 0]

@@ -180,6 +180,17 @@ def test_plausibility_scenarios(tmp_path):
         assert rows[0] == "level,identity_gap,k_n,k_partial_sum,neg_series_partial_max"
 
 
+@pytest.mark.parametrize("command", ["plausibility", "qv"])
+def test_one_level_partition_is_named(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "c.json", {
+        "partition": {"type": "explicit", "levels": [[0, 0.5, 1]]},
+        "path": {"kind": "scaled_random_walk", "sigma": 1.0},
+        "out": str(tmp_path / "out"),
+    })
+    assert main([command, "--config", cfg]) == 2
+    assert "need at least two levels to talk about a limit" in capsys.readouterr().err
+
+
 def test_missing_config_is_usage_error(tmp_path, capsys):
     assert main(["qv", "--config", str(tmp_path / "nope.json")]) == 2
     err = capsys.readouterr().err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import norm
 
@@ -23,7 +25,7 @@ from pathcalc import (
     vertical_derivative_fd,
     vertical_hessian_fd,
 )
-from pathcalc.functionals import bs_delta, bs_gamma, bs_price, bs_theta
+from pathcalc.functionals import _elementwise, bs_delta, bs_gamma, bs_price, bs_theta
 
 
 def scipy_bs_call(s, k, sigma, tau):
@@ -289,11 +291,47 @@ def test_evaluator_answers_none_where_there_is_no_pointwise_form():
     value, grad, hess = asian_forward().pointwise(t, s, 1.0, ("value", "grad", "hess"))
     assert value is None
     assert np.array_equal(grad, [[1.0], [0.5]]) and np.array_equal(hess, np.zeros((2, 1, 1)))
-    no_second = cylinder(np.sin, np.cos, vectorized=True)
+    no_second = cylinder(np.sin, np.cos)
     value, grad, hess = no_second.pointwise(t, s, 1.0, ("value", "grad", "hess"))
     assert hess is None
     assert np.array_equal(value, np.sin(s[:, 0])) and np.array_equal(grad, np.cos(s))
-    assert cylinder(np.sin, np.cos, lambda x: -np.sin(x)).pointwise is None
+    # a scalar-only cylinder is evaluated one point at a time; only a vector
+    # argument leaves F without an evaluator
+    scalar_only = cylinder(math.sin, math.cos, lambda x: -math.sin(x))
+    value, grad, hess = scalar_only.pointwise(t, s, 1.0, ("value", "grad", "hess"))
+    assert np.array_equal(value, [math.sin(1.0), math.sin(2.0)])
+    assert np.array_equal(grad, [[math.cos(1.0)], [math.cos(2.0)]])
+    assert np.array_equal(hess, [[[-math.sin(1.0)]], [[-math.sin(2.0)]]])
+    assert cylinder(np.sum, dim=2).pointwise is None
+
+
+def _elementwise_reference(fn, *arrays):
+    return np.array([np.asarray(fn(*args), dtype=float).item() for args in zip(*arrays)])
+
+
+ELEMENTWISE_FUNCTIONS = {  # name -> (arity, fn)
+    "ufunc": (1, np.exp),
+    "math": (1, math.atan),
+    "constant": (1, lambda x: 2.0),
+    "branchy": (1, lambda x: x * x if x > 0.5 else 1.0 - x),
+    "density_1x1": (2, lambda t, s: np.array([[0.04 * s * s + t]])),
+    "density": (2, diffusion_density(0.3)),
+}
+
+
+@pytest.mark.parametrize("name", ELEMENTWISE_FUNCTIONS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_elementwise_equals_per_element_loop(name, data):
+    arity, fn = ELEMENTWISE_FUNCTIONS[name]
+    n = data.draw(st.integers(0, 40))
+    floats = st.floats(-3.0, 3.0, allow_nan=False)
+    arrays = [np.array(data.draw(st.lists(floats, min_size=n, max_size=n)), dtype=float)
+              for _ in range(arity)]
+    got = _elementwise(fn, *arrays)
+    ref = _elementwise_reference(fn, *arrays)
+    assert got.shape == (n,) and got.dtype == float
+    assert np.array_equal(got, ref)
 
 
 def test_asian_forward_at_horizon_is_integral():

@@ -12,7 +12,6 @@ from pathcalc import (
     black_scholes,
     cylinder,
     dyadic,
-    follmer_integral_cylinder,
     follmer_integral_functional,
     generate,
     identity,
@@ -25,7 +24,12 @@ from pathcalc import (
     stop,
 )
 from pathcalc.convergence import ConvergenceConfig
-from pathcalc.integration import _qv_flags, _truncated_dot_sums, follmer_integrand
+from pathcalc.integration import (
+    _gradient_rows,
+    _qv_flags,
+    _truncated_dot_sums,
+    follmer_integrand,
+)
 from pathcalc.partitions import refine_onto
 from pathcalc.quadvar import _continuous_qv_increments
 
@@ -63,7 +67,8 @@ def test_identity_telescopes_exactly_at_every_level():
 
 def test_constant_integrand_exact():
     path, seq = walk(8, seed=2)
-    rep = follmer_integral_cylinder(lambda x: 3.0 + 0.0 * x, path, seq)
+    rep = follmer_integral_functional(cylinder(lambda x: 3.0 * x, lambda x: 3.0 + 0.0 * x),
+                                      path, seq)
     probe_vals = path.values[path.grid_indices(rep.probe_times), 0]
     for n in rep.levels:
         assert np.allclose(rep.sums[n], 3.0 * (probe_vals - path.values[0, 0]), atol=1e-14)
@@ -71,9 +76,10 @@ def test_constant_integrand_exact():
 
 def test_sums_are_linear_per_level():
     path, seq = walk(8, seed=4)
-    f1 = follmer_integral_cylinder(lambda x: x, path, seq)
-    f2 = follmer_integral_cylinder(lambda x: x * x, path, seq)
-    combo = follmer_integral_cylinder(lambda x: 2.0 * x - 3.0 * x * x, path, seq)
+    f1 = follmer_integral_functional(cylinder(lambda x: 0.5 * x * x, lambda x: x), path, seq)
+    f2 = follmer_integral_functional(cylinder(lambda x: x**3 / 3.0, lambda x: x * x), path, seq)
+    combo = follmer_integral_functional(
+        cylinder(lambda x: x * x - x**3, lambda x: 2.0 * x - 3.0 * x * x), path, seq)
     for n in combo.levels:
         assert np.allclose(combo.sums[n], 2.0 * f1.sums[n] - 3.0 * f2.sums[n], atol=1e-12)
 
@@ -82,7 +88,7 @@ def test_x_squared_ito_identity_limit():
     path, seq = walk(12)
     qv = qv_along(path, seq)
     rep = follmer_integral_functional(
-        cylinder(lambda x: x * x, lambda x: 2 * x, vectorized=True), path, seq
+        cylinder(lambda x: x * x, lambda x: 2 * x), path, seq
     )
     lhs = path.values[-1, 0] ** 2 - path.values[0, 0] ** 2
     assert rep.limit[-1] == pytest.approx(lhs - qv.limit[-1], abs=1e-12)
@@ -98,7 +104,7 @@ def test_asian_gain_on_linear_path():
 
 def test_cylinder_step_path_left_evaluation():
     path, seq = one_jump_step(8)
-    rep = follmer_integral_cylinder(lambda x: 2.0 * x, path, seq)
+    rep = follmer_integral_functional(cylinder(lambda x: x * x, lambda x: 2.0 * x), path, seq)
     # the only nonzero increment is the jump cell, weighted by 2 x(pre-jump) = 0
     for n in rep.levels:
         assert np.array_equal(rep.sums[n], np.zeros_like(rep.sums[n]))
@@ -110,7 +116,8 @@ def test_cylinder_step_path_left_evaluation():
 def test_cylinder_smooth_riemann_stieltjes():
     seq = dyadic(1.0, 10)
     path = generate({"kind": "smooth", "name": "linear"}, 0, seq)
-    rep = follmer_integral_cylinder(lambda x: 2.0 * x, path, seq, probes=[0.5, 1.0])
+    rep = follmer_integral_functional(cylinder(lambda x: x * x, lambda x: 2.0 * x), path, seq,
+                                      probes=[0.5, 1.0])
     assert rep.limit[-1] == pytest.approx(1.0, abs=2.0**-9)
     assert rep.limit[0] == pytest.approx(0.25, abs=2.0**-9)
 
@@ -120,7 +127,8 @@ def test_wrong_evaluation_detector():
     # shifts the x^2 integral by twice the squared-increment sum
     path, seq = walk(10, seed=15)
     x = path.values[:, 0]
-    rep = follmer_integral_cylinder(lambda v: 2.0 * v, path, seq, probes=[1.0])
+    rep = follmer_integral_functional(cylinder(lambda v: v * v, lambda v: 2.0 * v), path, seq,
+                                      probes=[1.0])
     qv = qv_along(path, seq, probe_times=[1.0])
     for n in rep.levels:
         lv = x[path.grid_indices(seq.level(n))]
@@ -132,9 +140,8 @@ def test_fast_and_loop_integrands_agree():
     seq = dyadic(1.0, 8)
     path = generate({"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}, 3, seq)
     F = black_scholes(0.2, 1.0)
-    fast = follmer_integrand(F, path, seq, 6)
-    F.pointwise = None  # force the generic state-by-state route
-    slow = follmer_integrand(F, path, seq, 6)
+    fast = _gradient_rows(F, path)(seq, 6, path.grid_indices(seq.level(6)))
+    slow = follmer_integrand(F, path, seq, 6)  # the state-by-state route
     assert np.max(np.abs(fast - slow)) < 1e-12
 
 
@@ -173,8 +180,7 @@ def test_ito_functional_identity_is_exact():
 
 def test_ito_functional_x_squared_small_and_decreasing():
     path, seq = walk(12, seed=7)
-    F = cylinder(lambda x: x * x, lambda x: 2 * x, lambda x: 2.0 + 0.0 * x,
-                 vectorized=True)
+    F = cylinder(lambda x: x * x, lambda x: 2 * x, lambda x: 2.0 + 0.0 * x)
     residuals = {
         L: ito_residual_functional(F, path, seq, levels=[L]).residual
         for L in [4, 8, 12]
@@ -187,8 +193,7 @@ def test_ito_functional_x_squared_small_and_decreasing():
 def test_ito_residual_level_sweep_net_decrease():
     # the non-anticipative sums close the identity as the level grows
     path, seq = walk(14, seed=3)
-    F = cylinder(lambda x: x * x, lambda x: 2 * x, lambda x: 2.0 + 0.0 * x,
-                 vectorized=True)
+    F = cylinder(lambda x: x * x, lambda x: 2 * x, lambda x: 2.0 + 0.0 * x)
     for L in [12, 14]:
         r_hi = ito_residual_functional(F, path, seq, levels=[L]).residual
         r_lo = ito_residual_functional(F, path, seq, levels=[L - 4]).residual
@@ -230,6 +235,18 @@ def test_ito_residual_sweep_evaluates_drift_once():
     assert len(calls) == seq.level(seq.top).size - 1
 
 
+def _per_level_integrand(F, path, seq, n):
+    """Reference route: the pointwise gradient at the level-n cell starts
+    when F has one, else the stopped-path rows."""
+    level = seq.level(n)
+    li = path.grid_indices(level)
+    (g,) = (None,) if F.pointwise is None else F.pointwise(
+        level[:-1], path.values[li[:-1]], path.T, ("grad",))
+    if g is None:
+        return follmer_integrand(F, path, seq, n)
+    return np.asarray(g, dtype=float).reshape(level.size - 1, path.dim)
+
+
 def _per_cell_ito_terms(F, path, seq, levels):
     """Reference route: one left-stopped path per finest cell, the drift
     and quadratic terms added with ``+=`` in time order from 0.0."""
@@ -251,7 +268,7 @@ def _per_cell_ito_terms(F, path, seq, levels):
         jump_term += F.value(right) - F.value(left) - float(F.gradient(left) @ dlt)
     residuals = {}
     for n in levels:
-        g = follmer_integrand(F, path, seq, n)
+        g = _per_level_integrand(F, path, seq, n)
         lx = path.values[path.grid_indices(seq.level(n))]
         follmer = float(np.sum(g * np.diff(lx, axis=0)))
         residuals[n] = abs(lhs - (initial + follmer + drift + qv_term + jump_term))
@@ -324,7 +341,7 @@ def test_ito_terms_bit_equal_per_cell_reference(F, data):
 POINTWISE_GRAD_FUNCTIONALS = [
     identity(), identity(1, dim=2), identity(2, dim=3), monomial(3), monomial(2, 0.5),
     asian_forward(), black_scholes(0.3, 1.0), black_scholes(0.2, 1.1, "put"),
-    cylinder(np.sin, np.cos, vectorized=True),
+    cylinder(np.sin, np.cos),
 ]
 
 
@@ -341,7 +358,7 @@ def test_single_gradient_evaluation_equals_per_level_integrands(F, data):
     probe_idx = path.grid_indices(rep.probe_times)
     assert rep.levels == (list(range(seq.num_levels)) if levels is None else levels)
     for n in rep.levels:
-        g = follmer_integrand(F, path, seq, n)
+        g = _per_level_integrand(F, path, seq, n)
         assert np.array_equal(rep.integrands[n], g)
         li = path.grid_indices(seq.level(n))
         assert np.array_equal(rep.sums[n], _truncated_dot_sums(path.values, li, g, probe_idx))
@@ -476,7 +493,7 @@ def test_jump_localization():
 
 def test_ito_reports_qv_caveat():
     path, seq = walk(10, seed=11)
-    F = cylinder(lambda x: x * x, lambda x: 2 * x, lambda x: 2.0, vectorized=True)
+    F = cylinder(lambda x: x * x, lambda x: 2 * x, lambda x: 2.0)
     rep = ito_residual_functional(F, path, seq)
     assert rep.qv_converged in (True, False)
     assert rep.qv_metric > 0

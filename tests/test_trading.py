@@ -12,7 +12,6 @@ from pathcalc import (
     cylinder,
     diffusion_density,
     dyadic,
-    follmer_integral_cylinder,
     follmer_integral_functional,
     generate,
     hedge,
@@ -27,6 +26,7 @@ from pathcalc import (
     self_financing_check,
     simple_ledger,
     stack,
+    stop,
     strategy_from_functional,
 )
 from pathcalc.trading import (
@@ -463,13 +463,30 @@ def test_hedge_evaluates_the_functional_once_per_path():
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
 
 
+def test_hedge_on_scalar_only_cylinder_equals_its_array_twin():
+    # each branch is arithmetic only, so the per-point calls of the scalar-only
+    # cylinder and the one array call of its np.where twin give the same bits
+    path, seq = geometric(9, seed=23, sigma=0.3)
+    k = 1.05
+    branchy = cylinder(lambda x: (x - k) * (x - k) if x > k else 0.0,
+                       lambda x: 2.0 * (x - k) if x > k else 0.0,
+                       lambda x: 2.0 if x > k else 0.0)
+    twin = cylinder(lambda x: np.where(x > k, (x - k) * (x - k), 0.0),
+                    lambda x: np.where(x > k, 2.0 * (x - k), 0.0),
+                    lambda x: np.where(x > k, 2.0, 0.0))
+    payoff = lambda path: branchy.value(stop(path, path.T))
+    reports = [hedge(F, payoff, 0.04, path, seq, realized_density=diffusion_density(0.3))
+               for F in (branchy, twin)]
+    for f in fields(reports[0]):
+        a, b = (getattr(r, f.name) for r in reports)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+
+
 SHORT_HORIZON_ENTRY_POINTS = {
     "qv_along": lambda path, seq: qv_along(path, seq),
     "qv_matrix": lambda path, seq: qv_matrix(stack([path, path]), seq),
     "follmer_integral_functional": lambda path, seq: follmer_integral_functional(
         identity(), path, seq),
-    "follmer_integral_cylinder": lambda path, seq: follmer_integral_cylinder(
-        np.cos, path, seq),
     "ito_residual_functional": lambda path, seq: ito_residual_functional(
         cylinder(np.sin, np.cos, lambda x: -np.sin(x)), path, seq),
     "ito_residual_cylinder": lambda path, seq: ito_residual_cylinder(
@@ -517,22 +534,22 @@ def test_hedge_two_coordinates_product_functional_exact():
 
 
 def test_density_cells_routes_agree_with_density_matrix():
-    # the batched and broadcast routes give the per-cell density_matrix
-    # values bit for bit
+    # the elementwise and broadcast routes give the per-cell density_matrix
+    # values bit for bit, for array-capable and scalar-only densities
     from pathcalc.functionals import density_matrix
 
     path, seq = geometric(6, seed=37)
     level = seq.level(seq.top)
     ts, rows = level[:-1], path.values[:-1]
     for spec in (diffusion_density(0.3), lambda t, s: 0.09 * s * s, 0.04,
-                 constant_density(0.04)):
+                 constant_density(0.04), lambda t, s: 0.04 if t < 0.5 else 0.09 * s * s,
+                 lambda t, s: np.array([[0.09 * s * s]])):
         cells = _density_cells(spec, ts, rows)
         assert cells.shape == (ts.size, 1, 1)
         ref = np.array([density_matrix(spec, float(t), x, 1) for t, x in zip(ts, rows)])
         assert np.array_equal(cells, ref)
     both = stack([path, path])
     outer = lambda t, x: 0.09 * np.outer(x, x)
-    outer.vectorized = True  # batched only for scalar paths
     for spec in (np.eye(2), outer):
         cells = _density_cells(spec, ts, both.values[:-1])
         assert cells.shape == (ts.size, 2, 2)

@@ -7,6 +7,7 @@ horizontal extension (forward one-sided, matching the one-sided limit that
 defines the time derivative).  Built-ins additionally carry a pointwise
 evaluator - value, gradient and Hessian of (t, omega(t)) - that
 the integration and hedging routines use when F depends on omega(t) only.
+Black-Scholes also has a batch hook, theta and gamma bit-equal to the scalar forms.
 The paper's hypotheses on F (continuity, boundedness-preserving) are the
 caller's to meet: nothing here declares or checks them.
 """
@@ -30,7 +31,7 @@ def default_horizontal_step(sp):
 
 class Functional:
     def __init__(self, dim, eval_fn, grad=None, hess=None, horiz=None, name="functional",
-                 pointwise=None):
+                 pointwise=None, batch=None):
         self.dim = int(dim)
         self._eval = eval_fn
         self._grad = grad
@@ -41,6 +42,10 @@ class Functional:
         # "hess") an (n,), (n, d) or (n, d, d) array at the n points, or None if
         # F has no pointwise form of it; valid when F depends on omega(t) only.
         self.pointwise = pointwise
+        # Optional (t, s, T) -> (horiz, hess), on the states as ``pointwise``
+        # takes them: an (n,) and an (n, d, d) array whose k-th entries are
+        # bit-equal to ``horizontal``/``hessian`` on the state (t_k, s_k).
+        self.batch = batch
 
     def require_dim(self, path):
         if path.dim != self.dim:
@@ -168,7 +173,7 @@ def bs_gamma(s, strike, sigma, tau):
         return 0.0
     v = sigma * math.sqrt(tau)
     d1 = (math.log(s / strike) + 0.5 * v * v) / v
-    return _npdf(d1) / (s * v)
+    return _npdf(d1) / den if (den := s * v) > 0.0 else 0.0  # den 0: a vanishing s
 
 
 def bs_theta(s, strike, sigma, tau):
@@ -180,23 +185,40 @@ def bs_theta(s, strike, sigma, tau):
     return -s * _npdf(d1) * sigma / (2.0 * math.sqrt(tau))
 
 
-def _bs_d1_vec(s, strike, sigma, tau):
-    """Vector-kernel prelude: s, live mask, s with dead points at 1, sigma sqrt(tau), d1."""
+def _bs_d1_vec(s, strike, sigma, tau, log=np.log):
+    """Prelude in the scalar order: s, live mask, s and sqrt(tau) (1 if dead), v, d1."""
     s = np.asarray(s, dtype=float)
     tau = np.asarray(tau, dtype=float)
     live = (tau > 0.0) & (s > 0.0)
     safe_s = np.where(live, s, 1.0)
-    safe_tau = np.where(live, tau, 1.0)
-    v = sigma * np.sqrt(safe_tau)
-    d1 = (np.log(safe_s / strike) + 0.5 * v * v) / v
-    return s, live, safe_s, v, d1
+    root = np.sqrt(np.where(live, tau, 1.0))
+    v = sigma * root
+    d1 = (log(safe_s / strike) + 0.5 * v * v) / v
+    return s, live, safe_s, root, v, d1
+
+
+def _bs_gamma_vec(live, safe_s, v, d1, exp=np.exp):
+    """The density at d1, and gamma (n, 1, 1): 0 where ``bs_gamma`` has it 0."""
+    pdf = exp(-0.5 * d1 * d1) * _INV_SQRT_2PI
+    den = safe_s * v
+    return pdf, (pdf / np.where(live & (den > 0.0), den, np.inf))[:, None, None]
+
+
+def _bs_batch(s, strike, sigma, tau):
+    """Theta (n,) and gamma (n, 1, 1), bit-equal to ``bs_theta``/``bs_gamma``
+    point by point: numpy does only the correctly rounded + - * / sqrt, and
+    log and exp are libm's (``math``), where numpy's SIMD ones may differ."""
+    libm = lambda fn: lambda x: np.fromiter(map(fn, x), float, x.size)
+    _, live, safe_s, root, v, d1 = _bs_d1_vec(s, strike, sigma, tau, log=libm(math.log))
+    pdf, gamma = _bs_gamma_vec(live, safe_s, v, d1, exp=libm(math.exp))
+    return np.where(live, -safe_s * pdf * sigma / (2.0 * root), 0.0), gamma
 
 
 def _bs_vec(s, strike, sigma, tau, kind, want):
     """Price (n,), delta (n, 1) and gamma (n, 1, 1), those named in ``want``
     in that order, from one d1 and one ``ndtr(d1)``.  Dead points (tau <= 0
     or s <= 0) take the payoff, its slope (half at the strike) and 0."""
-    s, live, safe_s, v, d1 = _bs_d1_vec(s, strike, sigma, tau)
+    s, live, safe_s, _, v, d1 = _bs_d1_vec(s, strike, sigma, tau)
     call = kind == "call"
     n1 = ndtr(d1) if "grad" in want or (call and "value" in want) else None
     out = {}
@@ -211,8 +233,7 @@ def _bs_vec(s, strike, sigma, tau, kind, want):
         delta = np.where(live, n1, np.where(s > strike, 1.0, np.where(s == strike, 0.5, 0.0)))
         out["grad"] = (delta if call else delta - 1.0)[:, None]
     if "hess" in want:
-        pdf = np.exp(-0.5 * d1 * d1) * _INV_SQRT_2PI
-        out["hess"] = np.where(live, pdf / (safe_s * v), 0.0)[:, None, None]
+        out["hess"] = _bs_gamma_vec(live, safe_s, v, d1)[1]
     return tuple(out[q] for q in want)
 
 
@@ -370,6 +391,7 @@ def black_scholes(sigma, strike, kind="call"):
         horiz=lambda sp: bs_theta(float(sp.current[0]), strike, sigma, sp.T - sp.time),
         name=f"black_scholes_{kind}",
         pointwise=lambda t, s, T, want: _bs_vec(s[:, 0], strike, sigma, T - t, kind, want),
+        batch=lambda t, s, T: _bs_batch(s[:, 0], strike, sigma, T - t),
     )
 
 
@@ -428,7 +450,8 @@ def diffusion_density(sigma):
 
 
 def constant_density(value):
-    return lambda t, s: value + 0.0 * np.asarray(s)
+    """a(t, s) = value * I on any dim: the number, which density readers take so."""
+    return float(value)
 
 
 def density_from_descriptor(desc):

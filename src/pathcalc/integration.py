@@ -204,10 +204,10 @@ def ito_residual_functional(F, path, seq, levels=None, config=None):
     grid, so they are computed once and only the non-anticipative sum is
     redone per level, which exposes how those sums close the identity.
     ``residual_by_level`` holds every listed level's residual; ``residual``
-    and ``follmer_term`` are those of the finest listed level.  Time
-    integrals use the left endpoint; both the drift and the second
-    derivative read the left-stopped path.  A non-converged quadratic
-    variation does not abort the computation - it is reported alongside.
+    and ``follmer_term`` are those of the finest listed level.  Time integrals
+    use the left endpoint; the drift and the second derivative read the
+    left-stopped path, in one ``F.batch`` call when F has it (bit-equal to the
+    per-cell loop).  A non-converged quadratic variation is reported, not fatal.
     """
     F.require_dim(path)
     seq, _ = refine_onto(seq, path.jump_times)
@@ -219,12 +219,15 @@ def ito_residual_functional(F, path, seq, levels=None, config=None):
     for tj, dlt in path.jumps:
         if tj < path.T:  # a jump at T starts no cell
             left[np.searchsorted(fine, tj)] -= dlt
-    horiz = np.empty(left.shape[0])
-    hess = np.empty((left.shape[0], path.dim, path.dim))
-    for k in range(left.shape[0]):
-        sp = StoppedPath(path, fine[k], fine[k], left[k])
-        horiz[k] = F.horizontal(sp)
-        hess[k] = F.hessian(sp)
+    if F.batch is not None:
+        horiz, hess = F.batch(fine[:-1], left, path.T)
+    else:
+        horiz = np.empty(left.shape[0])
+        hess = np.empty((left.shape[0], path.dim, path.dim))
+        for k in range(left.shape[0]):
+            sp = StoppedPath(path, fine[k], fine[k], left[k])
+            horiz[k] = F.horizontal(sp)
+            hess[k] = F.hessian(sp)
     drift = _time_ordered_sum(horiz * np.diff(fine))
     return _ito_report(path, seq, levels, _gradient_rows(F, path), lhs, initial, drift,
                        hess, _jump_term(F, path), config)

@@ -420,20 +420,28 @@ def test_sections_of_other_commands_are_left_as_they_are(tmp_path):
 
 
 def test_numeric_density_is_a_constant_density(tmp_path):
-    outputs = []
-    for density in (0.04, {"kind": "const", "value": 0.04}):
-        out = tmp_path / str(len(outputs))
-        cfg = write_config(tmp_path, "n.json", {
-            "seed": 1,
-            "partition": {"type": "dyadic", "T": 1.0, "max_level": 6},
-            "path": _WALK,
-            "functional": {"name": "black_scholes", "sigma": 0.2, "strike": 1.0},
-            "hedge": {"density": density, "realized": density, "paths": 2},
-            "out": str(out),
-        })
-        assert main(["hedge", "--config", cfg]) in (0, 1)
-        outputs.append(read_bytes(out, "hedge_paths.csv"))
-    assert outputs[0] == outputs[1]
+    # the "const" mapping acts as the plain number, as hedge.density and as
+    # hedge.realized, on a scalar and on a d = 2 path: the same files
+    functionals = {1: {"name": "black_scholes", "sigma": 0.2, "strike": 1.0},
+                   2: {"name": "identity_1", "dim": 2}}
+    for dim, functional in functionals.items():
+        outputs = []
+        for density, realized in ((0.04, 0.09), ({"kind": "const", "value": 0.04},
+                                                 {"kind": "const", "value": 0.09})):
+            out = tmp_path / f"{dim}_{len(outputs)}"
+            cfg = write_config(tmp_path, "n.json", {
+                "seed": 1,
+                "partition": {"type": "dyadic", "T": 1.0, "max_level": 6},
+                "path": {**_WALK, "dim": dim},
+                "functional": functional,
+                "hedge": {"density": density, "realized": realized, "paths": 2},
+                "out": str(out),
+            })
+            assert main(["hedge", "--config", cfg]) in (0, 1)
+            summary = json.loads(read_bytes(out, "hedge_summary.json"))["summary"]
+            outputs.append((read_bytes(out, "hedge_paths.csv"),
+                            read_bytes(out, "hedge_curves.csv"), summary))
+        assert outputs[0] == outputs[1]
 
 
 def test_continuous_path_file_matches_generator(tmp_path):

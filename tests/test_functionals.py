@@ -9,6 +9,7 @@ from scipy.stats import norm
 
 from pathcalc import (
     Functional,
+    StoppedPath,
     asian_forward,
     black_scholes,
     builtin,
@@ -284,6 +285,49 @@ def test_black_scholes_evaluator_bit_equal_per_quantity_reference(kind, size, fi
         for q, arr in zip(want, got):
             assert arr.shape == ref[q].shape
             assert np.array_equal(arr, ref[q]), (q, want)
+
+
+def _assert_batch_bit_equal(F, t, s):
+    """F.batch against horizontal/hessian on each state's stopped path,
+    compared as int64 so that the sign of a zero counts."""
+    path = generate({"kind": "smooth"}, 0, dyadic(1.0, 2))
+    stopped = [StoppedPath(path, tk, tk, sk) for tk, sk in zip(t, s)]
+    horiz, hess = F.batch(t, s, path.T)
+    assert horiz.shape == (t.size,) and hess.shape == (t.size, 1, 1)
+    ref_horiz = np.array([F.horizontal(sp) for sp in stopped])
+    ref_hess = np.array([F.hessian(sp) for sp in stopped])
+    assert np.array_equal(horiz.view(np.int64), ref_horiz.view(np.int64))
+    assert np.array_equal(hess.view(np.int64), ref_hess.view(np.int64))
+
+
+BATCH_OPTIONS = [(kind, sigma, strike) for kind in ("call", "put")
+                 for sigma, strike in ((0.2, 1.0), (0.35, 1.3), (1.5, 0.4))]
+# Edge states: t anywhere in [0, T], at T (tau == 0) or just before it (tau
+# near 1e-6 .. 1e-15); s live, subnormal (where s * sigma * sqrt(tau) can
+# round to 0), at zero, below it or at the strike.
+_BATCH_T = st.one_of(st.floats(0.0, 1.0), st.just(1.0),
+                     st.integers(6, 15).map(lambda k: 1.0 - 10.0**-k))
+_BATCH_S = st.one_of(st.floats(-2.0, 5.0),
+                     st.sampled_from([0.0, -0.0, -0.5, 5e-324, 1e-310, "strike"]))
+
+
+@pytest.mark.parametrize("kind, sigma, strike", BATCH_OPTIONS)
+@settings(max_examples=25, deadline=None)
+@given(states=st.lists(st.tuples(_BATCH_T, _BATCH_S), min_size=1, max_size=64))
+def test_black_scholes_batch_bit_equal_scalar_route(kind, sigma, strike, states):
+    t = np.array([tk for tk, _ in states])
+    s = np.array([[strike if sk == "strike" else sk] for _, sk in states])
+    _assert_batch_bit_equal(black_scholes(sigma, strike, kind), t, s)
+
+
+@pytest.mark.parametrize("kind, sigma, strike", BATCH_OPTIONS)
+def test_black_scholes_batch_bit_equal_scalar_route_on_a_walk(kind, sigma, strike):
+    # 4,096 walk-like states, where numpy's SIMD log or exp would differ
+    # from libm's on dozens of points
+    rng = np.random.default_rng(4096)
+    t = rng.uniform(0.0, 1.0, 4096)
+    s = strike * np.exp(0.3 * rng.standard_normal((4096, 1)))
+    _assert_batch_bit_equal(black_scholes(sigma, strike, kind), t, s)
 
 
 def test_evaluator_answers_none_where_there_is_no_pointwise_form():

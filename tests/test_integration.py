@@ -226,13 +226,28 @@ def test_ito_residual_sweep_equals_single_level_calls():
 
 
 def test_ito_residual_sweep_evaluates_drift_once():
+    # Black-Scholes gives the drift and Hessian of every finest cell in one
+    # batch call, with no scalar horizontal/hessian call; a functional without
+    # the batch hook makes one of each per finest cell
     path, seq = jump_walk(7)
-    F = black_scholes(0.2, 1.0)
+    cells = seq.level(seq.top).size - 1
     calls = []
-    horizontal = F.horizontal
-    F.horizontal = lambda sp, **kw: calls.append(sp.time) or horizontal(sp, **kw)
-    ito_residual_functional(F, path, seq, levels=[3, 5, 7])
-    assert len(calls) == seq.level(seq.top).size - 1
+    for F in (black_scholes(0.2, 1.0), monomial(3)):
+        for name in ("horizontal", "hessian"):
+            method = getattr(F, name)
+            setattr(F, name, lambda sp, name=name, method=method:
+                    calls.append(name) or method(sp))
+        if F.batch is not None:
+            batch = F.batch
+            F.batch = lambda t, s, T: calls.append(
+                ("batch", t.size, s.shape)) or batch(t, s, T)
+        calls.clear()
+        ito_residual_functional(F, path, seq, levels=[3, 5, 7])
+        if F.name == "monomial_3":
+            assert calls.count("horizontal") == calls.count("hessian") == cells
+            assert len(calls) == 2 * cells
+        else:
+            assert calls == [("batch", cells, (cells, 1))]
 
 
 def _per_level_integrand(F, path, seq, n):

@@ -550,7 +550,7 @@ def test_density_cells_routes_agree_with_density_matrix():
         assert np.array_equal(cells, ref)
     both = stack([path, path])
     outer = lambda t, x: 0.09 * np.outer(x, x)
-    for spec in (np.eye(2), outer):
+    for spec in (np.eye(2), outer, constant_density(0.04)):
         cells = _density_cells(spec, ts, both.values[:-1])
         assert cells.shape == (ts.size, 2, 2)
         ref = np.array([density_matrix(spec, float(t), x, 2)

@@ -4,10 +4,9 @@ A functional evaluates stopped paths.  Derivatives come in two flavours:
 analytic closures attached at construction time, or finite differences built
 on vertical perturbations (central, second order) and on the frozen
 horizontal extension (forward one-sided, matching the one-sided limit that
-defines the time derivative).  Built-ins additionally carry a pointwise
-evaluator - value, gradient and Hessian of (t, omega(t)) - that
-the integration and hedging routines use when F depends on omega(t) only.
-Black-Scholes also has a batch hook, theta and gamma bit-equal to the scalar forms.
+defines the time derivative).  Built-ins also carry a pointwise hook for
+the quantities that depend on (t, omega(t)) only; ``Functional.at`` reads
+states from it where it answers, else from stopped paths, for every caller.
 The paper's hypotheses on F (continuity, boundedness-preserving) are the
 caller's to meet: nothing here declares or checks them.
 """
@@ -18,6 +17,8 @@ import math
 
 import numpy as np
 from scipy.special import ndtr
+
+from .paths import StoppedPath
 
 
 def default_vertical_bump(sp):
@@ -31,7 +32,7 @@ def default_horizontal_step(sp):
 
 class Functional:
     def __init__(self, dim, eval_fn, grad=None, hess=None, horiz=None, name="functional",
-                 pointwise=None, batch=None):
+                 pointwise=None):
         self.dim = int(dim)
         self._eval = eval_fn
         self._grad = grad
@@ -39,13 +40,11 @@ class Functional:
         self._horiz = horiz
         self.name = name
         # Optional (t, s, T, want) -> tuple: per name in ``want`` ("value", "grad",
-        # "hess") an (n,), (n, d) or (n, d, d) array at the n points, or None if
-        # F has no pointwise form of it; valid when F depends on omega(t) only.
+        # "hess", "horiz") an (n,), (n, d), (n, d, d) or (n,) array at the n
+        # states (t_k, s_k), or None if F has no pointwise form of it; valid for
+        # a quantity that depends on (t, omega(t)) only.  In a request holding
+        # "horiz", each answer is bit-equal to its scalar method's.
         self.pointwise = pointwise
-        # Optional (t, s, T) -> (horiz, hess), on the states as ``pointwise``
-        # takes them: an (n,) and an (n, d, d) array whose k-th entries are
-        # bit-equal to ``horizontal``/``hessian`` on the state (t_k, s_k).
-        self.batch = batch
 
     def require_dim(self, path):
         if path.dim != self.dim:
@@ -69,6 +68,22 @@ class Functional:
         if self._horiz is not None:
             return float(self._horiz(sp))
         return horizontal_derivative_fd(self, sp)
+
+    def at(self, path, t, s, want):
+        """The quantities named in ``want`` at the states (t_k, s_k) stopped on
+        ``path``: each from ``pointwise`` where it answers it, else from the
+        scalar method on StoppedPath(path, t_k, t_k, s_k), one state at a time.
+        A request holding "horiz" is taken from the hook whole or not at all,
+        so the Ito terms of a hook without an exact drift stay scalar."""
+        got = (None,) * len(want) if self.pointwise is None else self.pointwise(t, s, path.T, want)
+        if "horiz" in want and any(g is None for g in got):
+            got = (None,) * len(want)
+        states = [] if all(g is not None for g in got) else [
+            StoppedPath(path, tk, tk, sk) for tk, sk in zip(t, s)]
+        scalar = {"value": self.value, "grad": self.gradient, "hess": self.hessian,
+                  "horiz": self.horizontal}
+        return tuple(np.array([scalar[q](sp) for sp in states]) if g is None else g
+                     for q, g in zip(want, got))
 
     def __repr__(self):
         return f"Functional({self.name!r}, d={self.dim})"
@@ -204,14 +219,16 @@ def _bs_gamma_vec(live, safe_s, v, d1, exp=np.exp):
     return pdf, (pdf / np.where(live & (den > 0.0), den, np.inf))[:, None, None]
 
 
-def _bs_batch(s, strike, sigma, tau):
-    """Theta (n,) and gamma (n, 1, 1), bit-equal to ``bs_theta``/``bs_gamma``
-    point by point: numpy does only the correctly rounded + - * / sqrt, and
-    log and exp are libm's (``math``), where numpy's SIMD ones may differ."""
+def _bs_batch(s, strike, sigma, tau, want):
+    """Theta (n,) and gamma (n, 1, 1) for "horiz" and "hess" in ``want`` (None
+    for other names), bit-equal to ``bs_theta``/``bs_gamma`` point by point:
+    numpy does only the correctly rounded + - * / sqrt, and log and exp are
+    libm's (``math``), where numpy's SIMD ones may differ."""
     libm = lambda fn: lambda x: np.fromiter(map(fn, x), float, x.size)
     _, live, safe_s, root, v, d1 = _bs_d1_vec(s, strike, sigma, tau, log=libm(math.log))
     pdf, gamma = _bs_gamma_vec(live, safe_s, v, d1, exp=libm(math.exp))
-    return np.where(live, -safe_s * pdf * sigma / (2.0 * root), 0.0), gamma
+    out = {"horiz": np.where(live, -safe_s * pdf * sigma / (2.0 * root), 0.0), "hess": gamma}
+    return tuple(out.get(q) for q in want)
 
 
 def _bs_vec(s, strike, sigma, tau, kind, want):
@@ -248,6 +265,11 @@ def _evaluator(**parts):
     return lambda t, s, T, want: tuple(parts[q](t, s, T) if parts.get(q) else None for q in want)
 
 
+def _zeros(*shape):
+    """A pointwise part that answers zeros of ``shape`` at every point."""
+    return lambda t, s, T: np.zeros((t.size, *shape))
+
+
 def identity(index=0, dim=1):
     """F(t, omega) = omega_index(t)."""
     if not 0 <= index < dim:
@@ -263,11 +285,9 @@ def identity(index=0, dim=1):
         hess=lambda sp: zero,
         horiz=lambda sp: 0.0,
         name=f"identity_{index + 1}",
-        pointwise=_evaluator(
-            value=lambda t, s, T: s[:, index],
-            grad=lambda t, s, T: np.broadcast_to(e, (t.size, dim)),
-            hess=lambda t, s, T: np.zeros((t.size, dim, dim)),
-        ),
+        pointwise=_evaluator(value=lambda t, s, T: s[:, index], hess=_zeros(dim, dim),
+                             grad=lambda t, s, T: np.broadcast_to(e, (t.size, dim)),
+                             horiz=_zeros()),
     )
 
 
@@ -338,6 +358,7 @@ def running_integral():
         hess=lambda sp: np.zeros((1, 1)),
         horiz=lambda sp: float(sp.current[0]),
         name="running_integral",
+        pointwise=_evaluator(grad=_zeros(1), hess=_zeros(1, 1), horiz=lambda t, s, T: s[:, 0]),
     )
 
 
@@ -357,10 +378,8 @@ def asian_forward():
         hess=lambda sp: np.zeros((1, 1)),
         horiz=lambda sp: 0.0,
         name="asian_forward",
-        pointwise=_evaluator(
-            grad=lambda t, s, T: (T - t)[:, None],
-            hess=lambda t, s, T: np.zeros((t.size, 1, 1)),
-        ),
+        pointwise=_evaluator(grad=lambda t, s, T: (T - t)[:, None], hess=_zeros(1, 1),
+                             horiz=_zeros()),
     )
 
 
@@ -390,8 +409,8 @@ def black_scholes(sigma, strike, kind="call"):
         ),
         horiz=lambda sp: bs_theta(float(sp.current[0]), strike, sigma, sp.T - sp.time),
         name=f"black_scholes_{kind}",
-        pointwise=lambda t, s, T, want: _bs_vec(s[:, 0], strike, sigma, T - t, kind, want),
-        batch=lambda t, s, T: _bs_batch(s[:, 0], strike, sigma, T - t),
+        pointwise=lambda t, s, T, want: _bs_batch(s[:, 0], strike, sigma, T - t, want)
+        if "horiz" in want else _bs_vec(s[:, 0], strike, sigma, T - t, kind, want),
     )
 
 

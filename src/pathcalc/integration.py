@@ -7,12 +7,13 @@ The central object is the non-anticipative sum
 where ``state_i`` is the piecewise-constant approximation of the path along
 level n, frozen at the left limit of t_i and vertically shifted by the jump
 at t_i.  The current value of that composite state is exactly x(t_i), which
-is what makes the batched fast path on built-in functionals legitimate: when
-the gradient depends on the path only through (t, omega(t)) both routes
-produce the same numbers (tested).
+is what makes the array route on built-in functionals legitimate: when the
+gradient depends on the path only through (t, omega(t)) both routes produce
+the same numbers (tested).
 
 Also here: the residuals of the change-of-variable identity, in its
-functional form and in Follmer's classical form f(x(t)).
+functional form and in Follmer's classical form f(x(t)).  States are read
+through ``Functional.at``, the one place that picks the hook or stopped paths.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .convergence import ConvergenceConfig, assess
 from .functionals import cylinder
 from .partitions import refine_onto
-from .paths import StoppedPath, stepwise_approximation, stop
+from .paths import stepwise_approximation, stop
 from .quadvar import (
     _cell_index,
     _continuous_qv_increments,
@@ -49,16 +50,11 @@ def follmer_integrand(F, path, seq, n):
     """Gradient rows of F at the level-n summation states: the frozen left
     limit perturbed by the jump at each grid time t_i, so that the current
     value is x(t_i) (the composite argument of the cadlag summation).  The
-    stopped-path route of :func:`_gradient_rows`, and its reference."""
+    stopped-path route of :func:`_gradient_rows`."""
     level = seq.level(n)
     li = path.grid_indices(level)
-    m = level.size - 1
     xn = stepwise_approximation(path, seq, n)
-    g = np.empty((m, path.dim))
-    for i in range(m):
-        t_i = float(level[i])
-        g[i] = F.gradient(StoppedPath(xn, t_i, t_i, path.values[li[i]]))
-    return g
+    return F.at(xn, level[:-1], path.values[li[:-1]], ("grad",))[0]
 
 
 @dataclass
@@ -206,8 +202,8 @@ def ito_residual_functional(F, path, seq, levels=None, config=None):
     ``residual_by_level`` holds every listed level's residual; ``residual``
     and ``follmer_term`` are those of the finest listed level.  Time integrals
     use the left endpoint; the drift and the second derivative read the
-    left-stopped path, in one ``F.batch`` call when F has it (bit-equal to the
-    per-cell loop).  A non-converged quadratic variation is reported, not fatal.
+    left-stopped path through ``F.at``, bit-equal to one scalar call per cell.
+    A non-converged quadratic variation is reported, not fatal.
     """
     F.require_dim(path)
     seq, _ = refine_onto(seq, path.jump_times)
@@ -219,15 +215,7 @@ def ito_residual_functional(F, path, seq, levels=None, config=None):
     for tj, dlt in path.jumps:
         if tj < path.T:  # a jump at T starts no cell
             left[np.searchsorted(fine, tj)] -= dlt
-    if F.batch is not None:
-        horiz, hess = F.batch(fine[:-1], left, path.T)
-    else:
-        horiz = np.empty(left.shape[0])
-        hess = np.empty((left.shape[0], path.dim, path.dim))
-        for k in range(left.shape[0]):
-            sp = StoppedPath(path, fine[k], fine[k], left[k])
-            horiz[k] = F.horizontal(sp)
-            hess[k] = F.hessian(sp)
+    horiz, hess = F.at(path, fine[:-1], left, ("horiz", "hess"))
     drift = _time_ordered_sum(horiz * np.diff(fine))
     return _ito_report(path, seq, levels, _gradient_rows(F, path), lhs, initial, drift,
                        hess, _jump_term(F, path), config)
@@ -245,9 +233,6 @@ def ito_residual_cylinder(f, f_prime, f_second, path, seq, config=None):
     F = cylinder(f, f_prime, f_second, dim=path.dim)
     seq, _ = refine_onto(seq, path.jump_times)
     ts = seq.level(seq.top)[:-1]
-    (hess,) = (None,) if F.pointwise is None else F.pointwise(
-        ts, path.values[path.grid_indices(ts)], path.T, ("hess",))
-    if hess is None:
-        hess = np.array([F.hessian(stop(path, float(t))) for t in ts])
+    (hess,) = F.at(path, ts, path.values[path.grid_indices(ts)], ("hess",))
     return _ito_report(path, seq, None, _gradient_rows(F, path), F.value(stop(path, path.T)),
                        F.value(stop(path, 0.0)), 0.0, hess, _jump_term(F, path), config)

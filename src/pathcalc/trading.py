@@ -374,11 +374,10 @@ def hedge(
         else _density_cells(realized_density, ts, rows)
     )
     # One pointwise evaluation on the whole grid serves the error integral, the
-    # gains and the track error; what it lacks is read off stopped paths.
+    # gains and the track error; what it lacks is read through ``F.at``.
     value, grad, hess = (None,) * 3 if F.pointwise is None else F.pointwise(
         path.times, path.values, path.T, ("value", "grad", "hess"))
-    hess = (np.array([F.hessian(stop(path, float(t))) for t in ts]) if hess is None
-            else np.asarray(hess)[li[:-1]])
+    hess = F.at(path, ts, rows, ("hess",))[0] if hess is None else np.asarray(hess)[li[:-1]]
     traces = np.einsum("kij,kji->k", a_cells - tilde_cells, hess)
     predicted = 0.5 * float(traces @ dt)
 
@@ -392,13 +391,10 @@ def hedge(
     realized = f0 + float(gain.limit[-1]) - float(payoff(path))
 
     probe_idx = path.grid_indices(probes)
-    if value is not None:
-        f_track = np.asarray(value, dtype=float)
-        f_curve = f_track[probe_idx]
-        track_idx = slice(None)
-    else:
-        f_track = f_curve = np.array([F.value(stop(path, float(t))) for t in probes])
-        track_idx = probe_idx
+    track_idx = probe_idx if value is None else slice(None)
+    f_track = (F.at(path, probes, path.values[probe_idx], ("value",))[0] if value is None
+               else np.asarray(value, dtype=float))
+    f_curve = f_track if value is None else f_track[probe_idx]
     track_by_level = {
         n: float(np.max(np.abs(f0 + gain.sums[n][track_idx] - f_track)))
         for n in gain.levels

@@ -143,6 +143,39 @@ def test_hedge_batch_summary(tmp_path):
     assert code == (1 if summary["summary"]["caveat"] else 0)
 
 
+# one concrete functional per name pattern of the config schema
+CLI_FUNCTIONALS = {
+    "identity(_[1-9][0-9]*)?": {"name": "identity_1"},
+    "monomial": {"name": "monomial", "power": 3},
+    "running_integral": {"name": "running_integral"},
+    "asian_forward": {"name": "asian_forward"},
+    "black_scholes": {"name": "black_scholes", "sigma": 0.2, "strike": 1.0},
+}
+
+
+def test_cli_runs_of_builtins_build_no_stepwise_approximation(tmp_path, monkeypatch):
+    # every built-in answers its gradient, Hessian and drift on arrays, so no
+    # command rebuilds the path per level to read them off stopped paths
+    import pathcalc.integration
+
+    def refuse(*args):
+        raise AssertionError("stepwise_approximation called")
+
+    monkeypatch.setattr(pathcalc.integration, "stepwise_approximation", refuse)
+    assert set(CLI_FUNCTIONALS) == set(cli._SCHEMA["functional"]["name"][0])
+    walk = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
+    for key, functional in CLI_FUNCTIONALS.items():
+        base = {"seed": 3, "partition": {"type": "dyadic", "max_level": 8},
+                "functional": functional, "out": str(tmp_path / key[:8])}
+        cfg = write_config(tmp_path, "i.json", {
+            **base, "integrate": {"residual_levels": [4, 6, 8]},
+            "path": {"kind": "with_jumps", "base": walk, "jumps": [[0.25, 0.1], [0.5, -0.1]]}})
+        assert main(["integrate", "--config", cfg]) in (0, 1), key
+        cfg = write_config(tmp_path, "h.json", {
+            **base, "path": walk, "hedge": {"density": {"kind": "bs", "sigma": 0.3}, "paths": 2}})
+        assert main(["hedge", "--config", cfg]) in (0, 1), key
+
+
 def test_hedge_deterministic(tmp_path):
     base = {
         "seed": 9,

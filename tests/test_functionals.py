@@ -288,11 +288,12 @@ def test_black_scholes_evaluator_bit_equal_per_quantity_reference(kind, size, fi
 
 
 def _assert_batch_bit_equal(F, t, s):
-    """F.batch against horizontal/hessian on each state's stopped path,
-    compared as int64 so that the sign of a zero counts."""
+    """The hook's answer to a "horiz" request against horizontal/hessian on
+    each state's stopped path, compared as int64 so that the sign of a zero
+    counts."""
     path = generate({"kind": "smooth"}, 0, dyadic(1.0, 2))
     stopped = [StoppedPath(path, tk, tk, sk) for tk, sk in zip(t, s)]
-    horiz, hess = F.batch(t, s, path.T)
+    horiz, hess = F.pointwise(t, s, path.T, ("horiz", "hess"))
     assert horiz.shape == (t.size,) and hess.shape == (t.size, 1, 1)
     ref_horiz = np.array([F.horizontal(sp) for sp in stopped])
     ref_hess = np.array([F.hessian(sp) for sp in stopped])
@@ -328,6 +329,50 @@ def test_black_scholes_batch_bit_equal_scalar_route_on_a_walk(kind, sigma, strik
     t = rng.uniform(0.0, 1.0, 4096)
     s = strike * np.exp(0.3 * rng.standard_normal((4096, 1)))
     _assert_batch_bit_equal(black_scholes(sigma, strike, kind), t, s)
+
+
+def _as_bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+EXACT_HOOK_FUNCTIONALS = [
+    identity(), identity(1, dim=2), identity(2, dim=3), running_integral(), asian_forward(),
+    black_scholes(0.3, 1.0), black_scholes(0.2, 1.1, "put"),
+]
+SCALAR_METHODS = {"value": "value", "grad": "gradient", "hess": "hessian",
+                  "horiz": "horizontal"}
+
+
+@pytest.mark.parametrize("F", EXACT_HOOK_FUNCTIONALS, ids=lambda F: F.name)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_exact_hooks_bit_equal_scalar_route(F, data):
+    # every quantity a hook gives in a "horiz" request is the scalar method's
+    # on StoppedPath(path, t_k, t_k, s_k), bit for bit; the path-dependent
+    # values (the running integrals) are left to the scalar route
+    seq = dyadic(1.0, 4)
+    path = generate({"kind": "scaled_random_walk", "sigma": 1.0, "dim": F.dim}, 1, seq)
+    n = data.draw(st.integers(1, 12))
+    times = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]))
+    t = np.array(data.draw(st.lists(times, min_size=n, max_size=n)))
+    spots = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1.0, 1.1]))
+    s = np.array(data.draw(st.lists(st.lists(spots, min_size=F.dim, max_size=F.dim),
+                                    min_size=n, max_size=n)))
+    rest = data.draw(st.permutations(["value", "grad", "hess"]))
+    want = tuple(rest[:data.draw(st.integers(0, 3))]) + ("horiz",)
+    got = dict(zip(want, F.pointwise(t, s, path.T, want)))
+    assert got["horiz"] is not None
+    stopped = [StoppedPath(path, tk, tk, sk) for tk, sk in zip(t, s)]
+    for q, arr in got.items():
+        if arr is None:
+            continue
+        ref = np.array([getattr(F, SCALAR_METHODS[q])(sp) for sp in stopped])
+        assert arr.shape == ref.shape, q
+        assert np.array_equal(_as_bits(arr), _as_bits(ref)), q
+    # Functional.at gives the hook's answer where it is whole, else the scalar one
+    for q, arr in zip(want, F.at(path, t, s, want)):
+        ref = np.array([getattr(F, SCALAR_METHODS[q])(sp) for sp in stopped])
+        assert np.array_equal(_as_bits(arr), _as_bits(ref)), q
 
 
 def test_evaluator_answers_none_where_there_is_no_pointwise_form():

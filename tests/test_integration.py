@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pathcalc import (
     Functional,
     SampledPath,
+    StoppedPath,
     asian_forward,
     black_scholes,
     cylinder,
@@ -20,7 +21,9 @@ from pathcalc import (
     monomial,
     qv_along,
     qv_matrix,
+    running_integral,
     stack,
+    stepwise_approximation,
     stop,
 )
 from pathcalc.convergence import ConvergenceConfig
@@ -136,13 +139,26 @@ def test_wrong_evaluation_detector():
         assert wrong - rep.sums[n][0] == pytest.approx(2.0 * qv.approx[n][0], rel=1e-12)
 
 
+def _stopped_path_rows(F, path, seq, n):
+    """Reference route: ``F.gradient`` on one stopped path per level-n cell
+    start, the stepwise approximation frozen there with current value x(t_i)."""
+    level = seq.level(n)
+    xn = stepwise_approximation(path, seq, n)
+    return np.array([F.gradient(StoppedPath(xn, t, t, x))
+                     for t, x in zip(level[:-1], path.values[path.grid_indices(level[:-1])])])
+
+
 def test_fast_and_loop_integrands_agree():
     seq = dyadic(1.0, 8)
     path = generate({"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}, 3, seq)
     F = black_scholes(0.2, 1.0)
     fast = _gradient_rows(F, path)(seq, 6, path.grid_indices(seq.level(6)))
-    slow = follmer_integrand(F, path, seq, 6)  # the state-by-state route
+    slow = _stopped_path_rows(F, path, seq, 6)  # the state-by-state route
     assert np.max(np.abs(fast - slow)) < 1e-12
+    # without a hook, follmer_integrand is that route; here the finite-difference
+    # gradient of a running integral reads the stepwise path before t_i
+    G = Functional(1, lambda sp: float(sp.left_riemann_integral()[0]) * float(sp.current[0]))
+    assert np.array_equal(follmer_integrand(G, path, seq, 6), _stopped_path_rows(G, path, seq, 6))
 
 
 def test_integrand_uses_jump_perturbed_state():
@@ -227,27 +243,63 @@ def test_ito_residual_sweep_equals_single_level_calls():
 
 def test_ito_residual_sweep_evaluates_drift_once():
     # Black-Scholes gives the drift and Hessian of every finest cell in one
-    # batch call, with no scalar horizontal/hessian call; a functional without
-    # the batch hook makes one of each per finest cell
+    # "horiz" request to its hook, with no scalar horizontal/hessian call; a
+    # cylinder's hook answers "hess" but no drift, so the request falls to
+    # one scalar call of each per finest cell, and the quadratic term keeps
+    # the bits of the per-cell reference
     path, seq = jump_walk(7)
     cells = seq.level(seq.top).size - 1
     calls = []
-    for F in (black_scholes(0.2, 1.0), monomial(3)):
+    for F in (black_scholes(0.2, 1.0), monomial(3), monomial(4)):
         for name in ("horizontal", "hessian"):
             method = getattr(F, name)
             setattr(F, name, lambda sp, name=name, method=method:
                     calls.append(name) or method(sp))
-        if F.batch is not None:
-            batch = F.batch
-            F.batch = lambda t, s, T: calls.append(
-                ("batch", t.size, s.shape)) or batch(t, s, T)
+        pointwise = F.pointwise
+        F.pointwise = lambda t, s, T, want, hook=pointwise: calls.append(
+            (want, t.size, s.shape)) or hook(t, s, T, want)
         calls.clear()
-        ito_residual_functional(F, path, seq, levels=[3, 5, 7])
-        if F.name == "monomial_3":
+        rep = ito_residual_functional(F, path, seq, levels=[3, 5, 7])
+        requests = [c for c in calls if isinstance(c, tuple) and "horiz" in c[0]]
+        assert requests == [(("horiz", "hess"), cells, (cells, 1))]
+        if F.name.startswith("monomial"):
             assert calls.count("horizontal") == calls.count("hessian") == cells
-            assert len(calls) == 2 * cells
+            _, qv_term, _ = _per_cell_ito_terms(F, path, seq, [7])
+            assert rep.qv_term == qv_term
         else:
-            assert calls == [("batch", cells, (cells, 1))]
+            assert "horizontal" not in calls and "hessian" not in calls
+
+
+def test_a_request_for_the_drift_takes_the_hook_whole_or_not_at_all():
+    # a hook that answers "hess" a little off the scalar method, and no drift:
+    # asked with "horiz", F.at reads every quantity from the stopped paths
+    path, seq = walk(3)
+    t, s = path.times[:-1], path.values[:-1]
+    F = Functional(1, lambda sp: float(sp.current[0]) ** 2, hess=lambda sp: np.full((1, 1), 2.0),
+                   horiz=lambda sp: 0.0,
+                   pointwise=lambda t, s, T, want: tuple(
+                       np.full((t.size, 1, 1), 2.5) if q == "hess" else None for q in want))
+    horiz, hess = F.at(path, t, s, ("horiz", "hess"))
+    assert np.array_equal(horiz, np.zeros(t.size)) and np.all(hess == 2.0)
+    # without "horiz", each quantity comes from where it is answered
+    value, hess = F.at(path, t, s, ("value", "hess"))
+    assert np.array_equal(value, [float(x) ** 2 for x in s[:, 0]]) and np.all(hess == 2.5)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_at_without_a_hook_equals_a_per_state_loop(dim):
+    path = generate({"kind": "scaled_random_walk", "sigma": 1.0, "dim": dim}, 2,
+                    dyadic(1.0, 5))
+    F = _fd_only(dim)
+    t = path.times[:-1:3]
+    s = np.random.default_rng(dim).standard_normal((t.size, dim))
+    want = ("value", "grad", "hess", "horiz")
+    got = F.at(path, t, s, want)
+    methods = (F.value, F.gradient, F.hessian, F.horizontal)
+    for q, arr, method in zip(want, got, methods):
+        ref = np.array([method(StoppedPath(path, tk, tk, sk)) for tk, sk in zip(t, s)])
+        assert arr.shape == ref.shape, q
+        assert np.array_equal(arr.view(np.int64), ref.view(np.int64)), q
 
 
 def _per_level_integrand(F, path, seq, n):
@@ -258,7 +310,7 @@ def _per_level_integrand(F, path, seq, n):
     (g,) = (None,) if F.pointwise is None else F.pointwise(
         level[:-1], path.values[li[:-1]], path.T, ("grad",))
     if g is None:
-        return follmer_integrand(F, path, seq, n)
+        return _stopped_path_rows(F, path, seq, n)
     return np.asarray(g, dtype=float).reshape(level.size - 1, path.dim)
 
 
@@ -310,7 +362,7 @@ def _negative_zero_drift():
 ITO_FUNCTIONALS = [
     monomial(3), black_scholes(0.3, 1.0), black_scholes(0.2, 1.1, "put"), identity(),
     _negative_zero_drift(), _fd_only(1), _product_2d(), identity(1, dim=2), _fd_only(2),
-    identity(2, dim=3), _fd_only(3),
+    identity(2, dim=3), _fd_only(3), running_integral(), asian_forward(),
 ]
 
 
@@ -356,7 +408,7 @@ def test_ito_terms_bit_equal_per_cell_reference(F, data):
 POINTWISE_GRAD_FUNCTIONALS = [
     identity(), identity(1, dim=2), identity(2, dim=3), monomial(3), monomial(2, 0.5),
     asian_forward(), black_scholes(0.3, 1.0), black_scholes(0.2, 1.1, "put"),
-    cylinder(np.sin, np.cos),
+    cylinder(np.sin, np.cos), running_integral(),
 ]
 
 

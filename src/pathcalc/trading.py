@@ -23,6 +23,7 @@ from .convergence import assess
 from .functionals import _elementwise, density_matrix, fpde_residual
 from .integration import (
     _gradient_rows,
+    _jump_term,
     _make_report,
     _qv_flags,
     _truncated_dot_sums,
@@ -265,6 +266,7 @@ class HedgeReport:
     realized_pnl: float
     predicted_error: float
     residual: float
+    jump_term: float
     probe_times: np.ndarray
     value_curve: np.ndarray
     functional_curve: np.ndarray
@@ -326,7 +328,9 @@ def hedge(
     levels=None, config=None, fpde_tol=1e-6, smooth_window=64,
 ):
     """Delta-hedge F against the claim and compare the realized shortfall
-    with the explicit second-order error integral.
+    with the explicit error formula: the second-order integral
+    ``0.5 * int (A - A_realized) Gamma dt`` less the jump sum ``J`` of
+    :func:`~pathcalc.integration._jump_term` (0.0 on a continuous path).
 
     ``density`` is the diffusion density the functional was built for;
     ``realized_density`` is either a density-spec for the path's actual
@@ -379,7 +383,8 @@ def hedge(
         path.times, path.values, path.T, ("value", "grad", "hess"))
     hess = F.at(path, ts, rows, ("hess",))[0] if hess is None else np.asarray(hess)[li[:-1]]
     traces = np.einsum("kij,kji->k", a_cells - tilde_cells, hess)
-    predicted = 0.5 * float(traces @ dt)
+    jump_term = _jump_term(F, path)  # 0.0 on a path without jumps
+    predicted = 0.5 * float(traces @ dt) - jump_term
 
     if levels is None:
         levels = sorted({max(seq.top - 1, 0), seq.top})
@@ -406,6 +411,7 @@ def hedge(
         realized_pnl=realized,
         predicted_error=predicted,
         residual=abs(realized - predicted),
+        jump_term=jump_term,
         probe_times=probes,
         value_curve=v_curve,
         functional_curve=f_curve,

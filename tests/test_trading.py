@@ -23,11 +23,13 @@ from pathcalc import (
     plausibility_diagnostic,
     qv_along,
     qv_matrix,
+    read_path_csv,
     self_financing_check,
     simple_ledger,
     stack,
     stop,
     strategy_from_functional,
+    write_path_csv,
 )
 from pathcalc.trading import (
     _bond_column,
@@ -445,6 +447,54 @@ def test_hedge_rejects_a_partition_on_another_horizon():
     with pytest.raises(ValueError, match="partition horizon 1.0 is not the path's horizon 2.0"):
         hedge(black_scholes(0.2, 1.0), call_payoff(1.0), diffusion_density(0.2), path,
               dyadic(1.0, 7))
+
+
+def jump_walk(level, seed, jumps, sigma=0.2):
+    seq = dyadic(1.0, level)
+    base = {"kind": "geometric_walk", "sigma": sigma, "x0": 1.0}
+    return generate({"kind": "with_jumps", "base": base, "jumps": jumps}, seed, seq), seq
+
+
+JUMPS = [[0.25, 0.1], [0.5, -0.15], [0.75, 0.08]]
+
+
+def hedge_estimate(path, seq, strike=1.0):
+    return hedge(black_scholes(0.2, strike), call_payoff(strike), diffusion_density(0.2),
+                 path, seq, realized_density="estimate", smooth_window=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_hedge_residual_on_jump_paths_falls_with_the_level(seed):
+    # without the jump sum the residual stays at 4e-2 to 5e-2 on these paths
+    residuals = []
+    for level in (10, 12, 14):
+        path, seq = jump_walk(level, seed, JUMPS)
+        rep = hedge_estimate(path, seq)
+        assert abs(rep.jump_term) > 1e-3
+        residuals.append(rep.residual)
+    assert residuals[0] > residuals[1] > residuals[2]
+    assert residuals[2] < 1e-5
+
+
+def test_hedge_jump_at_maturity():
+    # x(T-) is below the strike 1.1 and the jump lifts it above: J = x(T) - 1.1
+    path, seq = jump_walk(12, 1, [[1.0, 0.2]], sigma=0.05)
+    rep = hedge_estimate(path, seq, strike=1.1)
+    assert rep.jump_term == pytest.approx(path.values[-1, 0] - 1.1, abs=1e-9)
+    assert rep.jump_term > 0.05
+    assert rep.residual < 1e-4
+    ito = ito_residual_functional(black_scholes(0.2, 1.1), path, seq)
+    assert ito.jump_term == rep.jump_term  # one formula for both identities
+
+
+def test_hedge_jump_term_of_a_path_file_is_the_generators(tmp_path):
+    path, seq = jump_walk(10, 0, JUMPS)
+    write_path_csv(path, str(tmp_path / "jumps.csv"))
+    from_file = read_path_csv(str(tmp_path / "jumps.csv"))
+    generated, read = hedge_estimate(path, seq), hedge_estimate(from_file, seq)
+    assert read.jump_term == generated.jump_term != 0.0
+    assert read.predicted_error == generated.predicted_error
+    assert read.residual == generated.residual
 
 
 def test_hedge_evaluates_the_functional_once_per_path():

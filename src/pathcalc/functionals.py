@@ -1,12 +1,14 @@
 """Non-anticipative functionals F(t, omega_t) and their derivatives.
 
-A functional evaluates stopped paths.  Derivatives come in two flavours:
-analytic closures attached at construction time, or finite differences built
-on vertical perturbations (central, second order) and on the frozen
-horizontal extension (forward one-sided, matching the one-sided limit that
-defines the time derivative).  Built-ins also carry a pointwise hook for
+A functional evaluates stopped paths.  Built-ins carry a pointwise hook for
 the quantities that depend on (t, omega(t)) only; ``Functional.at`` reads
 states from it where it answers, else from stopped paths, for every caller.
+A derivative at one stopped path comes from the first of: an analytic
+closure attached at construction time; the hook's exact answer (a request
+holding "horiz"), which defines each built-in derivative once; finite
+differences built on vertical perturbations (central, second order) and on
+the frozen horizontal extension (forward one-sided, matching the one-sided
+limit that defines the time derivative).
 The paper's hypotheses on F (continuity, boundedness-preserving) are the
 caller's to meet: nothing here declares or checks them.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import boxcox, inv_boxcox, ndtr
 
 from .paths import StoppedPath
 
@@ -35,15 +37,14 @@ class Functional:
                  pointwise=None):
         self.dim = int(dim)
         self._eval = eval_fn
-        self._grad = grad
-        self._hess = hess
-        self._horiz = horiz
+        self._closures = {"grad": grad, "hess": hess, "horiz": horiz}
         self.name = name
         # Optional (t, s, T, want) -> tuple: per name in ``want`` ("value", "grad",
         # "hess", "horiz") an (n,), (n, d), (n, d, d) or (n,) array at the n
         # states (t_k, s_k), or None if F has no pointwise form of it; valid for
-        # a quantity that depends on (t, omega(t)) only.  In a request holding
-        # "horiz", each answer is bit-equal to its scalar method's.
+        # a quantity that depends on (t, omega(t)) only.  A request holding
+        # "horiz" is exact: its answers are those of the scalar methods, which
+        # read them from here at one state where F has no closure.
         self.pointwise = pointwise
 
     def require_dim(self, path):
@@ -54,20 +55,28 @@ class Functional:
     def value(self, sp):
         return float(self._eval(sp))
 
+    def _derivative(self, q, sp, fd):
+        """``q`` at one state: from the closure if F has one, else from the
+        hook's answer to a request holding "horiz" if it is whole, else ``fd``."""
+        if self._closures[q] is not None:
+            return self._closures[q](sp)
+        if self.pointwise is not None:
+            got = self.pointwise(np.array([sp.time]), sp.current[None], sp.T,
+                                 (q,) if q == "horiz" else (q, "horiz"))
+            if all(g is not None for g in got):
+                return got[0][0]
+        return fd(self, sp)
+
     def gradient(self, sp):
-        if self._grad is not None:
-            return np.asarray(self._grad(sp), dtype=float).reshape(self.dim)
-        return vertical_derivative_fd(self, sp)
+        grad = self._derivative("grad", sp, vertical_derivative_fd)
+        return np.asarray(grad, dtype=float).reshape(self.dim)
 
     def hessian(self, sp):
-        if self._hess is not None:
-            return np.asarray(self._hess(sp), dtype=float).reshape(self.dim, self.dim)
-        return vertical_hessian_fd(self, sp)
+        hess = self._derivative("hess", sp, vertical_hessian_fd)
+        return np.asarray(hess, dtype=float).reshape(self.dim, self.dim)
 
     def horizontal(self, sp):
-        if self._horiz is not None:
-            return float(self._horiz(sp))
-        return horizontal_derivative_fd(self, sp)
+        return float(self._derivative("horiz", sp, horizontal_derivative_fd))
 
     def at(self, path, t, s, want):
         """The quantities named in ``want`` at the states (t_k, s_k) stopped on
@@ -156,10 +165,6 @@ def _ncdf(x):
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def _npdf(x):
-    return math.exp(-0.5 * x * x) * _INV_SQRT_2PI
-
-
 def bs_price(s, strike, sigma, tau, kind="call"):
     if tau <= 0.0 or s <= 0.0:
         if kind == "call":
@@ -183,25 +188,19 @@ def bs_delta(s, strike, sigma, tau, kind="call"):
     return _ncdf(d1) if kind == "call" else _ncdf(d1) - 1.0
 
 
-def bs_gamma(s, strike, sigma, tau):
-    if tau <= 0.0 or s <= 0.0:
-        return 0.0
-    v = sigma * math.sqrt(tau)
-    d1 = (math.log(s / strike) + 0.5 * v * v) / v
-    return _npdf(d1) / den if (den := s * v) > 0.0 else 0.0  # den 0: a vanishing s
-
-
-def bs_theta(s, strike, sigma, tau):
-    """Derivative in calendar time t (time to maturity decreasing)."""
-    if tau <= 0.0 or s <= 0.0:
-        return 0.0
-    v = sigma * math.sqrt(tau)
-    d1 = (math.log(s / strike) + 0.5 * v * v) / v
-    return -s * _npdf(d1) * sigma / (2.0 * math.sqrt(tau))
-
-
-def _bs_d1_vec(s, strike, sigma, tau, log=np.log):
-    """Prelude in the scalar order: s, live mask, s and sqrt(tau) (1 if dead), v, d1."""
+def _bs_vec(s, strike, sigma, tau, kind, want):
+    """Price (n,), delta (n, 1), gamma (n, 1, 1) and theta (n,) (the derivative
+    in calendar time t), those named in ``want`` in that order, from one d1.
+    Dead points (tau <= 0 or s <= 0) take the payoff, its slope (half at the
+    strike), 0 and 0.  A request holding "horiz" is exact and answers None for
+    value and grad: numpy does only the correctly rounded + - * / sqrt, and
+    log and exp are libm's, through scipy's C loops ``boxcox(x, 0)`` and
+    ``inv_boxcox(y, 0)``, where numpy's SIMD ones may differ.  Other requests
+    take numpy's log and exp, and one ``ndtr(d1)``."""
+    exact = "horiz" in want
+    log, exp = np.log, np.exp
+    if exact:
+        log, exp = lambda x: boxcox(x, 0.0), lambda y: inv_boxcox(y, 0.0)
     s = np.asarray(s, dtype=float)
     tau = np.asarray(tau, dtype=float)
     live = (tau > 0.0) & (s > 0.0)
@@ -209,36 +208,16 @@ def _bs_d1_vec(s, strike, sigma, tau, log=np.log):
     root = np.sqrt(np.where(live, tau, 1.0))
     v = sigma * root
     d1 = (log(safe_s / strike) + 0.5 * v * v) / v
-    return s, live, safe_s, root, v, d1
-
-
-def _bs_gamma_vec(live, safe_s, v, d1, exp=np.exp):
-    """The density at d1, and gamma (n, 1, 1): 0 where ``bs_gamma`` has it 0."""
-    pdf = exp(-0.5 * d1 * d1) * _INV_SQRT_2PI
-    den = safe_s * v
-    return pdf, (pdf / np.where(live & (den > 0.0), den, np.inf))[:, None, None]
-
-
-def _bs_batch(s, strike, sigma, tau, want):
-    """Theta (n,) and gamma (n, 1, 1) for "horiz" and "hess" in ``want`` (None
-    for other names), bit-equal to ``bs_theta``/``bs_gamma`` point by point:
-    numpy does only the correctly rounded + - * / sqrt, and log and exp are
-    libm's (``math``), where numpy's SIMD ones may differ."""
-    libm = lambda fn: lambda x: np.fromiter(map(fn, x), float, x.size)
-    _, live, safe_s, root, v, d1 = _bs_d1_vec(s, strike, sigma, tau, log=libm(math.log))
-    pdf, gamma = _bs_gamma_vec(live, safe_s, v, d1, exp=libm(math.exp))
-    out = {"horiz": np.where(live, -safe_s * pdf * sigma / (2.0 * root), 0.0), "hess": gamma}
-    return tuple(out.get(q) for q in want)
-
-
-def _bs_vec(s, strike, sigma, tau, kind, want):
-    """Price (n,), delta (n, 1) and gamma (n, 1, 1), those named in ``want``
-    in that order, from one d1 and one ``ndtr(d1)``.  Dead points (tau <= 0
-    or s <= 0) take the payoff, its slope (half at the strike) and 0."""
-    s, live, safe_s, _, v, d1 = _bs_d1_vec(s, strike, sigma, tau)
+    out = {}
+    if exact or "hess" in want:
+        pdf = exp(-0.5 * d1 * d1) * _INV_SQRT_2PI
+        den = safe_s * v  # 0 at a subnormal s: gamma 0 there
+        out["hess"] = (pdf / np.where(live & (den > 0.0), den, np.inf))[:, None, None]
+        out["horiz"] = np.where(live, -safe_s * pdf * sigma / (2.0 * root), 0.0) if exact else None
+    if exact:
+        return tuple(out.get(q) for q in want)
     call = kind == "call"
     n1 = ndtr(d1) if "grad" in want or (call and "value" in want) else None
-    out = {}
     if "value" in want:
         d2 = d1 - v
         if call:
@@ -249,8 +228,6 @@ def _bs_vec(s, strike, sigma, tau, kind, want):
     if "grad" in want:  # a put's delta is the call's less 1, also at dead points
         delta = np.where(live, n1, np.where(s > strike, 1.0, np.where(s == strike, 0.5, 0.0)))
         out["grad"] = (delta if call else delta - 1.0)[:, None]
-    if "hess" in want:
-        out["hess"] = _bs_gamma_vec(live, safe_s, v, d1)[1]
     return tuple(out[q] for q in want)
 
 
@@ -276,14 +253,10 @@ def identity(index=0, dim=1):
         raise ValueError("index outside the path dimension")
     e = np.zeros(dim)
     e[index] = 1.0
-    zero = np.zeros((dim, dim))
 
     return Functional(
         dim,
         lambda sp: sp.current[index],
-        grad=lambda sp: e,
-        hess=lambda sp: zero,
-        horiz=lambda sp: 0.0,
         name=f"identity_{index + 1}",
         pointwise=_evaluator(value=lambda t, s, T: s[:, index], hess=_zeros(dim, dim),
                              grad=lambda t, s, T: np.broadcast_to(e, (t.size, dim)),
@@ -354,9 +327,6 @@ def running_integral():
     return Functional(
         1,
         lambda sp: float(sp.left_riemann_integral()[0]),
-        grad=lambda sp: np.zeros(1),
-        hess=lambda sp: np.zeros((1, 1)),
-        horiz=lambda sp: float(sp.current[0]),
         name="running_integral",
         pointwise=_evaluator(grad=_zeros(1), hess=_zeros(1, 1), horiz=lambda t, s, T: s[:, 0]),
     )
@@ -374,9 +344,6 @@ def asian_forward():
         1,
         lambda sp: float(sp.left_riemann_integral()[0])
         + float(sp.current[0]) * (sp.T - sp.time),
-        grad=lambda sp: np.array([sp.T - sp.time]),
-        hess=lambda sp: np.zeros((1, 1)),
-        horiz=lambda sp: 0.0,
         name="asian_forward",
         pointwise=_evaluator(grad=lambda t, s, T: (T - t)[:, None], hess=_zeros(1, 1),
                              horiz=_zeros()),
@@ -404,13 +371,8 @@ def black_scholes(sigma, strike, kind="call"):
         grad=lambda sp: np.array(
             [bs_delta(float(sp.current[0]), strike, sigma, sp.T - sp.time, kind)]
         ),
-        hess=lambda sp: np.array(
-            [[bs_gamma(float(sp.current[0]), strike, sigma, sp.T - sp.time)]]
-        ),
-        horiz=lambda sp: bs_theta(float(sp.current[0]), strike, sigma, sp.T - sp.time),
         name=f"black_scholes_{kind}",
-        pointwise=lambda t, s, T, want: _bs_batch(s[:, 0], strike, sigma, T - t, want)
-        if "horiz" in want else _bs_vec(s[:, 0], strike, sigma, T - t, kind, want),
+        pointwise=lambda t, s, T, want: _bs_vec(s[:, 0], strike, sigma, T - t, kind, want),
     )
 
 

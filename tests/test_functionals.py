@@ -26,7 +26,33 @@ from pathcalc import (
     vertical_derivative_fd,
     vertical_hessian_fd,
 )
-from pathcalc.functionals import _elementwise, bs_delta, bs_gamma, bs_price, bs_theta
+from pathcalc.functionals import _elementwise, bs_delta, bs_price
+
+# The scalar reference route of the Black-Scholes derivatives that the library
+# defines only in its array kernel: libm's log and exp, one point at a time.
+
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _npdf(x):
+    return math.exp(-0.5 * x * x) * _INV_SQRT_2PI
+
+
+def bs_gamma(s, strike, sigma, tau):
+    if tau <= 0.0 or s <= 0.0:
+        return 0.0
+    v = sigma * math.sqrt(tau)
+    d1 = (math.log(s / strike) + 0.5 * v * v) / v
+    return _npdf(d1) / den if (den := s * v) > 0.0 else 0.0  # den 0: a vanishing s
+
+
+def bs_theta(s, strike, sigma, tau):
+    """Derivative in calendar time t (time to maturity decreasing)."""
+    if tau <= 0.0 or s <= 0.0:
+        return 0.0
+    v = sigma * math.sqrt(tau)
+    d1 = (math.log(s / strike) + 0.5 * v * v) / v
+    return -s * _npdf(d1) * sigma / (2.0 * math.sqrt(tau))
 
 
 def scipy_bs_call(s, k, sigma, tau):
@@ -131,6 +157,36 @@ def test_bare_functional_derivatives_fall_back_to_fd():
     assert F.horizontal(sp) == 0.0
 
 
+def _hook(**answers):
+    """A pointwise hook answering each named quantity with a constant."""
+    return lambda t, s, T, want: tuple(
+        None if q not in answers else np.full((t.size, *np.shape(answers[q])), answers[q])
+        for q in want)
+
+
+def test_scalar_methods_read_the_hook_only_from_a_whole_horiz_request():
+    path = generate({"kind": "smooth", "name": "quadratic"}, 0, dyadic(1.0, 3))
+    sp = stop(path, 0.5)
+    square = lambda sp: float(sp.current[0]) ** 2
+    # a hook without "horiz" is not exact: every derivative is a difference
+    grad_only = Functional(1, square, pointwise=_hook(grad=[7.0]))
+    assert np.array_equal(grad_only.gradient(sp), vertical_derivative_fd(grad_only, sp))
+    assert grad_only.gradient(sp)[0] != 7.0
+    assert grad_only.horizontal(sp) == horizontal_derivative_fd(grad_only, sp)
+    # a hook answering the quantity and "horiz" gives both; the Hessian it
+    # lacks is still a difference
+    both = Functional(1, square, pointwise=_hook(grad=[7.0], horiz=0.5))
+    assert both.gradient(sp).tolist() == [7.0]
+    assert both.horizontal(sp) == 0.5
+    assert np.array_equal(both.hessian(sp), vertical_hessian_fd(both, sp))
+    # a closure always wins over the hook
+    closures = Functional(1, square, grad=lambda sp: [3.0], horiz=lambda sp: -1.0,
+                          pointwise=_hook(grad=[7.0], hess=[[2.0]], horiz=0.5))
+    assert closures.gradient(sp).tolist() == [3.0]
+    assert closures.horizontal(sp) == -1.0
+    assert closures.hessian(sp).tolist() == [[2.0]]
+
+
 # ---------------------------------------------------------------------------
 # non-anticipativity
 # ---------------------------------------------------------------------------
@@ -210,8 +266,6 @@ def test_black_scholes_vectorized_matches_scalar():
 # Reference route of the Black-Scholes evaluator: one kernel per quantity,
 # each working out its own d1 and ndtr values.
 
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
 
 def _ref_d1(s, strike, sigma, tau):
     s = np.asarray(s, dtype=float)
@@ -287,18 +341,25 @@ def test_black_scholes_evaluator_bit_equal_per_quantity_reference(kind, size, fi
             assert np.array_equal(arr, ref[q]), (q, want)
 
 
-def _assert_batch_bit_equal(F, t, s):
-    """The hook's answer to a "horiz" request against horizontal/hessian on
-    each state's stopped path, compared as int64 so that the sign of a zero
-    counts."""
-    path = generate({"kind": "smooth"}, 0, dyadic(1.0, 2))
-    stopped = [StoppedPath(path, tk, tk, sk) for tk, sk in zip(t, s)]
-    horiz, hess = F.pointwise(t, s, path.T, ("horiz", "hess"))
+def _as_bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _bs_closed_forms(sigma, strike, t, s, T):
+    """Theta (n,) and gamma (n, 1, 1) from the scalar ``bs_theta``/``bs_gamma``."""
+    states = [(float(sk), T - float(tk)) for tk, (sk,) in zip(t, s)]
+    return (np.array([bs_theta(sk, strike, sigma, tau) for sk, tau in states]),
+            np.array([[[bs_gamma(sk, strike, sigma, tau)]] for sk, tau in states]))
+
+
+def _assert_batch_bit_equal(sigma, strike, kind, t, s):
+    """The hook's answer to a "horiz" request against the scalar math route,
+    compared as int64 so that the sign of a zero counts."""
+    horiz, hess = black_scholes(sigma, strike, kind).pointwise(t, s, 1.0, ("horiz", "hess"))
     assert horiz.shape == (t.size,) and hess.shape == (t.size, 1, 1)
-    ref_horiz = np.array([F.horizontal(sp) for sp in stopped])
-    ref_hess = np.array([F.hessian(sp) for sp in stopped])
-    assert np.array_equal(horiz.view(np.int64), ref_horiz.view(np.int64))
-    assert np.array_equal(hess.view(np.int64), ref_hess.view(np.int64))
+    ref_horiz, ref_hess = _bs_closed_forms(sigma, strike, t, s, 1.0)
+    assert np.array_equal(_as_bits(horiz), _as_bits(ref_horiz))
+    assert np.array_equal(_as_bits(hess), _as_bits(ref_hess))
 
 
 BATCH_OPTIONS = [(kind, sigma, strike) for kind in ("call", "put")
@@ -318,7 +379,7 @@ _BATCH_S = st.one_of(st.floats(-2.0, 5.0),
 def test_black_scholes_batch_bit_equal_scalar_route(kind, sigma, strike, states):
     t = np.array([tk for tk, _ in states])
     s = np.array([[strike if sk == "strike" else sk] for _, sk in states])
-    _assert_batch_bit_equal(black_scholes(sigma, strike, kind), t, s)
+    _assert_batch_bit_equal(sigma, strike, kind, t, s)
 
 
 @pytest.mark.parametrize("kind, sigma, strike", BATCH_OPTIONS)
@@ -328,27 +389,47 @@ def test_black_scholes_batch_bit_equal_scalar_route_on_a_walk(kind, sigma, strik
     rng = np.random.default_rng(4096)
     t = rng.uniform(0.0, 1.0, 4096)
     s = strike * np.exp(0.3 * rng.standard_normal((4096, 1)))
-    _assert_batch_bit_equal(black_scholes(sigma, strike, kind), t, s)
+    _assert_batch_bit_equal(sigma, strike, kind, t, s)
 
 
-def _as_bits(a):
-    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+def _identity_forms(index, dim):
+    e = np.eye(dim)[index]
+    return identity(index, dim=dim), lambda t, s, T: {
+        "value": s[:, index], "grad": np.tile(e, (t.size, 1)),
+        "hess": np.zeros((t.size, dim, dim)), "horiz": np.zeros(t.size)}
 
 
-EXACT_HOOK_FUNCTIONALS = [
-    identity(), identity(1, dim=2), identity(2, dim=3), running_integral(), asian_forward(),
-    black_scholes(0.3, 1.0), black_scholes(0.2, 1.1, "put"),
+def _bs_forms(sigma, strike, kind):
+    def forms(t, s, T):
+        horiz, hess = _bs_closed_forms(sigma, strike, t, s, T)
+        return {"value": None, "grad": None, "hess": hess, "horiz": horiz}
+    return black_scholes(sigma, strike, kind), forms
+
+
+# (F, closed forms (t, s, T) -> {quantity: array, or None where the hook's
+# "horiz" request leaves it to the scalar route}), written apart from the hooks
+EXACT_HOOKS = [
+    _identity_forms(0, 1), _identity_forms(1, 2), _identity_forms(2, 3),
+    (running_integral(), lambda t, s, T: {
+        "value": None, "grad": np.zeros((t.size, 1)), "hess": np.zeros((t.size, 1, 1)),
+        "horiz": s[:, 0]}),
+    (asian_forward(), lambda t, s, T: {
+        "value": None, "grad": np.array([[T - tk] for tk in t]),
+        "hess": np.zeros((t.size, 1, 1)), "horiz": np.zeros(t.size)}),
+    _bs_forms(0.3, 1.0, "call"), _bs_forms(0.2, 1.1, "put"),
 ]
 SCALAR_METHODS = {"value": "value", "grad": "gradient", "hess": "hessian",
                   "horiz": "horizontal"}
 
 
-@pytest.mark.parametrize("F", EXACT_HOOK_FUNCTIONALS, ids=lambda F: F.name)
+@pytest.mark.parametrize("F, forms", [pytest.param(*case, id=case[0].name)
+                                      for case in EXACT_HOOKS])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_exact_hooks_bit_equal_scalar_route(F, data):
-    # every quantity a hook gives in a "horiz" request is the scalar method's
-    # on StoppedPath(path, t_k, t_k, s_k), bit for bit; the path-dependent
+def test_exact_hooks_bit_equal_scalar_route(F, forms, data):
+    # every quantity a hook gives in a "horiz" request is its closed form, bit
+    # for bit, and so are the scalar methods on StoppedPath(path, t_k, t_k,
+    # s_k) and Functional.at, which read it from the hook; the path-dependent
     # values (the running integrals) are left to the scalar route
     seq = dyadic(1.0, 4)
     path = generate({"kind": "scaled_random_walk", "sigma": 1.0, "dim": F.dim}, 1, seq)
@@ -360,19 +441,17 @@ def test_exact_hooks_bit_equal_scalar_route(F, data):
                                     min_size=n, max_size=n)))
     rest = data.draw(st.permutations(["value", "grad", "hess"]))
     want = tuple(rest[:data.draw(st.integers(0, 3))]) + ("horiz",)
-    got = dict(zip(want, F.pointwise(t, s, path.T, want)))
-    assert got["horiz"] is not None
+    ref = forms(t, s, path.T)
     stopped = [StoppedPath(path, tk, tk, sk) for tk, sk in zip(t, s)]
-    for q, arr in got.items():
-        if arr is None:
+    for q, arr, at in zip(want, F.pointwise(t, s, path.T, want), F.at(path, t, s, want)):
+        if ref[q] is None:
+            assert arr is None, q
             continue
-        ref = np.array([getattr(F, SCALAR_METHODS[q])(sp) for sp in stopped])
-        assert arr.shape == ref.shape, q
-        assert np.array_equal(_as_bits(arr), _as_bits(ref)), q
-    # Functional.at gives the hook's answer where it is whole, else the scalar one
-    for q, arr in zip(want, F.at(path, t, s, want)):
-        ref = np.array([getattr(F, SCALAR_METHODS[q])(sp) for sp in stopped])
-        assert np.array_equal(_as_bits(arr), _as_bits(ref)), q
+        assert arr.shape == ref[q].shape, q
+        assert np.array_equal(_as_bits(arr), _as_bits(ref[q])), q
+        scalar = np.array([getattr(F, SCALAR_METHODS[q])(sp) for sp in stopped])
+        assert np.array_equal(_as_bits(scalar), _as_bits(ref[q])), q
+        assert np.array_equal(_as_bits(at), _as_bits(ref[q])), q
 
 
 def test_evaluator_answers_none_where_there_is_no_pointwise_form():

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from pathcalc import (
+    Functional,
+    PartitionSequence,
     SimpleStrategy,
     asian_forward,
     black_scholes,
     call_payoff,
     constant_density,
     cylinder,
+    default_probe_times,
     diffusion_density,
     dyadic,
     follmer_integral_functional,
+    fpde_residual,
     generate,
     hedge,
     identity,
@@ -503,14 +507,71 @@ def test_hedge_evaluates_the_functional_once_per_path():
     evaluate, calls = F.pointwise, []
     F.pointwise = lambda t, s, T, want: calls.append(want) or evaluate(t, s, T, want)
     once = hedge(F, call_payoff(1.0), diffusion_density(0.2), path, seq)
-    assert calls == [("value", "grad", "hess")]
-    # the same quantities asked for one at a time give the same report
+    # one exact request for the pricing-equation probes, one for the grid
+    assert calls == [("horiz", "hess"), ("value", "grad", "hess")]
+    # the same quantities asked for one at a time (exact ones exactly) give
+    # the same report
     split = black_scholes(0.2, 1.0)
-    split.pointwise = lambda t, s, T, want: tuple(evaluate(t, s, T, (q,))[0] for q in want)
+    split.pointwise = lambda t, s, T, want: tuple(
+        evaluate(t, s, T, (q, "horiz") if "horiz" in want else (q,))[0] for q in want)
     ref = hedge(split, call_payoff(1.0), diffusion_density(0.2), path, seq)
     for f in fields(once):
         a, b = getattr(once, f.name), getattr(ref, f.name)
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+
+
+def _sampled_fpde_max(F, A, path, seq):
+    """Reference of ``fpde_max_residual``: the largest |fpde_residual| on one
+    stopped path per sampled interior probe (about 8 of them), 0.0 if none."""
+    probes = default_probe_times(seq, path)
+    interior = probes[(probes > 0) & (probes < path.T)]
+    sample = interior[:: max(1, interior.size // 8)]
+    return max([0.0, *(abs(fpde_residual(F, A, stop(path, float(t)))) for t in sample)])
+
+
+FPDE_CASES = {  # name -> (F, density, path maker); every residual but asian's is nonzero
+    "black_scholes": (black_scholes(0.2, 1.0), diffusion_density(0.3), lambda: geometric(10)),
+    "black_scholes_jumps": (black_scholes(0.2, 1.0), diffusion_density(0.25),
+                            lambda: jump_walk(10, 2, JUMPS)),
+    "asian_forward": (asian_forward(), 0.04, lambda: geometric(10, seed=3)),
+    "cylinder": (cylinder(np.sin, np.cos, lambda x: -np.sin(x)), constant_density(0.09),
+                 lambda: geometric(9, seed=4)),
+    "callable_density": (black_scholes(0.25, 1.1, "put"), lambda t, s: 0.04 + t * s * s,
+                         lambda: geometric(10, seed=6, sigma=0.3)),
+}
+
+
+@pytest.mark.parametrize("name", FPDE_CASES)
+def test_hedge_fpde_max_is_the_largest_stopped_path_residual(name):
+    F, A, make = FPDE_CASES[name]
+    path, seq = make()
+    rep = hedge(F, call_payoff(1.0), A, path, seq)
+    ref = _sampled_fpde_max(F, A, path, seq)
+    assert rep.fpde_max_residual == ref and type(rep.fpde_max_residual) is float
+    assert (ref > 0.0) == (name != "asian_forward")
+
+
+@pytest.mark.parametrize("F", [
+    identity(0, dim=2),
+    Functional(2, lambda sp: float(sp.current[0] * sp.current[1]),
+               hess=lambda sp: np.array([[0.0, 1.0], [1.0, 0.0]]), horiz=lambda sp: 0.0),
+], ids=["identity", "product"])
+def test_hedge_fpde_max_on_two_dimensions(F):
+    # einsum may sum the trace in another order than trace(a @ hess)
+    seq = dyadic(1.0, 8)
+    path = generate({"kind": "geometric_walk", "sigma": 0.2, "x0": 1.0, "dim": 2}, 5, seq)
+    A = np.array([[0.04, 0.013], [0.013, 0.09]])
+    rep = hedge(F, lambda p: float(p.values[-1, 0]), A, path, seq)
+    assert rep.fpde_max_residual == pytest.approx(_sampled_fpde_max(F, A, path, seq),
+                                                  rel=1e-15, abs=0.0)
+
+
+def test_hedge_without_interior_probes_reads_no_residual():
+    # levels [0, 1] twice: the probes are 0 and T, so no state is sampled
+    seq = PartitionSequence(1.0, [[0.0, 1.0], [0.0, 1.0]], dense=False)
+    path = generate({"kind": "geometric_walk", "sigma": 0.2, "x0": 1.0}, 0, seq)
+    rep = hedge(black_scholes(0.2, 1.0), call_payoff(1.0), constant_density(0.04), path, seq)
+    assert rep.fpde_max_residual == 0.0 and not rep.fpde_flag
 
 
 def test_hedge_on_scalar_only_cylinder_equals_its_array_twin():

@@ -3,12 +3,11 @@
 A functional evaluates stopped paths.  Built-ins carry a pointwise hook for
 the quantities that depend on (t, omega(t)) only; ``Functional.at`` reads
 states from it where it answers, else from stopped paths, for every caller.
-A derivative at one stopped path comes from the first of: an analytic
-closure attached at construction time; the hook's exact answer (a request
-holding "horiz"), which defines each built-in derivative once; finite
-differences built on vertical perturbations (central, second order) and on
-the frozen horizontal extension (forward one-sided, matching the one-sided
-limit that defines the time derivative).
+A derivative has two sources: the hook's exact answer (a request holding
+"horiz"), where each built-in defines it once, for arrays and for one state
+alike; else finite differences built on vertical perturbations (central,
+second order) and on the frozen horizontal extension (forward one-sided,
+matching the one-sided limit that defines the time derivative).
 The paper's hypotheses on F (continuity, boundedness-preserving) are the
 caller's to meet: nothing here declares or checks them.
 """
@@ -33,18 +32,16 @@ def default_horizontal_step(sp):
 
 
 class Functional:
-    def __init__(self, dim, eval_fn, grad=None, hess=None, horiz=None, name="functional",
-                 pointwise=None):
+    def __init__(self, dim, eval_fn, *, name="functional", pointwise=None):
         self.dim = int(dim)
         self._eval = eval_fn
-        self._closures = {"grad": grad, "hess": hess, "horiz": horiz}
         self.name = name
         # Optional (t, s, T, want) -> tuple: per name in ``want`` ("value", "grad",
         # "hess", "horiz") an (n,), (n, d), (n, d, d) or (n,) array at the n
         # states (t_k, s_k), or None if F has no pointwise form of it; valid for
         # a quantity that depends on (t, omega(t)) only.  A request holding
         # "horiz" is exact: its answers are those of the scalar methods, which
-        # read them from here at one state where F has no closure.
+        # read them from here at one state.
         self.pointwise = pointwise
 
     def require_dim(self, path):
@@ -56,10 +53,8 @@ class Functional:
         return float(self._eval(sp))
 
     def _derivative(self, q, sp, fd):
-        """``q`` at one state: from the closure if F has one, else from the
-        hook's answer to a request holding "horiz" if it is whole, else ``fd``."""
-        if self._closures[q] is not None:
-            return self._closures[q](sp)
+        """``q`` at one state: the hook's answer to a request holding "horiz"
+        if it is whole, else ``fd``."""
         if self.pointwise is not None:
             got = self.pointwise(np.array([sp.time]), sp.current[None], sp.T,
                                  (q,) if q == "horiz" else (q, "horiz"))
@@ -178,25 +173,15 @@ def bs_price(s, strike, sigma, tau, kind="call"):
     return strike * _ncdf(-d2) - s * _ncdf(-d1)
 
 
-def bs_delta(s, strike, sigma, tau, kind="call"):
-    if tau <= 0.0 or s <= 0.0:
-        if kind == "call":
-            return 1.0 if s > strike else (0.5 if s == strike else 0.0)
-        return -1.0 if s < strike else (-0.5 if s == strike else 0.0)
-    v = sigma * math.sqrt(tau)
-    d1 = (math.log(s / strike) + 0.5 * v * v) / v
-    return _ncdf(d1) if kind == "call" else _ncdf(d1) - 1.0
-
-
 def _bs_vec(s, strike, sigma, tau, kind, want):
     """Price (n,), delta (n, 1), gamma (n, 1, 1) and theta (n,) (the derivative
     in calendar time t), those named in ``want`` in that order, from one d1.
     Dead points (tau <= 0 or s <= 0) take the payoff, its slope (half at the
     strike), 0 and 0.  A request holding "horiz" is exact and answers None for
-    value and grad: numpy does only the correctly rounded + - * / sqrt, and
-    log and exp are libm's, through scipy's C loops ``boxcox(x, 0)`` and
+    the value: numpy does only the correctly rounded + - * / sqrt, and log and
+    exp are libm's, through scipy's C loops ``boxcox(x, 0)`` and
     ``inv_boxcox(y, 0)``, where numpy's SIMD ones may differ.  Other requests
-    take numpy's log and exp, and one ``ndtr(d1)``."""
+    take numpy's log and exp.  Either takes one ``ndtr(d1)``."""
     exact = "horiz" in want
     log, exp = np.log, np.exp
     if exact:
@@ -214,11 +199,10 @@ def _bs_vec(s, strike, sigma, tau, kind, want):
         den = safe_s * v  # 0 at a subnormal s: gamma 0 there
         out["hess"] = (pdf / np.where(live & (den > 0.0), den, np.inf))[:, None, None]
         out["horiz"] = np.where(live, -safe_s * pdf * sigma / (2.0 * root), 0.0) if exact else None
-    if exact:
-        return tuple(out.get(q) for q in want)
     call = kind == "call"
-    n1 = ndtr(d1) if "grad" in want or (call and "value" in want) else None
-    if "value" in want:
+    value = "value" in want and not exact  # the exact value is ``bs_price``'s
+    n1 = ndtr(d1) if "grad" in want or (call and value) else None
+    if value:
         d2 = d1 - v
         if call:
             val, dead = safe_s * n1 - strike * ndtr(d2), np.maximum(s - strike, 0.0)
@@ -228,7 +212,7 @@ def _bs_vec(s, strike, sigma, tau, kind, want):
     if "grad" in want:  # a put's delta is the call's less 1, also at dead points
         delta = np.where(live, n1, np.where(s > strike, 1.0, np.where(s == strike, 0.5, 0.0)))
         out["grad"] = (delta if call else delta - 1.0)[:, None]
-    return tuple(out[q] for q in want)
+    return tuple(out.get(q) for q in want)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +251,7 @@ def identity(index=0, dim=1):
 def _elementwise(fn, *arrays):
     """``fn`` applied to equal-length 1-d arrays element by element: one call
     on the whole arrays, kept when it gives one value per element, else one
-    call per element.  The only place a user function meets a grid."""
+    call per element.  The one rule for a scalar user function on a grid."""
     try:
         out = np.asarray(fn(*arrays), dtype=float)
         if out.shape == arrays[0].shape:
@@ -278,24 +262,23 @@ def _elementwise(fn, *arrays):
 
 
 def cylinder(f, f_prime=None, f_second=None, dim=1, name="cylinder"):
-    """F(t, omega) = f(omega(t)); scalar argument when dim == 1, where f,
-    f_prime and f_second also give F a pointwise evaluator."""
-
-    def current_arg(sp):
-        return sp.current[0] if dim == 1 else sp.current
+    """F(t, omega) = f(omega(t)); scalar argument when dim == 1, else the
+    (dim,) vector.  Its hook calls f, f_prime and f_second on the states
+    (element by element when dim == 1, one row at a time otherwise) and
+    answers the drift with zeros."""
 
     def on_grid(fn, shape):
-        return (lambda t, s, T: _elementwise(fn, s[:, 0]).reshape(shape)) if fn else None
+        def at(t, s, T):
+            rows = _elementwise(fn, s[:, 0]) if dim == 1 else [np.asarray(fn(x), float) for x in s]
+            return np.asarray(rows, dtype=float).reshape(shape)
+        return at if fn else None
 
     return Functional(
         dim,
-        lambda sp: f(current_arg(sp)),
-        grad=(lambda sp: f_prime(current_arg(sp))) if f_prime else None,
-        hess=(lambda sp: f_second(current_arg(sp))) if f_second else None,
-        horiz=lambda sp: 0.0,
+        lambda sp: f(sp.current[0] if dim == 1 else sp.current),
         name=name,
-        pointwise=_evaluator(value=on_grid(f, (-1,)), grad=on_grid(f_prime, (-1, 1)),
-                             hess=on_grid(f_second, (-1, 1, 1))) if dim == 1 else None,
+        pointwise=_evaluator(value=on_grid(f, (-1,)), grad=on_grid(f_prime, (-1, dim)),
+                             hess=on_grid(f_second, (-1, dim, dim)), horiz=_zeros()),
     )
 
 
@@ -368,9 +351,6 @@ def black_scholes(sigma, strike, kind="call"):
     return Functional(
         1,
         lambda sp: bs_price(float(sp.current[0]), strike, sigma, sp.T - sp.time, kind),
-        grad=lambda sp: np.array(
-            [bs_delta(float(sp.current[0]), strike, sigma, sp.T - sp.time, kind)]
-        ),
         name=f"black_scholes_{kind}",
         pointwise=lambda t, s, T, want: _bs_vec(s[:, 0], strike, sigma, T - t, kind, want),
     )

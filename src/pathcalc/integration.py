@@ -25,7 +25,7 @@ import numpy as np
 from .convergence import ConvergenceConfig, assess
 from .functionals import cylinder
 from .partitions import refine_onto
-from .paths import stepwise_approximation, stop
+from .paths import _time_ordered_sum, stepwise_approximation, stop
 from .quadvar import (
     _cell_index,
     _continuous_qv_increments,
@@ -147,11 +147,6 @@ def _qv_flags(path, seq, config):
     return rep.converged, rep.convergence_metric
 
 
-def _time_ordered_sum(terms):
-    """0.0 + terms[0] + terms[1] + ... like ``+=`` (``np.sum`` adds pairwise)."""
-    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
-
-
 def _ito_report(path, seq, levels, rows, lhs, initial, drift, hess, jump_term, config):
     """Residuals of a change-of-variable form from its own terms: ``hess`` at the
     finest cell starts in the form's limit convention, ``rows`` as from
@@ -161,7 +156,7 @@ def _ito_report(path, seq, levels, rows, lhs, initial, drift, hess, jump_term, c
     if len(levels) == 0:
         raise ValueError("levels must list at least one level")
     dqv = _continuous_qv_increments(path, seq)
-    qv_term = _time_ordered_sum(0.5 * np.trace(np.matmul(hess, dqv), axis1=1, axis2=2))
+    qv_term = float(_time_ordered_sum(0.5 * np.trace(np.matmul(hess, dqv), axis1=1, axis2=2)))
     qv_ok, qv_metric = _qv_flags(path, seq, config)
     residual_by_level = {}
     for n in sorted(levels):
@@ -216,7 +211,7 @@ def ito_residual_functional(F, path, seq, levels=None, config=None):
         if tj < path.T:  # a jump at T starts no cell
             left[np.searchsorted(fine, tj)] -= dlt
     horiz, hess = F.at(path, fine[:-1], left, ("horiz", "hess"))
-    drift = _time_ordered_sum(horiz * np.diff(fine))
+    drift = float(_time_ordered_sum(horiz * np.diff(fine)))
     return _ito_report(path, seq, levels, _gradient_rows(F, path), lhs, initial, drift,
                        hess, _jump_term(F, path), config)
 

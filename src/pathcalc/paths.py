@@ -20,6 +20,13 @@ import numpy as np
 from .partitions import grid_positions, require_finite
 
 
+def _time_ordered_sum(terms):
+    """0.0 + terms[0] + terms[1] + ... in time order, as a ``+=`` loop adds,
+    per column of a 2-d ``terms``: ``np.sum`` adds pairwise, and a BLAS
+    product in blocks that depend on the thread count."""
+    return np.cumsum(np.concatenate((np.zeros((1, *np.shape(terms)[1:])), terms)), axis=0)[-1]
+
+
 class SampledPath:
     """d-dimensional cadlag path realized on a finite time grid."""
 
@@ -183,7 +190,7 @@ class StoppedPath:
         fv = self.frozen_values()
         idx = int(np.searchsorted(times, t, side="right")) - 1
         dt = np.diff(times[: idx + 1])
-        total = fv[:idx].T @ dt if idx > 0 else np.zeros(self.dim)
+        total = _time_ordered_sum(fv[:idx] * dt[:, None])
         total = total + fv[idx] * (t - times[idx])
         if times[0] < self.cut < t:
             k0 = int(np.searchsorted(times, self.cut, side="right")) - 1

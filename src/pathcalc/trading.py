@@ -30,7 +30,7 @@ from .integration import (
     follmer_integral_functional,
 )
 from .partitions import refine_onto
-from .paths import stop
+from .paths import _time_ordered_sum, stop
 from .quadvar import (
     _check_horizon,
     _check_two_levels,
@@ -256,7 +256,7 @@ def integral_payoff(rule="left"):
     def payoff(path):
         dt = np.diff(path.times)
         v = path.values[:, 0]
-        return float(v[:-1] @ dt) if rule == "left" else float(v[1:] @ dt)
+        return float(_time_ordered_sum((v[:-1] if rule == "left" else v[1:]) * dt))
 
     return payoff
 
@@ -388,6 +388,8 @@ def hedge(
     hess = F.at(path, ts, rows, ("hess",))[0] if hess is None else np.asarray(hess)[li[:-1]]
     traces = np.einsum("kij,kji->k", a_cells - tilde_cells, hess)
     jump_term = _jump_term(F, path)  # 0.0 on a path without jumps
+    # a BLAS dot, whose sum depends on the thread count: the recorded hedge
+    # digests pin its bits, so it becomes time-ordered only with a re-record
     predicted = 0.5 * float(traces @ dt) - jump_term
 
     if levels is None:

@@ -27,6 +27,7 @@ from pathcalc import (
     stop,
 )
 from pathcalc.convergence import ConvergenceConfig
+from pathcalc.functionals import _evaluator, vertical_hessian_fd
 from pathcalc.integration import (
     _gradient_rows,
     _qv_flags,
@@ -242,11 +243,11 @@ def test_ito_residual_sweep_equals_single_level_calls():
 
 
 def test_ito_residual_sweep_evaluates_drift_once():
-    # Black-Scholes gives the drift and Hessian of every finest cell in one
-    # "horiz" request to its hook, with no scalar horizontal/hessian call; a
-    # cylinder's hook answers "hess" but no drift, so the request falls to
-    # one scalar call of each per finest cell, and the quadratic term keeps
-    # the bits of the per-cell reference
+    # Black-Scholes and the cylinders give the drift and Hessian of every
+    # finest cell in one "horiz" request to their hook, with no scalar
+    # horizontal/hessian call, and the quadratic term keeps the bits of the
+    # per-cell reference; the jump sum reads the gradient at each jump's left
+    # limit from one exact request of one state
     path, seq = jump_walk(7)
     cells = seq.level(seq.top).size - 1
     calls = []
@@ -261,26 +262,41 @@ def test_ito_residual_sweep_evaluates_drift_once():
         calls.clear()
         rep = ito_residual_functional(F, path, seq, levels=[3, 5, 7])
         requests = [c for c in calls if isinstance(c, tuple) and "horiz" in c[0]]
-        assert requests == [(("horiz", "hess"), cells, (cells, 1))]
-        if F.name.startswith("monomial"):
-            assert calls.count("horizontal") == calls.count("hessian") == cells
-            _, qv_term, _ = _per_cell_ito_terms(F, path, seq, [7])
-            assert rep.qv_term == qv_term
-        else:
-            assert "horizontal" not in calls and "hessian" not in calls
+        assert requests == [(("horiz", "hess"), cells, (cells, 1))] + [
+            (("grad", "horiz"), 1, (1, 1))] * len(path.jumps)
+        assert "horizontal" not in calls and "hessian" not in calls
+        _, qv_term, _ = _per_cell_ito_terms(F, path, seq, [7])
+        assert rep.qv_term == qv_term
+
+
+def test_functional_and_cylinder_forms_agree_bit_for_bit_on_monomials():
+    # one source for f'' on both forms: on a continuous path the left limits
+    # of the functional form are the values the cylinder form reads
+    seq = dyadic(1.0, 12)
+    F = monomial(5)
+    f, f_prime, f_second = (lambda x: x**5, lambda x: 5 * x**4, lambda x: 20 * x**3)
+    for seed in range(20):
+        path = generate({"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}, seed, seq)
+        functional = ito_residual_functional(F, path, seq)
+        classical = ito_residual_cylinder(f, f_prime, f_second, path, seq)
+        assert functional.qv_term == classical.qv_term, seed
+        assert functional.residual == classical.residual, seed
 
 
 def test_a_request_for_the_drift_takes_the_hook_whole_or_not_at_all():
-    # a hook that answers "hess" a little off the scalar method, and no drift:
-    # asked with "horiz", F.at reads every quantity from the stopped paths
+    # a hook that answers "hess" a little off, and no drift: asked with
+    # "horiz", F.at reads every quantity from the stopped paths, here by
+    # finite differences
     path, seq = walk(3)
     t, s = path.times[:-1], path.values[:-1]
-    F = Functional(1, lambda sp: float(sp.current[0]) ** 2, hess=lambda sp: np.full((1, 1), 2.0),
-                   horiz=lambda sp: 0.0,
+    F = Functional(1, lambda sp: float(sp.current[0]) ** 2,
                    pointwise=lambda t, s, T, want: tuple(
                        np.full((t.size, 1, 1), 2.5) if q == "hess" else None for q in want))
     horiz, hess = F.at(path, t, s, ("horiz", "hess"))
-    assert np.array_equal(horiz, np.zeros(t.size)) and np.all(hess == 2.0)
+    stopped = [StoppedPath(path, tk, tk, sk) for tk, sk in zip(t, s)]
+    assert np.array_equal(horiz, np.zeros(t.size))
+    assert np.array_equal(hess, [vertical_hessian_fd(F, sp) for sp in stopped])
+    assert np.allclose(hess, 2.0, rtol=1e-6, atol=0.0)
     # without "horiz", each quantity comes from where it is answered
     value, hess = F.at(path, t, s, ("value", "hess"))
     assert np.array_equal(value, [float(x) ** 2 for x in s[:, 0]]) and np.all(hess == 2.5)
@@ -355,8 +371,9 @@ def _product_2d():
 
 
 def _negative_zero_drift():
-    return Functional(1, lambda sp: float(sp.current[0]), hess=lambda sp: np.zeros((1, 1)),
-                      horiz=lambda sp: -0.0, name="negative_zero_drift")
+    return Functional(1, lambda sp: float(sp.current[0]), name="negative_zero_drift",
+                      pointwise=_evaluator(hess=lambda t, s, T: np.zeros((t.size, 1, 1)),
+                                           horiz=lambda t, s, T: np.full(t.size, -0.0)))
 
 
 ITO_FUNCTIONALS = [

@@ -77,6 +77,23 @@ def test_vertical_perturbation_shifts_only_future():
     assert bumped.value(1.0)[0] == 2.5
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_left_riemann_integral_is_a_time_ordered_sum(dim):
+    # 16,384 cells, where a BLAS product would add in blocks; the stop time
+    # lies inside the last cell
+    seq = dyadic(1.0, 14)
+    path = generate({"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0, "dim": dim}, 4, seq)
+    t = 1.0 - 2.0**-16
+    idx = path.times.size - 2
+    total = [0.0] * dim
+    for k in range(idx):
+        dt = float(path.times[k + 1] - path.times[k])
+        for j in range(dim):
+            total[j] += float(path.values[k, j]) * dt
+    ref = np.array(total) + path.values[idx] * (t - path.times[idx])
+    assert np.array_equal(stop(path, t).left_riemann_integral(), ref)
+
+
 # ---------------------------------------------------------------------------
 # stepwise approximation
 # ---------------------------------------------------------------------------

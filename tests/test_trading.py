@@ -35,6 +35,7 @@ from pathcalc import (
     strategy_from_functional,
     write_path_csv,
 )
+from pathcalc.functionals import _evaluator
 from pathcalc.trading import (
     _bond_column,
     _density_cells,
@@ -303,6 +304,19 @@ def test_qv_density_window_wider_than_grid(dim, window):
         np.testing.assert_allclose(dens[k], ref, rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("rule", ["left", "right"])
+def test_integral_payoff_is_a_time_ordered_sum(rule):
+    # 16,384 cells, where a BLAS dot would split the sum by thread
+    seq = dyadic(1.0, 14)
+    path = generate({"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}, 3, seq)
+    v = path.values[:-1, 0] if rule == "left" else path.values[1:, 0]
+    total = 0.0
+    for vk, dk in zip(v.tolist(), np.diff(path.times).tolist()):
+        total += vk * dk
+    got = integral_payoff(rule)(path)
+    assert type(got) is float and got == total
+
+
 def test_hedge_asian_exact_replication():
     seq = dyadic(1.0, 12)
     smooth = generate({"kind": "smooth", "name": "quadratic", "scale": 0.5,
@@ -553,8 +567,9 @@ def test_hedge_fpde_max_is_the_largest_stopped_path_residual(name):
 
 @pytest.mark.parametrize("F", [
     identity(0, dim=2),
-    Functional(2, lambda sp: float(sp.current[0] * sp.current[1]),
-               hess=lambda sp: np.array([[0.0, 1.0], [1.0, 0.0]]), horiz=lambda sp: 0.0),
+    Functional(2, lambda sp: float(sp.current[0] * sp.current[1]), pointwise=_evaluator(
+        hess=lambda t, s, T: np.tile([[0.0, 1.0], [1.0, 0.0]], (t.size, 1, 1)),
+        horiz=lambda t, s, T: np.zeros(t.size))),
 ], ids=["identity", "product"])
 def test_hedge_fpde_max_on_two_dimensions(F):
     # einsum may sum the trace in another order than trace(a @ hess)

@@ -29,7 +29,7 @@ import numpy as np
 from .convergence import ConvergenceConfig
 from .functionals import density_from_descriptor, functional_from_descriptor
 from .integration import follmer_integral_functional, ito_residual_functional
-from .partitions import PartitionSequence, refine_onto
+from .partitions import PartitionSequence
 from .paths import generate, read_path_csv, stop
 from .quadvar import default_probe_times, qv_along, qv_matrix
 from .trading import (
@@ -210,7 +210,7 @@ def _path_from_config(cfg, seq, seed=None):
 def _require_finest_grid(fname, path, seq):
     """A path file must be sampled on the partition's finest level (refined
     onto the file's jump times), the grid every command sums along."""
-    fine = refine_onto(seq, path.jump_times)[0].level(seq.top)
+    fine = np.union1d(seq.level(seq.top), path.jump_times)
     if np.array_equal(path.times, fine):
         return
     n = min(path.times.size, fine.size)

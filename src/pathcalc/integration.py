@@ -30,6 +30,7 @@ from .quadvar import (
     _cell_index,
     _continuous_qv_increments,
     _level_sums,
+    _prefix_sums,
     qv_along,
     qv_matrix,
 )
@@ -37,12 +38,12 @@ from .quadvar import (
 
 def _truncated_dot_sums(x, li, g, probe_idx):
     """S_n at probe grid indices.  ``g``: integrand rows per level cell."""
-    lx = x[li]
-    a = np.diff(lx, axis=0)
-    prefix = np.concatenate(([0.0], np.cumsum(np.sum(g * a, axis=1))))
+    a = np.diff(x[li], axis=0)
+    a *= g
+    prefix = _prefix_sums(np.sum(a, axis=1))
     jstar = _cell_index(li, probe_idx)
     safe = np.minimum(jstar, g.shape[0] - 1)
-    boundary = np.sum(g[safe] * (x[probe_idx] - lx[jstar]), axis=1)
+    boundary = np.sum(g[safe] * (x[probe_idx] - x[li[jstar]]), axis=1)
     return prefix[jstar] + np.where(jstar >= g.shape[0], 0.0, boundary)
 
 

@@ -57,7 +57,7 @@ class PartitionSequence:
             require_finite(arr, f"level {n} times")
             if arr[0] != 0.0 or arr[-1] != self.T:
                 raise ValueError(f"level {n} must start at 0 and end at T={self.T}")
-            if np.any(np.diff(arr) <= 0):
+            if np.any(arr[1:] <= arr[:-1]):
                 raise ValueError(f"level {n} is not strictly increasing")
             arr.flags.writeable = False
             self._levels.append(arr)
@@ -132,19 +132,20 @@ class PartitionSequence:
 def dyadic(T, max_level):
     """Dyadic grids ``i * T / 2**n`` for n = 0..max_level.
 
-    The canonical dense nested example; level n has 2**n cells.
+    The canonical dense nested example; level n has 2**n cells.  Only the
+    finest grid is stored: level n is its read-only view with stride
+    ``2**(max_level - n)``, equal to ``i * (T / 2**n)`` bit for bit.
     """
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
     if max_level < 1:
         raise ValueError(f"max_level must be >= 1, got {max_level}")
     T = float(T)
-    levels = []
-    for n in range(max_level + 1):
-        h = T / 2**n
-        grid = np.arange(2**n + 1, dtype=float) * h
-        grid[-1] = T  # guard against rounding in the very last multiply
-        levels.append(grid)
+    top = np.arange(2**max_level + 1, dtype=float)
+    top *= T / 2**max_level
+    top[-1] = T  # guard against rounding in the very last multiply
+    top.flags.writeable = False
+    levels = [top[:: 2 ** (max_level - n)] for n in range(max_level + 1)]
     return PartitionSequence(T, levels, dense=True, nested=True)
 
 

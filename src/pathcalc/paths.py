@@ -37,7 +37,7 @@ class SampledPath:
         require_finite(times, "path times")
         if times[0] != 0.0:
             raise ValueError("grid must start at 0")
-        if np.any(np.diff(times) <= 0):
+        if np.any(times[1:] <= times[:-1]):
             raise ValueError("grid must be strictly increasing")
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
@@ -281,13 +281,9 @@ def generate(spec, seed, seq):
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         x0 = float(spec.get("x0", 0.0))
-        dim = int(spec.get("dim", 1))
-        rng = np.random.default_rng(seed)
-        signs = rng.integers(0, 2, size=(grid.size - 1, dim)) * 2 - 1
-        steps = sigma * np.sqrt(np.diff(grid))[:, None] * signs
-        values = np.empty((grid.size, dim))
+        values = _walk_steps(grid, sigma, int(spec.get("dim", 1)), seed)
         values[0] = x0
-        np.cumsum(steps, axis=0, out=values[1:])
+        np.cumsum(values[1:], axis=0, out=values[1:])
         values[1:] += x0
         return SampledPath(grid, values)
     if kind == "geometric_walk":
@@ -297,16 +293,14 @@ def generate(spec, seed, seq):
             raise ValueError("sigma must be positive")
         if x0 <= 0:
             raise ValueError("geometric walk needs a positive start value")
-        dim = int(spec.get("dim", 1))
-        h = np.diff(grid)
-        if sigma * math.sqrt(float(np.max(h))) >= 1.0:
+        if sigma * math.sqrt(seq.mesh(seq.top)) >= 1.0:
             raise ValueError("sigma * sqrt(mesh) >= 1 would break positivity")
-        rng = np.random.default_rng(seed)
-        signs = rng.integers(0, 2, size=(grid.size - 1, dim)) * 2 - 1
-        factors = 1.0 + sigma * np.sqrt(h)[:, None] * signs
-        values = np.empty((grid.size, dim))
+        values = _walk_steps(grid, sigma, int(spec.get("dim", 1)), seed)
         values[0] = x0
-        values[1:] = x0 * np.cumprod(factors, axis=0)
+        factors = values[1:]
+        factors += 1.0
+        np.cumprod(factors, axis=0, out=factors)
+        factors *= x0
         return SampledPath(grid, values)
     if kind == "with_jumps":
         base = generate(spec["base"], seed, seq)
@@ -324,6 +318,23 @@ def generate(spec, seed, seq):
     if kind == "qv_descent":
         return _qv_descent_path(spec, seq)
     raise ValueError(f"unknown generator kind {kind!r}")
+
+
+def _walk_steps(grid, sigma, dim, seed):
+    """An (m+1, dim) array whose rows 1..m hold the steps ``sigma *
+    sqrt(h_i) * s``, with a fair sign s per cell and coordinate, built in
+    place by the operations of ``sigma * np.sqrt(np.diff(grid))[:, None] *
+    signs``; row 0 is left for the caller."""
+    signs = np.random.default_rng(seed).integers(0, 2, size=(grid.size - 1, dim))
+    signs *= 2
+    signs -= 1
+    values = np.empty((grid.size, dim))
+    steps = values[1:]
+    np.subtract(grid[1:, None], grid[:-1, None], out=steps)
+    np.sqrt(steps, out=steps)
+    steps *= sigma
+    steps *= signs
+    return values
 
 
 def _qv_descent_path(spec, seq):

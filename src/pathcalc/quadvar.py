@@ -42,17 +42,26 @@ def _cell_index(li, probe_idx):
     return np.searchsorted(li, probe_idx, side="right") - 1
 
 
+def _prefix_sums(terms):
+    """0.0 followed by the running sums of the 1-d ``terms``, written into
+    one buffer: ``np.concatenate(([0.0], np.cumsum(terms)))`` bit for bit."""
+    out = np.empty(len(terms) + 1)
+    out[0] = 0.0
+    np.cumsum(terms, out=out[1:])
+    return out
+
+
 def _truncated_sq_sums(x, li, probe_idx):
     """A_n at probe grid indices for one scalar coordinate.
 
     ``x``: finest-grid values; ``li``: level-time indices into the finest
     grid; ``probe_idx``: finest-grid indices of the probe times.
     """
-    lx = x[li]
-    a = np.diff(lx)
-    prefix = np.concatenate(([0.0], np.cumsum(a * a)))
+    a = np.diff(x[li])
+    a *= a
+    prefix = _prefix_sums(a)
     jstar = _cell_index(li, probe_idx)
-    boundary = (x[probe_idx] - lx[jstar]) ** 2
+    boundary = (x[probe_idx] - x[li[jstar]]) ** 2
     return prefix[jstar] + boundary
 
 

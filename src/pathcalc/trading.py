@@ -35,6 +35,7 @@ from .quadvar import (
     _check_horizon,
     _check_two_levels,
     _continuous_qv_increments,
+    _prefix_sums,
     _truncated_sq_sums,
     default_probe_times,
 )
@@ -103,9 +104,7 @@ def _bond_column(level, lx, lam, v0, times):
 
     ``lx``: path values at the ``level`` times; ``lam``: holdings per cell.
     """
-    rebal = np.concatenate(
-        ([0.0], np.cumsum(np.sum(lx[1:-1] * np.diff(lam, axis=0), axis=1)))
-    )
+    rebal = _prefix_sums(np.sum(lx[1:-1] * np.diff(lam, axis=0), axis=1))
     ks = np.maximum(np.searchsorted(level, times, side="left") - 1, 0)
     return v0 - float(lam[0] @ lx[0]) - rebal[ks], ks
 
@@ -339,7 +338,9 @@ def hedge(
     trace form, for every dimension d.  A large pricing-equation residual
     is flagged, not fatal: the error integral is still evaluated, its
     interpretation is just void.  The value and functional curves are read
-    at :func:`default_probe_times`, which end at T.
+    at :func:`default_probe_times`, which end at T.  The gains are summed
+    along ``levels`` (by default the top level alone), and
+    ``track_error_by_level`` holds one entry per summed level.
     """
     F.require_dim(path)
     notes = []
@@ -393,7 +394,7 @@ def hedge(
     predicted = 0.5 * float(traces @ dt) - jump_term
 
     if levels is None:
-        levels = sorted({max(seq.top - 1, 0), seq.top})
+        levels = [seq.top]
     # The gains at every grid time, summed once per level.  The track error
     # is taken at every grid time when F has a pointwise value, else at the probes.
     rows_at = _gradient_rows(F, path, None if grad is None else grad[:-1])
@@ -454,7 +455,7 @@ def _cross_term_sum(x, li_coarse, li_fine, it):
     squared-sum shortcut, so the identity check is a genuine cross-check)."""
     w = x[np.minimum(li_fine, it)]
     a = np.diff(w)
-    cs_excl = np.concatenate(([0.0], np.cumsum(a[:-1])))
+    cs_excl = _prefix_sums(a[:-1])
     starts = np.searchsorted(li_fine, li_coarse[:-1])
     per_cell = np.add.reduceat(a * cs_excl, starts) - cs_excl[starts] * np.add.reduceat(
         a, starts

@@ -591,6 +591,25 @@ def test_path_file_grid_must_be_the_finest_level(tmp_path, capsys):
         assert not (tmp_path / f"out{level}").exists()
 
 
+def test_path_file_with_a_jump_past_the_horizon_is_a_grid_mismatch(tmp_path, capsys):
+    from pathcalc import dyadic, generate, write_path_csv
+
+    spec = {"kind": "with_jumps", "base": {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0},
+            "jumps": [[1.5, 0.1]]}
+    write_path_csv(generate(spec, 5, dyadic(2.0, 8)), str(tmp_path / "walk.csv"))
+    cfg = write_config(tmp_path, "c.json", {
+        "partition": {"T": 1.0, "max_level": 8},
+        "path": {"file": str(tmp_path / "walk.csv")},
+        "out": str(tmp_path / "out"),
+    })
+    assert main(["qv", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert (f"config error: path file {tmp_path / 'walk.csv'} has 257 grid points, but "
+            "partition level 8 has 258; they first differ at index 1 "
+            "(file time 0.0078125, partition time 0.00390625)") in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_partition_section_defaults_and_echo(tmp_path, capsys):
     path = {"kind": "smooth", "name": "linear"}
     cfg = write_config(tmp_path, "c.json", {

@@ -41,6 +41,23 @@ def test_dyadic_nesting_exhaustive():
         assert all(t in fine for t in seq.level(n).tolist())
 
 
+@pytest.mark.parametrize("T", [1.0, 0.7, 3.0, 1e-3, 123.456])
+@pytest.mark.parametrize("max_level", [1, 6, 20])
+def test_dyadic_levels_are_views_equal_to_the_per_level_reference(T, max_level):
+    # reference route: each level built on its own, i * (T / 2**n) with last = T
+    seq = dyadic(T, max_level)
+    top = seq.level(max_level)
+    for n in range(max_level + 1):
+        ref = np.arange(2**n + 1, dtype=float) * (T / 2**n)
+        ref[-1] = T
+        level = seq.level(n)
+        assert np.array_equal(level.view(np.int64), ref.view(np.int64)), n
+        assert np.shares_memory(level, top)
+        assert not level.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        seq.level(0)[1] = 0.5
+
+
 def test_dyadic_rejects_bad_arguments():
     with pytest.raises(ValueError):
         dyadic(-1.0, 3)
@@ -115,8 +132,12 @@ def test_last_index_consistent_under_refinement():
 def test_constructor_validates_levels():
     with pytest.raises(ValueError):
         PartitionSequence(1.0, [[0.0, 0.5]])  # does not end at T
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="level 0 is not strictly increasing"):
         PartitionSequence(1.0, [[0.0, 0.5, 0.5, 1.0]])
+    with pytest.raises(ValueError, match="level 0 is not strictly increasing"):
+        PartitionSequence(1.0, [[0.0, 0.6, 0.4, 1.0]])
+    tiny = 5e-324  # neighbours one subnormal apart still count as increasing
+    assert PartitionSequence(1.0, [[0.0, tiny, 2 * tiny, 1.0]]).level(0).size == 4
     with pytest.raises(ValueError, match="level 1 time 0.4 is absent from level 2"):
         PartitionSequence(1.0, [[0.0, 1.0], [0.0, 0.4, 1.0], [0.0, 0.5, 1.0]])
     with pytest.raises(ValueError, match="level 1 times must be finite, got nan"):

@@ -205,12 +205,38 @@ def test_geometric_walk_qv_density_contract():
     assert np.allclose(density, 0.09 * v[:-1] ** 2, rtol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["scaled_random_walk", "geometric_walk"])
+def test_walks_equal_the_allocating_reference(kind, dim):
+    # reference route: the walks as whole-array expressions, one temporary
+    # per operation, compared bit for bit with the in-place build
+    seq = dyadic(0.7, 12)
+    grid = seq.level(seq.top)
+    sigma, x0 = 0.3, 1.3
+    for seed in range(4):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        signs = rng.integers(0, 2, size=(grid.size - 1, dim)) * 2 - 1
+        ref = np.empty((grid.size, dim))
+        ref[0] = x0
+        if kind == "scaled_random_walk":
+            steps = sigma * np.sqrt(np.diff(grid))[:, None] * signs
+            np.cumsum(steps, axis=0, out=ref[1:])
+            ref[1:] += x0
+        else:
+            factors = 1.0 + sigma * np.sqrt(np.diff(grid))[:, None] * signs
+            ref[1:] = x0 * np.cumprod(factors, axis=0)
+        got = generate({"kind": kind, "sigma": sigma, "x0": x0, "dim": dim}, seed, seq)
+        assert np.array_equal(got.values.view(np.int64), ref.view(np.int64)), seed
+
+
 def test_generator_rejects_bad_params():
     seq = dyadic(1.0, 3)
     with pytest.raises(ValueError):
         generate({"kind": "geometric_walk", "sigma": -0.1}, 0, seq)
     with pytest.raises(ValueError):
         generate({"kind": "geometric_walk", "sigma": 0.2, "x0": 0.0}, 0, seq)
+    with pytest.raises(ValueError, match=r"sigma \* sqrt\(mesh\) >= 1"):
+        generate({"kind": "geometric_walk", "sigma": 2.0 * 2.0**1.5}, 0, seq)
     with pytest.raises(ValueError):
         generate({"kind": "scaled_random_walk", "sigma": 0.0}, 0, seq)
     with pytest.raises(ValueError):

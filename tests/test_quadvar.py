@@ -20,7 +20,7 @@ from pathcalc import (
     stack,
     vovk_uniform_check,
 )
-from pathcalc.quadvar import _cell_index, _interval_grid
+from pathcalc.quadvar import _cell_index, _interval_grid, _prefix_sums
 
 
 def component(path, i):
@@ -460,3 +460,15 @@ def test_c1_image_stability():
     x = path.values[:, 0]
     rhs = float(np.sum(f_prime(x[:-1]) ** 2 * np.diff(x) ** 2))
     assert lhs == pytest.approx(rhs, rel=0.05)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, width=64),
+                max_size=40))
+def test_prefix_sums_equal_the_concatenate_reference(terms):
+    # signed zeros included: the leading 0.0 is never added to the terms
+    t = np.array(terms, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # both routes overflow alike
+        ref = np.concatenate(([0.0], np.cumsum(t)))
+        got = _prefix_sums(t)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))

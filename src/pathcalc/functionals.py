@@ -1,7 +1,8 @@
 """Non-anticipative functionals F(t, omega_t) and their derivatives.
 
-A functional evaluates stopped paths.  Built-ins carry a pointwise hook for
-the quantities that depend on (t, omega(t)) only; ``Functional.at`` reads
+A functional evaluates stopped paths.  Built-ins carry a pointwise hook that
+answers at many states stopped on one path: a value may read the path on
+[0, t), a derivative depends on (t, omega(t)) only.  ``Functional.at`` reads
 states from it where it answers, else from stopped paths, for every caller.
 A derivative has two sources: the hook's exact answer (a request holding
 "horiz"), where each built-in defines it once, for arrays and for one state
@@ -36,12 +37,12 @@ class Functional:
         self.dim = int(dim)
         self._eval = eval_fn
         self.name = name
-        # Optional (t, s, T, want) -> tuple: per name in ``want`` ("value", "grad",
-        # "hess", "horiz") an (n,), (n, d), (n, d, d) or (n,) array at the n
-        # states (t_k, s_k), or None if F has no pointwise form of it; valid for
-        # a quantity that depends on (t, omega(t)) only.  A request holding
-        # "horiz" is exact: its answers are those of the scalar methods, which
-        # read them from here at one state.
+        # Optional (path, t, s, want) -> tuple: per name in ``want`` ("value",
+        # "grad", "hess", "horiz") an (n,), (n, d), (n, d, d) or (n,) array at the
+        # n states (t_k, s_k) stopped on ``path`` (horizon path.T), or None if F
+        # has no pointwise form of it.  "value" may read the path on [0, t_k),
+        # the others depend on (t_k, s_k) only.  A request holding "horiz" is
+        # exact: its answers are those of the scalar methods at one state.
         self.pointwise = pointwise
 
     def require_dim(self, path):
@@ -56,7 +57,7 @@ class Functional:
         """``q`` at one state: the hook's answer to a request holding "horiz"
         if it is whole, else ``fd``."""
         if self.pointwise is not None:
-            got = self.pointwise(np.array([sp.time]), sp.current[None], sp.T,
+            got = self.pointwise(sp.path, np.array([sp.time]), sp.current[None],
                                  (q,) if q == "horiz" else (q, "horiz"))
             if all(g is not None for g in got):
                 return got[0][0]
@@ -79,7 +80,7 @@ class Functional:
         scalar method on StoppedPath(path, t_k, t_k, s_k), one state at a time.
         A request holding "horiz" is taken from the hook whole or not at all,
         so the Ito terms of a hook without an exact drift stay scalar."""
-        got = (None,) * len(want) if self.pointwise is None else self.pointwise(t, s, path.T, want)
+        got = (None,) * len(want) if self.pointwise is None else self.pointwise(path, t, s, want)
         if "horiz" in want and any(g is None for g in got):
             got = (None,) * len(want)
         states = [] if all(g is not None for g in got) else [
@@ -221,14 +222,15 @@ def _bs_vec(s, strike, sigma, tau, kind, want):
 
 
 def _evaluator(**parts):
-    """A pointwise evaluator from one (t, s, T) -> array callable per name;
+    """A pointwise evaluator from one (path, t, s) -> array callable per name;
     a name without one, or with None, answers None."""
-    return lambda t, s, T, want: tuple(parts[q](t, s, T) if parts.get(q) else None for q in want)
+    return lambda path, t, s, want: tuple(parts[q](path, t, s) if parts.get(q) else None
+                                          for q in want)
 
 
 def _zeros(*shape):
     """A pointwise part that answers zeros of ``shape`` at every point."""
-    return lambda t, s, T: np.zeros((t.size, *shape))
+    return lambda path, t, s: np.zeros((t.size, *shape))
 
 
 def identity(index=0, dim=1):
@@ -242,8 +244,8 @@ def identity(index=0, dim=1):
         dim,
         lambda sp: sp.current[index],
         name=f"identity_{index + 1}",
-        pointwise=_evaluator(value=lambda t, s, T: s[:, index], hess=_zeros(dim, dim),
-                             grad=lambda t, s, T: np.broadcast_to(e, (t.size, dim)),
+        pointwise=_evaluator(value=lambda path, t, s: s[:, index], hess=_zeros(dim, dim),
+                             grad=lambda path, t, s: np.broadcast_to(e, (t.size, dim)),
                              horiz=_zeros()),
     )
 
@@ -268,7 +270,7 @@ def cylinder(f, f_prime=None, f_second=None, dim=1, name="cylinder"):
     answers the drift with zeros."""
 
     def on_grid(fn, shape):
-        def at(t, s, T):
+        def at(path, t, s):
             rows = _elementwise(fn, s[:, 0]) if dim == 1 else [np.asarray(fn(x), float) for x in s]
             return np.asarray(rows, dtype=float).reshape(shape)
         return at if fn else None
@@ -300,18 +302,31 @@ def monomial(power, coeff=1.0):
     return cylinder(f, f_prime, f_second, name=f"monomial_{p}")
 
 
+def _left_integral(path, t):
+    """The integral of the path's first coordinate over [0, t], left-endpoint
+    rule, at each t: one prefix sum over the grid cells, 0.0 first and added
+    in time order as ``paths._time_ordered_sum`` adds (so never -0.0), read at
+    the last grid time <= t, plus the partial cell from there to t."""
+    times, x = path.times, path.values[:, 0]
+    sums = np.cumsum(np.concatenate(([0.0], x[:-1] * np.diff(times))))
+    k = np.searchsorted(times, t, "right") - 1
+    return sums[k] + x[k] * (t - times[k])
+
+
 def running_integral():
     """F(t, omega) = integral of omega over [0, t], left-endpoint rule.
 
     Left endpoints keep the value at t itself out of the sum, so the
     vertical gradient vanishes identically and the horizontal derivative is
-    exactly omega(t) on sampled paths.
+    exactly omega(t) on sampled paths.  A stopped path integrates the path up
+    to its cut, then its frozen value.
     """
     return Functional(
         1,
-        lambda sp: float(sp.left_riemann_integral()[0]),
+        lambda sp: float(_left_integral(sp.path, sp.cut) + sp.current[0] * (sp.time - sp.cut)),
         name="running_integral",
-        pointwise=_evaluator(grad=_zeros(1), hess=_zeros(1, 1), horiz=lambda t, s, T: s[:, 0]),
+        pointwise=_evaluator(value=lambda path, t, s: _left_integral(path, t), grad=_zeros(1),
+                             hess=_zeros(1, 1), horiz=lambda path, t, s: s[:, 0]),
     )
 
 
@@ -323,13 +338,14 @@ def asian_forward():
     vertical derivative vanishes.  At t = T this is the average-style payoff
     functional itself.
     """
+    running = running_integral()
     return Functional(
         1,
-        lambda sp: float(sp.left_riemann_integral()[0])
-        + float(sp.current[0]) * (sp.T - sp.time),
+        lambda sp: running.value(sp) + float(sp.current[0]) * (sp.T - sp.time),
         name="asian_forward",
-        pointwise=_evaluator(grad=lambda t, s, T: (T - t)[:, None], hess=_zeros(1, 1),
-                             horiz=_zeros()),
+        pointwise=_evaluator(
+            value=lambda path, t, s: _left_integral(path, t) + s[:, 0] * (path.T - t),
+            grad=lambda path, t, s: (path.T - t)[:, None], hess=_zeros(1, 1), horiz=_zeros()),
     )
 
 
@@ -352,7 +368,7 @@ def black_scholes(sigma, strike, kind="call"):
         1,
         lambda sp: bs_price(float(sp.current[0]), strike, sigma, sp.T - sp.time, kind),
         name=f"black_scholes_{kind}",
-        pointwise=lambda t, s, T, want: _bs_vec(s[:, 0], strike, sigma, T - t, kind, want),
+        pointwise=lambda path, t, s, want: _bs_vec(s[:, 0], strike, sigma, path.T - t, kind, want),
     )
 
 

@@ -106,7 +106,7 @@ def _gradient_rows(F, path, g=None):
     otherwise they come from :func:`follmer_integrand`.
     ``g``: that pointwise gradient, when the caller has evaluated it already."""
     if g is None and F.pointwise is not None:
-        (g,) = F.pointwise(path.times[:-1], path.values[:-1], path.T, ("grad",))
+        (g,) = F.pointwise(path, path.times[:-1], path.values[:-1], ("grad",))
     if g is None:
         return lambda seq, n, li: follmer_integrand(F, path, seq, n)
     g = np.asarray(g, dtype=float).reshape(path.times.size - 1, path.dim)

@@ -75,7 +75,10 @@ class PartitionSequence:
                         f"{float(coarse[~hit][0])!r} is absent from level {n + 1}"
                     )
         if self.dense and len(self._levels) > 1:
-            meshes = [self.mesh(n) for n in range(len(self._levels))]
+            # on a nested sequence a finer level's cells lie inside the coarser
+            # ones, so its mesh cannot grow: only the top against level 0 can fail
+            checked = (0, self.top) if self.nested else range(self.top + 1)
+            meshes = [self.mesh(n) for n in checked]
             if any(m2 > m1 for m1, m2 in zip(meshes, meshes[1:])):
                 raise ValueError("declared dense but mesh is not non-increasing")
             if meshes[-1] >= meshes[0]:

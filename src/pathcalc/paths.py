@@ -177,28 +177,6 @@ class StoppedPath:
             raise ValueError(f"extension time {t2} outside [{self.time}, {self.T}]")
         return StoppedPath(self.path, t2, self.cut, self.current)
 
-    def frozen_values(self):
-        """State values at every grid time, as an (m+1, d) array."""
-        mask = self.path.times < self.cut
-        return np.where(mask[:, None], self.path.values, self.current[None, :])
-
-    def left_riemann_integral(self):
-        """Integral of the state over [0, time], left endpoints, exact
-        across an off-grid cut."""
-        times = self.path.times
-        t = self.time
-        fv = self.frozen_values()
-        idx = int(np.searchsorted(times, t, side="right")) - 1
-        dt = np.diff(times[: idx + 1])
-        total = _time_ordered_sum(fv[:idx] * dt[:, None])
-        total = total + fv[idx] * (t - times[idx])
-        if times[0] < self.cut < t:
-            k0 = int(np.searchsorted(times, self.cut, side="right")) - 1
-            if times[k0] != self.cut:
-                right = min(float(times[k0 + 1]), t) if k0 + 1 < times.size else t
-                total = total + (self.current - self.path.values[k0]) * (right - self.cut)
-        return total
-
 
 def stop(path, t, side="right"):
     """Freeze ``path`` at time t: omega_t, or omega_{t-} for side='left'."""
@@ -227,9 +205,10 @@ def stepwise_approximation(path, seq, n):
     cell = np.searchsorted(level, path.times, side="right") - 1
     cell = np.minimum(cell, level.size - 2)
     right_idx = li[cell + 1]
-    new_values = path.values[right_idx] - np.array(
-        [path.jump_at(t) for t in level[cell + 1]]
-    )
+    jump = np.zeros_like(path.values)  # the jump at each finest grid time
+    jump[path.grid_indices(path.jump_times)] = np.reshape(list(path._jumps.values()),
+                                                          (-1, path.dim))
+    new_values = path.values[right_idx] - jump[right_idx]
     new_values[-1] = path.values[-1]
     changed = np.any(new_values[1:] != new_values[:-1], axis=1)
     jumps = [

@@ -385,7 +385,7 @@ def hedge(
     # One pointwise evaluation on the whole grid serves the error integral, the
     # gains and the track error; what it lacks is read through ``F.at``.
     value, grad, hess = (None,) * 3 if F.pointwise is None else F.pointwise(
-        path.times, path.values, path.T, ("value", "grad", "hess"))
+        path, path.times, path.values, ("value", "grad", "hess"))
     hess = F.at(path, ts, rows, ("hess",))[0] if hess is None else np.asarray(hess)[li[:-1]]
     traces = np.einsum("kij,kji->k", a_cells - tilde_cells, hess)
     jump_term = _jump_term(F, path)  # 0.0 on a path without jumps

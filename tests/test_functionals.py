@@ -9,6 +9,7 @@ from scipy.stats import norm
 
 from pathcalc import (
     Functional,
+    SampledPath,
     StoppedPath,
     asian_forward,
     black_scholes,
@@ -28,6 +29,9 @@ from pathcalc import (
     vertical_hessian_fd,
 )
 from pathcalc.functionals import _elementwise, bs_price
+
+# A path on [0, 1] for the hooks that read only its horizon.
+UNIT = SampledPath([0.0, 1.0], [0.0, 0.0])
 
 # The scalar reference route of the Black-Scholes derivatives that the library
 # defines only in its array kernel: libm's log and exp, one point at a time.
@@ -172,7 +176,7 @@ def test_bare_functional_derivatives_fall_back_to_fd():
 
 def _hook(**answers):
     """A pointwise hook answering each named quantity with a constant."""
-    return lambda t, s, T, want: tuple(
+    return lambda path, t, s, want: tuple(
         None if q not in answers else np.full((t.size, *np.shape(answers[q])), answers[q])
         for q in want)
 
@@ -261,7 +265,7 @@ def test_black_scholes_vectorized_matches_scalar():
     F = black_scholes(0.2, 1.0)
     ts = np.array([0.0, 0.25, 0.5, 0.9, 1.0])
     ss = np.array([0.8, 1.0, 1.3, 1.05, 0.7])
-    vals, deltas, gammas = F.pointwise(ts, ss[:, None], 1.0, ("value", "grad", "hess"))
+    vals, deltas, gammas = F.pointwise(UNIT, ts, ss[:, None], ("value", "grad", "hess"))
     deltas, gammas = deltas[:, 0], gammas[:, 0, 0]
     for k in range(ts.size):
         tau = 1.0 - ts[k]
@@ -341,7 +345,7 @@ def test_black_scholes_evaluator_bit_equal_per_quantity_reference(kind, size, fi
     }
     for want in [("value", "grad", "hess"), ("grad",), ("hess",), ("value",),
                  ("hess", "value")]:
-        got = F.pointwise(t, s[:, None], T, want)
+        got = F.pointwise(UNIT, t, s[:, None], want)
         assert len(got) == len(want)
         for q, arr in zip(want, got):
             assert arr.shape == ref[q].shape
@@ -362,7 +366,7 @@ def _bs_closed_forms(sigma, strike, t, s, T):
 def _assert_batch_bit_equal(sigma, strike, kind, t, s):
     """The hook's answer to a "horiz" request against the scalar math route,
     compared as int64 so that the sign of a zero counts."""
-    horiz, hess = black_scholes(sigma, strike, kind).pointwise(t, s, 1.0, ("horiz", "hess"))
+    horiz, hess = black_scholes(sigma, strike, kind).pointwise(UNIT, t, s, ("horiz", "hess"))
     assert horiz.shape == (t.size,) and hess.shape == (t.size, 1, 1)
     ref_horiz, ref_hess = _bs_closed_forms(sigma, strike, t, s, 1.0)
     assert np.array_equal(_as_bits(horiz), _as_bits(ref_horiz))
@@ -401,15 +405,15 @@ def test_black_scholes_batch_bit_equal_scalar_route_on_a_walk(kind, sigma, strik
 
 def _identity_forms(index, dim):
     e = np.eye(dim)[index]
-    return identity(index, dim=dim), lambda t, s, T: {
+    return identity(index, dim=dim), lambda path, t, s: {
         "value": s[:, index], "grad": np.tile(e, (t.size, 1)),
         "hess": np.zeros((t.size, dim, dim)), "horiz": np.zeros(t.size)}
 
 
 def _bs_forms(sigma, strike, kind):
-    def forms(t, s, T):
-        horiz, hess = _bs_closed_forms(sigma, strike, t, s, T)
-        grad = [[bs_delta(float(sk), strike, sigma, T - float(tk), kind, cdf=ndtr)]
+    def forms(path, t, s):
+        horiz, hess = _bs_closed_forms(sigma, strike, t, s, path.T)
+        grad = [[bs_delta(float(sk), strike, sigma, path.T - float(tk), kind, cdf=ndtr)]
                 for tk, (sk,) in zip(t, s)]
         return {"value": None, "grad": np.array(grad).reshape(-1, 1), "hess": hess,
                 "horiz": horiz}
@@ -419,7 +423,7 @@ def _bs_forms(sigma, strike, kind):
 def _monomial_forms(p):
     # numpy's x**p on an array, which may differ from x**p on one float in
     # the last bit: the hook and the derivative methods take the array one
-    return monomial(p), lambda t, s, T: {
+    return monomial(p), lambda path, t, s: {
         "value": s[:, 0] ** p, "grad": (p * s[:, 0] ** (p - 1))[:, None],
         "hess": (p * (p - 1) * s[:, 0] ** (p - 2))[:, None, None], "horiz": np.zeros(t.size)}
 
@@ -430,7 +434,7 @@ def _cubic_2d():
                  lambda v: np.array([v[1] * v[1], 2.0 * v[0] * v[1]]),
                  lambda v: np.array([[0.0, 2.0 * v[1]], [2.0 * v[1], 2.0 * v[0]]]),
                  dim=2, name="cubic_2d")
-    return f, lambda t, s, T: {
+    return f, lambda path, t, s: {
         "value": s[:, 0] * s[:, 1] * s[:, 1],
         "grad": np.stack([s[:, 1] * s[:, 1], 2.0 * s[:, 0] * s[:, 1]], axis=1),
         "hess": np.stack([np.stack([np.zeros(t.size), 2.0 * s[:, 1]], axis=1),
@@ -438,15 +442,29 @@ def _cubic_2d():
         "horiz": np.zeros(t.size)}
 
 
-# (F, closed forms (t, s, T) -> {quantity: array, or None where the hook's
+def _left_rule_integrals(path, t):
+    """The left-rule integral of the path over [0, t_k] per t_k, added with
+    ``+=`` in time order from 0.0."""
+    out = []
+    for tk in t:
+        total, k = 0.0, 0
+        while k + 1 < path.times.size and path.times[k + 1] <= tk:
+            total += float(path.values[k, 0]) * float(path.times[k + 1] - path.times[k])
+            k += 1
+        out.append(total + float(path.values[k, 0]) * (float(tk) - float(path.times[k])))
+    return np.array(out)
+
+
+# (F, closed forms (path, t, s) -> {quantity: array, or None where the hook's
 # "horiz" request leaves it to the scalar route}), written apart from the hooks
 EXACT_HOOKS = [
     _identity_forms(0, 1), _identity_forms(1, 2), _identity_forms(2, 3),
-    (running_integral(), lambda t, s, T: {
-        "value": None, "grad": np.zeros((t.size, 1)), "hess": np.zeros((t.size, 1, 1)),
-        "horiz": s[:, 0]}),
-    (asian_forward(), lambda t, s, T: {
-        "value": None, "grad": np.array([[T - tk] for tk in t]),
+    (running_integral(), lambda path, t, s: {
+        "value": _left_rule_integrals(path, t), "grad": np.zeros((t.size, 1)),
+        "hess": np.zeros((t.size, 1, 1)), "horiz": s[:, 0]}),
+    (asian_forward(), lambda path, t, s: {
+        "value": _left_rule_integrals(path, t) + s[:, 0] * (path.T - t),
+        "grad": np.array([[path.T - tk] for tk in t]),
         "hess": np.zeros((t.size, 1, 1)), "horiz": np.zeros(t.size)}),
     _bs_forms(0.3, 1.0, "call"), _bs_forms(0.2, 1.1, "put"),
     _monomial_forms(3), _monomial_forms(5), _cubic_2d(),
@@ -461,9 +479,9 @@ SCALAR_METHODS = {"value": "value", "grad": "gradient", "hess": "hessian",
 @given(data=st.data())
 def test_exact_hooks_bit_equal_scalar_route(F, forms, data):
     # every quantity a hook gives in a "horiz" request is its closed form, bit
-    # for bit, and so are the scalar methods on StoppedPath(path, t_k, t_k,
-    # s_k) and Functional.at, which read it from the hook; the path-dependent
-    # values (the running integrals) are left to the scalar route
+    # for bit, and so are Functional.at and the scalar methods on
+    # StoppedPath(path, t_k, t_k, s_k); the values of the running integrals
+    # read the path before t_k
     seq = dyadic(1.0, 4)
     path = generate({"kind": "scaled_random_walk", "sigma": 1.0, "dim": F.dim}, 1, seq)
     n = data.draw(st.integers(1, 12))
@@ -474,9 +492,9 @@ def test_exact_hooks_bit_equal_scalar_route(F, forms, data):
                                     min_size=n, max_size=n)))
     rest = data.draw(st.permutations(["value", "grad", "hess"]))
     want = tuple(rest[:data.draw(st.integers(0, 3))]) + ("horiz",)
-    ref = forms(t, s, path.T)
+    ref = forms(path, t, s)
     stopped = [StoppedPath(path, tk, tk, sk) for tk, sk in zip(t, s)]
-    for q, arr, at in zip(want, F.pointwise(t, s, path.T, want), F.at(path, t, s, want)):
+    for q, arr, at in zip(want, F.pointwise(path, t, s, want), F.at(path, t, s, want)):
         if ref[q] is None:
             assert arr is None, q
             continue
@@ -494,16 +512,18 @@ def test_exact_hooks_bit_equal_scalar_route(F, forms, data):
 
 def test_evaluator_answers_none_where_there_is_no_pointwise_form():
     t, s = np.array([0.0, 0.5]), np.array([[1.0], [2.0]])
-    value, grad, hess = asian_forward().pointwise(t, s, 1.0, ("value", "grad", "hess"))
-    assert value is None
+    # the Asian forward reads the path's history for its value
+    path = SampledPath([0.0, 0.5, 1.0], [1.0, 3.0, 2.0])
+    value, grad, hess = asian_forward().pointwise(path, t, s, ("value", "grad", "hess"))
+    assert np.array_equal(value, [1.0, 1.5])
     assert np.array_equal(grad, [[1.0], [0.5]]) and np.array_equal(hess, np.zeros((2, 1, 1)))
     no_second = cylinder(np.sin, np.cos)
-    value, grad, hess = no_second.pointwise(t, s, 1.0, ("value", "grad", "hess"))
+    value, grad, hess = no_second.pointwise(UNIT, t, s, ("value", "grad", "hess"))
     assert hess is None
     assert np.array_equal(value, np.sin(s[:, 0])) and np.array_equal(grad, np.cos(s))
     # a scalar-only cylinder is evaluated one point at a time
     scalar_only = cylinder(math.sin, math.cos, lambda x: -math.sin(x))
-    value, grad, hess = scalar_only.pointwise(t, s, 1.0, ("value", "grad", "hess"))
+    value, grad, hess = scalar_only.pointwise(UNIT, t, s, ("value", "grad", "hess"))
     assert np.array_equal(value, [math.sin(1.0), math.sin(2.0)])
     assert np.array_equal(grad, [[math.cos(1.0)], [math.cos(2.0)]])
     assert np.array_equal(hess, [[[-math.sin(1.0)]], [[-math.sin(2.0)]]])
@@ -511,7 +531,7 @@ def test_evaluator_answers_none_where_there_is_no_pointwise_form():
     # answers the drift
     rows = np.array([[1.0, 2.0], [0.5, -3.0]])
     value, grad, hess, horiz = cylinder(np.sum, dim=2).pointwise(
-        t, rows, 1.0, ("value", "grad", "hess", "horiz"))
+        UNIT, t, rows, ("value", "grad", "hess", "horiz"))
     assert np.array_equal(value, [3.0, -2.5]) and grad is None and hess is None
     assert np.array_equal(horiz, [0.0, 0.0])
 
@@ -562,7 +582,7 @@ def test_monomial_matches_cylinder_closed_forms():
     assert F.value(sp) == 2.0 * 1.5**3
     assert F.gradient(sp)[0] == 6.0 * 1.5**2
     assert F.hessian(sp)[0, 0] == 12.0 * 1.5
-    assert F.pointwise(np.array([0.5]), np.array([[1.5]]), 1.0, ("grad",))[0] is not None
+    assert F.pointwise(UNIT, np.array([0.5]), np.array([[1.5]]), ("grad",))[0] is not None
 
 
 def test_builtin_dispatch_and_validation():

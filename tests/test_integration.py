@@ -158,7 +158,8 @@ def test_fast_and_loop_integrands_agree():
     assert np.max(np.abs(fast - slow)) < 1e-12
     # without a hook, follmer_integrand is that route; here the finite-difference
     # gradient of a running integral reads the stepwise path before t_i
-    G = Functional(1, lambda sp: float(sp.left_riemann_integral()[0]) * float(sp.current[0]))
+    R = running_integral()
+    G = Functional(1, lambda sp: R.value(sp) * float(sp.current[0]))
     assert np.array_equal(follmer_integrand(G, path, seq, 6), _stopped_path_rows(G, path, seq, 6))
 
 
@@ -257,8 +258,8 @@ def test_ito_residual_sweep_evaluates_drift_once():
             setattr(F, name, lambda sp, name=name, method=method:
                     calls.append(name) or method(sp))
         pointwise = F.pointwise
-        F.pointwise = lambda t, s, T, want, hook=pointwise: calls.append(
-            (want, t.size, s.shape)) or hook(t, s, T, want)
+        F.pointwise = lambda path, t, s, want, hook=pointwise: calls.append(
+            (want, t.size, s.shape)) or hook(path, t, s, want)
         calls.clear()
         rep = ito_residual_functional(F, path, seq, levels=[3, 5, 7])
         requests = [c for c in calls if isinstance(c, tuple) and "horiz" in c[0]]
@@ -290,7 +291,7 @@ def test_a_request_for_the_drift_takes_the_hook_whole_or_not_at_all():
     path, seq = walk(3)
     t, s = path.times[:-1], path.values[:-1]
     F = Functional(1, lambda sp: float(sp.current[0]) ** 2,
-                   pointwise=lambda t, s, T, want: tuple(
+                   pointwise=lambda path, t, s, want: tuple(
                        np.full((t.size, 1, 1), 2.5) if q == "hess" else None for q in want))
     horiz, hess = F.at(path, t, s, ("horiz", "hess"))
     stopped = [StoppedPath(path, tk, tk, sk) for tk, sk in zip(t, s)]
@@ -324,7 +325,7 @@ def _per_level_integrand(F, path, seq, n):
     level = seq.level(n)
     li = path.grid_indices(level)
     (g,) = (None,) if F.pointwise is None else F.pointwise(
-        level[:-1], path.values[li[:-1]], path.T, ("grad",))
+        path, level[:-1], path.values[li[:-1]], ("grad",))
     if g is None:
         return _stopped_path_rows(F, path, seq, n)
     return np.asarray(g, dtype=float).reshape(level.size - 1, path.dim)
@@ -372,8 +373,8 @@ def _product_2d():
 
 def _negative_zero_drift():
     return Functional(1, lambda sp: float(sp.current[0]), name="negative_zero_drift",
-                      pointwise=_evaluator(hess=lambda t, s, T: np.zeros((t.size, 1, 1)),
-                                           horiz=lambda t, s, T: np.full(t.size, -0.0)))
+                      pointwise=_evaluator(hess=lambda path, t, s: np.zeros((t.size, 1, 1)),
+                                           horiz=lambda path, t, s: np.full(t.size, -0.0)))
 
 
 ITO_FUNCTIONALS = [
@@ -434,7 +435,7 @@ POINTWISE_GRAD_FUNCTIONALS = [
 @given(data=st.data())
 def test_single_gradient_evaluation_equals_per_level_integrands(F, data):
     path, seq, levels = data.draw(ito_paths(F.dim))
-    assert F.pointwise(path.times, path.values, path.T, ("grad",))[0] is not None
+    assert F.pointwise(path, path.times, path.values, ("grad",))[0] is not None
     if data.draw(st.booleans()):
         levels = None  # every level
     rep = follmer_integral_functional(F, path, seq, levels=levels)

@@ -152,6 +152,11 @@ def test_dense_flag_validation():
         PartitionSequence(1.0, [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], dense=True)
     seq = PartitionSequence(1.0, [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], dense=False)
     assert not seq.dense
+    # a sequence not declared nested whose mesh grows, though its top beats
+    # level 0
+    growing = [[0.0, 0.5, 1.0], [0.0, 0.2, 1.0], np.linspace(0.0, 1.0, 11)]
+    with pytest.raises(ValueError, match="declared dense but mesh is not non-increasing"):
+        PartitionSequence(1.0, growing, nested=False)
 
 
 def test_descriptor_roundtrip():

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from pathcalc import (
     SampledPath,
+    asian_forward,
     dyadic,
     generate,
     read_path_csv,
+    running_integral,
     stack,
     stepwise_approximation,
     stop,
@@ -77,21 +79,30 @@ def test_vertical_perturbation_shifts_only_future():
     assert bumped.value(1.0)[0] == 2.5
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_left_riemann_integral_is_a_time_ordered_sum(dim):
-    # 16,384 cells, where a BLAS product would add in blocks; the stop time
-    # lies inside the last cell
+def test_left_riemann_integral_is_a_time_ordered_sum():
+    # 16,384 cells, where a BLAS product would add in blocks: the hook of
+    # each running integral and its value on the stopped path equal a += loop
+    # in time order, at an off-grid t inside the last cell, at grid times and
+    # at a left stop on the jump
     seq = dyadic(1.0, 14)
-    path = generate({"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0, "dim": dim}, 4, seq)
-    t = 1.0 - 2.0**-16
-    idx = path.times.size - 2
-    total = [0.0] * dim
-    for k in range(idx):
-        dt = float(path.times[k + 1] - path.times[k])
-        for j in range(dim):
-            total[j] += float(path.values[k, j]) * dt
-    ref = np.array(total) + path.values[idx] * (t - path.times[idx])
-    assert np.array_equal(stop(path, t).left_riemann_integral(), ref)
+    path = generate({"kind": "with_jumps", "jumps": [[0.5, [0.25]]],
+                     "base": {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}}, 4, seq)
+    for t, side in [(1.0 - 2.0**-16, "right"), (0.0, "right"), (0.25, "right"),
+                    (0.5, "left"), (0.5, "right"), (1.0, "right")]:
+        idx = int(np.searchsorted(path.times, t, side="right")) - 1
+        total = 0.0
+        for k in range(idx):
+            total += float(path.values[k, 0]) * float(path.times[k + 1] - path.times[k])
+        total += float(path.values[idx, 0]) * (t - float(path.times[idx]))
+        sp = stop(path, t, side)
+        s = float(sp.current[0])
+        for F, ref in [(running_integral(), total), (asian_forward(), total + s * (1.0 - t))]:
+            (hook,) = F.pointwise(path, np.array([t]), sp.current[None], ("value",))
+            assert np.array_equal(hook.view(np.int64), np.array([ref]).view(np.int64)), (F, t)
+            assert np.array_equal(np.array([F.value(sp)]).view(np.int64),
+                                  np.array([ref]).view(np.int64)), (F, t, side)
+        # extended to T, the stopped path integrates its frozen value from t on
+        assert running_integral().value(sp.extend_to(1.0)) == total + s * (1.0 - t)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +116,21 @@ def test_stepwise_at_finest_reproduces_right_endpoints():
     # cell [t_k, t_{k+1}) carries x(t_{k+1}); terminal value kept
     assert np.allclose(approx.values[:-1, 0], path.values[1:, 0])
     assert approx.values[-1, 0] == path.values[-1, 0]
+
+
+def test_stepwise_takes_the_left_limit_at_each_cell_end():
+    # the definition, one left limit per finest time, bit for bit, on a path
+    # with two jumps, at levels that hold both jump times
+    seq = dyadic(1.0, 6)
+    path = generate({"kind": "with_jumps", "jumps": [[0.25, [1.0]], [0.375, [-0.5]]],
+                     "base": {"kind": "scaled_random_walk", "sigma": 0.5}}, 3, seq)
+    for n in (3, 4, 6):
+        level = seq.level(n)
+        ends = level[np.minimum(np.searchsorted(level, path.times, side="right"), level.size - 1)]
+        ref = np.array([path.left_limit(u) for u in ends])
+        ref[-1] = path.values[-1]
+        approx = stepwise_approximation(path, seq, n)
+        assert np.array_equal(approx.values.view(np.int64), ref.view(np.int64)), n
 
 
 def test_stepwise_constant_path_unchanged():

@@ -337,6 +337,21 @@ def test_hedge_asian_left_rule_mesh_gap():
     assert abs(rep.realized_pnl) == pytest.approx(gap, rel=1e-9)
 
 
+def test_hedge_asian_reads_its_value_from_the_hook():
+    # the hook's value serves the curve and the track error at every grid
+    # time: eval_fn runs once per hedge, for F(0)
+    path, seq = geometric(10, seed=3)
+    F = asian_forward()
+    evaluate, calls = F._eval, []
+    F._eval = lambda sp: calls.append(sp.time) or evaluate(sp)
+    rep = hedge(F, integral_payoff("right"), constant_density(0.0), path, seq,
+                realized_density=constant_density(0.0))
+    assert calls == [0.0]
+    ref = np.array([evaluate(stop(path, float(t))) for t in rep.probe_times])
+    assert np.array_equal(rep.functional_curve.view(np.int64), ref.view(np.int64))
+    assert rep.track_error >= np.max(np.abs(rep.value_curve - rep.functional_curve)) > 0.0
+
+
 def test_hedge_bs_replication_tracks_price():
     path, seq = geometric(12, seed=31)
     F = black_scholes(0.2, 1.0)
@@ -519,15 +534,15 @@ def test_hedge_evaluates_the_functional_once_per_path():
     path, seq = geometric(10, seed=11)
     F = black_scholes(0.2, 1.0)
     evaluate, calls = F.pointwise, []
-    F.pointwise = lambda t, s, T, want: calls.append(want) or evaluate(t, s, T, want)
+    F.pointwise = lambda path, t, s, want: calls.append(want) or evaluate(path, t, s, want)
     once = hedge(F, call_payoff(1.0), diffusion_density(0.2), path, seq)
     # one exact request for the pricing-equation probes, one for the grid
     assert calls == [("horiz", "hess"), ("value", "grad", "hess")]
     # the same quantities asked for one at a time (exact ones exactly) give
     # the same report
     split = black_scholes(0.2, 1.0)
-    split.pointwise = lambda t, s, T, want: tuple(
-        evaluate(t, s, T, (q, "horiz") if "horiz" in want else (q,))[0] for q in want)
+    split.pointwise = lambda path, t, s, want: tuple(
+        evaluate(path, t, s, (q, "horiz") if "horiz" in want else (q,))[0] for q in want)
     ref = hedge(split, call_payoff(1.0), diffusion_density(0.2), path, seq)
     for f in fields(once):
         a, b = getattr(once, f.name), getattr(ref, f.name)
@@ -568,8 +583,8 @@ def test_hedge_fpde_max_is_the_largest_stopped_path_residual(name):
 @pytest.mark.parametrize("F", [
     identity(0, dim=2),
     Functional(2, lambda sp: float(sp.current[0] * sp.current[1]), pointwise=_evaluator(
-        hess=lambda t, s, T: np.tile([[0.0, 1.0], [1.0, 0.0]], (t.size, 1, 1)),
-        horiz=lambda t, s, T: np.zeros(t.size))),
+        hess=lambda path, t, s: np.tile([[0.0, 1.0], [1.0, 0.0]], (t.size, 1, 1)),
+        horiz=lambda path, t, s: np.zeros(t.size))),
 ], ids=["identity", "product"])
 def test_hedge_fpde_max_on_two_dimensions(F):
     # einsum may sum the trace in another order than trace(a @ hess)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import ctypes
 import dataclasses
 import json
 import os
@@ -409,19 +408,7 @@ def build_parser():
     return parser
 
 
-def _keep_heap_top():
-    """Have glibc keep 64 MiB free at the heap top when it trims, so that each
-    hedge path reuses the pages the last one freed (README, "CLI")."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):  # no glibc; Windows has no CDLL(None)
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-2, 64 << 20)  # M_TOP_PAD
-
-
 def main(argv=None):
-    _keep_heap_top()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

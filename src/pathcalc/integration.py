@@ -24,10 +24,9 @@ import numpy as np
 
 from .convergence import ConvergenceConfig, assess
 from .functionals import cylinder
-from .partitions import refine_onto
+from .partitions import cell_index, refine_onto
 from .paths import _time_ordered_sum, stepwise_approximation, stop
 from .quadvar import (
-    _cell_index,
     _continuous_qv_increments,
     _level_sums,
     _prefix_sums,
@@ -38,12 +37,13 @@ from .quadvar import (
 
 def _truncated_dot_sums(x, li, g, probe_idx):
     """S_n at probe grid indices.  ``g``: integrand rows per level cell."""
-    a = np.diff(x[li], axis=0)
+    lx = x[li]
+    a = np.diff(lx, axis=0)
     a *= g
     prefix = _prefix_sums(np.sum(a, axis=1))
-    jstar = _cell_index(li, probe_idx)
+    jstar = cell_index(li, probe_idx)
     safe = np.minimum(jstar, g.shape[0] - 1)
-    boundary = np.sum(g[safe] * (x[probe_idx] - x[li[jstar]]), axis=1)
+    boundary = np.sum(g[safe] * (x[probe_idx] - lx[jstar]), axis=1)
     return prefix[jstar] + np.where(jstar >= g.shape[0], 0.0, boundary)
 
 
@@ -53,9 +53,8 @@ def follmer_integrand(F, path, seq, n):
     value is x(t_i) (the composite argument of the cadlag summation).  The
     stopped-path route of :func:`_gradient_rows`."""
     level = seq.level(n)
-    li = path.grid_indices(level)
     xn = stepwise_approximation(path, seq, n)
-    return F.at(xn, level[:-1], path.values[li[:-1]], ("grad",))[0]
+    return F.at(xn, level[:-1], path.values[path.grid_indices(level)][:-1], ("grad",))[0]
 
 
 @dataclass
@@ -102,15 +101,15 @@ def _make_report(path, seq, probes, levels, integrand_at, config):
 def _gradient_rows(F, path, g=None):
     """The level-n gradient rows ``rows(seq, n, li)`` of F, and the one place
     that picks their route: a pointwise gradient is evaluated once, at every
-    grid time before T, and each level reads the rows of its cell starts;
+    grid time, and each level reads the rows of its cell starts;
     otherwise they come from :func:`follmer_integrand`.
     ``g``: that pointwise gradient, when the caller has evaluated it already."""
     if g is None and F.pointwise is not None:
-        (g,) = F.pointwise(path, path.times[:-1], path.values[:-1], ("grad",))
+        (g,) = F.pointwise(path, path.times, path.values, ("grad",))
     if g is None:
         return lambda seq, n, li: follmer_integrand(F, path, seq, n)
-    g = np.asarray(g, dtype=float).reshape(path.times.size - 1, path.dim)
-    return lambda seq, n, li: g[li[:-1]]
+    g = np.asarray(g, dtype=float).reshape(path.times.size, path.dim)
+    return lambda seq, n, li: g[li][:-1]
 
 
 def follmer_integral_functional(F, path, seq, probes=None, levels=None, config=None):
@@ -207,7 +206,7 @@ def ito_residual_functional(F, path, seq, levels=None, config=None):
     initial = F.value(stop(path, 0.0))
 
     fine = seq.level(seq.top)
-    left = path.values[path.grid_indices(fine)[:-1]]  # x(t_k-) at each cell start
+    left = path.values[path.grid_indices(fine)][:-1].copy()  # x(t_k-) at each cell start
     for tj, dlt in path.jumps:
         if tj < path.T:  # a jump at T starts no cell
             left[np.searchsorted(fine, tj)] -= dlt
@@ -228,7 +227,7 @@ def ito_residual_cylinder(f, f_prime, f_second, path, seq, config=None):
     """
     F = cylinder(f, f_prime, f_second, dim=path.dim)
     seq, _ = refine_onto(seq, path.jump_times)
-    ts = seq.level(seq.top)[:-1]
-    (hess,) = F.at(path, ts, path.values[path.grid_indices(ts)], ("hess",))
+    level = seq.level(seq.top)
+    (hess,) = F.at(path, level[:-1], path.values[path.grid_indices(level)][:-1], ("hess",))
     return _ito_report(path, seq, None, _gradient_rows(F, path), F.value(stop(path, path.T)),
                        F.value(stop(path, 0.0)), 0.0, hess, _jump_term(F, path), config)

@@ -14,20 +14,36 @@ import numpy as np
 
 
 def grid_positions(grid, ts):
-    """Where ``ts`` fall in the sorted ``grid``: the ``searchsorted``
-    insertion indices and the mask of exact members.
+    """Where ``ts`` fall in the sorted ``grid``: their positions, and the
+    mask of exact members.
 
     This is the one membership test of the package: ``hit[k]`` is True iff
-    ``grid[idx[k]] == ts[k]`` bit for bit (with no search when ``ts`` is
-    ``grid[::k]``, as a dyadic level is of a finer one).
+    ``grid[pos][k] == ts[k]`` bit for bit.  When ``ts`` is ``grid[::k]``, as
+    a dyadic level is of a finer one, ``pos`` is ``slice(0, grid.size, k)``,
+    found with no search, and indexing with it takes a view; otherwise it is
+    the ``searchsorted`` insertion indices.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim == 1 and 2 <= ts.size <= grid.size:
         k, rem = divmod(grid.size - 1, ts.size - 1)
         if rem == 0 and np.array_equal(grid[::k], ts):
-            return np.arange(0, grid.size, k), np.ones(ts.size, dtype=bool)
+            return slice(0, grid.size, k), np.ones(ts.size, dtype=bool)
     idx = np.searchsorted(grid, ts)
     return idx, grid[np.minimum(idx, grid.size - 1)] == ts
+
+
+def index_array(pos):
+    """Positions from :func:`grid_positions` as an int array, for arithmetic."""
+    return np.arange(pos.start, pos.stop, pos.step) if isinstance(pos, slice) else pos
+
+
+def cell_index(pos, probe_idx):
+    """Cell j of each grid index p in ``[0, last position]`` of the level at
+    positions ``pos``: ``pos[j] <= p < pos[j+1]``, and j = m at the last
+    position ``pos[m]``; ``p // k`` on a stride k."""
+    if isinstance(pos, slice):
+        return index_array(probe_idx) // pos.step
+    return np.searchsorted(pos, index_array(probe_idx), side="right") - 1
 
 
 def require_finite(arr, what):

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .partitions import grid_positions, require_finite
+from .partitions import cell_index, grid_positions, index_array, require_finite
 
 
 def _time_ordered_sum(terms):
@@ -52,24 +52,26 @@ class SampledPath:
         self.T = float(times[-1])
         self.times.flags.writeable = False
         self.values.flags.writeable = False
-        jump_map = {}
-        for t, delta in jumps or ():
-            t = float(t)
-            if not grid_positions(times, t)[1]:
-                raise ValueError(
-                    f"jump time {t!r} is not a grid time; refine the grid first"
-                )
-            if t <= 0.0:
-                raise ValueError("jump times must be positive")
-            if t in jump_map:
-                raise ValueError(f"duplicate jump time {t!r}")
-            d = np.asarray(delta, dtype=float).reshape(-1).copy()
-            if d.size != self.dim:
-                raise ValueError("jump dimension does not match the path")
-            require_finite(d, f"jump size at {t!r}")
-            d.flags.writeable = False
-            jump_map[t] = d
-        self._jumps = dict(sorted(jump_map.items()))
+        jumps = sorted(((float(t), np.asarray(d, dtype=float).reshape(-1)) for t, d in jumps or ()),
+                       key=lambda jump: jump[0])
+        if any(d.size != self.dim for _, d in jumps):
+            raise ValueError("jump dimension does not match the path")
+        jt = np.array([t for t, _ in jumps])
+        hit = grid_positions(times, jt)[1]
+        if not hit.all():
+            raise ValueError(f"jump time {float(jt[~hit][0])!r} is not a grid time; "
+                             "refine the grid first")
+        if np.any(jt <= 0.0):
+            raise ValueError("jump times must be positive")
+        dup = jt[1:] == jt[:-1]
+        if dup.any():
+            raise ValueError(f"duplicate jump time {float(jt[1:][dup][0])!r}")
+        sizes = np.array([d for _, d in jumps]).reshape(jt.size, self.dim)
+        bad = ~np.isfinite(sizes).all(axis=1)
+        if bad.any():
+            require_finite(sizes[bad][0], f"jump size at {float(jt[bad][0])!r}")
+        sizes.flags.writeable = False
+        self._jumps = dict(zip(jt.tolist(), sizes))
 
     @property
     def dim(self):
@@ -101,7 +103,8 @@ class SampledPath:
         return self.value(u) - self.jump_at(u)
 
     def grid_indices(self, ts):
-        """Exact positions of ``ts`` in the grid; raises if any is absent."""
+        """Exact positions of ``ts`` in the grid (:func:`grid_positions`): a
+        slice on a stride of the grid, else an int array; raises if any is absent."""
         ts = np.asarray(ts, dtype=float)
         idx, hit = grid_positions(self.times, ts)
         if not hit.all():
@@ -202,9 +205,8 @@ def stepwise_approximation(path, seq, n):
         )
     li = path.grid_indices(level)
     # cell index for every finest grid time: j with level[j] <= u < level[j+1]
-    cell = np.searchsorted(level, path.times, side="right") - 1
-    cell = np.minimum(cell, level.size - 2)
-    right_idx = li[cell + 1]
+    cell = np.minimum(cell_index(li, np.arange(path.times.size)), level.size - 2)
+    right_idx = index_array(li)[cell + 1]
     jump = np.zeros_like(path.values)  # the jump at each finest grid time
     jump[path.grid_indices(path.jump_times)] = np.reshape(list(path._jumps.values()),
                                                           (-1, path.dim))

@@ -20,26 +20,13 @@ from itertools import combinations
 import numpy as np
 
 from .convergence import ConvergenceConfig, assess
-from .partitions import refine_onto
+from .partitions import cell_index, refine_onto
 
 
 def default_probe_times(seq, path=None, probe_level=6):
     """Level-``probe_level`` grid plus the path's jump times."""
     jumps = () if path is None else path.jump_times
     return np.union1d(seq.level(min(probe_level, seq.top)), jumps)
-
-
-def _cell_index(li, probe_idx):
-    """Cell j of each grid index p in ``[0, li[-1]]``: ``li[j] <= p <
-    li[j+1]``, and j = m at ``p = li[m]``.  It is ``p // k`` when ``li`` is
-    ``arange(0, k * li.size, k)`` and there are no fewer probes than level
-    times (checking the stride costs more than a search over few probes)."""
-    m = li.size - 1
-    if probe_idx.size > m:
-        k = li[-1] // m
-        if np.array_equal(li, np.arange(0, k * li.size, k)):
-            return probe_idx // k
-    return np.searchsorted(li, probe_idx, side="right") - 1
 
 
 def _prefix_sums(terms):
@@ -54,15 +41,17 @@ def _prefix_sums(terms):
 def _truncated_sq_sums(x, li, probe_idx):
     """A_n at probe grid indices for one scalar coordinate.
 
-    ``x``: finest-grid values; ``li``: level-time indices into the finest
-    grid; ``probe_idx``: finest-grid indices of the probe times.
+    ``x``: finest-grid values; ``li``: level-time positions in the finest
+    grid; ``probe_idx``: finest-grid positions of the probe times.
     """
-    a = np.diff(x[li])
+    lx = x[li]
+    prefix = np.zeros(lx.size)  # the squared increments are summed in place
+    a = prefix[1:]
+    np.subtract(lx[1:], lx[:-1], out=a)
     a *= a
-    prefix = _prefix_sums(a)
-    jstar = _cell_index(li, probe_idx)
-    boundary = (x[probe_idx] - x[li[jstar]]) ** 2
-    return prefix[jstar] + boundary
+    np.cumsum(a, out=a)
+    jstar = cell_index(li, probe_idx)
+    return prefix[jstar] + (x[probe_idx] - lx[jstar]) ** 2
 
 
 def _polarized_sq_sums(values, li, probe_idx):
@@ -70,7 +59,7 @@ def _polarized_sq_sums(values, li, probe_idx):
     the diagonal, and off it half the excess of the sum of x_i + x_j over
     the sums of x_i and x_j."""
     d = values.shape[1]
-    out = np.empty((probe_idx.size, d, d))
+    out = np.empty((len(values[probe_idx]), d, d))
     for i in range(d):
         out[:, i, i] = _truncated_sq_sums(values[:, i], li, probe_idx)
     for i, j in combinations(range(d), 2):

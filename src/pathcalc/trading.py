@@ -29,7 +29,7 @@ from .integration import (
     _truncated_dot_sums,
     follmer_integral_functional,
 )
-from .partitions import refine_onto
+from .partitions import index_array, refine_onto
 from .paths import _time_ordered_sum, stop
 from .quadvar import (
     _check_horizon,
@@ -372,7 +372,7 @@ def hedge(
     level = seq.level(seq.top)
     li = path.grid_indices(level)
     ts = level[:-1]
-    rows = path.values[li[:-1]]
+    rows = path.values[li][:-1]
     dt = np.diff(level)
     estimate_requested = isinstance(realized_density, str) and realized_density == "estimate"
     realized_kind = "estimate" if estimate_requested else "supplied"
@@ -386,7 +386,7 @@ def hedge(
     # gains and the track error; what it lacks is read through ``F.at``.
     value, grad, hess = (None,) * 3 if F.pointwise is None else F.pointwise(
         path, path.times, path.values, ("value", "grad", "hess"))
-    hess = F.at(path, ts, rows, ("hess",))[0] if hess is None else np.asarray(hess)[li[:-1]]
+    hess = F.at(path, ts, rows, ("hess",))[0] if hess is None else np.asarray(hess)[li][:-1]
     traces = np.einsum("kij,kji->k", a_cells - tilde_cells, hess)
     jump_term = _jump_term(F, path)  # 0.0 on a path without jumps
     # a BLAS dot, whose sum depends on the thread count: the recorded hedge
@@ -397,7 +397,7 @@ def hedge(
         levels = [seq.top]
     # The gains at every grid time, summed once per level.  The track error
     # is taken at every grid time when F has a pointwise value, else at the probes.
-    rows_at = _gradient_rows(F, path, None if grad is None else grad[:-1])
+    rows_at = _gradient_rows(F, path, grad)
     gain = _make_report(path, seq, path.times, levels, rows_at, config)
     f0 = F.value(stop(path, 0.0))
     realized = f0 + float(gain.limit[-1]) - float(payoff(path))
@@ -477,9 +477,9 @@ def plausibility_diagnostic(path, seq):
         raise ValueError("plausibility diagnostics are scalar-path only")
     _check_two_levels(seq)
     _check_horizon(seq, path)
-    probe_idx = path.grid_indices(default_probe_times(seq, path))
+    probe_idx = index_array(path.grid_indices(default_probe_times(seq, path)))
     x = path.values[:, 0]
-    level_idx = [path.grid_indices(seq.level(n)) for n in range(seq.num_levels)]
+    level_idx = [index_array(path.grid_indices(seq.level(n))) for n in range(seq.num_levels)]
     approx = [
         _truncated_sq_sums(x, li, probe_idx) for li in level_idx
     ]

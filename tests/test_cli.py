@@ -1,12 +1,7 @@
 import contextlib
 import io
 import json
-import os
-import platform
 import re
-import subprocess
-import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -197,73 +192,6 @@ def test_hedge_deterministic(tmp_path):
     main(["hedge", "--config", cfg])
     assert read_bytes(tmp_path, "o1", "hedge_paths.csv") == first_csv
     assert read_bytes(tmp_path, "o1", "hedge_summary.json") == first_json
-
-
-# Runs cli.main in a fresh interpreter, with the heap setting ("keep") or with
-# the helper replaced by a no-op ("skip"); prints the exit code and the minor
-# page faults main took.
-_HEAP_CHILD = """
-import json, resource, sys
-from pathcalc import cli
-if sys.argv[1] == "skip":
-    cli._keep_heap_top = lambda: None
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-code = cli.main(sys.argv[2:])
-print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before]))
-"""
-
-
-def _hedge_child(tmp_path, heap, level, paths):
-    """(exit code, minor faults, {file name: bytes}) of one CLI hedge launch,
-    run in its own directory so that both launches echo the same ``out``."""
-    work = tmp_path / heap
-    work.mkdir()
-    cfg = write_config(work, "hedge.json", {
-        "seed": 4,
-        "partition": {"type": "dyadic", "T": 1.0, "max_level": level},
-        "path": {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0},
-        "functional": {"name": "black_scholes", "sigma": 0.2, "strike": 1.0},
-        "hedge": {"density": {"kind": "bs", "sigma": 0.2}, "realized": {"kind": "bs", "sigma": 0.3},
-                  "payoff": {"kind": "call", "strike": 1.0}, "paths": paths},
-        "out": "out",
-    })
-    src = str(Path(cli.__file__).parents[1])
-    # an allocator setting in the environment would act on both launches
-    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _HEAP_CHILD, heap, "hedge", "--config", cfg],
-                          capture_output=True, text=True, env=env, cwd=work, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    code, faults = json.loads(proc.stdout.splitlines()[-1])
-    return code, faults, {p.name: p.read_bytes() for p in sorted((work / "out").iterdir())}
-
-
-def test_heap_setting_changes_no_output(tmp_path):
-    code, _, files = _hedge_child(tmp_path, "keep", 8, 3)
-    skipped_code, _, skipped_files = _hedge_child(tmp_path, "skip", 8, 3)
-    assert code in (0, 1)
-    assert (skipped_code, skipped_files) == (code, files)
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="M_TOP_PAD is glibc's")
-def test_heap_setting_stops_the_hedge_loop_refaulting(tmp_path):
-    # each level-14 path frees arrays just above glibc's 128 KiB trim scale;
-    # without the setting the next path faults their pages in again
-    _, kept, files = _hedge_child(tmp_path, "keep", 14, 16)
-    _, skipped, skipped_files = _hedge_child(tmp_path, "skip", 14, 16)
-    assert files == skipped_files
-    assert 4 * kept <= skipped, (kept, skipped)
-
-
-def _no_libc(name):
-    raise OSError("no C library")
-
-
-@pytest.mark.parametrize("libc", [lambda name: types.SimpleNamespace(), _no_libc],
-                         ids=["no_mallopt", "no_libc"])
-def test_heap_setting_without_mallopt_is_skipped(monkeypatch, libc):
-    monkeypatch.setattr(cli.ctypes, "CDLL", libc)
-    assert cli._keep_heap_top() is None
 
 
 def test_plausibility_scenarios(tmp_path):

@@ -325,7 +325,7 @@ def _per_level_integrand(F, path, seq, n):
     level = seq.level(n)
     li = path.grid_indices(level)
     (g,) = (None,) if F.pointwise is None else F.pointwise(
-        path, level[:-1], path.values[li[:-1]], ("grad",))
+        path, level[:-1], path.values[li][:-1], ("grad",))
     if g is None:
         return _stopped_path_rows(F, path, seq, n)
     return np.asarray(g, dtype=float).reshape(level.size - 1, path.dim)

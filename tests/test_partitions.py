@@ -12,7 +12,7 @@ from pathcalc import (
     last_index_before,
     refine_with,
 )
-from pathcalc.partitions import grid_positions
+from pathcalc.partitions import grid_positions, index_array
 
 
 def test_dyadic_levels_by_definition():
@@ -213,8 +213,10 @@ def test_membership_agrees_with_set_reference(case):
     members = set(grid.tolist())
     index = {t: k for k, t in enumerate(grid.tolist())}
     strided_seq = PartitionSequence(1.0, [strided[0], grid], dense=False, nested=True)
+    values = np.column_stack((grid, -3.0 * grid))
     for ts in strided:
-        idx, hit = grid_positions(grid, ts)
+        pos, hit = grid_positions(grid, ts)
+        idx = index_array(pos)
         expect_hit = [t in members for t in ts.tolist()]
         assert hit.tolist() == expect_hit
         assert [i for i, h in zip(idx.tolist(), expect_hit) if h] == [
@@ -222,6 +224,8 @@ def test_membership_agrees_with_set_reference(case):
         searched = np.searchsorted(grid, ts)
         assert np.array_equal(idx, searched)
         assert np.array_equal(hit, grid[np.minimum(searched, grid.size - 1)] == ts)
+        if hit.all():
+            assert np.array_equal(values[pos].view(np.int64), values[searched].view(np.int64))
         assert strided_seq.covers(ts, 1) == all(expect_hit)
     expected = all(t in members for t in queries)
     seq = PartitionSequence(1.0, [[0.0, 1.0], grid], dense=False, nested=False)
@@ -239,9 +243,9 @@ def test_membership_agrees_with_set_reference(case):
     assert nested == all(t in members for t in coarse)
 
     path = SampledPath(grid, np.zeros(grid.size))
-    assert path.grid_indices(strided[0]).tolist() == [index[t] for t in strided[0]]
+    assert index_array(path.grid_indices(strided[0])).tolist() == [index[t] for t in strided[0]]
     if expected:
-        assert path.grid_indices(queries).tolist() == [index[t] for t in queries]
+        assert index_array(path.grid_indices(queries)).tolist() == [index[t] for t in queries]
     else:
         with pytest.raises(ValueError, match="is not on the path grid"):
             path.grid_indices(queries)

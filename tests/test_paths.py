@@ -485,5 +485,16 @@ def test_sampled_path_validation():
         SampledPath([0.0, 0.5, 1.0], [0.0, 1.0, 2.0], [(0.5, float("nan"))])
     with pytest.raises(ValueError, match="jump time 0.3 is not a grid time"):
         SampledPath([0.0, 0.5, 1.0], [0.0, 1.0, 2.0], [(0.3, 1.0)])
+    grid, x = np.linspace(0.0, 1.0, 9), np.arange(9.0)
+    with pytest.raises(ValueError, match="jump size at 0.625 must be finite, got inf"):
+        SampledPath(grid, x, [(0.625, float("inf")), (0.25, 1.0), (0.75, float("nan"))])
+    with pytest.raises(ValueError, match="duplicate jump time 0.5"):
+        SampledPath(grid, x, [(0.75, 1.0), (0.5, 1.0), (0.25, 1.0), (0.5, 2.0)])
+    with pytest.raises(ValueError, match="jump times must be positive"):
+        SampledPath(grid, x, [(0.5, 1.0), (0.0, 1.0)])
+    with pytest.raises(ValueError, match="jump dimension does not match the path"):
+        SampledPath(grid, x, [(0.5, 1.0), (0.75, [1.0, 2.0])])
+    path = SampledPath(grid, x, [(0.75, 3.0), (0.125, [1.0]), (0.5, 2.0)])
+    assert [(t, d.tolist()) for t, d in path.jumps] == [(0.125, [1.0]), (0.5, [2.0]), (0.75, [3.0])]
     with pytest.raises(ValueError, match="time 0.3 is not on the path grid"):
         SampledPath([0.0, 0.5, 1.0], [0.0, 1.0, 2.0]).grid_indices([0.5, 0.3])

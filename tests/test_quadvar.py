@@ -20,7 +20,8 @@ from pathcalc import (
     stack,
     vovk_uniform_check,
 )
-from pathcalc.quadvar import _cell_index, _interval_grid, _prefix_sums
+from pathcalc.partitions import cell_index, index_array
+from pathcalc.quadvar import _interval_grid, _prefix_sums
 
 
 def component(path, i):
@@ -264,19 +265,22 @@ def test_one_qv_body_matches_scalar_route_and_interval_reference(data, dim, leve
 def test_cell_index_matches_search(data):
     m = data.draw(st.integers(1, 40))
     k = data.draw(st.integers(1, 6))
-    if data.draw(st.booleans()):  # a level of a dyadic grid, or with an offset
-        li = np.arange(0, k * (m + 1), k) + data.draw(st.sampled_from([0, 0, 1]))
+    route = data.draw(st.sampled_from(["stride", "offset", "sorted"]))
+    if route == "stride":  # a level of a dyadic grid, as grid_positions gives it
+        li = slice(0, k * m + 1, k)
+    elif route == "offset":  # the same stride as an array (search route), or shifted
+        li = np.arange(0, k * (m + 1), k) + data.draw(st.sampled_from([0, 1]))
     else:
         picks = st.sets(st.integers(0, k * m + m), min_size=m + 1, max_size=m + 1)
         li = np.array(sorted(data.draw(picks)))
-    if data.draw(st.booleans()):  # every grid index as a probe
-        probe_idx = np.arange(li[-1] + 1)
-    else:  # at most m probes
-        probes = st.sets(st.integers(0, int(li[-1])), min_size=1, max_size=m)
+    last = int(index_array(li)[-1])
+    if data.draw(st.booleans()):  # every grid index as a probe, as a stride or an array
+        probe_idx = data.draw(st.sampled_from([slice(0, last + 1, 1), np.arange(last + 1)]))
+    else:
+        probes = st.sets(st.integers(0, last), min_size=1, max_size=m)
         probe_idx = np.array(sorted(data.draw(probes)))
-    assert np.array_equal(
-        _cell_index(li, probe_idx), np.searchsorted(li, probe_idx, side="right") - 1
-    )
+    expected = np.searchsorted(index_array(li), index_array(probe_idx), side="right") - 1
+    assert np.array_equal(cell_index(li, probe_idx), expected)
 
 
 def test_qv_levels_argument():

@@ -44,7 +44,9 @@ class ConfigError(Exception):
     pass
 
 
-_number = lambda v: type(v) in (int, float)  # not a bool
+# a finite float, or an int in the float range; not a bool (Python's json
+# reads NaN, Infinity and integers of any size)
+_number = lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max
 _numbers = lambda v: type(v) is list and all(map(_number, v))
 _size = lambda v: _number(v) or _numbers(v)
 # Value types: what a value must be, and its test ("level" and "levels" are
@@ -56,16 +58,16 @@ _TYPES = {
     "int>=1": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
     "level": ("an integer", lambda v: type(v) is int),
     "levels": ("a list of integers", lambda v: type(v) is list and all(type(n) is int for n in v)),
-    "number": ("a number", _number),
-    "number>0": ("a number > 0", lambda v: _number(v) and v > 0),
-    "numbers": ("a list of numbers", _numbers),
-    "grids": ("a list of lists of numbers", lambda v: type(v) is list and all(map(_numbers, v))),
-    "threshold": ("a number or a list of numbers", _size),
+    "number": ("a finite number", _number),
+    "number>0": ("a finite number > 0", lambda v: _number(v) and v > 0),
+    "numbers": ("a list of finite numbers", _numbers),
+    "grids": ("a list of lists of finite numbers", lambda v: type(v) is list and all(map(_numbers, v))),
+    "threshold": ("a finite number or a list of finite numbers", _size),
     "jumps": ("a list of [time, size] pairs", lambda v: type(v) is list and all(
         type(j) is list and len(j) == 2 and _number(j[0]) and _size(j[1]) for j in v)),
     "str": ("a string", lambda v: type(v) is str),
     "bool": ("true or false", lambda v: type(v) is bool),
-    "density": ("a mapping or a number", lambda v: type(v) is dict or _number(v)),
+    "density": ("a mapping or a finite number", lambda v: type(v) is dict or _number(v)),
     "realized": ('"estimate" or a density', lambda v: v == "estimate" or _TYPES["density"][1](v)),
 }
 

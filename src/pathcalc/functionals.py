@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.special import boxcox, inv_boxcox, ndtr
 
-from .paths import StoppedPath
+from .paths import StoppedPath, _running_sums
 
 
 def default_vertical_bump(sp):
@@ -305,10 +305,10 @@ def monomial(power, coeff=1.0):
 def _left_integral(path, t):
     """The integral of the path's first coordinate over [0, t], left-endpoint
     rule, at each t: one prefix sum over the grid cells, 0.0 first and added
-    in time order as ``paths._time_ordered_sum`` adds (so never -0.0), read at
-    the last grid time <= t, plus the partial cell from there to t."""
+    in time order by ``paths._running_sums`` (so never -0.0), read at the
+    last grid time <= t, plus the partial cell from there to t."""
     times, x = path.times, path.values[:, 0]
-    sums = np.cumsum(np.concatenate(([0.0], x[:-1] * np.diff(times))))
+    sums = _running_sums(x[:-1] * np.diff(times))
     k = np.searchsorted(times, t, "right") - 1
     return sums[k] + x[k] * (t - times[k])
 

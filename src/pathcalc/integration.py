@@ -25,7 +25,7 @@ import numpy as np
 from .convergence import ConvergenceConfig, assess
 from .functionals import cylinder
 from .partitions import cell_index, refine_onto
-from .paths import _time_ordered_sum, stepwise_approximation, stop
+from .paths import _running_sums, stepwise_approximation, stop
 from .quadvar import (
     _continuous_qv_increments,
     _level_sums,
@@ -156,7 +156,7 @@ def _ito_report(path, seq, levels, rows, lhs, initial, drift, hess, jump_term, c
     if len(levels) == 0:
         raise ValueError("levels must list at least one level")
     dqv = _continuous_qv_increments(path, seq)
-    qv_term = float(_time_ordered_sum(0.5 * np.trace(np.matmul(hess, dqv), axis1=1, axis2=2)))
+    qv_term = float(_running_sums(0.5 * np.trace(np.matmul(hess, dqv), axis1=1, axis2=2))[-1])
     qv_ok, qv_metric = _qv_flags(path, seq, config)
     residual_by_level = {}
     for n in sorted(levels):
@@ -206,12 +206,12 @@ def ito_residual_functional(F, path, seq, levels=None, config=None):
     initial = F.value(stop(path, 0.0))
 
     fine = seq.level(seq.top)
-    left = path.values[path.grid_indices(fine)][:-1].copy()  # x(t_k-) at each cell start
-    for tj, dlt in path.jumps:
-        if tj < path.T:  # a jump at T starts no cell
-            left[np.searchsorted(fine, tj)] -= dlt
+    li = path.grid_indices(fine)
+    left = path.values[li][:-1].copy()  # x(t_k-) at each cell start
+    cells = path.jump_index < path.times.size - 1  # a jump at T starts no cell
+    np.subtract.at(left, cell_index(li, path.jump_index[cells]), path.jump_sizes[cells])
     horiz, hess = F.at(path, fine[:-1], left, ("horiz", "hess"))
-    drift = float(_time_ordered_sum(horiz * np.diff(fine)))
+    drift = float(_running_sums(horiz * np.diff(fine))[-1])
     return _ito_report(path, seq, levels, _gradient_rows(F, path), lhs, initial, drift,
                        hess, _jump_term(F, path), config)
 

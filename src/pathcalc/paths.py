@@ -1,12 +1,14 @@
 """Sampled cadlag paths, stopped paths and vertical perturbations.
 
-A path is stored on the finest grid of a partition sequence together with an
-explicit jump list.  Values are right limits: ``x(t_i)`` is the value at the
-grid time, and the left limit is reconstructed as ``x(t_i) - jump(t_i)``
-(jump zero for unlisted times, i.e. the path is treated as a continuous
-sample there).  Between grid points evaluation follows the step convention
-(value of the left grid point); no formula in the package ever reads the path
-off-grid except through that convention.
+A path is stored on the finest grid of a partition sequence together with
+its jumps, held as two read-only arrays in time order: ``jump_index``, the
+grid positions of the jump times, and ``jump_sizes``, one row of sizes per
+jump.  Values are right limits: ``x(t_i)`` is the value at the grid time, and
+the left limit is reconstructed as ``x(t_i) - jump(t_i)`` (jump zero at any
+other time, i.e. the path is treated as a continuous sample there).  Between
+grid points evaluation follows the step convention (value of the left grid
+point); no formula in the package ever reads the path off-grid except
+through that convention.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import numpy as np
 from .partitions import cell_index, grid_positions, index_array, require_finite
 
 
-def _time_ordered_sum(terms):
-    """0.0 + terms[0] + terms[1] + ... in time order, as a ``+=`` loop adds,
-    per column of a 2-d ``terms``: ``np.sum`` adds pairwise, and a BLAS
-    product in blocks that depend on the thread count."""
-    return np.cumsum(np.concatenate((np.zeros((1, *np.shape(terms)[1:])), terms)), axis=0)[-1]
+def _running_sums(terms):
+    """0.0, then the running sums of ``terms`` along the first axis, added in
+    time order as a ``+=`` loop adds (``np.sum`` adds pairwise, and a BLAS
+    product in thread-dependent blocks).  0.0 comes first, so no sum is -0.0:
+    ``quadvar._prefix_sums`` starts at terms[0], can end in -0.0, and stays separate."""
+    return np.cumsum(np.concatenate((np.zeros((1, *np.shape(terms)[1:])), terms)), axis=0)
 
 
 class SampledPath:
@@ -57,7 +60,7 @@ class SampledPath:
         if any(d.size != self.dim for _, d in jumps):
             raise ValueError("jump dimension does not match the path")
         jt = np.array([t for t, _ in jumps])
-        hit = grid_positions(times, jt)[1]
+        index, hit = grid_positions(times, jt)
         if not hit.all():
             raise ValueError(f"jump time {float(jt[~hit][0])!r} is not a grid time; "
                              "refine the grid first")
@@ -70,8 +73,10 @@ class SampledPath:
         bad = ~np.isfinite(sizes).all(axis=1)
         if bad.any():
             require_finite(sizes[bad][0], f"jump size at {float(jt[bad][0])!r}")
-        sizes.flags.writeable = False
-        self._jumps = dict(zip(jt.tolist(), sizes))
+        self.jump_index = index_array(index)
+        self.jump_sizes = sizes
+        self.jump_index.flags.writeable = False
+        self.jump_sizes.flags.writeable = False
 
     @property
     def dim(self):
@@ -79,11 +84,11 @@ class SampledPath:
 
     @property
     def jumps(self):
-        return tuple((t, d.copy()) for t, d in self._jumps.items())
+        return tuple((t, d.copy()) for t, d in zip(self.jump_times, self.jump_sizes))
 
     @property
     def jump_times(self):
-        return tuple(self._jumps.keys())
+        return tuple(self.times[self.jump_index].tolist())
 
     def index_at(self, u):
         """Index of the last grid time <= u."""
@@ -95,8 +100,9 @@ class SampledPath:
         return self.values[self.index_at(u)]
 
     def jump_at(self, u):
-        d = self._jumps.get(float(u))
-        return d if d is not None else np.zeros(self.dim)
+        k = self.jump_index.searchsorted(self.times.searchsorted(float(u)))  # first at or after u
+        hit = k < self.jump_index.size and self.times[self.jump_index[k]] == float(u)
+        return self.jump_sizes[k] if hit else np.zeros(self.dim)
 
     def left_limit(self, u):
         """x(u-) = x(u) - jump(u); equals the value at non-jump times."""
@@ -114,7 +120,7 @@ class SampledPath:
     def __repr__(self):
         return (
             f"SampledPath(d={self.dim}, points={self.times.size}, "
-            f"jumps={len(self._jumps)}, T={self.T})"
+            f"jumps={self.jump_index.size}, T={self.T})"
         )
 
 
@@ -125,14 +131,13 @@ def stack(paths):
         if not np.array_equal(p.times, first.times):
             raise ValueError("all paths must share the same grid")
     values = np.hstack([p.values for p in paths])
-    jumps = {}
+    index = np.unique(np.concatenate([p.jump_index for p in paths]))
+    sizes = np.zeros((index.size, values.shape[1]))
     offset = 0
     for p in paths:
-        for t, d in p.jumps:
-            jumps.setdefault(t, np.zeros(values.shape[1]))
-            jumps[t][offset:offset + p.dim] = d
+        sizes[np.searchsorted(index, p.jump_index), offset:offset + p.dim] = p.jump_sizes
         offset += p.dim
-    return SampledPath(first.times, values, sorted(jumps.items()))
+    return SampledPath(first.times, values, zip(first.times[index], sizes))
 
 
 class StoppedPath:
@@ -208,16 +213,11 @@ def stepwise_approximation(path, seq, n):
     cell = np.minimum(cell_index(li, np.arange(path.times.size)), level.size - 2)
     right_idx = index_array(li)[cell + 1]
     jump = np.zeros_like(path.values)  # the jump at each finest grid time
-    jump[path.grid_indices(path.jump_times)] = np.reshape(list(path._jumps.values()),
-                                                          (-1, path.dim))
+    jump[path.jump_index] = path.jump_sizes
     new_values = path.values[right_idx] - jump[right_idx]
     new_values[-1] = path.values[-1]
-    changed = np.any(new_values[1:] != new_values[:-1], axis=1)
-    jumps = [
-        (float(path.times[k + 1]), new_values[k + 1] - new_values[k])
-        for k in np.nonzero(changed)[0]
-    ]
-    return SampledPath(path.times, new_values, jumps)
+    k = np.flatnonzero(np.any(new_values[1:] != new_values[:-1], axis=1)) + 1
+    return SampledPath(path.times, new_values, zip(path.times[k], new_values[k] - new_values[k - 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +362,14 @@ def write_path_csv(path, f):
     try:
         d = path.dim
         cols = ["t"] + [f"x{i + 1}" for i in range(d)]
-        with_jumps = len(path.jump_times) > 0
-        if with_jumps:
+        columns = path.values
+        if path.jump_index.size:
             cols += [f"jump{i + 1}" for i in range(d)]
+            columns = np.hstack((columns, np.zeros_like(columns)))
+            columns[path.jump_index, d:] = path.jump_sizes
         fh.write(",".join(cols) + "\n")
-        for k, t in enumerate(path.times):
-            row = [repr(float(t))] + [repr(float(v)) for v in path.values[k]]
-            if with_jumps:
-                row += [repr(float(j)) for j in path.jump_at(float(t))]
-            fh.write(",".join(row) + "\n")
+        for t, row in zip(path.times.tolist(), columns.tolist()):
+            fh.write(",".join(map(repr, [t, *row])) + "\n")
     finally:
         if own:
             fh.close()
@@ -383,6 +382,9 @@ def read_path_csv(f, jump_threshold=None):
     ``jump_threshold`` (a scalar or one value per coordinate) is given: grid
     moves larger than it are then recorded as jumps.
     """
+    thr = None if jump_threshold is None else np.asarray(jump_threshold, dtype=float)
+    if thr is not None and not (np.isfinite(thr) & (thr >= 0)).all():
+        raise ValueError(f"jump_threshold must be finite and >= 0, got {jump_threshold!r}")
     own = isinstance(f, (str, bytes))
     fh = open(f, "r", newline="") if own else f
     try:
@@ -436,14 +438,13 @@ def read_path_csv(f, jump_threshold=None):
     values = data[:, 1 : 1 + d]
     if has_jumps:
         sizes = data[:, 1 + d :]
-        at = np.nonzero(np.any(sizes != 0.0, axis=1))[0]
-        jumps = [(times[k], sizes[k]) for k in at]
-    elif jump_threshold is not None:
-        thr = np.broadcast_to(np.asarray(jump_threshold, dtype=float), (d,))
+        at = np.flatnonzero(np.any(sizes != 0.0, axis=1))
+        jumps = zip(times[at], sizes[at])
+    elif thr is not None:
         diffs = np.diff(values, axis=0)
-        mask = np.abs(diffs) > thr
-        at = np.nonzero(np.any(mask, axis=1))[0]
-        jumps = [(times[k + 1], np.where(mask[k], diffs[k], 0.0)) for k in at]
+        mask = np.abs(diffs) > np.broadcast_to(thr, (d,))
+        at = np.flatnonzero(np.any(mask, axis=1))
+        jumps = zip(times[at + 1], np.where(mask[at], diffs[at], 0.0))
     else:
         jumps = []
     return SampledPath(times, values, jumps)

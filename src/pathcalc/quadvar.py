@@ -21,6 +21,7 @@ import numpy as np
 
 from .convergence import ConvergenceConfig, assess
 from .partitions import cell_index, refine_onto
+from .paths import _running_sums
 
 
 def default_probe_times(seq, path=None, probe_level=6):
@@ -71,12 +72,13 @@ def _polarized_sq_sums(values, li, probe_idx):
 def _continuous_qv_increments(path, seq):
     """d[x]^c between consecutive top-level times, as (m, d, d) outer
     products of the increments with the exact jump mass removed."""
-    level = seq.level(seq.top)
-    a = np.diff(path.values[path.grid_indices(level)], axis=0)
+    li = path.grid_indices(seq.level(seq.top))
+    a = np.diff(path.values[li], axis=0)
     out = a[:, :, None] * a[:, None, :]
-    for tj, dlt in path.jumps:
-        k = int(np.searchsorted(level, tj)) - 1  # cell (t_k, t_{k+1}] contains tj
-        out[k] -= dlt[:, None] * dlt[None, :]
+    # cell (t_k, t_{k+1}] holds the jump; ufunc.at subtracts two jumps in one
+    # cell in time order
+    dx = path.jump_sizes
+    np.subtract.at(out, cell_index(li, path.jump_index - 1), dx[:, :, None] * dx[:, None, :])
     return out
 
 
@@ -148,13 +150,11 @@ def _qv(path, seq, probe_times, config, levels):
         path, seq, probe_times, levels,
         lambda _seq, _n, li, probe_idx: _polarized_sq_sums(path.values, li, probe_idx),
     )
-    # sum_{s <= t} dx(s) dx(s)^T: a running sum over the jumps in time order
-    # (cumsum adds them one at a time), read at the count of jumps up to t.
-    dx = np.array([dlt for _, dlt in path.jumps]).reshape(-1, d)
-    running = np.cumsum(
-        np.concatenate((np.zeros((1, d, d)), dx[:, :, None] * dx[:, None, :])), axis=0
-    )
-    jump = running[np.searchsorted(np.asarray(path.jump_times, dtype=float), probes, "right")]
+    # sum_{s <= t} dx(s) dx(s)^T: a running sum over the jumps in time order,
+    # read at the count of jumps up to t.
+    dx = path.jump_sizes
+    running = _running_sums(dx[:, :, None] * dx[:, None, :])
+    jump = running[np.searchsorted(path.times[path.jump_index], probes, "right")]
     if d == 1:
         approx = {n: a[:, 0, 0] for n, a in approx.items()}
         jump = jump[:, 0, 0]
@@ -300,11 +300,10 @@ def norvaisa_qv_check(path, seq, intervals):
             additivity_gaps.append(0.0)
     jump_checks = []
     top = seq.level(seq.top)
-    for tj, d in path.jumps:
-        prev_idx = path.grid_indices([tj])[0] - 1
-        prev = float(path.times[prev_idx])
+    prevs = path.times[path.jump_index - 1].tolist()
+    for tj, prev, d in zip(path.jump_times, prevs, path.jump_sizes[:, 0].tolist()):
         est = _interval_sq_sum(path, top, prev, tj)
-        exact = float(d[0] * d[0])
+        exact = d * d
         jump_checks.append(
             {"time": tj, "left_jump_estimate": est, "squared_jump": exact,
              "gap": est - exact, "right_jump": 0.0}

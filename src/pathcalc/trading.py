@@ -29,8 +29,8 @@ from .integration import (
     _truncated_dot_sums,
     follmer_integral_functional,
 )
-from .partitions import index_array, refine_onto
-from .paths import _time_ordered_sum, stop
+from .partitions import cell_index, index_array, refine_onto
+from .paths import _running_sums, stop
 from .quadvar import (
     _check_horizon,
     _check_two_levels,
@@ -196,18 +196,16 @@ def self_financing_check(ledger):
     )
     lam = ledger.holdings_values
     level = ledger.level_times
-    lx = path.values[path.grid_indices(level)]
+    li = path.grid_indices(level)
+    lx = path.values[li]
     bond_again, _ = _bond_column(level, lx, lam, ledger.initial_capital, ledger.times)
     bond_gap = float(np.max(np.abs(ledger.bond - bond_again)))
 
-    jump_gap = 0.0
-    for tj, dlt in path.jumps:
-        k = int(np.searchsorted(level, tj)) - 1  # cell (t_k, t_{k+1}] holds tj > 0
-        xr = path.value(tj)
-        xl = xr - dlt
-        v_right = float(lam[k] @ (xr - lx[k]))
-        v_left = float(lam[k] @ (xl - lx[k]))
-        jump_gap = max(jump_gap, abs((v_right - v_left) - float(lam[k] @ dlt)))
+    k = cell_index(li, path.jump_index - 1)  # cell (t_k, t_{k+1}] holds the jump
+    xr, dlt = path.values[path.jump_index], path.jump_sizes
+    v_right = np.sum(lam[k] * (xr - lx[k]), axis=1)
+    v_left = np.sum(lam[k] * (xr - dlt - lx[k]), axis=1)
+    jump_gap = float(np.max(np.abs(v_right - v_left - np.sum(lam[k] * dlt, axis=1)), initial=0.0))
 
     gaps = []
     converged = True
@@ -255,7 +253,7 @@ def integral_payoff(rule="left"):
     def payoff(path):
         dt = np.diff(path.times)
         v = path.values[:, 0]
-        return float(_time_ordered_sum((v[:-1] if rule == "left" else v[1:]) * dt))
+        return float(_running_sums((v[:-1] if rule == "left" else v[1:]) * dt)[-1])
 
     return payoff
 

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import re
@@ -327,9 +328,9 @@ _WALK = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
     ("hedge", {"partition": {"type": "dyadic", "T": 1.0, "max_level": "a"}},
      "partition.max_level must be an integer >= 1, got 'a'"),
     ("hedge", {"functional": {"name": "black_scholes", "sigma": "x", "strike": 1.0}},
-     "functional.sigma must be a number > 0, got 'x'"),
+     "functional.sigma must be a finite number > 0, got 'x'"),
     ("hedge", {"functional": {"name": "black_scholes", "sigma": 0.2, "strike": "x"}},
-     "functional.strike must be a number > 0, got 'x'"),
+     "functional.strike must be a finite number > 0, got 'x'"),
     ("hedge", {"probe_level": "x"}, "probe_level must be an integer, got 'x'"),
     ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": 0.2}, "realized": "estimat"}},
      "hedge.realized must be \"estimate\" or a density, got 'estimat'"),
@@ -341,26 +342,26 @@ _WALK = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
      "tolerances.qv_window must be an integer >= 1, got -2"),
     ("qv", {"tolerances": {"qv_window": "x"}},
      "tolerances.qv_window must be an integer >= 1, got 'x'"),
-    ("qv", {"tolerances": {"conv_tol": "x"}}, "tolerances.conv_tol must be a number, got 'x'"),
+    ("qv", {"tolerances": {"conv_tol": "x"}}, "tolerances.conv_tol must be a finite number, got 'x'"),
     ("hedge", {"tolerances": {"fpde_tol": "x"}},
-     "tolerances.fpde_tol must be a number, got 'x'"),
-    ("hedge", {"hedge": {"density": "bs"}}, "hedge.density must be a mapping or a number, "
+     "tolerances.fpde_tol must be a finite number, got 'x'"),
+    ("hedge", {"hedge": {"density": "bs"}}, "hedge.density must be a mapping or a finite number, "
      "got 'bs'"),
     ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": 0.2}, "realized": [0.09]}},
      "hedge.realized must be \"estimate\" or a density, got [0.09]"),
     ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": 0.2}, "smooth_window": "x"}},
      "hedge.smooth_window must be an integer, got 'x'"),
     ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": "x"}}},
-     "hedge.density.sigma must be a number, got 'x'"),
+     "hedge.density.sigma must be a finite number, got 'x'"),
     ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": 0.2},
                          "payoff": {"kind": "call", "strike": "x"}}},
-     "hedge.payoff.strike must be a number, got 'x'"),
-    ("hedge", {"path": {**_WALK, "sigma": "x"}}, "path.sigma must be a number > 0, got 'x'"),
-    ("hedge", {"path": {**_WALK, "x0": "x"}}, "path.x0 must be a number > 0, got 'x'"),
+     "hedge.payoff.strike must be a finite number, got 'x'"),
+    ("hedge", {"path": {**_WALK, "sigma": "x"}}, "path.sigma must be a finite number > 0, got 'x'"),
+    ("hedge", {"path": {**_WALK, "x0": "x"}}, "path.x0 must be a finite number > 0, got 'x'"),
     ("hedge", {"partition": {"type": "dyadic", "T": "1", "max_level": 4}},
-     "partition.T must be a number > 0, got '1'"),
+     "partition.T must be a finite number > 0, got '1'"),
     ("qv", {"path": {"kind": "smooth", "name": "sine", "amp": "x"}},
-     "path.amp must be a number, got 'x'"),
+     "path.amp must be a finite number, got 'x'"),
     ("hedge", {"functional": {"name": "cylinder"}},
      "functional.name must be one of identity(_[1-9][0-9]*)?, monomial, running_integral, "
      "asian_forward, black_scholes, got 'cylinder'"),
@@ -370,19 +371,19 @@ _WALK = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
     ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": 0.2}, "payoff": {"kind": "call"}}},
      "config needs a 'hedge.payoff.strike' key"),
     ("qv", {"path": {"kind": "with_jumps", "base": {**_WALK, "sigma": "x"}, "jumps": []}},
-     "path.base.sigma must be a number > 0, got 'x'"),
+     "path.base.sigma must be a finite number > 0, got 'x'"),
     ("qv", {"partition": {"max_level": 4, "extra_times": ["x"]}},
-     "partition.extra_times must be a list of numbers, got ['x']"),
-    ("qv", {"path": {**_WALK, "sigma": -1}}, "path.sigma must be a number > 0, got -1"),
+     "partition.extra_times must be a list of finite numbers, got ['x']"),
+    ("qv", {"path": {**_WALK, "sigma": -1}}, "path.sigma must be a finite number > 0, got -1"),
     ("hedge", {"functional": {"name": "black_scholes", "sigma": -0.2, "strike": 1.0}},
-     "functional.sigma must be a number > 0, got -0.2"),
+     "functional.sigma must be a finite number > 0, got -0.2"),
     ("hedge", {"functional": {"name": "black_scholes", "sigma": 0.2, "strike": 0}},
-     "functional.strike must be a number > 0, got 0"),
+     "functional.strike must be a finite number > 0, got 0"),
     ("qv", {"partition": {"type": "dyadic", "T": -1, "max_level": 4}},
-     "partition.T must be a number > 0, got -1"),
-    ("qv", {"path": {**_WALK, "x0": -1}}, "path.x0 must be a number > 0, got -1"),
+     "partition.T must be a finite number > 0, got -1"),
+    ("qv", {"path": {**_WALK, "x0": -1}}, "path.x0 must be a finite number > 0, got -1"),
     ("plausibility", {"path": {"kind": "qv_descent", "total": 0}},
-     "path.total must be a number > 0, got 0"),
+     "path.total must be a finite number > 0, got 0"),
 ], ids=["max_level_a", "sigma_x", "strike_x", "probe_level_x", "realized_estimat",
         "dim_0", "dim_minus_1", "qv_window_0", "qv_window_minus_2", "qv_window_x",
         "conv_tol_x", "fpde_tol_x", "density_bs_string", "realized_list",
@@ -800,12 +801,12 @@ def test_every_read_is_echoed(tmp_path, monkeypatch, name):
 # Valid configs of this module, at small levels, for the mutation test.
 _VALID = [
     ("qv", {"seed": 0, "partition": {"type": "dyadic", "T": 1.0, "max_level": 6},
-            "path": {"kind": "smooth", "name": "linear"}}),
+            "path": {"kind": "smooth", "name": "linear"}, "tolerances": {"conv_tol": 1e-3}}),
     ("qv", REPLAYS["qv_d2"][1] | {"seed": 2, "probe_level": 3,
                                   "partition": {"type": "dyadic", "T": 1.0, "max_level": 5}}),
     ("integrate", {"seed": 5, "partition": {"type": "dyadic", "T": 1.0, "max_level": 6},
                    "path": {"kind": "scaled_random_walk", "sigma": 1.0},
-                   "functional": {"name": "monomial", "power": 2},
+                   "functional": {"name": "monomial", "power": 2, "coeff": 1.0},
                    "integrate": {"residual_levels": [4, 6]}}),
     ("hedge", {"seed": 42, "partition": {"type": "dyadic", "T": 1.0, "max_level": 6},
                "path": _WALK, "functional": _BS,
@@ -815,19 +816,23 @@ _VALID = [
     ("plausibility", {"seed": 7, "partition": {"max_level": 6}, "path": {"kind": "qv_descent"}}),
 ]
 _WRONG_TYPES = ["x", True, None, [], {}, [1, "a"]]
+# Python's json reads them, but no number key takes them
+_NON_FINITE = [float("nan"), float("inf"), -float("inf"), 10**400]
 _MUTATIONS = st.one_of(
     st.tuples(st.just("drop"), st.integers(0, 99), st.none()),
     st.tuples(st.just("retype"), st.integers(0, 99), st.sampled_from(_WRONG_TYPES + [1.5])),
     st.tuples(st.just("set"), st.sampled_from([
         "path.dim", "path.base.dim", "integrate.residual_levels", "probe_level", "hedge.paths",
     ]), st.sampled_from([1, 2, -1, [7], [-1], []])),
+    # a key that holds a float (so one the command reads) set to a non-finite value
+    st.tuples(st.just("non-finite"), st.integers(0, 99), st.sampled_from(_NON_FINITE)),
 )
 # Python and numpy texts that name no input
 _UNNAMED = ("could not convert", "invalid literal", "broadcast", "reshape", "object of type",
             "not supported between", "indices must be", "unhashable", "has no attribute")
 
 
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(range(len(_VALID))), _MUTATIONS)
 def test_mutated_configs_exit_cleanly_and_name_the_key(tmp_path, monkeypatch, which, mutation):
@@ -837,6 +842,10 @@ def test_mutated_configs_exit_cleanly_and_name_the_key(tmp_path, monkeypatch, wh
     cfg = json.loads(json.dumps({**cfg, "out": str(tmp_path / "out")}))
     action, where, value = mutation
     keys = sorted(_dotted(cfg))
+    if action == "non-finite":
+        keys = [k for k in keys if type(functools.reduce(dict.get, k.split("."), cfg)) is float]
+        if not keys:
+            return
     key = where if action == "set" else keys[where % len(keys)]
     *parents, leaf = key.split(".")
     spec = cfg
@@ -851,6 +860,7 @@ def test_mutated_configs_exit_cleanly_and_name_the_key(tmp_path, monkeypatch, wh
     with contextlib.redirect_stderr(err):
         code = main([command, "--config", str(tmp_path / "c.json")])
     assert code in (0, 1, 2)
+    assert code == 2 or action != "non-finite"
     if code != 2:
         return
     message = err.getvalue().strip().split("error: ", 1)[1]
@@ -859,5 +869,5 @@ def test_mutated_configs_exit_cleanly_and_name_the_key(tmp_path, monkeypatch, wh
                for word in re.findall(r"[\w.]+", message) for known in SCHEMA_KEYS), message
     assert not re.fullmatch(r"'[^']*'", message), message
     assert not any(text in message for text in _UNNAMED), message
-    if action == "retype" and value in _WRONG_TYPES:
+    if action == "non-finite" or action == "retype" and value in _WRONG_TYPES:
         assert key in message, message

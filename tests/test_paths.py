@@ -346,6 +346,15 @@ def test_csv_jump_detection_threshold():
     assert silent.jump_times == ()
 
 
+@pytest.mark.parametrize("threshold", [-1, -0.5, float("nan"), float("inf"), [0.5, -1.0]])
+def test_csv_negative_or_non_finite_jump_threshold_is_named(threshold):
+    # -1 would flag every grid move, zero moves included, as a jump
+    text = "t,x1,x2\n0.0,1.0,1.0\n0.5,1.0,2.0\n1.0,3.0,2.0\n"
+    with pytest.raises(ValueError, match="jump_threshold must be finite and >= 0"):
+        read_path_csv(io.StringIO(text), jump_threshold=threshold)
+    assert read_path_csv(io.StringIO(text), jump_threshold=0.0).jump_times == (0.5, 1.0)
+
+
 def test_csv_continuous_roundtrip(tmp_path):
     seq = dyadic(1.0, 10)
     path = generate({"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}, 4, seq)

@@ -28,7 +28,7 @@ import numpy as np
 from .convergence import ConvergenceConfig
 from .functionals import density_from_descriptor, functional_from_descriptor
 from .integration import follmer_integral_functional, ito_residual_functional
-from .partitions import PartitionSequence
+from .partitions import MAX_LEVEL, PartitionSequence
 from .paths import generate, read_path_csv, stop
 from .quadvar import default_probe_times, qv_along, qv_matrix
 from .trading import (
@@ -50,12 +50,14 @@ _number = lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max
 _numbers = lambda v: type(v) is list and all(map(_number, v))
 _size = lambda v: _number(v) or _numbers(v)
 # Value types: what a value must be, and its test ("level" and "levels" are
-# also checked against the partition's levels).  A type that names a
-# section of _SCHEMA and is not listed here takes a mapping.
+# also checked against the partition's levels, "max_level" against
+# MAX_LEVEL).  A type that names a section of _SCHEMA and is not listed here
+# takes a mapping.
 _TYPES = {
     "int": ("an integer", lambda v: type(v) is int),
     "int>=0": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
     "int>=1": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "max_level": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
     "level": ("an integer", lambda v: type(v) is int),
     "levels": ("a list of integers", lambda v: type(v) is list and all(type(n) is int for n in v)),
     "number": ("a finite number", _number),
@@ -98,7 +100,7 @@ _SCHEMA = {
                "probe_level": ("level", 6), "path": ("path", ...)},
     "tolerances": {"conv_tol": ("number", 1e-3), "fpde_tol": ("number", 1e-6),
                    "qv_window": ("int>=1", 3)},
-    "partition": {"type": ({"dyadic": {"max_level": ("int>=1", ...)}, "explicit": {
+    "partition": {"type": ({"dyadic": {"max_level": ("max_level", ...)}, "explicit": {
         "levels": ("grids", ...), "dense": ("bool", True), "nested": ("bool", True)}}, "dyadic"),
         "T": ("number>0", 1.0), "extra_times": ("numbers", None)},
     "path": ({"file": ("str", ...), "jump_threshold": ("threshold", None)}, _GENERATOR),
@@ -160,6 +162,8 @@ def _resolve(spec, table, prefix, cfg):
             raise ConfigError(f"{name} must be {what}, got {value!r}")
         if kind in _SCHEMA and type(value) is dict:
             _resolve(value, _SCHEMA[kind], name + ".", cfg)
+        elif kind == "max_level" and value > MAX_LEVEL:
+            raise ConfigError(f"{name} must be <= {MAX_LEVEL}, got {value!r}")
         elif kind in ("level", "levels"):
             part = cfg["partition"]
             top = part["max_level"] if part["type"] == "dyadic" else len(part["levels"]) - 1

@@ -29,22 +29,26 @@ from .paths import _running_sums, stepwise_approximation, stop
 from .quadvar import (
     _continuous_qv_increments,
     _level_sums,
-    _prefix_sums,
+    _running_sums_at,
     qv_along,
     qv_matrix,
 )
 
 
 def _truncated_dot_sums(x, li, g, probe_idx):
-    """S_n at probe grid indices.  ``g``: integrand rows per level cell."""
+    """S_n at the sorted probe grid indices.  ``g``: integrand rows per level cell."""
     lx = x[li]
-    a = np.diff(lx, axis=0)
-    a *= g
-    prefix = _prefix_sums(np.sum(a, axis=1))
+
+    def dot_increments(a, b):
+        inc = lx[a + 1:b + 1] - lx[a:b]
+        inc *= g[a:b]
+        return np.sum(inc, axis=1)
+
     jstar = cell_index(li, probe_idx)
     safe = np.minimum(jstar, g.shape[0] - 1)
     boundary = np.sum(g[safe] * (x[probe_idx] - lx[jstar]), axis=1)
-    return prefix[jstar] + np.where(jstar >= g.shape[0], 0.0, boundary)
+    prefix = _running_sums_at(dot_increments, g.shape[0], jstar)
+    return prefix + np.where(jstar >= g.shape[0], 0.0, boundary)
 
 
 def follmer_integrand(F, path, seq, n):

@@ -12,6 +12,35 @@ from __future__ import annotations
 
 import numpy as np
 
+BLOCK = 2**16  # rows per block of a pass over a grid-sized array
+MAX_LEVEL = 30  # the finest dyadic level: 2**30 + 1 floats are 8 GiB
+
+
+def blocks(n):
+    """``(start, stop)`` of consecutive blocks of at most ``BLOCK`` rows
+    covering ``range(n)``; ``BLOCK`` is read at each call."""
+    return ((a, min(a + BLOCK, n)) for a in range(0, n, BLOCK))
+
+
+def strictly_increasing(arr):
+    """True unless some ``np.diff(arr) <= 0``, compared block by block.  A
+    block that compares ``<=`` somewhere is read again as a difference,
+    which two equal infinities pass (their difference is NaN)."""
+    for a, b in blocks(arr.size - 1):
+        hi, lo = arr[a + 1:b + 1], arr[a:b]
+        if (hi <= lo).any() and (np.subtract(hi, lo) <= 0).any():
+            return False
+    return True
+
+
+def _equal(a, b):
+    """``np.array_equal`` of two 1-d float arrays of one size; True at once
+    when they are the same memory (a grid is finite, so equal to itself)."""
+    start = a.__array_interface__["data"][0]
+    if start == b.__array_interface__["data"][0] and a.strides == b.strides:
+        return True
+    return all(np.array_equal(a[i:j], b[i:j]) for i, j in blocks(a.size))
+
 
 def grid_positions(grid, ts):
     """Where ``ts`` fall in the sorted ``grid``: their positions, and the
@@ -20,14 +49,16 @@ def grid_positions(grid, ts):
     This is the one membership test of the package: ``hit[k]`` is True iff
     ``grid[pos][k] == ts[k]`` bit for bit.  When ``ts`` is ``grid[::k]``, as
     a dyadic level is of a finer one, ``pos`` is ``slice(0, grid.size, k)``,
-    found with no search, and indexing with it takes a view; otherwise it is
-    the ``searchsorted`` insertion indices.
+    found with no search (and with no comparison when ``ts`` is that view of
+    the grid's memory), indexing with it takes a view, and ``hit`` is a
+    read-only broadcast True; otherwise ``pos`` is the ``searchsorted``
+    insertion indices.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim == 1 and 2 <= ts.size <= grid.size:
         k, rem = divmod(grid.size - 1, ts.size - 1)
-        if rem == 0 and np.array_equal(grid[::k], ts):
-            return slice(0, grid.size, k), np.ones(ts.size, dtype=bool)
+        if rem == 0 and _equal(grid[::k], ts):
+            return slice(0, grid.size, k), np.broadcast_to(True, ts.shape)
     idx = np.searchsorted(grid, ts)
     return idx, grid[np.minimum(idx, grid.size - 1)] == ts
 
@@ -48,6 +79,8 @@ def cell_index(pos, probe_idx):
 
 def require_finite(arr, what):
     """Raise a ValueError naming ``what`` if ``arr`` holds NaN or inf."""
+    if all(np.isfinite(arr[a:b]).all() for a, b in blocks(len(arr))):
+        return
     bad = ~np.isfinite(arr)
     if bad.any():
         raise ValueError(f"{what} must be finite, got {float(arr[bad][0])!r}")
@@ -73,7 +106,7 @@ class PartitionSequence:
             require_finite(arr, f"level {n} times")
             if arr[0] != 0.0 or arr[-1] != self.T:
                 raise ValueError(f"level {n} must start at 0 and end at T={self.T}")
-            if np.any(arr[1:] <= arr[:-1]):
+            if not strictly_increasing(arr):
                 raise ValueError(f"level {n} is not strictly increasing")
             arr.flags.writeable = False
             self._levels.append(arr)
@@ -116,7 +149,8 @@ class PartitionSequence:
         return self._levels[n]
 
     def mesh(self, n):
-        return float(np.max(np.diff(self.level(n))))
+        t = self.level(n)
+        return float(max(np.subtract(t[a + 1:b + 1], t[a:b]).max() for a, b in blocks(t.size - 1)))
 
     def covers(self, times, n=None):
         """True if every time in ``times`` is a member of level ``n``
@@ -159,6 +193,8 @@ def dyadic(T, max_level):
         raise ValueError(f"horizon must be positive, got {T}")
     if max_level < 1:
         raise ValueError(f"max_level must be >= 1, got {max_level}")
+    if max_level > MAX_LEVEL:
+        raise ValueError(f"max_level must be <= {MAX_LEVEL}, got {max_level}")
     T = float(T)
     top = np.arange(2**max_level + 1, dtype=float)
     top *= T / 2**max_level

@@ -19,7 +19,14 @@ import math
 
 import numpy as np
 
-from .partitions import cell_index, grid_positions, index_array, require_finite
+from .partitions import (
+    blocks,
+    cell_index,
+    grid_positions,
+    index_array,
+    require_finite,
+    strictly_increasing,
+)
 
 
 def _running_sums(terms):
@@ -40,7 +47,7 @@ class SampledPath:
         require_finite(times, "path times")
         if times[0] != 0.0:
             raise ValueError("grid must start at 0")
-        if np.any(times[1:] <= times[:-1]):
+        if not strictly_increasing(times):
             raise ValueError("grid must be strictly increasing")
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
@@ -305,16 +312,21 @@ def _walk_steps(grid, sigma, dim, seed):
     """An (m+1, dim) array whose rows 1..m hold the steps ``sigma *
     sqrt(h_i) * s``, with a fair sign s per cell and coordinate, built in
     place by the operations of ``sigma * np.sqrt(np.diff(grid))[:, None] *
-    signs``; row 0 is left for the caller."""
-    signs = np.random.default_rng(seed).integers(0, 2, size=(grid.size - 1, dim))
-    signs *= 2
-    signs -= 1
+    signs``; row 0 is left for the caller.  The signs are drawn block by
+    block from one Generator, which gives the stream of one
+    ``integers(0, 2, size=(m, dim))`` draw."""
+    rng = np.random.default_rng(seed)
     values = np.empty((grid.size, dim))
-    steps = values[1:]
-    np.subtract(grid[1:, None], grid[:-1, None], out=steps)
-    np.sqrt(steps, out=steps)
-    steps *= sigma
-    steps *= signs
+    for a, b in blocks(grid.size - 1):
+        signs = rng.integers(0, 2, size=(b - a, dim))
+        signs *= 2
+        signs -= 1
+        steps = values[a + 1:b + 1]
+        np.subtract(grid[a + 1:b + 1, None], grid[a:b, None], out=steps)
+        np.sqrt(steps, out=steps)
+        steps *= sigma
+        steps *= signs
+        del signs  # before the next block is drawn
     return values
 
 

@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .convergence import ConvergenceConfig, assess
-from .partitions import cell_index, refine_onto
+from .partitions import blocks, cell_index, refine_onto, strictly_increasing
 from .paths import _running_sums
 
 
@@ -39,20 +39,41 @@ def _prefix_sums(terms):
     return out
 
 
+def _running_sums_at(terms, m, cells):
+    """``_prefix_sums(t)[cells]`` for m terms t and the sorted ``cells`` in
+    0..m, bit for bit, with no (m+1)-float buffer: ``terms(a, b)`` returns
+    t[a:b] as a new array, and each block of terms is summed in place after
+    its first term takes the last sum of the block before (the first block
+    takes none, so a sum of -0.0 terms stays -0.0)."""
+    out = np.zeros(len(cells))
+    for a, b in blocks(m):
+        run = terms(a, b)
+        if a:
+            run[0] += last
+        run.cumsum(out=run)
+        last = run[-1]
+        lo, hi = cells.searchsorted((a + 1, b + 1))
+        out[lo:hi] = run[cells[lo:hi] - (a + 1)]
+        del run  # before the next block is made
+    return out
+
+
 def _truncated_sq_sums(x, li, probe_idx):
     """A_n at probe grid indices for one scalar coordinate.
 
     ``x``: finest-grid values; ``li``: level-time positions in the finest
-    grid; ``probe_idx``: finest-grid positions of the probe times.
+    grid; ``probe_idx``: sorted finest-grid positions of the probe times.
     """
     lx = x[li]
-    prefix = np.zeros(lx.size)  # the squared increments are summed in place
-    a = prefix[1:]
-    np.subtract(lx[1:], lx[:-1], out=a)
-    a *= a
-    np.cumsum(a, out=a)
+
+    def squared_increments(a, b):
+        inc = lx[a + 1:b + 1] - lx[a:b]
+        inc *= inc
+        return inc
+
     jstar = cell_index(li, probe_idx)
-    return prefix[jstar] + (x[probe_idx] - lx[jstar]) ** 2
+    prefix = _running_sums_at(squared_increments, lx.size - 1, jstar)
+    return prefix + (x[probe_idx] - lx[jstar]) ** 2
 
 
 def _polarized_sq_sums(values, li, probe_idx):
@@ -88,7 +109,7 @@ def _probe_times(seq, path, probes):
     if probes is None:
         probes = default_probe_times(seq, path)
     probes = np.asarray(probes, dtype=float)
-    if np.any(np.diff(probes) <= 0):
+    if not strictly_increasing(probes):
         raise ValueError("probe times must be strictly increasing")
     return probes
 

@@ -137,7 +137,10 @@ def simple_ledger(strategy, path, seq, probes=None):
     lam = strategy.holding_values(path, seq)
     v0 = strategy.capital(path)
     li = path.grid_indices(seq.level(strategy.level))
-    gains = _truncated_dot_sums(path.values, li, lam, path.grid_indices(probes))
+    probe_idx = index_array(path.grid_indices(probes))
+    order = np.argsort(probe_idx, kind="stable")  # the sums are read in time order
+    gains = np.empty(probe_idx.size)
+    gains[order] = _truncated_dot_sums(path.values, li, lam, probe_idx[order])
     return _ledger_from_holdings(path, seq, strategy.level, lam, v0, probes, gains, {})
 
 

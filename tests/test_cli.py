@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -406,6 +407,26 @@ def test_config_value_of_wrong_type_is_named(tmp_path, capsys, command, extra, m
     assert main([command, "--config", cfg]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("level, flags", [(31, []), (10**400, []), (4, ["--level", "31"]),
+                                          (4, ["--level", str(10**400)])],
+                         ids=["31", "10**400", "flag_31", "flag_10**400"])
+def test_max_level_above_30_exits_2_before_any_grid(tmp_path, capsys, level, flags):
+    cfg = write_config(tmp_path, "c.json", {"partition": {"max_level": level}, "path": _WALK,
+                                            "out": str(tmp_path / "out")})
+    tracemalloc.start()
+    try:
+        code = main(["qv", "--config", cfg, *flags])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "config error: partition.max_level must be <= 30, got " in capsys.readouterr().err
+    assert peak < 2**20
+    assert not (tmp_path / "out").exists()
+    resolved = cli.resolve({"partition": {"max_level": 30}, "path": _WALK}, "qv")
+    assert resolved["partition"]["max_level"] == 30
 
 
 @pytest.mark.parametrize("command, extra, flags, key", [

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ def test_dyadic_rejects_bad_arguments():
         dyadic(1.0, 0)
     with pytest.raises(ValueError, match="horizon"):
         dyadic(float("nan"), 3)
+
+
+@pytest.mark.parametrize("max_level", [31, 10**400])
+def test_dyadic_rejects_a_level_above_30_before_making_a_grid(max_level):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^max_level must be <= 30, got "):
+            dyadic(1.0, max_level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_refine_with_inserts_everywhere():

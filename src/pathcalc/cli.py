@@ -50,14 +50,13 @@ _number = lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max
 _numbers = lambda v: type(v) is list and all(map(_number, v))
 _size = lambda v: _number(v) or _numbers(v)
 # Value types: what a value must be, and its test ("level" and "levels" are
-# also checked against the partition's levels, "max_level" against
-# MAX_LEVEL).  A type that names a section of _SCHEMA and is not listed here
-# takes a mapping.
+# also checked against the partition's levels).  A type that names a
+# section of _SCHEMA and is not listed here takes a mapping.
 _TYPES = {
     "int": ("an integer", lambda v: type(v) is int),
     "int>=0": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
     "int>=1": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
-    "max_level": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "max_level": (f"an integer in 1..{MAX_LEVEL}", lambda v: type(v) is int and 1 <= v <= MAX_LEVEL),
     "level": ("an integer", lambda v: type(v) is int),
     "levels": ("a list of integers", lambda v: type(v) is list and all(type(n) is int for n in v)),
     "number": ("a finite number", _number),
@@ -162,8 +161,6 @@ def _resolve(spec, table, prefix, cfg):
             raise ConfigError(f"{name} must be {what}, got {value!r}")
         if kind in _SCHEMA and type(value) is dict:
             _resolve(value, _SCHEMA[kind], name + ".", cfg)
-        elif kind == "max_level" and value > MAX_LEVEL:
-            raise ConfigError(f"{name} must be <= {MAX_LEVEL}, got {value!r}")
         elif kind in ("level", "levels"):
             part = cfg["partition"]
             top = part["max_level"] if part["type"] == "dyadic" else len(part["levels"]) - 1

@@ -79,11 +79,10 @@ def cell_index(pos, probe_idx):
 
 def require_finite(arr, what):
     """Raise a ValueError naming ``what`` if ``arr`` holds NaN or inf."""
-    if all(np.isfinite(arr[a:b]).all() for a, b in blocks(len(arr))):
-        return
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        raise ValueError(f"{what} must be finite, got {float(arr[bad][0])!r}")
+    for a, b in blocks(len(arr)):
+        ok = np.isfinite(arr[a:b])
+        if not ok.all():
+            raise ValueError(f"{what} must be finite, got {float(arr[a:b][~ok][0])!r}")
 
 
 class PartitionSequence:

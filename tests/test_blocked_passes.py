@@ -219,3 +219,15 @@ def test_require_finite_names_the_first_bad_value():
             partitions.require_finite(arr, "x")
     partitions.require_finite(np.array([]), "x")
     partitions.require_finite(np.array([-1e308, 1e308]), "x")
+
+
+def test_require_finite_names_the_first_bad_value_of_many_blocks(block):
+    for m in _sizes(block):
+        for bad in _edges(block, m - 1):
+            for dim in (1, 2):
+                arr = np.arange(m * dim, dtype=float).reshape(m, dim).squeeze()
+                arr.flat[bad * dim + dim - 1] = -np.inf
+                arr.flat[-1] = np.nan  # a later bad value, possibly in a later block
+                first = float(arr.flat[~np.isfinite(arr.ravel())][0])
+                with pytest.raises(ValueError, match=f"^x must be finite, got {first!r}$"):
+                    partitions.require_finite(arr, "x")

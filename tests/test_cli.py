@@ -327,7 +327,7 @@ _WALK = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
 
 @pytest.mark.parametrize("command, extra, message", [
     ("hedge", {"partition": {"type": "dyadic", "T": 1.0, "max_level": "a"}},
-     "partition.max_level must be an integer >= 1, got 'a'"),
+     "partition.max_level must be an integer in 1..30, got 'a'"),
     ("hedge", {"functional": {"name": "black_scholes", "sigma": "x", "strike": 1.0}},
      "functional.sigma must be a finite number > 0, got 'x'"),
     ("hedge", {"functional": {"name": "black_scholes", "sigma": 0.2, "strike": "x"}},
@@ -422,7 +422,8 @@ def test_max_level_above_30_exits_2_before_any_grid(tmp_path, capsys, level, fla
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "config error: partition.max_level must be <= 30, got " in capsys.readouterr().err
+    message = "config error: partition.max_level must be an integer in 1..30, got "
+    assert message in capsys.readouterr().err
     assert peak < 2**20
     assert not (tmp_path / "out").exists()
     resolved = cli.resolve({"partition": {"max_level": 30}, "path": _WALK}, "qv")

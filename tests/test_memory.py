@@ -105,6 +105,9 @@ print(code, imported, status("VmHWM"))
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_qv_cli_run_adds_two_arrays_of_resident_memory(tmp_path):
+    """2 arrays + 3 MiB is 7.0 MiB at L = 18 and 19.0 MiB at L = 20; fresh
+    launches added 5.3-5.5 and 17.3-17.5 MiB (``BENCH_blocked_passes.json``,
+    2-vCPU Xeon VM, glibc 2.36), so the margin is about 1.5 MiB."""
     cfg = _qv_config(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(pathcalc.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", _RESIDENT, "qv", "--config", str(cfg)],

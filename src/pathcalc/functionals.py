@@ -380,8 +380,6 @@ def builtin(name, **params):
             _, _, tail = name.partition("_")
             index = int(tail) - 1 if tail else 0
         return identity(index=index, dim=params.get("dim", max(index + 1, 1)))
-    if name == "cylinder":
-        return cylinder(**params)
     if name == "monomial":
         return monomial(params["power"], params.get("coeff", 1.0))
     if name == "running_integral":

@@ -23,12 +23,10 @@ def blocks(n):
 
 
 def strictly_increasing(arr):
-    """True unless some ``np.diff(arr) <= 0``, compared block by block.  A
-    block that compares ``<=`` somewhere is read again as a difference,
-    which two equal infinities pass (their difference is NaN)."""
+    """True unless some ``arr[i + 1] <= arr[i]``, compared block by block; on
+    finite values as ``np.diff(arr) <= 0`` reads."""
     for a, b in blocks(arr.size - 1):
-        hi, lo = arr[a + 1:b + 1], arr[a:b]
-        if (hi <= lo).any() and (np.subtract(hi, lo) <= 0).any():
+        if (arr[a + 1:b + 1] <= arr[a:b]).any():
             return False
     return True
 
@@ -233,6 +231,6 @@ def last_index_before(seq, n, t):
     Satisfies ``t_k < t <= t_{k+1}``.  Defined for t in (0, T]; the first
     cell maps to k = 0 and t = T maps to the last cell index.
     """
-    if t <= 0 or t > seq.T:
+    if not 0 < t <= seq.T:
         raise ValueError(f"t must lie in (0, T], got {t}")
     return int(np.searchsorted(seq.level(n), t, side="left")) - 1

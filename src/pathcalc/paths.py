@@ -32,8 +32,7 @@ from .partitions import (
 def _running_sums(terms):
     """0.0, then the running sums of ``terms`` along the first axis, added in
     time order as a ``+=`` loop adds (``np.sum`` adds pairwise, and a BLAS
-    product in thread-dependent blocks).  0.0 comes first, so no sum is -0.0:
-    ``quadvar._prefix_sums`` starts at terms[0], can end in -0.0, and stays separate."""
+    product in thread-dependent blocks).  0.0 comes first, so no sum is -0.0."""
     return np.cumsum(np.concatenate((np.zeros((1, *np.shape(terms)[1:])), terms)), axis=0)
 
 
@@ -99,7 +98,7 @@ class SampledPath:
 
     def index_at(self, u):
         """Index of the last grid time <= u."""
-        if u < 0 or u > self.T:
+        if not 0 <= u <= self.T:
             raise ValueError(f"time {u} outside [0, {self.T}]")
         return int(self.times.searchsorted(u, side="right")) - 1
 
@@ -188,14 +187,14 @@ class StoppedPath:
 
     def extend_to(self, t2):
         """Move the functional time forward along the frozen path."""
-        if t2 < self.time or t2 > self.T:
+        if not self.time <= t2 <= self.T:
             raise ValueError(f"extension time {t2} outside [{self.time}, {self.T}]")
         return StoppedPath(self.path, t2, self.cut, self.current)
 
 
 def stop(path, t, side="right"):
     """Freeze ``path`` at time t: omega_t, or omega_{t-} for side='left'."""
-    if t < 0 or t > path.T:
+    if not 0 <= t <= path.T:
         raise ValueError(f"stop time {t} outside [0, {path.T}]")
     if side == "right":
         current = path.value(t)

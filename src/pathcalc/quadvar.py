@@ -20,31 +20,21 @@ from itertools import combinations
 import numpy as np
 
 from .convergence import ConvergenceConfig, assess
-from .partitions import blocks, cell_index, refine_onto, strictly_increasing
+from .partitions import blocks, cell_index, refine_onto, require_finite, strictly_increasing
 from .paths import _running_sums
 
 
-def default_probe_times(seq, path=None, probe_level=6):
+def default_probe_times(seq, path, probe_level=6):
     """Level-``probe_level`` grid plus the path's jump times."""
-    jumps = () if path is None else path.jump_times
-    return np.union1d(seq.level(min(probe_level, seq.top)), jumps)
-
-
-def _prefix_sums(terms):
-    """0.0 followed by the running sums of the 1-d ``terms``, written into
-    one buffer: ``np.concatenate(([0.0], np.cumsum(terms)))`` bit for bit."""
-    out = np.empty(len(terms) + 1)
-    out[0] = 0.0
-    np.cumsum(terms, out=out[1:])
-    return out
+    return np.union1d(seq.level(min(probe_level, seq.top)), path.jump_times)
 
 
 def _running_sums_at(terms, m, cells):
-    """``_prefix_sums(t)[cells]`` for m terms t and the sorted ``cells`` in
-    0..m, bit for bit, with no (m+1)-float buffer: ``terms(a, b)`` returns
-    t[a:b] as a new array, and each block of terms is summed in place after
-    its first term takes the last sum of the block before (the first block
-    takes none, so a sum of -0.0 terms stays -0.0)."""
+    """``np.concatenate(([0.0], np.cumsum(t)))[cells]`` for m terms t and the
+    sorted ``cells`` in 0..m, bit for bit, with no (m+1)-float buffer:
+    ``terms(a, b)`` returns t[a:b] as a new array, and each block of terms is
+    summed in place after its first term takes the last sum of the block
+    before (the first block takes none, so a sum of -0.0 terms stays -0.0)."""
     out = np.zeros(len(cells))
     for a, b in blocks(m):
         run = terms(a, b)
@@ -105,10 +95,11 @@ def _continuous_qv_increments(path, seq):
 
 def _probe_times(seq, path, probes):
     """``probes`` as a float array (by default :func:`default_probe_times`);
-    raises unless they are strictly increasing."""
+    raises unless they are finite and strictly increasing."""
     if probes is None:
         probes = default_probe_times(seq, path)
     probes = np.asarray(probes, dtype=float)
+    require_finite(probes, "probe times")
     if not strictly_increasing(probes):
         raise ValueError("probe times must be strictly increasing")
     return probes

@@ -35,7 +35,6 @@ from .quadvar import (
     _check_horizon,
     _check_two_levels,
     _continuous_qv_increments,
-    _prefix_sums,
     _truncated_sq_sums,
     default_probe_times,
 )
@@ -47,12 +46,11 @@ class SimpleStrategy:
     def __init__(self, level, holdings, initial_capital=0.0):
         self.level = int(level)
         self.holdings = list(holdings)
-        self.initial_capital = initial_capital
+        self.initial_capital = float(initial_capital)
 
     @classmethod
-    def constant(cls, level, value, n_cells, initial_capital=0.0, dim=1):
-        vec = np.full(dim, float(value))
-        return cls(level, [lambda sp, v=vec: v] * n_cells, initial_capital)
+    def constant(cls, level, value, n_cells, initial_capital=0.0):
+        return cls.from_values(level, np.full(n_cells, float(value)), initial_capital)
 
     @classmethod
     def from_values(cls, level, values, initial_capital=0.0):
@@ -62,10 +60,6 @@ class SimpleStrategy:
             [lambda sp, v=values[i]: v for i in range(values.shape[0])],
             initial_capital,
         )
-
-    def capital(self, path):
-        v0 = self.initial_capital
-        return float(v0(path.values[0])) if callable(v0) else float(v0)
 
     def holding_values(self, path, seq):
         """Evaluate every lambda_i on the path stopped at its trading time."""
@@ -104,7 +98,7 @@ def _bond_column(level, lx, lam, v0, times):
 
     ``lx``: path values at the ``level`` times; ``lam``: holdings per cell.
     """
-    rebal = _prefix_sums(np.sum(lx[1:-1] * np.diff(lam, axis=0), axis=1))
+    rebal = _running_sums(np.sum(lx[1:-1] * np.diff(lam, axis=0), axis=1))
     ks = np.maximum(np.searchsorted(level, times, side="left") - 1, 0)
     return v0 - float(lam[0] @ lx[0]) - rebal[ks], ks
 
@@ -129,19 +123,15 @@ def _ledger_from_holdings(path, seq, level_n, lam, v0, probes, gains, level_gain
     )
 
 
-def simple_ledger(strategy, path, seq, probes=None):
-    """Gain/bond/value/position columns of a simple strategy."""
-    if probes is None:
-        probes = default_probe_times(seq, path)
-    probes = np.asarray(probes, dtype=float)
+def simple_ledger(strategy, path, seq):
+    """Gain/bond/value/position columns of a simple strategy at the
+    :func:`default_probe_times`."""
+    probes = default_probe_times(seq, path)
     lam = strategy.holding_values(path, seq)
-    v0 = strategy.capital(path)
     li = path.grid_indices(seq.level(strategy.level))
-    probe_idx = index_array(path.grid_indices(probes))
-    order = np.argsort(probe_idx, kind="stable")  # the sums are read in time order
-    gains = np.empty(probe_idx.size)
-    gains[order] = _truncated_dot_sums(path.values, li, lam, probe_idx[order])
-    return _ledger_from_holdings(path, seq, strategy.level, lam, v0, probes, gains, {})
+    gains = _truncated_dot_sums(path.values, li, lam, path.grid_indices(probes))
+    return _ledger_from_holdings(
+        path, seq, strategy.level, lam, strategy.initial_capital, probes, gains, {})
 
 
 def strategy_from_functional(F, path, seq, n):
@@ -152,19 +142,18 @@ def strategy_from_functional(F, path, seq, n):
     return SimpleStrategy.from_values(n, lam, F.value(stop(path, 0.0)))
 
 
-def gain_from_vertical_form(
-    F, path, seq, probes=None, initial_capital=None, levels=None, config=None,
-):
-    """Ledger of the limit strategy built from a vertical 1-form.
+def gain_from_vertical_form(F, path, seq, initial_capital=None):
+    """Ledger of the limit strategy built from a vertical 1-form, at the
+    :func:`default_probe_times`.
 
     Gains of the approximating simple strategies are computed at every
-    requested level (their Riemann sums *are* the simple gains); the ledger
+    level of ``seq`` (their Riemann sums *are* the simple gains); the ledger
     columns come from the finest level so that the self-financing identities
     hold to roundoff, and the per-level gains stay attached for the
-    convergence check.
+    convergence check.  The initial capital is F at time 0 unless given.
     """
     seq = refine_onto(seq, path.jump_times)[0]
-    rep = follmer_integral_functional(F, path, seq, probes=probes, levels=levels, config=config)
+    rep = follmer_integral_functional(F, path, seq)
     top = rep.levels[-1]
     v0 = F.value(stop(path, 0.0)) if initial_capital is None else float(initial_capital)
     return _ledger_from_holdings(
@@ -456,7 +445,7 @@ def _cross_term_sum(x, li_coarse, li_fine, it):
     squared-sum shortcut, so the identity check is a genuine cross-check)."""
     w = x[np.minimum(li_fine, it)]
     a = np.diff(w)
-    cs_excl = _prefix_sums(a[:-1])
+    cs_excl = _running_sums(a[:-1])
     starts = np.searchsorted(li_fine, li_coarse[:-1])
     per_cell = np.add.reduceat(a * cs_excl, starts) - cs_excl[starts] * np.add.reduceat(
         a, starts

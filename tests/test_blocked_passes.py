@@ -12,7 +12,7 @@ from pathcalc import dyadic, generate, partitions
 from pathcalc.integration import _truncated_dot_sums
 from pathcalc.partitions import cell_index, grid_positions, index_array, strictly_increasing
 from pathcalc.paths import _walk_steps
-from pathcalc.quadvar import _prefix_sums, _running_sums_at, _truncated_sq_sums
+from pathcalc.quadvar import _running_sums_at, _truncated_sq_sums
 
 DEFAULT_BLOCK = partitions.BLOCK
 
@@ -75,7 +75,7 @@ def _dot_sums_reference(x, li, g, probe_idx):
     lx = x[li]
     a = np.diff(lx, axis=0)
     a *= g
-    prefix = _prefix_sums(np.sum(a, axis=1))
+    prefix = np.concatenate(([0.0], np.cumsum(np.sum(a, axis=1))))
     jstar = cell_index(li, probe_idx)
     safe = np.minimum(jstar, g.shape[0] - 1)
     boundary = np.sum(g[safe] * (x[probe_idx] - lx[jstar]), axis=1)
@@ -151,7 +151,7 @@ def test_running_sums_at_cells_keep_a_sum_of_negative_zeros(block):
         terms[: block + block // 2] = -0.0  # -0.0 sums across the first block edge
         cells = np.arange(m + 1)
         got = _running_sums_at(lambda a, b: terms[a:b].copy(), m, cells)
-        assert np.array_equal(_bits(got), _bits(_prefix_sums(terms)[cells])), m
+        assert np.array_equal(_bits(got), _bits(np.concatenate(([0.0], np.cumsum(terms)))[cells])), m
         assert np.signbit(got[1 : min(m, block + block // 2) + 1]).all()
 
 

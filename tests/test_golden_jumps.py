@@ -1,10 +1,13 @@
 """Golden bytes of CLI runs on paths with jumps that no benchmark digest
 covers: a d = 2 jump walk's QV, a running-integral Itô sweep with a jump at
 T, and two hedges on a CSV path with two off-level jumps in one top-level
-cell (``hedge`` does not refine the sequence onto them).
+cell (``hedge`` does not refine the sequence onto them); and two
+``plausibility`` runs, one on a jump walk and one on a flat path with one
+jump, whose increments are signed zeros.
 
 The digests were recorded before the jumps were stored as grid positions
-and one size array, and hold under the default BLAS threads, under
+and one size array (the ``plausibility`` ones before its running sums moved
+to ``paths._running_sums``), and hold under the default BLAS threads, under
 ``OPENBLAS_NUM_THREADS=1`` and with numpy's AVX-512 dispatch disabled
 (``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``).
 """
@@ -101,3 +104,39 @@ def test_jump_runs_write_the_recorded_bytes(tmp_path, monkeypatch, name):
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in sorted((tmp_path / "out").iterdir())}
     assert digests == GOLDEN[name]
+
+
+PLAUSIBILITY_RUNS = {
+    "jump_walk": {
+        "seed": 4, "partition": {"type": "dyadic", "T": 1.0, "max_level": 10},
+        "path": {"kind": "with_jumps", "base": {"kind": "scaled_random_walk", "sigma": 1.0},
+                 "jumps": [[0.5, 0.7], [0.625, -0.3]]}},
+    "flat_jump": {
+        "partition": {"type": "dyadic", "T": 1.0, "max_level": 8},
+        "path": {"kind": "with_jumps", "base": {"kind": "smooth", "name": "linear", "scale": 0.0},
+                 "jumps": [[0.5, 1.5]]}},
+}
+PLAUSIBILITY_GOLDEN = {
+    "jump_walk": {
+        "plausibility.csv":
+            "0612f46f649fde5941ccb35aa5206691314f2b0fd946529b361d8fb1496c96c3",
+        "plausibility.json":
+            "b58dba57800832775e9937e94c59c2f48e3267500e2915dc12690b12a6246fc1",
+    },
+    "flat_jump": {
+        "plausibility.csv":
+            "8e6ac99234511883ab590dbdd14290d664aae8bd3956f9ecf6d89b6595ff4908",
+        "plausibility.json":
+            "a085ad81323d082810c98a918377657c6d6d5f5680025b789b8b71f826626fc0",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(PLAUSIBILITY_RUNS))
+def test_plausibility_runs_write_the_recorded_bytes(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(PLAUSIBILITY_RUNS[name] | {"out": "out"}))
+    assert main(["plausibility", "--config", "c.json"]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in sorted((tmp_path / "out").iterdir())}
+    assert digests == PLAUSIBILITY_GOLDEN[name]

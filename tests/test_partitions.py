@@ -132,6 +132,11 @@ def test_last_index_before_rejects_out_of_range():
         last_index_before(seq, 1, 1.1)
 
 
+def test_last_index_before_rejects_a_nan_time():
+    with pytest.raises(ValueError, match=r"t must lie in \(0, T\], got nan"):
+        last_index_before(dyadic(1.0, 2), 2, float("nan"))
+
+
 def test_last_index_consistent_under_refinement():
     seq = dyadic(1.0, 3)
     fine = refine_with(seq, [0.3, 0.77])

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -60,6 +61,25 @@ def test_stop_out_of_range():
         stop(path, 1.5)
     with pytest.raises(ValueError):
         stop(path, -0.1)
+
+
+@pytest.mark.parametrize("read", ["index_at", "value", "left_limit"])
+def test_a_nan_time_is_off_the_path(read):
+    path = generate({"kind": "smooth", "name": "linear"}, 0, dyadic(1.0, 2))
+    with pytest.raises(ValueError, match=r"time nan outside \[0, 1.0\]"):
+        getattr(path, read)(math.nan)
+
+
+def test_stop_at_a_nan_time_raises():
+    path = generate({"kind": "smooth", "name": "linear"}, 0, dyadic(1.0, 2))
+    with pytest.raises(ValueError, match=r"stop time nan outside \[0, 1.0\]"):
+        stop(path, math.nan)
+
+
+def test_extend_to_a_nan_time_raises():
+    sp = stop(generate({"kind": "smooth", "name": "linear"}, 0, dyadic(1.0, 2)), 0.25)
+    with pytest.raises(ValueError, match=r"extension time nan outside \[0.25, 1.0\]"):
+        sp.extend_to(math.nan)
 
 
 def test_vertical_perturbation_zero_is_identity():

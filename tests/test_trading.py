@@ -82,7 +82,7 @@ def simple_bond_holdings(strategy, path, seq, t):
     level = seq.level(strategy.level)
     lam = strategy.holding_values(path, seq)
     lx = path.values[path.grid_indices(level)]
-    return float(_bond_column(level, lx, lam, strategy.capital(path), [t])[0][0])
+    return float(_bond_column(level, lx, lam, strategy.initial_capital, [t])[0][0])
 
 
 # ---------------------------------------------------------------------------

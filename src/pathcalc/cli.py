@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
 import dataclasses
 import json
 import os
@@ -243,15 +244,22 @@ def _conv_config(cfg):
     return ConvergenceConfig(tol=float(tol["conv_tol"]), window=tol["qv_window"])
 
 
-def _write_csv(path, header, rows):
+def _cells(column):
+    """The CSV text of a column: a 1-d float64 or int64 array as the ``repr``
+    of its ``tolist()``; else a cell that is an int, numpy integer, str or bool
+    as ``str``, any other as ``repr(float(c))`` (so a np.bool_ writes 1.0)."""
+    if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype in (np.float64, np.int64):
+        return map(repr, column.tolist())
+    return [str(c) if isinstance(c, (int, np.integer, str, bool)) else repr(float(c))
+            for c in column]
+
+
+def _write_csv(path, header, blocks):
+    """A CSV table from blocks of equal-length columns, written block by block."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [
-                str(c) if isinstance(c, (int, np.integer, str, bool)) else repr(float(c))
-                for c in row
-            ]
-            fh.write(",".join(cells) + "\n")
+        for columns in blocks:
+            fh.writelines(",".join(row) + "\n" for row in zip(*map(_cells, columns)))
 
 
 def _write_json(path, obj):
@@ -261,15 +269,15 @@ def _write_json(path, obj):
 
 
 def _level_rows(probe_times, per_level):
-    """(level, probe_time, *index, value) rows of ``{level: array}`` tables
-    whose first axis runs over the probe times: levels ascending, then
-    probes, then the trailing indices in C order."""
+    """(level, probe_time, *index, value) columns of ``{level: array}`` tables
+    whose first axis runs over the probe times, one block per level: levels
+    ascending, then probes, then the trailing indices in C order."""
     for n in sorted(per_level):
         values = per_level[n]
-        cells = list(np.ndindex(values.shape[1:]))
-        for k, t in enumerate(probe_times):
-            for idx in cells:
-                yield (n, t, *idx, values[(k, *idx)])
+        k = values[0].size  # cells per probe
+        index = [np.tile(i, len(probe_times)) for i in zip(*np.ndindex(values.shape[1:]))]
+        yield (np.full(k * len(probe_times), n), np.repeat(probe_times, k), *index,
+               values.reshape(-1))
 
 
 def _report_json(report):
@@ -324,7 +332,7 @@ def cmd_integrate(cfg, seq):
         rows = [(n, rep.residual_by_level[n], rep.qv_metric, rep.qv_converged)
                 for n in sweep]
         _write_csv(out / "ito_residuals.csv",
-                   ["level", "residual", "qv_metric", "qv_converged"], rows)
+                   ["level", "residual", "qv_metric", "qv_converged"], [zip(*rows)])
         caveat = caveat or not rep.qv_converged
     _write_json(out / "integral_report.json",
                 {"config": cfg, "report": _report_json(report)})
@@ -341,7 +349,7 @@ def cmd_hedge(cfg, seq):
     if realized != "estimate":
         realized = density_from_descriptor(realized)
     rows = []
-    curve_rows = []
+    curves = []
     for pid, child in enumerate(np.random.SeedSequence(cfg["seed"]).spawn(hcfg["paths"])):
         path = _path_from_config(cfg, seq, seed=child)
         report = hedge(
@@ -351,13 +359,13 @@ def cmd_hedge(cfg, seq):
         rel = report.residual / abs(report.predicted_error) if report.predicted_error else float("inf")
         rows.append((pid, report.realized_pnl, report.predicted_error, report.residual,
                      rel, report.track_error, report.fpde_flag, report.qv_converged))
-        curve_rows += [(pid, *point) for point in zip(
-            report.probe_times, report.value_curve, report.functional_curve)]
+        curves.append((np.full(report.probe_times.size, pid), report.probe_times,
+                       report.value_curve, report.functional_curve))
     out = _outdir(cfg)
     _write_csv(out / "hedge_paths.csv",
                ["path_id", "realized", "predicted", "residual", "rel_residual",
-                "track_error", "fpde_flag", "qv_converged"], rows)
-    _write_csv(out / "hedge_curves.csv", ["path_id", "t", "value", "functional"], curve_rows)
+                "track_error", "fpde_flag", "qv_converged"], [zip(*rows)])
+    _write_csv(out / "hedge_curves.csv", ["path_id", "t", "value", "functional"], curves)
     *_, rel, track_errors, fpde_flags, qv_converged = zip(*rows)
     reasons = {"fpde": sum(map(bool, fpde_flags)),
                "qv_not_converged": sum(not q for q in qv_converged)}
@@ -379,10 +387,10 @@ def cmd_plausibility(cfg, seq):
     path = _path_from_config(cfg, seq)
     report = plausibility_diagnostic(path, seq)
     out = _outdir(cfg)
-    rows = zip(report.levels, report.identity_gaps, report.k_values,
+    columns = (report.levels, report.identity_gaps, report.k_values,
                report.k_partial_sums, report.negative_series_partial_max)
     _write_csv(out / "plausibility.csv", ["level", "identity_gap", "k_n", "k_partial_sum",
-                                          "neg_series_partial_max"], rows)
+                                          "neg_series_partial_max"], [columns])
     _write_json(out / "plausibility.json", {"config": cfg, "report": _report_json(report)})
     return 0
 
@@ -411,7 +419,19 @@ def build_parser():
     return parser
 
 
+def _keep_heap_top():
+    """Have glibc keep 64 MiB free at the heap top when it trims, so that each
+    hedge path reuses the pages the last one freed (README, "CLI")."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no glibc; Windows has no CDLL(None)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-2, 64 << 20)  # M_TOP_PAD
+
+
 def main(argv=None):
+    _keep_heap_top()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -27,6 +27,7 @@ from .functionals import cylinder
 from .partitions import cell_index, refine_onto
 from .paths import _running_sums, stepwise_approximation, stop
 from .quadvar import (
+    _check_horizon,
     _continuous_qv_increments,
     _level_sums,
     _running_sums_at,
@@ -35,20 +36,29 @@ from .quadvar import (
 )
 
 
-def _truncated_dot_sums(x, li, g, probe_idx):
-    """S_n at the sorted probe grid indices.  ``g``: integrand rows per level cell."""
+def _truncated_dot_sums(x, li, g, probe_idx=None):
+    """S_n at the sorted probe grid indices, by default at every grid index.
+    ``g``: integrand rows per level cell."""
     lx = x[li]
+    m = g.shape[0]
 
     def dot_increments(a, b):
         inc = lx[a + 1:b + 1] - lx[a:b]
         inc *= g[a:b]
         return np.sum(inc, axis=1)
 
+    if probe_idx is None and m + 1 == len(x):
+        # no cell is open on the whole grid; the probe route's partial term
+        # g . 0.0 stays, NaN where g is not finite (np.sum makes no -0.0)
+        sums = np.concatenate(([0.0], np.cumsum(dot_increments(0, m))))
+        sums[:m] += np.sum(g * 0.0, axis=1)
+        return sums
+    probe_idx = slice(0, len(x)) if probe_idx is None else probe_idx
     jstar = cell_index(li, probe_idx)
-    safe = np.minimum(jstar, g.shape[0] - 1)
+    safe = np.minimum(jstar, m - 1)
     boundary = np.sum(g[safe] * (x[probe_idx] - lx[jstar]), axis=1)
-    prefix = _running_sums_at(dot_increments, g.shape[0], jstar)
-    return prefix + np.where(jstar >= g.shape[0], 0.0, boundary)
+    prefix = _running_sums_at(dot_increments, m, jstar)
+    return prefix + np.where(jstar >= m, 0.0, boundary)
 
 
 def follmer_integrand(F, path, seq, n):
@@ -114,6 +124,18 @@ def _gradient_rows(F, path, g=None):
         return lambda seq, n, li: follmer_integrand(F, path, seq, n)
     g = np.asarray(g, dtype=float).reshape(path.times.size, path.dim)
     return lambda seq, n, li: g[li][:-1]
+
+
+def _grid_gains(path, seq, levels, rows):
+    """``{n: S_n at every grid time}`` of the rows of :func:`_gradient_rows`
+    for ``levels`` (by default the top) of ``seq`` refined onto the jumps."""
+    _check_horizon(seq, path)
+    seq = refine_onto(seq, path.jump_times)[0]
+    levels = [seq.top] if levels is None else levels
+    if len(levels) == 0:
+        raise ValueError("levels must list at least one level")
+    return {n: _truncated_dot_sums(path.values, li, rows(seq, n, li))
+            for n in levels for li in [path.grid_indices(seq.level(n))]}
 
 
 def follmer_integral_functional(F, path, seq, probes=None, levels=None, config=None):

@@ -23,8 +23,8 @@ from .convergence import assess
 from .functionals import _elementwise, density_matrix
 from .integration import (
     _gradient_rows,
+    _grid_gains,
     _jump_term,
-    _make_report,
     _qv_flags,
     _truncated_dot_sums,
     follmer_integral_functional,
@@ -383,26 +383,23 @@ def hedge(
     # digests pin its bits, so it becomes time-ordered only with a re-record
     predicted = 0.5 * float(traces @ dt) - jump_term
 
-    if levels is None:
-        levels = [seq.top]
     # The gains at every grid time, summed once per level.  The track error
     # is taken at every grid time when F has a pointwise value, else at the probes.
-    rows_at = _gradient_rows(F, path, grad)
-    gain = _make_report(path, seq, path.times, levels, rows_at, config)
+    gains = _grid_gains(path, seq, levels, _gradient_rows(F, path, grad))
+    levels = sorted(gains)
     f0 = F.value(stop(path, 0.0))
-    realized = f0 + float(gain.limit[-1]) - float(payoff(path))
+    realized = f0 + float(gains[levels[-1]][-1]) - float(payoff(path))
 
     probe_idx = path.grid_indices(probes)
     track_idx = probe_idx if value is None else slice(None)
     f_track = (F.at(path, probes, path.values[probe_idx], ("value",))[0] if value is None
                else np.asarray(value, dtype=float))
-    f_curve = f_track if value is None else f_track[probe_idx]
-    track_by_level = {
-        n: float(np.max(np.abs(f0 + gain.sums[n][track_idx] - f_track)))
-        for n in gain.levels
-    }
-    v_curve = f0 + gain.sums[gain.levels[-1]][probe_idx]
-    track = track_by_level[gain.levels[-1]]
+    # a copy, so that the report keeps no grid-sized array alive
+    f_curve = f_track if value is None else f_track[probe_idx].copy()
+    track_by_level = {n: float(np.max(np.abs(f0 + gains[n][track_idx] - f_track)))
+                      for n in levels}
+    v_curve = f0 + gains[levels[-1]][probe_idx]
+    track = track_by_level[levels[-1]]
 
     return HedgeReport(
         realized_pnl=realized,

@@ -2,10 +2,17 @@ import contextlib
 import functools
 import io
 import json
+import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -194,6 +201,171 @@ def test_hedge_deterministic(tmp_path):
     main(["hedge", "--config", cfg])
     assert read_bytes(tmp_path, "o1", "hedge_paths.csv") == first_csv
     assert read_bytes(tmp_path, "o1", "hedge_summary.json") == first_json
+
+
+# Runs cli.main in a fresh interpreter, with the heap setting ("keep") or with
+# the helper replaced by a no-op ("skip"); prints the exit code and the minor
+# page faults main took.
+_HEAP_CHILD = """
+import json, resource, sys
+from pathcalc import cli
+if sys.argv[1] == "skip":
+    cli._keep_heap_top = lambda: None
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+code = cli.main(sys.argv[2:])
+print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before]))
+"""
+
+
+def _hedge_child(tmp_path, heap, level, paths):
+    """(exit code, minor faults, {file name: bytes}) of one CLI hedge launch,
+    run in its own directory so that both launches echo the same ``out``."""
+    work = tmp_path / heap
+    work.mkdir()
+    cfg = write_config(work, "hedge.json", {
+        "seed": 4,
+        "partition": {"type": "dyadic", "T": 1.0, "max_level": level},
+        "path": {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0},
+        "functional": {"name": "black_scholes", "sigma": 0.2, "strike": 1.0},
+        "hedge": {"density": {"kind": "bs", "sigma": 0.2}, "realized": {"kind": "bs", "sigma": 0.3},
+                  "payoff": {"kind": "call", "strike": 1.0}, "paths": paths},
+        "out": "out",
+    })
+    src = str(Path(cli.__file__).parents[1])
+    # an allocator setting in the environment would act on both launches
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _HEAP_CHILD, heap, "hedge", "--config", cfg],
+                          capture_output=True, text=True, env=env, cwd=work, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, faults = json.loads(proc.stdout.splitlines()[-1])
+    return code, faults, {p.name: p.read_bytes() for p in sorted((work / "out").iterdir())}
+
+
+def test_heap_setting_changes_no_output(tmp_path):
+    code, _, files = _hedge_child(tmp_path, "keep", 8, 3)
+    skipped_code, _, skipped_files = _hedge_child(tmp_path, "skip", 8, 3)
+    assert code in (0, 1)
+    assert (skipped_code, skipped_files) == (code, files)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="M_TOP_PAD is glibc's")
+def test_heap_setting_stops_the_hedge_loop_refaulting(tmp_path):
+    # each level-14 path frees grid-sized arrays of 131,080 bytes, just above
+    # glibc's 128 KiB trim scale; without the setting glibc trims the heap top
+    # and the next path faults those pages in again.  64 paths took about 700
+    # minor faults with the setting and 31,000 without (glibc 2.36).
+    _, kept, files = _hedge_child(tmp_path, "keep", 14, 64)
+    _, skipped, skipped_files = _hedge_child(tmp_path, "skip", 14, 64)
+    assert files == skipped_files
+    assert kept <= 1000, (kept, skipped)
+    assert 4 * kept <= skipped, (kept, skipped)
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("libc", [lambda name: types.SimpleNamespace(), _no_libc],
+                         ids=["no_mallopt", "no_libc"])
+def test_heap_setting_without_mallopt_is_skipped(monkeypatch, libc):
+    monkeypatch.setattr(cli.ctypes, "CDLL", libc)
+    assert cli._keep_heap_top() is None
+
+
+# -- the column writer, held to the row writer it replaced ---------------------
+
+def _write_csv_by_rows(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = [
+                str(c) if isinstance(c, (int, np.integer, str, bool)) else repr(float(c))
+                for c in row
+            ]
+            fh.write(",".join(cells) + "\n")
+
+
+def _level_rows_by_rows(probe_times, per_level):
+    for n in sorted(per_level):
+        values = per_level[n]
+        cells = list(np.ndindex(values.shape[1:]))
+        for k, t in enumerate(probe_times):
+            for idx in cells:
+                yield (n, t, *idx, values[(k, *idx)])
+
+
+def _same_bytes(tmp_path, header, blocks, rows):
+    cli._write_csv(tmp_path / "columns.csv", header, blocks)
+    _write_csv_by_rows(tmp_path / "rows.csv", header, rows)
+    columns, rows = read_bytes(tmp_path, "columns.csv"), read_bytes(tmp_path, "rows.csv")
+    assert columns == rows
+    return rows
+
+
+ODD_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.1, -1e300, 2.0**60]
+ODD_CELLS = [7, -3, np.int64(-3), np.int32(5), True, False, np.bool_(True), np.bool_(False),
+             "label", np.float64(-0.0), np.float32(0.1), *ODD_FLOATS]
+
+
+def test_column_writer_writes_each_cell_as_the_row_writer(tmp_path):
+    n = len(ODD_CELLS)
+    blocks = [
+        (ODD_CELLS, np.array((ODD_FLOATS * 3)[:n]), np.arange(-n, 0), tuple(ODD_CELLS[::-1])),
+        (np.array([True, False]), [np.bool_(False), True], np.array([-0.0, math.nan]), ["a", 1]),
+    ]
+    rows = [row for columns in blocks for row in zip(*columns, strict=True)]
+    text = _same_bytes(tmp_path, ["a", "b", "c", "d"], blocks, rows).decode()
+    # a np.bool_ cell writes as a float, a bool as its name
+    assert text.splitlines()[-2:] == ["1.0,0.0,-0.0,a", "0.0,True,nan,1"]
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2)], ids=["scalar", "matrix"])
+def test_level_blocks_write_the_level_rows(tmp_path, shape):
+    probes = np.array([0.0, 5e-324, 0.25, 1.0])
+    rng = np.random.default_rng(3)
+    per_level = {n: rng.choice(ODD_FLOATS, size=(probes.size, *shape)) for n in (4, 0, 2)}
+    header = ["level", "probe_time", *"ij"[:len(shape)], "value"]
+    _same_bytes(tmp_path, header, cli._level_rows(probes, per_level),
+                _level_rows_by_rows(probes, per_level))
+
+
+def _captured_tables(monkeypatch, argv):
+    """Run ``main(argv)`` and return each CSV table it wrote, as (header, blocks)."""
+    tables = {}
+    write = cli._write_csv
+
+    def capture(path, header, blocks):
+        blocks = [tuple(columns) for columns in blocks]  # columns as the command made them
+        tables[Path(path).name] = (header, blocks)
+        write(path, header, blocks)
+
+    monkeypatch.setattr(cli, "_write_csv", capture)
+    assert main(argv) in (0, 1)
+    return tables
+
+
+@pytest.mark.parametrize("command", ["qv", "qv_2d", "integrate", "hedge", "plausibility"])
+def test_cli_tables_are_the_row_writers_bytes(tmp_path, monkeypatch, command):
+    walk = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
+    cfg = {"seed": 2, "partition": {"type": "dyadic", "T": 1.0, "max_level": 8}, "path": walk,
+           "out": str(tmp_path / "out")}
+    if command == "qv_2d":
+        cfg["path"] = {**walk, "dim": 2}
+    if command == "integrate":
+        cfg["functional"] = {"name": "black_scholes", "sigma": 0.2, "strike": 1.0, "kind": "put"}
+        cfg["integrate"] = {"residual_levels": [6, 8]}
+    if command == "hedge":
+        cfg["functional"] = {"name": "black_scholes", "sigma": 0.2, "strike": 1.0}
+        cfg["hedge"] = {"density": {"kind": "bs", "sigma": 0.2}, "paths": 3,
+                        "payoff": {"kind": "call", "strike": 1.0}}
+    argv = [command.split("_")[0], "--config", write_config(tmp_path, "c.json", cfg)]
+    tables = _captured_tables(monkeypatch, argv)
+    assert len(tables) == {"integrate": 2, "hedge": 2}.get(command, 1)
+    for name, (header, blocks) in tables.items():
+        rows = [row for columns in blocks for row in zip(*columns)]
+        _write_csv_by_rows(tmp_path / "rows.csv", header, rows)
+        assert read_bytes(tmp_path, "out", name) == read_bytes(tmp_path, "rows.csv"), name
 
 
 def test_plausibility_scenarios(tmp_path):

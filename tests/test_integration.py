@@ -30,6 +30,8 @@ from pathcalc.convergence import ConvergenceConfig
 from pathcalc.functionals import _evaluator, vertical_hessian_fd
 from pathcalc.integration import (
     _gradient_rows,
+    _grid_gains,
+    _make_report,
     _qv_flags,
     _truncated_dot_sums,
     follmer_integrand,
@@ -582,3 +584,68 @@ def test_ito_reports_qv_caveat():
     rep = ito_residual_functional(F, path, seq)
     assert rep.qv_converged in (True, False)
     assert rep.qv_metric > 0
+
+
+# -- the gains at every grid time ----------------------------------------------
+
+def _grid_gains_reference(path, seq, levels, rows):
+    """The gains at every grid time as ``hedge`` once summed them: the Föllmer
+    report's probe route with every grid time as a probe."""
+    return _make_report(path, seq, path.times, levels, rows, None).sums
+
+
+@st.composite
+def flat_start_paths(draw):
+    """A path on a dyadic grid that stays at 1.0 over its first grid cells,
+    so that a gain starts with zero terms, with optional jumps off every
+    level (added to the grid); the partition is that level or one coarser,
+    whose top level then leaves cells open at grid times."""
+    level = draw(st.integers(4, 7))
+    dim = draw(st.integers(1, 2))
+    grid = dyadic(1.0, level).level(level)
+    jump_times = draw(st.sets(st.sampled_from([0.3, 1.0 / 3.0, 0.71, 1.0]), max_size=2))
+    times = np.union1d(grid, sorted(jump_times))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    values = 1.0 + np.cumsum(0.05 * rng.standard_normal((times.size, dim)), axis=0)
+    flat = draw(st.integers(2, times.size // 2))
+    values[:flat] = 1.0
+    values[flat:] += 1.0 - values[flat - 1]
+    jumps = [(t, rng.choice([-1.0, 1.0], dim) * rng.uniform(0.01, 0.2, dim)) for t in sorted(jump_times)]
+    for t, dx in jumps:
+        values[np.searchsorted(times, t):] += dx
+    coarse = draw(st.booleans())
+    return SampledPath(times, values, jumps), dyadic(1.0, level - coarse)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_grid_gains_bit_equal_the_probe_route(data):
+    path, seq = data.draw(flat_start_paths())
+    top = seq.top
+    if path.dim == 1 and data.draw(st.booleans()):
+        # a put's delta is negative: its products with the flat start are -0.0
+        F = black_scholes(0.2, 1.0, data.draw(st.sampled_from(["call", "put"])))
+        rows = _gradient_rows(F, path)
+    else:
+        # signed zeros, and non-finite rows, whose partial term g . 0.0 is NaN
+        cells = [-0.0, 0.0, -1.5, 0.7] + [math.inf, -math.inf, math.nan] * data.draw(st.booleans())
+        g = np.random.default_rng(data.draw(st.integers(0, 99))).choice(
+            cells, size=(path.times.size, path.dim))
+        rows = _gradient_rows(None, path, g)
+    for levels in ([top], [0, top], [top, 3]):
+        with np.errstate(invalid="ignore"):  # inf - inf and inf * 0.0
+            new, ref = _grid_gains(path, seq, levels, rows), _grid_gains_reference(path, seq, levels, rows)
+        assert sorted(new) == sorted(ref) == sorted(set(levels))
+        for n in levels:
+            assert np.array_equal(new[n].view(np.int64), ref[n].view(np.int64)), n
+
+
+@pytest.mark.parametrize("levels", [[], [9], [3, 9]])
+def test_grid_gains_reject_the_levels_the_probe_route_rejects(levels):
+    seq = dyadic(1.0, 8)
+    path = generate({"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}, 0, seq)
+    rows = _gradient_rows(black_scholes(0.2, 1.0), path)
+    with pytest.raises(ValueError) as ref:
+        _grid_gains_reference(path, seq, levels, rows)
+    with pytest.raises(ValueError, match=f"^{ref.value}$"):
+        _grid_gains(path, seq, levels, rows)

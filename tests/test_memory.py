@@ -5,7 +5,9 @@ other grid-sized array.  Measured with ``tracemalloc``: what a level-L dyadic
 partition holds, the peaks of generating a walk on it and of summing its
 quadratic variation, and the peak of a whole ``qv`` CLI run; and, in a fresh
 interpreter, the resident memory a ``qv`` CLI run adds after the import,
-which also sees memory the C allocator keeps after numpy frees it.  Also: a
+which also sees memory the C allocator keeps after numpy frees it.  One
+``hedge`` is held to its peak of 18.26 arrays (it walks each path whole,
+not in blocks yet) and keeps no grid-sized array in its report.  Also: a
 dyadic level reads the path through a stride, with no index array.
 
 Runs at L = 18, four blocks, by default; ``PATHCALC_BUDGET_LEVEL=20`` runs it
@@ -27,7 +29,19 @@ import numpy as np
 import pytest
 
 import pathcalc
-from pathcalc import cli, default_probe_times, dyadic, generate, partitions, qv_along, refine_with
+from pathcalc import (
+    black_scholes,
+    call_payoff,
+    cli,
+    default_probe_times,
+    diffusion_density,
+    dyadic,
+    generate,
+    hedge,
+    partitions,
+    qv_along,
+    refine_with,
+)
 
 LEVEL = int(os.environ.get("PATHCALC_BUDGET_LEVEL", "18"))
 WALK = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
@@ -86,6 +100,23 @@ def test_qv_cli_run_stays_within_its_array_budget(tmp_path):
         code, _, peak = _traced(lambda: cli.main(["qv", "--config", str(cfg)]))
     assert code in (0, 1)  # 1 is a convergence caveat
     assert peak <= 2 * UNIT + 1.5 * BLOCK, peak / UNIT
+
+
+def test_hedge_stays_within_its_array_budget_and_keeps_no_grid_array():
+    """The README's misspecified-volatility hedge on one walk.  Its peak, which
+    the gain route does not set, was 18.26 arrays at L = 18 and 18.25 at
+    L = 20 before the gains at every grid time became one running sum; the
+    report kept 1.00 array (its functional curve was a strided view of the
+    values at every grid time) and now keeps under 0.01: three 65-point
+    curves."""
+    seq = dyadic(1.0, LEVEL)
+    path = generate(WALK, 0, seq)
+    with _tracing():
+        _, held, peak = _traced(lambda: hedge(
+            black_scholes(0.2, 1.0), call_payoff(1.0), diffusion_density(0.2), path, seq,
+            realized_density=diffusion_density(0.3)))
+    assert peak <= 18.26 * UNIT, peak / UNIT
+    assert held <= 0.01 * UNIT, held / UNIT
 
 
 _RESIDENT = """

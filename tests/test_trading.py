@@ -549,6 +549,17 @@ def test_hedge_evaluates_the_functional_once_per_path():
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
 
 
+@pytest.mark.parametrize("F", [black_scholes(0.2, 1.0), asian_forward()], ids=lambda F: F.name)
+def test_hedge_report_arrays_own_their_values(F):
+    # a curve read off a grid-sized array through the probes' stride would
+    # keep that whole array alive for as long as the report lives
+    path, seq = geometric(10, seed=3)
+    report = hedge(F, call_payoff(1.0), diffusion_density(0.2), path, seq)
+    for name in ("probe_times", "value_curve", "functional_curve"):
+        curve = getattr(report, name)
+        assert curve.flags.owndata and curve.size == 65, name
+
+
 def _sampled_fpde_max(F, A, path, seq):
     """Reference of ``fpde_max_residual``: the largest |fpde_residual| on one
     stopped path per sampled interior probe (about 8 of them), 0.0 if none."""

@@ -103,12 +103,11 @@ def test_qv_cli_run_stays_within_its_array_budget(tmp_path):
 
 
 def test_hedge_stays_within_its_array_budget_and_keeps_no_grid_array():
-    """The README's misspecified-volatility hedge on one walk.  Its peak, which
-    the gain route does not set, was 18.26 arrays at L = 18 and 18.25 at
-    L = 20 before the gains at every grid time became one running sum; the
-    report kept 1.00 array (its functional curve was a strided view of the
-    values at every grid time) and now keeps under 0.01: three 65-point
-    curves."""
+    """The README's misspecified-volatility hedge on one walk.  Its peak, 18.26
+    arrays at L = 18 and 18.25 at L = 20, is set inside the Black–Scholes
+    evaluation at every grid time, not by the gain sums (3.00 arrays).  The
+    report keeps under 0.01 array: three 65-point curves, none of them a
+    view of an array of the grid's size."""
     seq = dyadic(1.0, LEVEL)
     path = generate(WALK, 0, seq)
     with _tracing():

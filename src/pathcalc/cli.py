@@ -29,7 +29,7 @@ import numpy as np
 from .convergence import ConvergenceConfig
 from .functionals import density_from_descriptor, functional_from_descriptor
 from .integration import follmer_integral_functional, ito_residual_functional
-from .partitions import MAX_LEVEL, PartitionSequence
+from .partitions import MAX_LEVEL, PartitionSequence, blocks, grid_positions, index_array
 from .paths import generate, read_path_csv, stop
 from .quadvar import default_probe_times, qv_along, qv_matrix
 from .trading import (
@@ -212,21 +212,36 @@ def _path_from_config(cfg, seq, seed=None):
 
 def _require_finest_grid(fname, path, seq):
     """A path file must be sampled on the partition's finest level (refined
-    onto the file's jump times), the grid every command sums along."""
-    fine = np.union1d(seq.level(seq.top), path.jump_times)
-    if np.array_equal(path.times, fine):
-        return
-    n = min(path.times.size, fine.size)
-    differ = np.flatnonzero(path.times[:n] != fine[:n])
-    k = int(differ[0]) if differ.size else n
+    onto the file's jump times), the grid every command sums along.  The two
+    grids are compared a block at a time; the few jump times off the level
+    are slotted into each block at the positions one ``searchsorted`` found."""
+    top, times = seq.level(seq.top), path.times
+    jt = times[path.jump_index]
+    pos, hit = grid_positions(top, jt)
+    off = jt[~hit]
+    at = index_array(pos)[~hit] + np.arange(off.size)  # their indices in the refined grid
+    size = top.size + off.size
 
-    def at(ts):
-        return repr(float(ts[k])) if k < ts.size else "none"
+    def fine(a, b):  # points a..b-1 of the refined grid
+        lo, hi = at.searchsorted((a, b))
+        return np.insert(top[a - lo:b - hi], at[lo:hi] - np.arange(lo, hi) - (a - lo), off[lo:hi])
 
+    n = min(times.size, size)
+    for a, b in blocks(n):
+        differ = np.flatnonzero(times[a:b] != fine(a, b))
+        if differ.size:
+            k = a + int(differ[0])
+            break
+    else:
+        if times.size == size:
+            return
+        k = n
+    file_time = repr(float(times[k])) if k < times.size else "none"
+    level_time = repr(float(fine(k, k + 1)[0])) if k < size else "none"
     raise ConfigError(
-        f"path file {fname} has {path.times.size} grid points, but partition level "
-        f"{seq.top} has {fine.size}; they first differ at index {k} "
-        f"(file time {at(path.times)}, partition time {at(fine)})"
+        f"path file {fname} has {times.size} grid points, but partition level "
+        f"{seq.top} has {size}; they first differ at index {k} "
+        f"(file time {file_time}, partition time {level_time})"
     )
 
 

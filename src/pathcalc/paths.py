@@ -16,6 +16,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import os
+import re
+import stat
 
 import numpy as np
 
@@ -386,17 +389,76 @@ def write_path_csv(path, f):
             fh.close()
 
 
+CHUNK = 2**18  # bytes per read of the guard pass over a named path file
+_LINE_END = re.compile(rb"\r\n|\r|\n")  # the line ends of open(..., newline="")
+
+
+def _c_reads_by_name(name, handle, header_lines):
+    r"""Whether ``np.loadtxt(name, skiprows=header_lines)`` reads the path file
+    open as ``handle`` as the csv + float loop does.  It must be a regular
+    file whose name numpy's opener takes as it is (not a URL, no suffix it
+    decompresses), and its body, after the header's ``header_lines``
+    physical lines, must not be blank, nor hold \x1c-\x1f or a line longer
+    than ``csv.field_size_limit()``.  The body is judged in one pass over its
+    bytes, ``CHUNK`` at a time; a line's bytes bound its characters, and in
+    the ASCII-compatible locale encodings \r, \n and \x1c-\x1f are single
+    bytes that no other character contains."""
+    if (not stat.S_ISREG(os.fstat(handle.fileno()).st_mode) or "://" in name
+            or name.endswith((".gz", ".bz2", ".xz", ".lzma"))):
+        return False
+    limit, run, blank = csv.field_size_limit(), 0, True  # run: bytes since the last line end
+    with open(name, "rb") as fh:
+        while chunk := fh.read(CHUNK):
+            if chunk.endswith(b"\r"):
+                chunk += fh.read(1)  # a \r\n stays in one chunk
+            start = 0
+            while header_lines and (end := _LINE_END.search(chunk, start)):
+                start, header_lines = end.end(), header_lines - 1
+            if header_lines:
+                continue
+            if any(sep in chunk[start:] for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+                return False
+            body = np.frombuffer(chunk, np.uint8)[start:]
+            ends = np.flatnonzero((body == 10) | (body == 13))
+            blank = blank and ends.size == body.size
+            # a line is its bytes between two line-end bytes and a line end of at most two
+            longest = np.diff(ends, prepend=-1 - run).max(initial=0) - 1
+            run = body.size - 1 - ends[-1] if ends.size else run + body.size
+            if max(longest, run) + 2 > limit:
+                return False
+    return not blank
+
+
+def _parsed_in_c(source, width, **kwargs):
+    """``np.loadtxt``'s rows of ``source``, or None where it refuses them or
+    reads other than ``width`` fields."""
+    with contextlib.suppress(ValueError):
+        data = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, **kwargs)
+        if data.shape[1] == width:
+            return data
+    return None
+
+
 def read_path_csv(f, jump_threshold=None):
-    """Parse a path file.  Jump columns are authoritative when present.
+    """Parse a path file, given by name or as an open text handle.  Jump
+    columns are authoritative when present.
 
     Without jump columns the file holds continuous samples, unless a
     ``jump_threshold`` (a scalar or one value per coordinate) is given: grid
     moves larger than it are then recorded as jumps.
+
+    A file given by name is parsed by numpy's chunked C reader once a pass
+    over its bytes finds it safe; the lines of a handle (or of a named file
+    that is no regular file, or that numpy would open otherwise) go to
+    ``np.loadtxt`` as a list; what neither takes goes through the ``csv`` +
+    ``float`` loop.  Every route gives the same bits and the same errors.
     """
     thr = None if jump_threshold is None else np.asarray(jump_threshold, dtype=float)
     if thr is not None and not (np.isfinite(thr) & (thr >= 0)).all():
         raise ValueError(f"jump_threshold must be finite and >= 0, got {jump_threshold!r}")
-    own = isinstance(f, (str, bytes))
+    if isinstance(f, bytes):
+        f = os.fsdecode(f)
+    own = isinstance(f, str)
     fh = open(f, "r", newline="") if own else f
     try:
         lines = iter(fh)
@@ -415,19 +477,27 @@ def read_path_csv(f, jump_threshold=None):
                 "path file header must be t,x1..xd[,jump1..jumpd], "
                 f"got {','.join(names)!r}"
             )
-        rest = list(lines)
+        if thr is not None and thr.ndim and thr.shape != (d,):
+            raise ValueError(f"jump_threshold must be one number or a list of {d}, one per "
+                             f"coordinate of the dim-{d} path, got {jump_threshold!r}")
+        header_lines, data = reader.line_num, None
+        by_name = own and _c_reads_by_name(f, fh, header_lines)
+        if by_name:
+            data = _parsed_in_c(f, len(names), skiprows=header_lines, encoding=fh.encoding)
+        if data is None:
+            rest = list(lines)
     finally:
         if own:
             fh.close()
     # np.loadtxt reads rows as the csv + float loop below, bit for bit, but warns on
     # blank text and takes fields past the csv limit or padded with \x1c-\x1f
-    text, data = "".join(rest), None
-    if (text.strip("\r\n") and max(map(len, rest)) <= csv.field_size_limit()
-            and not any(sep in text for sep in "\x1c\x1d\x1e\x1f")):
-        with contextlib.suppress(ValueError):
-            data = np.loadtxt(rest, delimiter=",", comments=None, ndmin=2)
-    if data is None or data.shape[1] != len(names):
-        header_lines, reader, rows = reader.line_num, csv.reader(rest), []
+    if data is None and not by_name:
+        text = "".join(rest)
+        if (text.strip("\r\n") and max(map(len, rest)) <= csv.field_size_limit()
+                and not any(sep in text for sep in "\x1c\x1d\x1e\x1f")):
+            data = _parsed_in_c(rest, len(names))
+    if data is None:
+        reader, rows = csv.reader(rest), []
         try:
             for row in reader:
                 if not row:
@@ -453,7 +523,7 @@ def read_path_csv(f, jump_threshold=None):
         jumps = zip(times[at], sizes[at])
     elif thr is not None:
         diffs = np.diff(values, axis=0)
-        mask = np.abs(diffs) > np.broadcast_to(thr, (d,))
+        mask = np.abs(diffs) > thr
         at = np.flatnonzero(np.any(mask, axis=1))
         jumps = zip(times[at + 1], np.where(mask[at], diffs[at], 0.0))
     else:

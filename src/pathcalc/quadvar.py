@@ -48,22 +48,30 @@ def _running_sums_at(terms, m, cells):
     return out
 
 
-def _truncated_sq_sums(x, li, probe_idx):
-    """A_n at probe grid indices for one scalar coordinate.
+def _truncated_sq_sums(x, li, probe_idx, y=None):
+    """A_n at probe grid indices for one scalar coordinate: ``x``, or ``x + y``
+    added a block at a time, so that no grid-sized sum is formed.
 
-    ``x``: finest-grid values; ``li``: level-time positions in the finest
-    grid; ``probe_idx``: sorted finest-grid positions of the probe times.
+    ``x``, ``y``: finest-grid values; ``li``: level-time positions in the
+    finest grid; ``probe_idx``: sorted finest-grid positions of the probe times.
     """
-    lx = x[li]
+    lx, ly = x[li], (None if y is None else y[li])
+
+    def coordinate(u, v, rows):
+        return u[rows] if v is None else u[rows] + v[rows]
 
     def squared_increments(a, b):
-        inc = lx[a + 1:b + 1] - lx[a:b]
+        if ly is None:
+            inc = lx[a + 1:b + 1] - lx[a:b]
+        else:  # the increments overwrite the block of sums they are taken from
+            level = lx[a:b + 1] + ly[a:b + 1]
+            inc = np.subtract(level[1:], level[:-1], out=level[:-1])
         inc *= inc
         return inc
 
     jstar = cell_index(li, probe_idx)
     prefix = _running_sums_at(squared_increments, lx.size - 1, jstar)
-    return prefix + (x[probe_idx] - lx[jstar]) ** 2
+    return prefix + (coordinate(x, y, probe_idx) - coordinate(lx, ly, jstar)) ** 2
 
 
 def _polarized_sq_sums(values, li, probe_idx):
@@ -75,7 +83,7 @@ def _polarized_sq_sums(values, li, probe_idx):
     for i in range(d):
         out[:, i, i] = _truncated_sq_sums(values[:, i], li, probe_idx)
     for i, j in combinations(range(d), 2):
-        pair = _truncated_sq_sums(values[:, i] + values[:, j], li, probe_idx)
+        pair = _truncated_sq_sums(values[:, i], li, probe_idx, values[:, j])
         out[:, i, j] = out[:, j, i] = 0.5 * (pair - out[:, i, i] - out[:, j, j])
     return out
 

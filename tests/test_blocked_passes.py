@@ -8,7 +8,7 @@ cells are BLOCK - 1, BLOCK, BLOCK + 1 and 2 * BLOCK + 1.
 import numpy as np
 import pytest
 
-from pathcalc import dyadic, generate, partitions
+from pathcalc import SampledPath, cli, dyadic, generate, partitions
 from pathcalc.integration import _truncated_dot_sums
 from pathcalc.partitions import cell_index, grid_positions, index_array, strictly_increasing
 from pathcalc.paths import _walk_steps
@@ -126,6 +126,20 @@ def test_truncated_sq_sums_match_one_cumsum(block, k):
                 assert np.array_equal(_bits(got), _bits(_sq_sums_reference(x, li, probe_idx))), m
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_pair_sq_sums_match_the_whole_pair_column(block, k):
+    """A polarization pair x + y, added a block at a time, gives the sums of
+    the whole x + y column; a flat start makes increments of -0.0 and 0.0."""
+    for m in _sizes(block):
+        x, lis, probe_sets = _level(m, k, block)
+        y = -np.random.default_rng(m).normal(size=x.size)
+        y[: min(m, block) * k + 1] = -x[: min(m, block) * k + 1]
+        for li in lis:
+            for probe_idx in probe_sets:
+                got = _truncated_sq_sums(x, li, probe_idx, y)
+                assert np.array_equal(_bits(got), _bits(_sq_sums_reference(x + y, li, probe_idx))), m
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("k", [1, 3])
 def test_truncated_dot_sums_match_one_cumsum(block, d, k):
@@ -231,3 +245,54 @@ def test_require_finite_names_the_first_bad_value_of_many_blocks(block):
                 first = float(arr.flat[~np.isfinite(arr.ravel())][0])
                 with pytest.raises(ValueError, match=f"^x must be finite, got {first!r}$"):
                     partitions.require_finite(arr, "x")
+
+
+def _finest_grid_reference(path, seq):
+    """The message of the one-shot check: the file's grid against the whole
+    merged grid ``np.union1d(top level, jump times)``; None when they agree."""
+    fine = np.union1d(seq.level(seq.top), path.jump_times)
+    if np.array_equal(path.times, fine):
+        return None
+    n = min(path.times.size, fine.size)
+    differ = np.flatnonzero(path.times[:n] != fine[:n])
+    k = int(differ[0]) if differ.size else n
+
+    def at(ts):
+        return repr(float(ts[k])) if k < ts.size else "none"
+
+    return (f"path file f.csv has {path.times.size} grid points, but partition level "
+            f"{seq.top} has {fine.size}; they first differ at index {k} "
+            f"(file time {at(path.times)}, partition time {at(fine)})")
+
+
+def test_finest_grid_check_matches_the_merged_grid(block):
+    """Level 5 (33 points, blocks of 7 end at 7, 14, 21, 28) with jumps on and
+    off the level: one off-level jump whose refined index is a block edge,
+    two in one cell, one past T; and each such grid with a point dropped,
+    added or moved at every index, or the file cut short or run long."""
+    seq = dyadic(1.0, 5)
+    top, h = seq.level(5), 1.0 / 32
+    jump_sets = [[], [0.5], [6.5 * h], [6.5 * h, 13.5 * h], [13.25 * h, 13.75 * h],
+                 [6.5 * h, 0.5, 20.5 * h, 1.25], [31.5 * h]]
+    checked = 0
+    for jumps in jump_sets:
+        fine = np.union1d(top, jumps)
+        grids = [fine, fine[:-1], np.append(fine, 2.0)]
+        for e in range(fine.size):
+            moved = fine.copy()
+            moved[e] += h / 16
+            grids += [np.delete(fine, e), np.insert(fine, e, fine[e] - h / 8), moved, fine[:e + 1]]
+        for times in grids:
+            if times.size < 2 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
+                continue
+            kept = [t for t in jumps if t in times]
+            path = SampledPath(times, np.arange(times.size, dtype=float), [(t, 1.0) for t in kept])
+            expected = _finest_grid_reference(path, seq)
+            try:
+                cli._require_finest_grid("f.csv", path, seq)
+                got = None
+            except cli.ConfigError as exc:
+                got = str(exc)
+            assert got == expected, (jumps, times.size)
+            checked += 1
+    assert checked > 800

@@ -429,6 +429,20 @@ def test_path_file_field_past_csv_limit_names_the_line(tmp_path, capsys):
         assert message + "field larger than field limit" in capsys.readouterr().err
 
 
+def test_path_file_jump_threshold_of_the_wrong_size_is_named(tmp_path, capsys):
+    (tmp_path / "walk.csv").write_text("t,x1\n0.0,1.0\n0.5,1.5\n1.0,3.0\n")
+    for name, threshold in {"two": [0.1, 0.2], "none": []}.items():
+        cfg = write_config(tmp_path, f"{name}.json", {
+            "partition": {"type": "dyadic", "T": 1.0, "max_level": 1},
+            "path": {"file": str(tmp_path / "walk.csv"), "jump_threshold": threshold},
+            "out": str(tmp_path / name),
+        })
+        assert main(["qv", "--config", cfg]) == 2
+        assert ("pathcalc: error: jump_threshold must be one number or a list of 1, one per "
+                f"coordinate of the dim-1 path, got {threshold!r}") in capsys.readouterr().err
+        assert not (tmp_path / name).exists()
+
+
 def test_functional_and_path_dims_must_match(tmp_path, capsys):
     partition = {"type": "dyadic", "T": 1.0, "max_level": 6}
     runs = {

@@ -3,7 +3,8 @@ floats plus blocks of ``partitions.BLOCK`` floats: a grid-sized pass works
 in blocks, so a run holds the partition's grid and the path values, and no
 other grid-sized array.  Measured with ``tracemalloc``: what a level-L dyadic
 partition holds, the peaks of generating a walk on it and of summing its
-quadratic variation, and the peak of a whole ``qv`` CLI run; and, in a fresh
+quadratic variation (of one coordinate, and of two with their polarization
+pair), of reading a path file, and of a whole ``qv`` CLI run; and, in a fresh
 interpreter, the resident memory a ``qv`` CLI run adds after the import,
 which also sees memory the C allocator keeps after numpy frees it.  One
 ``hedge`` is held to its peak of 18.26 arrays (it walks each path whole,
@@ -40,8 +41,12 @@ from pathcalc import (
     hedge,
     partitions,
     qv_along,
+    qv_matrix,
+    read_path_csv,
     refine_with,
+    write_path_csv,
 )
+from pathcalc.quadvar import _truncated_sq_sums
 
 LEVEL = int(os.environ.get("PATHCALC_BUDGET_LEVEL", "18"))
 WALK = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
@@ -92,6 +97,44 @@ def test_grid_stages_stay_within_their_array_budgets():
     assert held <= 1.1 * UNIT, shares
     assert gen_peak <= UNIT + 1.5 * BLOCK, shares
     assert qv_peak <= 1.1 * BLOCK, shares
+
+
+def test_qv_matrix_forms_its_pair_sums_a_block_at_a_time():
+    """d = 2: the pair x1 + x2 is added a block at a time into the block its
+    increments are taken from, so the peak is about a block, as for
+    ``qv_along``: 1.2 blocks is 0.3 arrays at L = 18, where it peaks at 0.27
+    (a whole pair column made it 1.27).  The sums keep the bits of the whole
+    column's."""
+    seq = dyadic(1.0, LEVEL)
+    path = generate({**WALK, "dim": 2}, 0, seq)
+    probes = default_probe_times(seq, path)
+    with _tracing():
+        report, _, peak = _traced(lambda: qv_matrix(path, seq, probes))
+    assert peak <= 1.2 * BLOCK, peak / UNIT
+    x1, x2 = path.values[:, 0], path.values[:, 1]
+    probe_idx = path.grid_indices(probes)
+    for n in (0, LEVEL):
+        li = path.grid_indices(seq.level(n))
+        diagonal = [_truncated_sq_sums(x, li, probe_idx) for x in (x1, x2)]
+        pair = _truncated_sq_sums(x1 + x2, li, probe_idx)  # the whole column
+        cross = 0.5 * (pair - diagonal[0] - diagonal[1])
+        assert report.approx[n][:, 0, 1].tobytes() == cross.tobytes()
+        assert report.approx[n][:, 1, 0].tobytes() == cross.tobytes()
+
+
+def test_read_path_csv_holds_no_string_per_line(tmp_path):
+    """A level-L file with jump columns read by name: numpy's C reader parses
+    it in chunks, so the peak is the three-column table and its growth, 3.66
+    arrays at L = 18 and 3.45 at L = 20, within 4 arrays and 2 blocks; a
+    Python string per line and their joined text made it 22.9."""
+    f = tmp_path / "walk.csv"
+    jump = (2 * 77 + 1) / 2**LEVEL
+    write_path_csv(generate({"kind": "with_jumps", "base": WALK, "jumps": [[jump, 0.1]]}, 0,
+                            dyadic(1.0, LEVEL)), str(f))
+    with _tracing():
+        path, _, peak = _traced(lambda: read_path_csv(str(f)))
+    assert path.jump_times == (jump,)
+    assert peak <= 4 * UNIT + 2 * BLOCK, peak / UNIT
 
 
 def test_qv_cli_run_stays_within_its_array_budget(tmp_path):

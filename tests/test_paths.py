@@ -1,9 +1,13 @@
+import csv
 import io
 import math
+import os
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pathcalc import (
@@ -11,6 +15,7 @@ from pathcalc import (
     asian_forward,
     dyadic,
     generate,
+    paths,
     read_path_csv,
     running_integral,
     stack,
@@ -503,6 +508,204 @@ def test_csv_reader_equals_reference_route(tmp_path, monkeypatch, text, loadtxt_
     assert bool(parsed) == loadtxt_parses
     monkeypatch.setattr(np, "loadtxt", refuse)
     assert _read_outcome(str(f)) == outcome
+
+
+@pytest.mark.parametrize("threshold, dim", [([0.1, 0.2], 1), ([[0.1]], 1), ([0.1], 2),
+                                             ([0.1, 0.2, 0.3], 2), ([[0.1, 0.2]], 2)])
+def test_csv_jump_threshold_of_the_wrong_size_is_named(threshold, dim):
+    header = ",".join(["t", *(f"x{i + 1}" for i in range(dim))])
+    # the body's second row is ragged: the threshold is checked before the body is read
+    text = f"{header}\n0.0{',1.0' * dim}\n0.5\n"
+    message = (f"jump_threshold must be one number or a list of {dim}, one per coordinate "
+               f"of the dim-{dim} path, got {threshold!r}")
+    with pytest.raises(ValueError) as exc:
+        read_path_csv(io.StringIO(text), jump_threshold=threshold)
+    assert str(exc.value) == message
+    good = f"{header}\n0.0{',1.0' * dim}\n1.0{',3.0' * dim}\n"
+    for ok in (0.5, [0.5] * dim):
+        assert read_path_csv(io.StringIO(good), jump_threshold=ok).jump_times == (1.0,)
+
+
+# -- the three routes of read_path_csv ------------------------------------------
+# A named regular file goes to np.loadtxt by name after paths._c_reads_by_name
+# reads its bytes CHUNK at a time; the lines of a handle go to np.loadtxt as a
+# list; the csv + float loop is the reference both must equal.
+
+def _reference_outcome(text):
+    """The outcome of the csv + float loop on ``text``, read as a file opened
+    with ``newline=""`` reads it."""
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    with mock.patch.object(np, "loadtxt", refuse):
+        return _read_outcome(io.StringIO(text, newline=""))
+
+
+def _assert_routes_agree(tmp_path, text, name="path.csv"):
+    """Reading the file ``name`` holding ``text``, by name and by its bytes
+    name, equals reading ``text`` from a handle and the csv + float loop:
+    the same bits, or the same exception type and message."""
+    f = tmp_path / name
+    f.write_bytes(text.encode())
+    reference = _reference_outcome(text)
+    assert _read_outcome(io.StringIO(text, newline="")) == reference
+    assert _read_outcome(str(f)) == reference
+    assert _read_outcome(os.fsencode(f)) == reference
+    return reference
+
+
+_ROUTE_CASES = [  # a field past the csv limit: test_named_file_route_keeps_the_field_limit
+    *(pytest.param(param.values[0], id=param.id) for param in READER_CASES
+      if param.id != "long-field"),
+    "t,x1\r0.0,1.0\r0.5,2.0\r1.0,3.0\r",
+    "t,x1\r0.0,1.0\n0.5,2.0\r\n\r1.0,3.0",
+    "t,x1\r\n0.0,1.0\r\n1.0,3.0\r",
+    '"t\n",x1\n0.0,1.0\n1.0,3.0\n',
+    '"t\r\n",x1\r\n\r\n0.0,1.0\r\n1.0,3.0',
+    '"t\r\n",x1\r\n\r\n',
+    '"t\r",x1\r\n',
+    't,"x\n1"\n0.0,1.0\n1.0,3.0\n',
+    "t,x1",
+    "t,x1\r",
+    "t,x1\n\n",
+    "t,x1\n0.0,1.0\x1f\n1.0,3.0\n",
+    "t,x1\n0.0,\x1d1.0\n1.0,3.0\n",
+    "\x1et,x1\n0.0,1.0\n1.0,3.0\n",
+    "t,x1\n0.0,1.0\n1.0,3.0\x00\n",
+    "t,x1\n0.0,1.0\n1.0,3.0\x0b\n",
+    "t,x1\n0.0,١.5\n1.0,3.0\n",
+    "t,x1,jump1\n0.0,1.0,0.0\n0.5,2.0,0.5\n1.0,3.0,0.0\n",
+    "t,x1\n0.0,1.0\n1.0,3.0\n" + "\n" * 300,
+    "t,x1\n" + "\n" * 300 + "0.0,1.0\n1.0,3.0\n",
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, paths.CHUNK])
+@pytest.mark.parametrize("text", _ROUTE_CASES)
+def test_named_file_route_equals_the_reference(tmp_path, monkeypatch, text, chunk):
+    monkeypatch.setattr(paths, "CHUNK", chunk)
+    _assert_routes_agree(tmp_path, text)
+
+
+@pytest.mark.parametrize("limit", [16, 17, 18, 19, 20, 21, 22])
+@pytest.mark.parametrize("chunk", [1, 3, paths.CHUNK])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r", ""])
+def test_named_file_route_keeps_the_field_limit(tmp_path, monkeypatch, limit, chunk, end):
+    """Lines of 14 to 20 characters against limits of 16 to 22: the byte
+    guard refuses a line as long as the limit, or one short of it, and the
+    csv loop then names a field past the limit exactly as the handle route
+    does."""
+    monkeypatch.setattr(paths, "CHUNK", chunk)
+    old = csv.field_size_limit(limit)
+    try:
+        rows = ["0.0,1.0", "0.25,12345.25", "0.5,1234567.125", "1.0,123456789.0625"]
+        _assert_routes_agree(tmp_path, "t,x1\n" + "\n".join(rows) + end)
+        _assert_routes_agree(tmp_path, "t,x1\n0.0,1.0\n1.0," + "9" * (limit - 1) + end)
+        _assert_routes_agree(tmp_path, "t,x1\n0.0,1.0\n1.0," + "9" * (limit + 1) + end)
+    finally:
+        csv.field_size_limit(old)
+
+
+_FIELD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-9, 9).map(str),
+    st.sampled_from(["1_000", "１２", " 1.5 ", "\t2.5", '"1.0"', '"1,0"', "nan",
+                     "-inf", "abc", "#", "", "1.0 # note", "\x1c1.0", "1.0\x1f", "\x0b3",
+                     "١", "1e999", "0x10"]),
+)
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _path_texts(draw):
+    r"""Path file text: a header (maybe over two physical lines) and rows that
+    mostly hold a valid path, with blank, whitespace-only, `#` and odd rows,
+    line ends \n, \r\n and \r, mixed, and maybe no final line end."""
+    width = draw(st.integers(1, 3))
+    header = draw(st.sampled_from([
+        ["t", "x1"], ["t", "x1", "jump1"], ["t", "x1", "x2"], ['"t\n"', "x1"], ['"t\r\n"', "x1"],
+        ["t", " x1 "], ["t", "x2"]]))
+    lines = [",".join(header)]
+    for i in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 5))
+        if kind <= 2:
+            row = [repr(float(i))] + [draw(_FIELD) if kind == 2 else repr(draw(
+                st.floats(-1e6, 1e6))) for _ in range(len(header) - 1)]
+        elif kind == 3:
+            row = [draw(_FIELD) for _ in range(width)]
+        else:
+            row = [draw(st.sampled_from(["", " ", "\t", "#", "# note"]))]
+        lines.append(",".join(row))
+    ends = [draw(_LINE_ENDS) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_path_texts(), chunk=st.integers(1, 9),
+       limit=st.sampled_from([None, 6, 12, 24]), gz=st.booleans())
+def test_named_file_route_equals_the_reference_property(tmp_path, text, chunk, limit, gz):
+    r"""Chunks of 1 to 9 bytes, so that line ends, \r\n pairs and the header
+    cross chunk edges; small csv field limits, so that fields and lines pass
+    them; and names ending in .gz, which numpy's opener would decompress."""
+    old = csv.field_size_limit(limit) if limit else None
+    try:
+        with mock.patch.object(paths, "CHUNK", chunk):
+            _assert_routes_agree(tmp_path, text, "path.csv.gz" if gz else "path.csv")
+    finally:
+        if old is not None:
+            csv.field_size_limit(old)
+
+
+def test_named_file_route_reads_by_name_only_what_it_may(tmp_path, monkeypatch):
+    """A plain named file reaches np.loadtxt by name; a file named *.gz,
+    *.bz2, *.xz or *.lzma, one the guards refuse, and a pipe reach it as a
+    list of lines, or not at all; all read the same path."""
+    text = "t,x1\n0.0,1.0\n0.5,2.0\n1.0,3.0\n"
+    loadtxt, sources = np.loadtxt, []
+
+    def spy(source, *args, **kwargs):
+        sources.append(source if isinstance(source, str) else type(source))
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    expected = _read_outcome(io.StringIO(text, newline=""))
+    assert sources == [list]
+    for name in ["path.csv", "path.csv.gz", "path.bz2", "path.xz", "path.lzma", "path"]:
+        sources.clear()
+        (tmp_path / name).write_text(text)
+        assert _read_outcome(str(tmp_path / name)) == expected
+        assert sources == [str(tmp_path / name) if name in ("path.csv", "path") else list], name
+    padded = text.replace("2.0", "2.0\x1c")  # float() rejects it, np.loadtxt would not
+    (tmp_path / "sep.csv").write_text(padded)
+    sources.clear()
+    assert _read_outcome(str(tmp_path / "sep.csv")) == _reference_outcome(padded)
+    assert sources == []
+    if os.path.isdir("/dev/fd"):  # a pipe, longer than the handle's buffer, read once
+        long = "t,x1\n" + "".join(f"{i / 8192!r},{i}.5\n" for i in range(8193))
+        read, write = os.pipe()
+        writer = threading.Thread(target=lambda: (os.write(write, long.encode()), os.close(write)))
+        writer.start()
+        sources.clear()
+        try:
+            assert _read_outcome(f"/dev/fd/{read}") == _read_outcome(io.StringIO(long, newline=""))
+        finally:
+            writer.join(timeout=60)
+            os.close(read)
+        assert not writer.is_alive()
+        assert sources == [list, list]
+
+
+def test_named_file_route_raises_the_handles_decode_error(tmp_path):
+    f = tmp_path / "path.csv"
+    f.write_bytes(b"t,x1\n0.0,1.0\n0.5,\xff\n1.0,3.0\n")
+    with pytest.raises(UnicodeDecodeError) as by_name:
+        read_path_csv(str(f))
+    with open(f, newline="") as fh, pytest.raises(UnicodeDecodeError) as by_handle:
+        read_path_csv(fh)
+    assert str(by_name.value) == str(by_handle.value)
 
 
 def test_sampled_path_validation():

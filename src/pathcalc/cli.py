@@ -62,6 +62,7 @@ _TYPES = {
     "levels": ("a list of integers", lambda v: type(v) is list and all(type(n) is int for n in v)),
     "number": ("a finite number", _number),
     "number>0": ("a finite number > 0", lambda v: _number(v) and v > 0),
+    "number>=0": ("a finite number >= 0", lambda v: _number(v) and v >= 0),
     "numbers": ("a list of finite numbers", _numbers),
     "grids": ("a list of lists of finite numbers", lambda v: type(v) is list and all(map(_numbers, v))),
     "threshold": ("a finite number or a list of finite numbers", _size),
@@ -98,7 +99,7 @@ _SCHEMA = {
     "config": {"seed": ("int>=0", 0), "out": ("str", "pathcalc_out"),
                "tolerances": ("tolerances", {}), "partition": ("partition", ...),
                "probe_level": ("level", 6), "path": ("path", ...)},
-    "tolerances": {"conv_tol": ("number", 1e-3), "fpde_tol": ("number", 1e-6),
+    "tolerances": {"conv_tol": ("number>=0", 1e-3), "fpde_tol": ("number>=0", 1e-6),
                    "qv_window": ("int>=1", 3)},
     "partition": {"type": ({"dyadic": {"max_level": ("max_level", ...)}, "explicit": {
         "levels": ("grids", ...), "dense": ("bool", True), "nested": ("bool", True)}}, "dyadic"),
@@ -365,8 +366,9 @@ def cmd_hedge(cfg, seq):
         realized = density_from_descriptor(realized)
     rows = []
     curves = []
+    read = _path_from_config(cfg, seq) if "file" in cfg["path"] else None  # once for every path
     for pid, child in enumerate(np.random.SeedSequence(cfg["seed"]).spawn(hcfg["paths"])):
-        path = _path_from_config(cfg, seq, seed=child)
+        path = read or _path_from_config(cfg, seq, seed=child)
         report = hedge(
             F, payoff, density, path, seq, realized_density=realized, config=conv,
             fpde_tol=float(cfg["tolerances"]["fpde_tol"]), smooth_window=hcfg["smooth_window"],

@@ -19,6 +19,8 @@ class ConvergenceConfig:
     window: int = 3  # trailing inter-level gaps that must not grow
 
     def __post_init__(self):
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be >= 0, got {self.tol!r}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window!r}")
 

@@ -429,16 +429,6 @@ def _c_reads_by_name(name, handle, header_lines):
     return not blank
 
 
-def _parsed_in_c(source, width, **kwargs):
-    """``np.loadtxt``'s rows of ``source``, or None where it refuses them or
-    reads other than ``width`` fields."""
-    with contextlib.suppress(ValueError):
-        data = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, **kwargs)
-        if data.shape[1] == width:
-            return data
-    return None
-
-
 def read_path_csv(f, jump_threshold=None):
     """Parse a path file, given by name or as an open text handle.  Jump
     columns are authoritative when present.
@@ -448,10 +438,11 @@ def read_path_csv(f, jump_threshold=None):
     moves larger than it are then recorded as jumps.
 
     A file given by name is parsed by numpy's chunked C reader once a pass
-    over its bytes finds it safe; the lines of a handle (or of a named file
-    that is no regular file, or that numpy would open otherwise) go to
-    ``np.loadtxt`` as a list; what neither takes goes through the ``csv`` +
-    ``float`` loop.  Every route gives the same bits and the same errors.
+    over its bytes finds it safe (:func:`_c_reads_by_name`); everything else
+    (an open handle, a pipe, a compressed name, a file the guards refuse or
+    that the C reader rejects) goes through the reference ``csv`` + ``float``
+    loop, read on from the header's reader.  Both routes give the same bits
+    and the same errors.
     """
     thr = None if jump_threshold is None else np.asarray(jump_threshold, dtype=float)
     if thr is not None and not (np.isfinite(thr) & (thr >= 0)).all():
@@ -460,13 +451,9 @@ def read_path_csv(f, jump_threshold=None):
         f = os.fsdecode(f)
     own = isinstance(f, str)
     fh = open(f, "r", newline="") if own else f
+    reader = csv.reader(fh)
     try:
-        lines = iter(fh)
-        reader = csv.reader(lines)
-        try:
-            names = [h.strip() for h in next(reader, [])]
-        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
-            raise ValueError(f"path file line {reader.line_num}: {exc}") from None
+        names = [h.strip() for h in next(reader, [])]
         has_jumps = "jump1" in names
         d = (len(names) - 1) // 2 if has_jumps else len(names) - 1
         expected = ["t"] + [f"x{i + 1}" for i in range(d)]
@@ -480,41 +467,31 @@ def read_path_csv(f, jump_threshold=None):
         if thr is not None and thr.ndim and thr.shape != (d,):
             raise ValueError(f"jump_threshold must be one number or a list of {d}, one per "
                              f"coordinate of the dim-{d} path, got {jump_threshold!r}")
-        header_lines, data = reader.line_num, None
-        by_name = own and _c_reads_by_name(f, fh, header_lines)
-        if by_name:
-            data = _parsed_in_c(f, len(names), skiprows=header_lines, encoding=fh.encoding)
-        if data is None:
-            rest = list(lines)
-    finally:
-        if own:
-            fh.close()
-    # np.loadtxt reads rows as the csv + float loop below, bit for bit, but warns on
-    # blank text and takes fields past the csv limit or padded with \x1c-\x1f
-    if data is None and not by_name:
-        text = "".join(rest)
-        if (text.strip("\r\n") and max(map(len, rest)) <= csv.field_size_limit()
-                and not any(sep in text for sep in "\x1c\x1d\x1e\x1f")):
-            data = _parsed_in_c(rest, len(names))
-    if data is None:
-        reader, rows = csv.reader(rest), []
-        try:
+        data = None
+        if own and _c_reads_by_name(f, fh, reader.line_num):
+            with contextlib.suppress(ValueError):  # the loop below names what it rejects
+                data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2,
+                                  skiprows=reader.line_num, encoding=fh.encoding)
+        if data is None or data.shape[1] != len(names):
+            rows = []
             for row in reader:
                 if not row:
                     continue
-                line = header_lines + reader.line_num
                 if len(row) != len(names):
                     raise ValueError(
-                        f"path file line {line} has {len(row)} fields, "
+                        f"path file line {reader.line_num} has {len(row)} fields, "
                         f"the header has {len(names)}"
                     )
                 try:
                     rows.append([float(c) for c in row])
                 except ValueError as exc:
-                    raise ValueError(f"path file line {line}: {exc}") from None
-        except csv.Error as exc:
-            raise ValueError(f"path file line {header_lines + reader.line_num}: {exc}") from None
-        data = np.asarray(rows, dtype=float).reshape(-1, len(names))
+                    raise ValueError(f"path file line {reader.line_num}: {exc}") from None
+            data = np.asarray(rows, dtype=float).reshape(-1, len(names))
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        raise ValueError(f"path file line {reader.line_num}: {exc}") from None
+    finally:
+        if own:
+            fh.close()
     times = data[:, 0]
     values = data[:, 1 : 1 + d]
     if has_jumps:

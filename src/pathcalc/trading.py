@@ -332,6 +332,8 @@ def hedge(
     along ``levels`` (by default the top level alone), and
     ``track_error_by_level`` holds one entry per summed level.
     """
+    if not fpde_tol >= 0:
+        raise ValueError(f"fpde_tol must be >= 0, got {fpde_tol!r}")
     F.require_dim(path)
     notes = []
     if np.any(path.values <= 0.0):

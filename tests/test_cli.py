@@ -529,9 +529,10 @@ _WALK = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
      "tolerances.qv_window must be an integer >= 1, got -2"),
     ("qv", {"tolerances": {"qv_window": "x"}},
      "tolerances.qv_window must be an integer >= 1, got 'x'"),
-    ("qv", {"tolerances": {"conv_tol": "x"}}, "tolerances.conv_tol must be a finite number, got 'x'"),
+    ("qv", {"tolerances": {"conv_tol": "x"}},
+     "tolerances.conv_tol must be a finite number >= 0, got 'x'"),
     ("hedge", {"tolerances": {"fpde_tol": "x"}},
-     "tolerances.fpde_tol must be a finite number, got 'x'"),
+     "tolerances.fpde_tol must be a finite number >= 0, got 'x'"),
     ("hedge", {"hedge": {"density": "bs"}}, "hedge.density must be a mapping or a finite number, "
      "got 'bs'"),
     ("hedge", {"hedge": {"density": {"kind": "bs", "sigma": 0.2}, "realized": [0.09]}},
@@ -571,6 +572,10 @@ _WALK = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
     ("qv", {"path": {**_WALK, "x0": -1}}, "path.x0 must be a finite number > 0, got -1"),
     ("plausibility", {"path": {"kind": "qv_descent", "total": 0}},
      "path.total must be a finite number > 0, got 0"),
+    ("qv", {"tolerances": {"conv_tol": -1}},
+     "tolerances.conv_tol must be a finite number >= 0, got -1"),
+    ("hedge", {"tolerances": {"fpde_tol": -1e-6}},
+     "tolerances.fpde_tol must be a finite number >= 0, got -1e-06"),
 ], ids=["max_level_a", "sigma_x", "strike_x", "probe_level_x", "realized_estimat",
         "dim_0", "dim_minus_1", "qv_window_0", "qv_window_minus_2", "qv_window_x",
         "conv_tol_x", "fpde_tol_x", "density_bs_string", "realized_list",
@@ -579,7 +584,7 @@ _WALK = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
         "density_without_kind", "path_without_kind", "call_without_strike",
         "jumps_base_sigma_x", "extra_times_x", "path_sigma_minus_1",
         "functional_sigma_minus_0_2", "strike_0", "partition_T_minus_1", "path_x0_minus_1",
-        "total_0"])
+        "total_0", "conv_tol_minus_1", "fpde_tol_minus_1e-6"])
 def test_config_value_of_wrong_type_is_named(tmp_path, capsys, command, extra, message):
     cfg = write_config(tmp_path, "c.json", {
         "seed": 1,

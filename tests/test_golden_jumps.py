@@ -1,7 +1,8 @@
 """Golden bytes of CLI runs on paths with jumps that no benchmark digest
 covers: a d = 2 jump walk's QV, a running-integral Itô sweep with a jump at
 T, and two hedges on a CSV path with two off-level jumps in one top-level
-cell (``hedge`` does not refine the sequence onto them); and two
+cell (``hedge`` does not refine the sequence onto them), one of them also
+over three paths; and two
 ``plausibility`` runs, one on a jump walk and one on a flat path with one
 jump, whose increments are signed zeros.
 
@@ -17,6 +18,7 @@ import json
 
 import pytest
 
+from pathcalc import cli, read_path_csv
 from pathcalc.cli import main
 
 _JUMPS = {0.3001: 0.05, 0.3002: -0.03}  # both in the level-8 cell [76/256, 77/256)
@@ -140,3 +142,29 @@ def test_plausibility_runs_write_the_recorded_bytes(tmp_path, monkeypatch, name)
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in sorted((tmp_path / "out").iterdir())}
     assert digests == PLAUSIBILITY_GOLDEN[name]
+
+
+def test_a_three_path_csv_hedge_reads_its_file_once(tmp_path, monkeypatch):
+    """Every path of a hedge on a path file is that file's path: it is read
+    once, and the three rows and curves are the bytes recorded when it was
+    read once per path."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "path.csv").write_text(_csv_text())
+    command, cfg = RUNS["bs_csv"]
+    (tmp_path / "c.json").write_text(json.dumps(cfg | {"hedge": cfg["hedge"] | {"paths": 3},
+                                                       "out": "out"}))
+    reads = []
+    monkeypatch.setattr(cli, "read_path_csv",
+                        lambda *args, **kwargs: reads.append(args) or read_path_csv(*args, **kwargs))
+    assert main([command, "--config", "c.json"]) == 1
+    assert reads == [("path.csv",)]
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in sorted((tmp_path / "out").iterdir())}
+    assert digests == {
+        "hedge_curves.csv":
+            "65e3ef6cf66bdd892199c9492517cbab6f3939986ef3b7ae3e34c10ea09d31ce",
+        "hedge_paths.csv":
+            "541265dd50e6bed42af797884fefbbec2523fc543704fe670a709b7267c5567a",
+        "hedge_summary.json":
+            "03d434e2597434f5b5054e14e9e121fea4fc5f9d338db7c2f7d4b6de938b391e",
+    }

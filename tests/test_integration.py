@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -532,6 +533,12 @@ def test_ito_cylinder_bit_equal_per_cell_reference(name, data):
 def test_convergence_window_below_one_rejected(window):
     with pytest.raises(ValueError, match="window must be >= 1"):
         ConvergenceConfig(window=window)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, -math.inf])
+def test_convergence_tolerance_below_zero_rejected(tol):
+    with pytest.raises(ValueError, match=re.escape(f"tol must be >= 0, got {tol!r}")):
+        ConvergenceConfig(tol=tol)
 
 
 def test_ito_functional_cubic_on_step_path_closed_form():

@@ -526,10 +526,10 @@ def test_csv_jump_threshold_of_the_wrong_size_is_named(threshold, dim):
         assert read_path_csv(io.StringIO(good), jump_threshold=ok).jump_times == (1.0,)
 
 
-# -- the three routes of read_path_csv ------------------------------------------
+# -- the two routes of read_path_csv --------------------------------------------
 # A named regular file goes to np.loadtxt by name after paths._c_reads_by_name
-# reads its bytes CHUNK at a time; the lines of a handle go to np.loadtxt as a
-# list; the csv + float loop is the reference both must equal.
+# reads its bytes CHUNK at a time; everything else, a handle included, goes
+# through the csv + float loop, the reference the named route must equal.
 
 def _reference_outcome(text):
     """The outcome of the csv + float loop on ``text``, read as a file opened
@@ -660,9 +660,9 @@ def test_named_file_route_equals_the_reference_property(tmp_path, text, chunk, l
 
 
 def test_named_file_route_reads_by_name_only_what_it_may(tmp_path, monkeypatch):
-    """A plain named file reaches np.loadtxt by name; a file named *.gz,
-    *.bz2, *.xz or *.lzma, one the guards refuse, and a pipe reach it as a
-    list of lines, or not at all; all read the same path."""
+    """A plain named file reaches np.loadtxt by name; a handle, a file named
+    *.gz, *.bz2, *.xz or *.lzma, one the guards refuse, and a pipe do not
+    reach it at all; all read the same path."""
     text = "t,x1\n0.0,1.0\n0.5,2.0\n1.0,3.0\n"
     loadtxt, sources = np.loadtxt, []
 
@@ -672,12 +672,12 @@ def test_named_file_route_reads_by_name_only_what_it_may(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np, "loadtxt", spy)
     expected = _read_outcome(io.StringIO(text, newline=""))
-    assert sources == [list]
+    assert sources == []
     for name in ["path.csv", "path.csv.gz", "path.bz2", "path.xz", "path.lzma", "path"]:
         sources.clear()
         (tmp_path / name).write_text(text)
         assert _read_outcome(str(tmp_path / name)) == expected
-        assert sources == [str(tmp_path / name) if name in ("path.csv", "path") else list], name
+        assert sources == ([str(tmp_path / name)] if name in ("path.csv", "path") else []), name
     padded = text.replace("2.0", "2.0\x1c")  # float() rejects it, np.loadtxt would not
     (tmp_path / "sep.csv").write_text(padded)
     sources.clear()
@@ -695,7 +695,7 @@ def test_named_file_route_reads_by_name_only_what_it_may(tmp_path, monkeypatch):
             writer.join(timeout=60)
             os.close(read)
         assert not writer.is_alive()
-        assert sources == [list, list]
+        assert sources == []
 
 
 def test_named_file_route_raises_the_handles_decode_error(tmp_path):

@@ -467,6 +467,16 @@ def test_hedge_fpde_violation_flagged_not_fatal():
     assert np.isfinite(rep.realized_pnl)
 
 
+@pytest.mark.parametrize("fpde_tol", [-1.0, float("nan")])
+def test_hedge_rejects_a_negative_fpde_tolerance(fpde_tol):
+    path, seq = geometric(6, seed=35)
+    with pytest.raises(ValueError, match=f"fpde_tol must be >= 0, got {fpde_tol!r}"):
+        hedge(black_scholes(0.2, 1.0), call_payoff(1.0), diffusion_density(0.2), path, seq,
+              fpde_tol=fpde_tol)
+    assert hedge(black_scholes(0.2, 1.0), call_payoff(1.0), diffusion_density(0.2), path, seq,
+                 fpde_tol=float("inf")).fpde_flag is False
+
+
 def test_hedge_warns_on_nonpositive_paths():
     path, seq = walk(9, seed=36, x0=0.0)  # starts at zero, goes negative
     F = black_scholes(0.2, 1.0)

@@ -366,13 +366,14 @@ def cmd_hedge(cfg, seq):
         realized = density_from_descriptor(realized)
     rows = []
     curves = []
-    read = _path_from_config(cfg, seq) if "file" in cfg["path"] else None  # once for every path
+    report = None
     for pid, child in enumerate(np.random.SeedSequence(cfg["seed"]).spawn(hcfg["paths"])):
-        path = read or _path_from_config(cfg, seq, seed=child)
-        report = hedge(
-            F, payoff, density, path, seq, realized_density=realized, config=conv,
-            fpde_tol=float(cfg["tolerances"]["fpde_tol"]), smooth_window=hcfg["smooth_window"],
-        )
+        if report is None or "file" not in cfg["path"]:  # a path file is read and hedged once
+            path = _path_from_config(cfg, seq, seed=child)
+            report = hedge(
+                F, payoff, density, path, seq, realized_density=realized, config=conv,
+                fpde_tol=float(cfg["tolerances"]["fpde_tol"]), smooth_window=hcfg["smooth_window"],
+            )
         rel = report.residual / abs(report.predicted_error) if report.predicted_error else float("inf")
         rows.append((pid, report.realized_pnl, report.predicted_error, report.residual,
                      rel, report.track_error, report.fpde_flag, report.qv_converged))

@@ -24,12 +24,12 @@ import numpy as np
 
 from .convergence import ConvergenceConfig, assess
 from .functionals import cylinder
-from .partitions import cell_index, refine_onto
+from .partitions import cell_index
 from .paths import _running_sums, stepwise_approximation, stop
 from .quadvar import (
-    _check_horizon,
     _continuous_qv_increments,
     _level_sums,
+    _probe_times,
     _running_sums_at,
     qv_along,
     qv_matrix,
@@ -89,12 +89,13 @@ def _make_report(path, seq, probes, levels, integrand_at, config):
     """Report of the sums of ``integrand_at(seq, n, li)`` rows against the
     path's increments, on the sequence refined onto the jump times."""
     integrands = {}
+    probes, probe_idx = _probe_times(seq, path, probes)
 
-    def level_sum(seq, n, li, probe_idx):
+    def level_sum(seq, n, li):
         integrands[n] = integrand_at(seq, n, li)
-        return _truncated_dot_sums(path.values, li, integrands[n], probe_idx)
+        return _truncated_dot_sums(path.values, li, integrands[n], probe_idx())
 
-    _, refined, probes, sums = _level_sums(path, seq, probes, levels, level_sum)
+    _, refined, sums = _level_sums(path, seq, levels, level_sum)
     levels = sorted(sums)
     limit = sums[levels[-1]]
     scale = max(float(np.max(np.abs(limit))), 1e-300)
@@ -124,18 +125,6 @@ def _gradient_rows(F, path, g=None):
         return lambda seq, n, li: follmer_integrand(F, path, seq, n)
     g = np.asarray(g, dtype=float).reshape(path.times.size, path.dim)
     return lambda seq, n, li: g[li][:-1]
-
-
-def _grid_gains(path, seq, levels, rows):
-    """``{n: S_n at every grid time}`` of the rows of :func:`_gradient_rows`
-    for ``levels`` (by default the top) of ``seq`` refined onto the jumps."""
-    _check_horizon(seq, path)
-    seq = refine_onto(seq, path.jump_times)[0]
-    levels = [seq.top] if levels is None else levels
-    if len(levels) == 0:
-        raise ValueError("levels must list at least one level")
-    return {n: _truncated_dot_sums(path.values, li, rows(seq, n, li))
-            for n in levels for li in [path.grid_indices(seq.level(n))]}
 
 
 def follmer_integral_functional(F, path, seq, probes=None, levels=None, config=None):
@@ -173,27 +162,31 @@ def _qv_flags(path, seq, config):
     return rep.converged, rep.convergence_metric
 
 
-def _ito_report(path, seq, levels, rows, lhs, initial, drift, hess, jump_term, config):
-    """Residuals of a change-of-variable form from its own terms: ``hess`` at the
-    finest cell starts in the form's limit convention, ``rows`` as from
-    :func:`_gradient_rows`, ``seq`` refined onto the jumps."""
-    if levels is None:
-        levels = [seq.top]
-    if len(levels) == 0:
-        raise ValueError("levels must list at least one level")
+def _follmer_terms(F, path, seq, levels):
+    """``seq`` refined onto the jumps, and ``{n: Föllmer term}`` of F on ``levels``
+    (by default the finest): its level-n gradient rows against the increments."""
+    rows = _gradient_rows(F, path)
+    seq, _, follmer = _level_sums(
+        path, seq, [seq.top] if levels is None else levels,
+        lambda seq, n, li: float(np.sum(rows(seq, n, li) * np.diff(path.values[li], axis=0))))
+    return seq, follmer
+
+
+def _ito_report(path, seq, follmer, lhs, initial, drift, hess, jump_term, config):
+    """Residuals of a change-of-variable form from its own terms: ``follmer``
+    and ``seq`` from :func:`_follmer_terms`, ``hess`` at the finest cell
+    starts in the form's limit convention."""
     dqv = _continuous_qv_increments(path, seq)
     qv_term = float(_running_sums(0.5 * np.trace(np.matmul(hess, dqv), axis1=1, axis2=2))[-1])
     qv_ok, qv_metric = _qv_flags(path, seq, config)
-    residual_by_level = {}
-    for n in sorted(levels):
-        li = path.grid_indices(seq.level(n))
-        follmer = float(np.sum(rows(seq, n, li) * np.diff(path.values[li], axis=0)))
-        residual_by_level[n] = abs(lhs - (initial + follmer + drift + qv_term + jump_term))
-    return ItoReport(  # the loop ends on the finest listed level
-        residual=residual_by_level[n],
+    residual_by_level = {n: abs(lhs - (initial + follmer[n] + drift + qv_term + jump_term))
+                         for n in sorted(follmer)}
+    top = max(follmer)  # the finest listed level
+    return ItoReport(
+        residual=residual_by_level[top],
         lhs=lhs,
         initial=initial,
-        follmer_term=follmer,
+        follmer_term=follmer[top],
         drift_term=drift,
         qv_term=qv_term,
         jump_term=jump_term,
@@ -227,7 +220,7 @@ def ito_residual_functional(F, path, seq, levels=None, config=None):
     A non-converged quadratic variation is reported, not fatal.
     """
     F.require_dim(path)
-    seq, _ = refine_onto(seq, path.jump_times)
+    seq, follmer = _follmer_terms(F, path, seq, levels)
     lhs = F.value(stop(path, path.T))
     initial = F.value(stop(path, 0.0))
 
@@ -238,8 +231,7 @@ def ito_residual_functional(F, path, seq, levels=None, config=None):
     np.subtract.at(left, cell_index(li, path.jump_index[cells]), path.jump_sizes[cells])
     horiz, hess = F.at(path, fine[:-1], left, ("horiz", "hess"))
     drift = float(_running_sums(horiz * np.diff(fine))[-1])
-    return _ito_report(path, seq, levels, _gradient_rows(F, path), lhs, initial, drift,
-                       hess, _jump_term(F, path), config)
+    return _ito_report(path, seq, follmer, lhs, initial, drift, hess, _jump_term(F, path), config)
 
 
 def ito_residual_cylinder(f, f_prime, f_second, path, seq, config=None):
@@ -252,8 +244,8 @@ def ito_residual_cylinder(f, f_prime, f_second, path, seq, config=None):
     The Riemann sum is taken on the finest level.
     """
     F = cylinder(f, f_prime, f_second, dim=path.dim)
-    seq, _ = refine_onto(seq, path.jump_times)
+    seq, follmer = _follmer_terms(F, path, seq, None)
     level = seq.level(seq.top)
     (hess,) = F.at(path, level[:-1], path.values[path.grid_indices(level)][:-1], ("hess",))
-    return _ito_report(path, seq, None, _gradient_rows(F, path), F.value(stop(path, path.T)),
-                       F.value(stop(path, 0.0)), 0.0, hess, _jump_term(F, path), config)
+    return _ito_report(path, seq, follmer, F.value(stop(path, path.T)), F.value(stop(path, 0.0)),
+                       0.0, hess, _jump_term(F, path), config)

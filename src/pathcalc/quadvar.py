@@ -15,6 +15,7 @@ algebraic identity checked in :func:`vovk_uniform_check`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -102,15 +103,16 @@ def _continuous_qv_increments(path, seq):
 
 
 def _probe_times(seq, path, probes):
-    """``probes`` as a float array (by default :func:`default_probe_times`);
-    raises unless they are finite and strictly increasing."""
+    """``probes`` as a float array (by default :func:`default_probe_times`), and a
+    call that maps them onto the path grid once, after :func:`_level_sums` has
+    checked the horizon; raises unless they are finite and strictly increasing."""
     if probes is None:
         probes = default_probe_times(seq, path)
     probes = np.asarray(probes, dtype=float)
     require_finite(probes, "probe times")
     if not strictly_increasing(probes):
         raise ValueError("probe times must be strictly increasing")
-    return probes
+    return probes, cache(lambda: path.grid_indices(probes))
 
 
 def _check_horizon(seq, path):
@@ -123,27 +125,22 @@ def _check_two_levels(seq):
         raise ValueError("need at least two levels to talk about a limit")
 
 
-def _level_sums(path, seq, probes, levels, level_sum):
-    """The one driver of the per-level partition sums read at probe times.
+def _level_sums(path, seq, levels, level_sum):
+    """The one driver of the per-level partition sums.
 
-    Refines ``seq`` onto the path's jump times, defaults and checks the
-    probes, maps the probes and each level (all by default) onto the path
-    grid once, and returns ``(seq, refined, probes, sums)`` with
-    ``sums[n] = level_sum(seq, n, li, probe_idx)`` on the refined ``seq``.
+    Checks that ``seq`` spans the path's horizon with at least two levels,
+    refines it onto the path's jump times, maps each of ``levels`` (all by
+    default) onto the path grid once, and returns ``(seq, refined, sums)``
+    with ``sums[n] = level_sum(seq, n, li)`` on the refined ``seq``.
     """
     _check_horizon(seq, path)
+    _check_two_levels(seq)
     seq, refined = refine_onto(seq, path.jump_times)
-    probes = _probe_times(seq, path, probes)
-    probe_idx = path.grid_indices(probes)
     if levels is None:
         levels = range(seq.num_levels)
     if len(levels) == 0:
         raise ValueError("levels must list at least one level")
-    sums = {
-        n: level_sum(seq, n, path.grid_indices(seq.level(n)), probe_idx)
-        for n in levels
-    }
-    return seq, refined, probes, sums
+    return seq, refined, {n: level_sum(seq, n, path.grid_indices(seq.level(n))) for n in levels}
 
 
 @dataclass
@@ -164,12 +161,10 @@ class QVReport:
 def _qv(path, seq, probe_times, config, levels):
     """Polarization QV report of a d-dimensional path; a scalar path is the
     1x1 case, reported with (probes,) arrays."""
-    _check_two_levels(seq)
     d = path.dim
-    seq, refined, probes, approx = _level_sums(
-        path, seq, probe_times, levels,
-        lambda _seq, _n, li, probe_idx: _polarized_sq_sums(path.values, li, probe_idx),
-    )
+    probes, probe_idx = _probe_times(seq, path, probe_times)
+    _, refined, approx = _level_sums(
+        path, seq, levels, lambda _seq, _n, li: _polarized_sq_sums(path.values, li, probe_idx()))
     # sum_{s <= t} dx(s) dx(s)^T: a running sum over the jumps in time order,
     # read at the count of jumps up to t.
     dx = path.jump_sizes

@@ -23,7 +23,6 @@ from .convergence import assess
 from .functionals import _elementwise, density_matrix
 from .integration import (
     _gradient_rows,
-    _grid_gains,
     _jump_term,
     _qv_flags,
     _truncated_dot_sums,
@@ -35,6 +34,7 @@ from .quadvar import (
     _check_horizon,
     _check_two_levels,
     _continuous_qv_increments,
+    _level_sums,
     _truncated_sq_sums,
     default_probe_times,
 )
@@ -361,7 +361,7 @@ def hedge(
         notes.append("quadratic variation not converged at the top level")
 
     d = path.dim
-    level = seq.level(seq.top)
+    level = seq.level(seq.top)  # unrefined onto the jumps, unlike the gains (ROADMAP item 2)
     li = path.grid_indices(level)
     ts = level[:-1]
     rows = path.values[li][:-1]
@@ -387,7 +387,9 @@ def hedge(
 
     # The gains at every grid time, summed once per level.  The track error
     # is taken at every grid time when F has a pointwise value, else at the probes.
-    gains = _grid_gains(path, seq, levels, _gradient_rows(F, path, grad))
+    grad_rows = _gradient_rows(F, path, grad)
+    gains = _level_sums(path, seq, [seq.top] if levels is None else levels, lambda seq, n, li:
+                        _truncated_dot_sums(path.values, li, grad_rows(seq, n, li)))[2]
     levels = sorted(gains)
     f0 = F.value(stop(path, 0.0))
     realized = f0 + float(gains[levels[-1]][-1]) - float(payoff(path))

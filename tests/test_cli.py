@@ -387,8 +387,9 @@ def test_plausibility_scenarios(tmp_path):
         assert rows[0] == "level,identity_gap,k_n,k_partial_sum,neg_series_partial_max"
 
 
-@pytest.mark.parametrize("command", ["plausibility", "qv"])
+@pytest.mark.parametrize("command", ["plausibility", "qv", "integrate"])
 def test_one_level_partition_is_named(tmp_path, capsys, command):
+    # integrate once wrote a report whose convergence_metric was NaN, not JSON
     cfg = write_config(tmp_path, "c.json", {
         "partition": {"type": "explicit", "levels": [[0, 0.5, 1]]},
         "path": {"kind": "scaled_random_walk", "sigma": 1.0},
@@ -396,6 +397,7 @@ def test_one_level_partition_is_named(tmp_path, capsys, command):
     })
     assert main([command, "--config", cfg]) == 2
     assert "need at least two levels to talk about a limit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):

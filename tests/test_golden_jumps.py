@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from pathcalc import cli, read_path_csv
+from pathcalc import cli, hedge, read_path_csv
 from pathcalc.cli import main
 
 _JUMPS = {0.3001: 0.05, 0.3002: -0.03}  # both in the level-8 cell [76/256, 77/256)
@@ -146,18 +146,21 @@ def test_plausibility_runs_write_the_recorded_bytes(tmp_path, monkeypatch, name)
 
 def test_a_three_path_csv_hedge_reads_its_file_once(tmp_path, monkeypatch):
     """Every path of a hedge on a path file is that file's path: it is read
-    once, and the three rows and curves are the bytes recorded when it was
-    read once per path."""
+    and hedged once, and the three rows and curves are the bytes recorded
+    when it was read and hedged once per path."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "path.csv").write_text(_csv_text())
     command, cfg = RUNS["bs_csv"]
     (tmp_path / "c.json").write_text(json.dumps(cfg | {"hedge": cfg["hedge"] | {"paths": 3},
                                                        "out": "out"}))
-    reads = []
+    reads, hedges = [], []
     monkeypatch.setattr(cli, "read_path_csv",
                         lambda *args, **kwargs: reads.append(args) or read_path_csv(*args, **kwargs))
+    monkeypatch.setattr(cli, "hedge",
+                        lambda *args, **kwargs: hedges.append(args) or hedge(*args, **kwargs))
     assert main([command, "--config", "c.json"]) == 1
     assert reads == [("path.csv",)]
+    assert len(hedges) == 1
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in sorted((tmp_path / "out").iterdir())}
     assert digests == {

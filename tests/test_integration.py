@@ -31,14 +31,13 @@ from pathcalc.convergence import ConvergenceConfig
 from pathcalc.functionals import _evaluator, vertical_hessian_fd
 from pathcalc.integration import (
     _gradient_rows,
-    _grid_gains,
     _make_report,
     _qv_flags,
     _truncated_dot_sums,
     follmer_integrand,
 )
 from pathcalc.partitions import refine_onto
-from pathcalc.quadvar import _continuous_qv_increments
+from pathcalc.quadvar import _continuous_qv_increments, _level_sums
 
 
 def walk(level, seed=7, sigma=1.0):
@@ -594,6 +593,13 @@ def test_ito_reports_qv_caveat():
 
 
 # -- the gains at every grid time ----------------------------------------------
+
+def _grid_gains(path, seq, levels, rows):
+    """The gains at every grid time as ``hedge`` sums them: the level-sum
+    driver with the every-grid-time route of ``_truncated_dot_sums``."""
+    return _level_sums(path, seq, levels,
+                       lambda seq, n, li: _truncated_dot_sums(path.values, li, rows(seq, n, li)))[2]
+
 
 def _grid_gains_reference(path, seq, levels, rows):
     """The gains at every grid time as ``hedge`` once summed them: the Föllmer

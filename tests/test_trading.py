@@ -666,6 +666,22 @@ def test_partition_on_another_horizon_is_rejected(entry):
         SHORT_HORIZON_ENTRY_POINTS[entry](path, dyadic(1.0, 7))
 
 
+LONG_HORIZON_ENTRY_POINTS = SHORT_HORIZON_ENTRY_POINTS | {
+    "hedge": lambda path, seq: hedge(
+        black_scholes(0.2, 1.0), call_payoff(1.0), diffusion_density(0.2), path, seq),
+    "gain_from_vertical_form": lambda path, seq: gain_from_vertical_form(identity(), path, seq),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LONG_HORIZON_ENTRY_POINTS))
+def test_partition_past_the_path_horizon_is_rejected(entry):
+    # the horizons are compared before any time past the path's is looked up
+    # on its grid, so the error names them, not a time missing from the grid
+    path = generate({"kind": "geometric_walk", "sigma": 0.3}, 3, dyadic(1.0, 8))
+    with pytest.raises(ValueError, match="^the partition horizon 2.0 is not the path's horizon 1.0$"):
+        LONG_HORIZON_ENTRY_POINTS[entry](path, dyadic(2.0, 8))
+
+
 def test_hedge_two_coordinates_product_functional_exact():
     # f(x, y) = x y has zero drift and constant cross hessian, so with the
     # raw per-cell realized density the error integral reproduces the

@@ -29,7 +29,7 @@ import numpy as np
 from .convergence import ConvergenceConfig
 from .functionals import density_from_descriptor, functional_from_descriptor
 from .integration import follmer_integral_functional, ito_residual_functional
-from .partitions import MAX_LEVEL, PartitionSequence, blocks, grid_positions, index_array
+from .partitions import MAX_LEVEL, PartitionSequence, merge_times
 from .paths import generate, read_path_csv, stop
 from .quadvar import default_probe_times, qv_along, qv_matrix
 from .trading import (
@@ -213,35 +213,18 @@ def _path_from_config(cfg, seq, seed=None):
 
 def _require_finest_grid(fname, path, seq):
     """A path file must be sampled on the partition's finest level (refined
-    onto the file's jump times), the grid every command sums along.  The two
-    grids are compared a block at a time; the few jump times off the level
-    are slotted into each block at the positions one ``searchsorted`` found."""
-    top, times = seq.level(seq.top), path.times
-    jt = times[path.jump_index]
-    pos, hit = grid_positions(top, jt)
-    off = jt[~hit]
-    at = index_array(pos)[~hit] + np.arange(off.size)  # their indices in the refined grid
-    size = top.size + off.size
-
-    def fine(a, b):  # points a..b-1 of the refined grid
-        lo, hi = at.searchsorted((a, b))
-        return np.insert(top[a - lo:b - hi], at[lo:hi] - np.arange(lo, hi) - (a - lo), off[lo:hi])
-
-    n = min(times.size, size)
-    for a, b in blocks(n):
-        differ = np.flatnonzero(times[a:b] != fine(a, b))
-        if differ.size:
-            k = a + int(differ[0])
-            break
-    else:
-        if times.size == size:
-            return
-        k = n
+    onto the file's jump times), the grid every command sums along."""
+    times = path.times
+    fine = merge_times(seq.level(seq.top), times[path.jump_index])
+    differ = np.flatnonzero(times[:fine.size] != fine[:times.size])
+    k = int(differ[0]) if differ.size else min(times.size, fine.size)
+    if k == times.size == fine.size:
+        return
     file_time = repr(float(times[k])) if k < times.size else "none"
-    level_time = repr(float(fine(k, k + 1)[0])) if k < size else "none"
+    level_time = repr(float(fine[k])) if k < fine.size else "none"
     raise ConfigError(
         f"path file {fname} has {times.size} grid points, but partition level "
-        f"{seq.top} has {size}; they first differ at index {k} "
+        f"{seq.top} has {fine.size}; they first differ at index {k} "
         f"(file time {file_time}, partition time {level_time})"
     )
 

@@ -66,6 +66,13 @@ def index_array(pos):
     return np.arange(pos.start, pos.stop, pos.step) if isinstance(pos, slice) else pos
 
 
+def merge_times(grid, times):
+    """The sorted union of a sorted ``grid`` and sorted ``times``, each of distinct
+    floats: the times off the grid inserted where :func:`grid_positions` puts them."""
+    pos, hit = grid_positions(grid, times)
+    return np.insert(grid, index_array(pos)[~hit], times[~hit])
+
+
 def cell_index(pos, probe_idx):
     """Cell j of each grid index p in ``[0, last position]`` of the level at
     positions ``pos``: ``pos[j] <= p < pos[j+1]``, and j = m at the last
@@ -209,11 +216,13 @@ def refine_with(base, extra_times):
     """
     extra = np.asarray(extra_times, dtype=float).reshape(-1)
     require_finite(extra, "extra times")
-    if np.any((extra < 0.0) | (extra > base.T)):
-        raise ValueError("extra times must lie inside [0, T]")
+    outside = extra[(extra < 0.0) | (extra > base.T)]
+    if outside.size:
+        raise ValueError(f"extra time {float(outside[0])!r} is outside [0, {base.T}]")
     if not extra.size:
         return base
-    levels = [np.union1d(base.level(n), extra) for n in range(base.num_levels)]
+    extra = np.unique(extra)
+    levels = [merge_times(base.level(n), extra) for n in range(base.num_levels)]
     return PartitionSequence(base.T, levels, dense=base.dense, nested=base.nested)
 
 

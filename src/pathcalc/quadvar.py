@@ -21,13 +21,13 @@ from itertools import combinations
 import numpy as np
 
 from .convergence import ConvergenceConfig, assess
-from .partitions import blocks, cell_index, refine_onto, require_finite, strictly_increasing
+from .partitions import blocks, cell_index, merge_times, refine_onto, require_finite, strictly_increasing
 from .paths import _running_sums
 
 
 def default_probe_times(seq, path, probe_level=6):
     """Level-``probe_level`` grid plus the path's jump times."""
-    return np.union1d(seq.level(min(probe_level, seq.top)), path.jump_times)
+    return merge_times(seq.level(min(probe_level, seq.top)), path.times[path.jump_index])
 
 
 def _running_sums_at(terms, m, cells):
@@ -290,6 +290,8 @@ def norvaisa_qv_check(path, seq, intervals):
         raise ValueError("the interval form requires a nested sequence")
     if path.dim != 1:
         raise ValueError("norvaisa_qv_check expects a scalar path")
+    _check_horizon(seq, path)
+    _check_two_levels(seq)
     per_level = {}
     top_values = []
     cauchy_gaps = []
@@ -300,7 +302,7 @@ def norvaisa_qv_check(path, seq, intervals):
         ]
         per_level[k] = sums
         top_values.append(sums[-1])
-        cauchy_gaps.append(abs(sums[-1] - sums[-2]) if len(sums) > 1 else float("nan"))
+        cauchy_gaps.append(abs(sums[-1] - sums[-2]))
         mid_idx = path.index_at((s + t) / 2.0)
         mid = float(path.times[mid_idx])
         if s < mid < t:
@@ -350,6 +352,8 @@ def vovk_uniform_check(path, seq, n_boundary_samples=8):
         raise ValueError("the uniform form requires a nested sequence")
     if path.dim != 1:
         raise ValueError("vovk_uniform_check expects a scalar path")
+    _check_horizon(seq, path)
+    _check_two_levels(seq)
     config = ConvergenceConfig()
     x = path.values[:, 0]
     all_idx = np.arange(path.times.size)
@@ -366,9 +370,7 @@ def vovk_uniform_check(path, seq, n_boundary_samples=8):
     scale = max(float(np.ptp(x)) ** 2, 1e-300)
     tail = sup_gaps[-(config.window + 1):-1]
     monotone = all(b <= a for a, b in zip(tail, tail[1:]))
-    uniform = monotone and (
-        len(sup_gaps) < 2 or sup_gaps[-2] <= config.tol * scale
-    )
+    uniform = monotone and sup_gaps[-2] <= config.tol * scale
 
     rng = np.random.default_rng(0)
     samples = list(rng.uniform(0.0, path.T, size=n_boundary_samples))

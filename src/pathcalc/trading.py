@@ -126,6 +126,7 @@ def _ledger_from_holdings(path, seq, level_n, lam, v0, probes, gains, level_gain
 def simple_ledger(strategy, path, seq):
     """Gain/bond/value/position columns of a simple strategy at the
     :func:`default_probe_times`."""
+    _check_horizon(seq, path)
     probes = default_probe_times(seq, path)
     lam = strategy.holding_values(path, seq)
     li = path.grid_indices(seq.level(strategy.level))

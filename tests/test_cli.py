@@ -400,6 +400,17 @@ def test_one_level_partition_is_named(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_extra_time_outside_the_horizon_is_named(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "partition": {"type": "dyadic", "T": 2.0, "max_level": 6, "extra_times": [0.5, 2.5]},
+        "path": {"kind": "scaled_random_walk", "sigma": 1.0},
+        "out": str(tmp_path / "out"),
+    })
+    assert main(["qv", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "pathcalc: error: extra time 2.5 is outside [0, 2.0]\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_is_usage_error(tmp_path, capsys):
     assert main(["qv", "--config", str(tmp_path / "nope.json")]) == 2
     err = capsys.readouterr().err

@@ -4,17 +4,20 @@ in blocks, so a run holds the partition's grid and the path values, and no
 other grid-sized array.  Measured with ``tracemalloc``: what a level-L dyadic
 partition holds, the peaks of generating a walk on it and of summing its
 quadratic variation (of one coordinate, and of two with their polarization
-pair), of reading a path file, and of a whole ``qv`` CLI run; and, in a fresh
-interpreter, the resident memory a ``qv`` CLI run adds after the import,
-which also sees memory the C allocator keeps after numpy frees it.  One
-``hedge`` is held to its peak of 18.26 arrays (it walks each path whole,
-not in blocks yet) and keeps no grid-sized array in its report.  Also: a
-dyadic level reads the path through a stride, with no index array.
+pair), of reading a path file, and of a whole ``qv`` CLI run on a walk and
+on a path file; and, in a fresh interpreter, the resident memory a ``qv``
+CLI run adds after the import, which also sees memory the C allocator keeps
+after numpy frees it.  One ``hedge`` is held to its peak of 18.26 arrays
+(it walks each path whole, not in blocks yet) and keeps no grid-sized array
+in its report.  Also: a dyadic level reads the path through a stride, with
+no index array.
 
 Runs at L = 18, four blocks, by default; ``PATHCALC_BUDGET_LEVEL=20`` runs it
 at the size of the ``qv_deep`` benchmark.  At L = 16 a block is the whole
 grid, and no budget is looser there than 3.5 arrays (generate and the CLI
-run) or 1.1 arrays (``qv_along``).
+run) or 1.1 arrays (``qv_along``), but the path file's: its run holds the
+file's table and the refined levels whole, 8 arrays from L = 18 up (8.06 at
+L = 16, where its fixed costs weigh more).
 """
 
 import contextlib
@@ -122,19 +125,43 @@ def test_qv_matrix_forms_its_pair_sums_a_block_at_a_time():
         assert report.approx[n][:, 1, 0].tobytes() == cross.tobytes()
 
 
+def _jump_file(tmp_path):
+    """A level-L walk with one jump off every coarser level, written by
+    ``write_path_csv`` with its jump columns; its name and the jump time."""
+    f = tmp_path / "walk.csv"
+    jump = (2 * 77 + 1) / 2**LEVEL
+    write_path_csv(generate({"kind": "with_jumps", "base": WALK, "jumps": [[jump, 0.1]]}, 0,
+                            dyadic(1.0, LEVEL)), str(f))
+    return f, jump
+
+
 def test_read_path_csv_holds_no_string_per_line(tmp_path):
     """A level-L file with jump columns read by name: numpy's C reader parses
     it in chunks, so the peak is the three-column table and its growth, 3.66
     arrays at L = 18 and 3.45 at L = 20, within 4 arrays and 2 blocks; a
     Python string per line and their joined text made it 22.9."""
-    f = tmp_path / "walk.csv"
-    jump = (2 * 77 + 1) / 2**LEVEL
-    write_path_csv(generate({"kind": "with_jumps", "base": WALK, "jumps": [[jump, 0.1]]}, 0,
-                            dyadic(1.0, LEVEL)), str(f))
+    f, jump = _jump_file(tmp_path)
     with _tracing():
         path, _, peak = _traced(lambda: read_path_csv(str(f)))
     assert path.jump_times == (jump,)
     assert peak <= 4 * UNIT + 2 * BLOCK, peak / UNIT
+
+
+def test_qv_cli_run_on_a_path_file_stays_within_its_array_budget(tmp_path):
+    """``qv`` on the file of ``test_read_path_csv_holds_no_string_per_line``
+    holds the file's table (3.04 arrays), checks the file's grid against the
+    finest level with the jump merged in, in one piece, and sums along the
+    levels refined onto the jump.  It peaks at 7.85 arrays at L = 18 and 7.80
+    at L = 20; each level's ``np.union1d`` with the jump times made it 8.19
+    and 8.14."""
+    f, _ = _jump_file(tmp_path)
+    cfg = tmp_path / "qv.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "out"), "path": {"file": str(f)},
+                               "partition": {"type": "dyadic", "T": 1.0, "max_level": LEVEL}}))
+    with _tracing():
+        code, _, peak = _traced(lambda: cli.main(["qv", "--config", str(cfg)]))
+    assert code in (0, 1)  # 1 is a convergence caveat
+    assert peak <= 8.0 * UNIT, peak / UNIT
 
 
 def test_qv_cli_run_stays_within_its_array_budget(tmp_path):

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from pathcalc import (
     PartitionSequence,
     SampledPath,
+    default_probe_times,
     dyadic,
     last_index_before,
     refine_with,
 )
-from pathcalc.partitions import grid_positions, index_array
+from pathcalc.partitions import grid_positions, index_array, merge_times
 
 
 def test_dyadic_levels_by_definition():
@@ -101,8 +102,10 @@ def test_refine_with_keeps_extras_on_every_level():
 
 
 def test_refine_with_rejects_outsiders():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^extra time 1\.5 is outside \[0, 1\.0\]$"):
         refine_with(dyadic(1.0, 2), [1.5])
+    with pytest.raises(ValueError, match=r"^extra time -0\.25 is outside \[0, 2\.0\]$"):
+        refine_with(dyadic(2.0, 2), [0.5, -0.25, 3.0])
     with pytest.raises(ValueError, match="extra times must be finite, got nan"):
         refine_with(dyadic(1.0, 2), [0.25, float("nan")])
 
@@ -222,6 +225,61 @@ def grid_and_queries(draw):
     moved[j] = np.nextafter(moved[j], draw(st.sampled_from([-1.0, 2.0])))
     off = np.append((grid[:-1:k] + grid[1::k]) / 2, 2.0)
     return grid, queries + others, [strided, moved, off]
+
+
+@st.composite
+def sequence_and_extras(draw):
+    """A nested sequence of [0, T], with the levels of a dyadic sequence (each
+    a strided view of one grid) or ragged explicit levels, and extra times in
+    [0, T]: on its finest grid, between its points, at 0 and at T, unsorted
+    and repeated.  It is not declared dense, since extra times may leave a
+    coarse level as fine as the top."""
+    T = draw(st.sampled_from([1.0, 2.0, 0.3]))
+    if draw(st.booleans()):
+        d = dyadic(T, draw(st.integers(1, 7)))
+        levels = [d.level(n) for n in range(d.num_levels)]
+    else:
+        inner = draw(st.lists(st.floats(0.0, T, exclude_min=True, exclude_max=True),
+                              min_size=1, max_size=12, unique=True))
+        levels = [sorted({0.0, T, *inner})]
+        for _ in range(draw(st.integers(1, 3))):
+            keep = draw(st.lists(st.booleans(), min_size=len(levels[0]) - 2,
+                                 max_size=len(levels[0]) - 2))
+            levels.insert(0, [0.0, *(t for t, k in zip(levels[0][1:-1], keep) if k), T])
+    seq = PartitionSequence(T, levels, dense=False, nested=True)
+    top = seq.level(seq.top).tolist()
+    extras = draw(st.lists(st.one_of(st.floats(0.0, T), st.sampled_from(top),
+                                     st.sampled_from([0.0, T])), max_size=10))
+    return seq, extras + extras[:draw(st.integers(0, 3))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequence_and_extras())
+def test_merge_agrees_with_the_sorted_union(case):
+    """``merge_times``, each level of ``refine_with`` and the probe times of a
+    path with jumps equal ``np.union1d`` bit for bit."""
+    seq, extras = case
+    times = np.unique(extras)
+    past = np.append(times, [1.5 * seq.T, 2.0 * seq.T])  # merge_times alone takes these
+    top = seq.level(seq.top)
+    for n in range(seq.num_levels):
+        level = seq.level(n)
+        for ts in (times, past):
+            assert merge_times(level, ts).tobytes() == np.union1d(level, ts).tobytes()
+        assert merge_times(top, level).tobytes() == np.union1d(top, level).tobytes()
+    if not extras:
+        assert refine_with(seq, extras) is seq
+        return
+    refined = refine_with(seq, extras)
+    for n in range(seq.num_levels):
+        assert refined.level(n).tobytes() == np.union1d(seq.level(n), extras).tobytes()
+    fine = refined.level(refined.top)
+    jumps = [(t, 1.0) for t in times.tolist() if t > 0.0]
+    path = SampledPath(fine, np.arange(fine.size, dtype=float), jumps)
+    for probed in (seq, refined):  # the jumps off and on the probe levels
+        for n in range(probed.num_levels):
+            expected = np.union1d(probed.level(n), path.jump_times)
+            assert default_probe_times(probed, path, n).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

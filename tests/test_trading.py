@@ -24,6 +24,7 @@ from pathcalc import (
     ito_residual_cylinder,
     ito_residual_functional,
     last_index_before,
+    norvaisa_qv_check,
     plausibility_diagnostic,
     qv_along,
     qv_matrix,
@@ -33,6 +34,7 @@ from pathcalc import (
     stack,
     stop,
     strategy_from_functional,
+    vovk_uniform_check,
     write_path_csv,
 )
 from pathcalc.functionals import _evaluator
@@ -654,6 +656,9 @@ SHORT_HORIZON_ENTRY_POINTS = {
     "ito_residual_cylinder": lambda path, seq: ito_residual_cylinder(
         np.sin, np.cos, lambda x: -np.sin(x), path, seq),
     "plausibility_diagnostic": lambda path, seq: plausibility_diagnostic(path, seq),
+    "vovk_uniform_check": lambda path, seq: vovk_uniform_check(path, seq),
+    "norvaisa_qv_check": lambda path, seq: norvaisa_qv_check(path, seq, [(0.0, 0.5)]),
+    "simple_ledger": lambda path, seq: simple_ledger(SimpleStrategy.constant(3, 1.0, 8), path, seq),
 }
 
 
@@ -680,6 +685,20 @@ def test_partition_past_the_path_horizon_is_rejected(entry):
     path = generate({"kind": "geometric_walk", "sigma": 0.3}, 3, dyadic(1.0, 8))
     with pytest.raises(ValueError, match="^the partition horizon 2.0 is not the path's horizon 1.0$"):
         LONG_HORIZON_ENTRY_POINTS[entry](path, dyadic(2.0, 8))
+
+
+ONE_LEVEL_ENTRY_POINTS = {
+    name: entry for name, entry in LONG_HORIZON_ENTRY_POINTS.items() if name != "simple_ledger"}
+
+
+@pytest.mark.parametrize("entry", sorted(ONE_LEVEL_ENTRY_POINTS))
+def test_one_level_partition_is_rejected(entry):
+    # a simple strategy trades on one level, but every other entry point takes
+    # a limit along the levels: on one level Vovk's check once reported
+    # uniform=True and Norvaisa's a NaN Cauchy gap
+    path = generate({"kind": "geometric_walk", "sigma": 0.3}, 3, dyadic(1.0, 8))
+    with pytest.raises(ValueError, match="^need at least two levels to talk about a limit$"):
+        ONE_LEVEL_ENTRY_POINTS[entry](path, PartitionSequence(1.0, [dyadic(1.0, 8).level(8)]))
 
 
 def test_hedge_two_coordinates_product_functional_exact():

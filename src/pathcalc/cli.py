@@ -29,7 +29,7 @@ import numpy as np
 from .convergence import ConvergenceConfig
 from .functionals import density_from_descriptor, functional_from_descriptor
 from .integration import follmer_integral_functional, ito_residual_functional
-from .partitions import MAX_LEVEL, PartitionSequence, merge_times
+from .partitions import BLOCK, MAX_LEVEL, PartitionSequence, merge_times
 from .paths import generate, read_path_csv, stop
 from .quadvar import default_probe_times, qv_along, qv_matrix
 from .trading import (
@@ -421,14 +421,16 @@ def build_parser():
 
 
 def _keep_heap_top():
-    """Have glibc keep 64 MiB free at the heap top when it trims, so that each
-    hedge path reuses the pages the last one freed (README, "CLI")."""
+    """Have glibc keep 64 MiB free at the heap top (M_TOP_PAD) for the next hedge path, and
+    serve requests under two blocks of floats from the heap (M_MMAP_THRESHOLD): the pad pins
+    the threshold at 128 KiB, which maps each one-block temporary afresh (README, "CLI")."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):  # no glibc; Windows has no CDLL(None)
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-2, 64 << 20)  # M_TOP_PAD
+    mallopt(-3, 2 * BLOCK * 8)  # M_MMAP_THRESHOLD
 
 
 def main(argv=None):

@@ -102,31 +102,24 @@ class PartitionSequence:
         if not np.isfinite(T) or T <= 0:
             raise ValueError(f"horizon must be positive and finite, got {T}")
         self.T = float(T)
-        self._levels = []
-        for n, grid in enumerate(levels):
-            arr = np.asarray(grid, dtype=float)
-            if arr.ndim != 1 or arr.size < 2:
-                raise ValueError(f"level {n} must contain at least two times")
-            require_finite(arr, f"level {n} times")
-            if arr[0] != 0.0 or arr[-1] != self.T:
-                raise ValueError(f"level {n} must start at 0 and end at T={self.T}")
-            if not strictly_increasing(arr):
-                raise ValueError(f"level {n} is not strictly increasing")
-            arr.flags.writeable = False
-            self._levels.append(arr)
+        self.dense, self.nested = bool(dense), bool(nested)
+        levels = list(levels)
+        try:  # a level equal to a stride of the next is finite and increasing if that one is
+            arrs = [np.asarray(grid, dtype=float) for grid in levels]
+            shaped = self.nested and all(a.ndim == 1 and a.size >= 2 for a in arrs)
+            pairs = (grid_positions(f, c) for c, f in zip(arrs, arrs[1:])) if shaped else ()
+            found = [(isinstance(pos, slice), bool(hit.all())) for pos, hit in pairs]
+            self._levels = list(self._checked(arrs, {n for n, (s, _) in enumerate(found) if s}))
+        except (ValueError, TypeError):
+            list(self._checked(levels, ()))  # every check in turn: the first failure
+            raise
         if not self._levels:
             raise ValueError("at least one level is required")
-        self.dense = bool(dense)
-        self.nested = bool(nested)
-        if self.nested:
-            for n in range(len(self._levels) - 1):
-                coarse = self._levels[n]
-                _, hit = grid_positions(self._levels[n + 1], coarse)
-                if not hit.all():
-                    raise ValueError(
-                        f"declared nested but level {n} time "
-                        f"{float(coarse[~hit][0])!r} is absent from level {n + 1}"
-                    )
+        for n, (_, covered) in enumerate(found):
+            if not covered:
+                hit = grid_positions(self._levels[n + 1], self._levels[n])[1]
+                raise ValueError(f"declared nested but level {n} time "
+                                 f"{float(self._levels[n][~hit][0])!r} is absent from level {n + 1}")
         if self.dense and len(self._levels) > 1:
             # on a nested sequence a finer level's cells lie inside the coarser
             # ones, so its mesh cannot grow: only the top against level 0 can fail
@@ -136,6 +129,21 @@ class PartitionSequence:
                 raise ValueError("declared dense but mesh is not non-increasing")
             if meshes[-1] >= meshes[0]:
                 raise ValueError("declared dense but top mesh does not beat level 0")
+
+    def _checked(self, levels, strided):
+        """Each level read-only, checked in turn; ``strided`` ones skip finiteness and order."""
+        for n, grid in enumerate(levels):
+            arr = np.asarray(grid, dtype=float)
+            if arr.ndim != 1 or arr.size < 2:
+                raise ValueError(f"level {n} must contain at least two times")
+            if n not in strided:
+                require_finite(arr, f"level {n} times")
+            if arr[0] != 0.0 or arr[-1] != self.T:
+                raise ValueError(f"level {n} must start at 0 and end at T={self.T}")
+            if n not in strided and not strictly_increasing(arr):
+                raise ValueError(f"level {n} is not strictly increasing")
+            arr.flags.writeable = False
+            yield arr
 
     @property
     def num_levels(self):

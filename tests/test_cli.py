@@ -269,8 +269,24 @@ def _no_libc(name):
 @pytest.mark.parametrize("libc", [lambda name: types.SimpleNamespace(), _no_libc],
                          ids=["no_mallopt", "no_libc"])
 def test_heap_setting_without_mallopt_is_skipped(monkeypatch, libc):
+    # neither setting is made: there is no mallopt to make them with
     monkeypatch.setattr(cli.ctypes, "CDLL", libc)
     assert cli._keep_heap_top() is None
+
+
+def test_heap_setting_sets_the_pad_and_a_threshold_of_two_blocks(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert cli._keep_heap_top() is None
+    # M_TOP_PAD, then M_MMAP_THRESHOLD at 1 MiB: above the one-block (512 KiB)
+    # temporaries of a pass, below the 2 MiB grid arrays of level 18
+    assert calls == [(-2, 64 << 20), (-3, 2 * cli.BLOCK * 8)]
+    assert calls[1][1] == 1 << 20
 
 
 # -- the column writer, held to the row writer it replaced ---------------------

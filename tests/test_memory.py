@@ -7,10 +7,11 @@ quadratic variation (of one coordinate, and of two with their polarization
 pair), of reading a path file, and of a whole ``qv`` CLI run on a walk and
 on a path file; and, in a fresh interpreter, the resident memory a ``qv``
 CLI run adds after the import, which also sees memory the C allocator keeps
-after numpy frees it.  One ``hedge`` is held to its peak of 18.26 arrays
-(it walks each path whole, not in blocks yet) and keeps no grid-sized array
-in its report.  Also: a dyadic level reads the path through a stride, with
-no index array.
+after numpy frees it, and the minor page faults of that run, at most 2,500
+under each of ``PYTHONHASHSEED`` 0-5.  One ``hedge`` is held to its peak of
+18.26 arrays (it walks each path whole, not in blocks yet) and keeps no
+grid-sized array in its report.  Also: a dyadic level reads the path through
+a stride, with no index array.
 
 Runs at L = 18, four blocks, by default; ``PATHCALC_BUDGET_LEVEL=20`` runs it
 at the size of the ``qv_deep`` benchmark.  At L = 16 a block is the whole
@@ -24,6 +25,7 @@ import contextlib
 import gc
 import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -216,6 +218,40 @@ def test_qv_cli_run_adds_two_arrays_of_resident_memory(tmp_path):
     assert code in (0, 1), run.stderr
     added = (hwm - imported) * 1024
     assert added <= 2 * UNIT + 3 * MIB, f"{added / MIB:.2f} MiB, {added / UNIT:.2f} arrays"
+
+
+# Runs cli.main in a fresh interpreter and prints its exit code and the minor
+# page faults main took.
+_FAULTS = """
+import resource, sys
+from pathcalc import cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+code = cli.main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap settings are glibc's")
+def test_qv_cli_run_takes_the_same_page_faults_under_every_hash_seed(tmp_path):
+    """The hash seed moves what the import leaves at the heap top.  With the
+    mmap threshold frozen at 128 KiB by the heap pad alone, each 512 KiB block
+    temporary of a pass took its own mapping whenever the top was short, and
+    its 128 pages were faulted in afresh: launches under some seeds took
+    2,700-3,500 faults at L = 18 and 7,400-11,200 at L = 20, the others
+    1,060-1,730.  With the threshold at two blocks every seed took 1,070-1,150
+    at L = 18 and 1,080-1,650 at L = 20 (2-vCPU Xeon VM, glibc 2.36)."""
+    cfg = _qv_config(tmp_path)
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = str(Path(pathcalc.__file__).parents[1])
+    faults = {}
+    for seed in range(6):
+        run = subprocess.run([sys.executable, "-c", _FAULTS, "qv", "--config", str(cfg)],
+                             env={**env, "PYTHONHASHSEED": str(seed)},
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        code, faults[seed] = map(int, run.stdout.split("\n")[-2].split())
+        assert code in (0, 1)  # 1 is a convergence caveat
+    assert max(faults.values()) <= 2500, faults
 
 
 def test_a_dyadic_level_reads_the_path_through_a_stride():

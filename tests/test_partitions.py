@@ -325,3 +325,108 @@ def test_membership_agrees_with_set_reference(case):
     else:
         with pytest.raises(ValueError, match="is not on the path grid"):
             path.grid_indices(queries)
+
+
+# -- level validation, held to the per-level loop that checked every level -------
+
+def _reference_error(T, levels, dense, nested):
+    """The message of the first check the constructor's old loop failed, or
+    None: every level checked in turn (finite, ends at 0 and T, increasing),
+    then nestedness pair by pair, then the declared density."""
+    arrs = []
+    for n, grid in enumerate(levels):
+        arr = np.asarray(grid, dtype=float)
+        if arr.ndim != 1 or arr.size < 2:
+            return f"level {n} must contain at least two times"
+        if not np.isfinite(arr).all():
+            return f"level {n} times must be finite, got {float(arr[~np.isfinite(arr)][0])!r}"
+        if arr[0] != 0.0 or arr[-1] != T:
+            return f"level {n} must start at 0 and end at T={T}"
+        if (np.diff(arr) <= 0).any():
+            return f"level {n} is not strictly increasing"
+        arrs.append(arr)
+    if nested:
+        for n, (coarse, fine) in enumerate(zip(arrs, arrs[1:])):
+            members = set(fine.tolist())
+            missing = [t for t in coarse.tolist() if t not in members]
+            if missing:
+                return (f"declared nested but level {n} time {missing[0]!r} "
+                        f"is absent from level {n + 1}")
+    if dense and len(arrs) > 1:
+        meshes = [float(np.diff(arr).max()) for arr in arrs]
+        if any(m2 > m1 for m1, m2 in zip(meshes, meshes[1:])):
+            return "declared dense but mesh is not non-increasing"
+        if meshes[-1] >= meshes[0]:
+            return "declared dense but top mesh does not beat level 0"
+    return None
+
+
+_BAD_TIME = {
+    "nan": lambda arr, j: float("nan"),
+    "inf": lambda arr, j: float("inf"),
+    "-inf": lambda arr, j: -float("inf"),
+    "unsorted": lambda arr, j: arr[j] + 2.0,  # past T, so past every later time
+    "repeated": lambda arr, j: arr[j - 1] if j > 0 else arr[j + 1],
+    "moved": lambda arr, j: np.nextafter(arr[j], 2.0),  # one ulp: off the finer levels
+}
+
+
+@st.composite
+def levels_with_a_fault(draw):
+    """Levels of [0, T] with at most one bad time.  The levels are views of one
+    grid, as ``dyadic`` makes them, or copies of its strides, or random nested
+    levels.  The bad time (NaN, inf, -inf, a time out of order, a repeated
+    time or a time one ulp off) is put in the shared grid, so that every view
+    holding it sees it, or in one level, the coarsest, the finest or one in
+    between, where it leaves a copy of a stride equal to the stride except at
+    that position."""
+    T = draw(st.sampled_from([1.0, 0.3]))
+    top_level = draw(st.integers(1, 5))
+    grid = np.arange(2**top_level + 1) * (T / 2**top_level)
+    grid[-1] = T
+    first = draw(st.integers(0, top_level))
+    kind = draw(st.sampled_from(["views", "copies", "random"]))
+    fault = draw(st.sampled_from([None, "shared", "level"]))
+    how = draw(st.sampled_from(sorted(_BAD_TIME)))
+    if kind == "random":
+        inner = draw(st.lists(st.floats(0.0, T, exclude_min=True, exclude_max=True),
+                              min_size=1, max_size=12, unique=True))
+        levels = [np.array(sorted({0.0, T, *inner}))]
+        for _ in range(draw(st.integers(0, 3))):
+            keep = draw(st.lists(st.booleans(), min_size=levels[0].size - 2,
+                                 max_size=levels[0].size - 2))
+            levels.insert(0, np.array([0.0, *(t for t, k in zip(levels[0][1:-1], keep) if k), T]))
+    else:
+        if fault == "shared":
+            j = draw(st.integers(0, grid.size - 1))
+            grid[j] = _BAD_TIME[how](grid, j)
+        levels = [grid[:: 2 ** (top_level - n)] for n in range(first, top_level + 1)]
+        if kind == "copies":
+            levels = [level.copy() for level in levels]
+    if fault == "level":
+        n = draw(st.sampled_from([0, len(levels) - 1, draw(st.integers(0, len(levels) - 1))]))
+        level = levels[n].copy()
+        j = draw(st.integers(0, level.size - 1))
+        level[j] = _BAD_TIME[how](level, j)
+        levels[n] = level
+    return T, levels, draw(st.booleans()), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(levels_with_a_fault())
+def test_constructor_raises_what_the_per_level_loop_raises(case):
+    """A level equal to a stride of the next skips the finiteness and order
+    checks; the constructor still accepts exactly the sequences the loop that
+    checked every level accepted, and names the same first failure."""
+    T, levels, dense, nested = case
+    expected = _reference_error(T, levels, dense, nested)
+    if expected is not None:
+        with pytest.raises(ValueError) as info:
+            PartitionSequence(T, levels, dense=dense, nested=nested)
+        assert str(info.value) == expected
+        return
+    seq = PartitionSequence(T, levels, dense=dense, nested=nested)
+    for n, level in enumerate(levels):
+        assert seq.level(n).tobytes() == level.tobytes()
+        assert not seq.level(n).flags.writeable
+        assert np.shares_memory(seq.level(n), level)

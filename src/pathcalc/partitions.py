@@ -102,48 +102,41 @@ class PartitionSequence:
         if not np.isfinite(T) or T <= 0:
             raise ValueError(f"horizon must be positive and finite, got {T}")
         self.T = float(T)
-        self.dense, self.nested = bool(dense), bool(nested)
-        levels = list(levels)
-        try:  # a level equal to a stride of the next is finite and increasing if that one is
-            arrs = [np.asarray(grid, dtype=float) for grid in levels]
-            shaped = self.nested and all(a.ndim == 1 and a.size >= 2 for a in arrs)
-            pairs = (grid_positions(f, c) for c, f in zip(arrs, arrs[1:])) if shaped else ()
-            found = [(isinstance(pos, slice), bool(hit.all())) for pos, hit in pairs]
-            self._levels = list(self._checked(arrs, {n for n, (s, _) in enumerate(found) if s}))
-        except (ValueError, TypeError):
-            list(self._checked(levels, ()))  # every check in turn: the first failure
-            raise
+        self._levels = []
+        for n, grid in enumerate(levels):
+            arr = np.asarray(grid, dtype=float)
+            if arr.ndim != 1 or arr.size < 2:
+                raise ValueError(f"level {n} must contain at least two times")
+            require_finite(arr, f"level {n} times")
+            if arr[0] != 0.0 or arr[-1] != self.T:
+                raise ValueError(f"level {n} must start at 0 and end at T={self.T}")
+            if not strictly_increasing(arr):
+                raise ValueError(f"level {n} is not strictly increasing")
+            arr.flags.writeable = False
+            self._levels.append(arr)
         if not self._levels:
             raise ValueError("at least one level is required")
-        for n, (_, covered) in enumerate(found):
-            if not covered:
-                hit = grid_positions(self._levels[n + 1], self._levels[n])[1]
+        for n in range(self.top) if nested else ():
+            hit = grid_positions(self._levels[n + 1], self._levels[n])[1]
+            if not hit.all():
                 raise ValueError(f"declared nested but level {n} time "
                                  f"{float(self._levels[n][~hit][0])!r} is absent from level {n + 1}")
-        if self.dense and len(self._levels) > 1:
+        self._trusted(self.T, self._levels, bool(dense), bool(nested))
+
+    def _trusted(self, T, levels, dense, nested):
+        """``self`` made of ``levels``, read-only, finite and increasing from 0 to
+        T, and nested if ``nested``; of the checks, only ``dense`` runs."""
+        self.T, self._levels, self.dense, self.nested = T, levels, dense, nested
+        if dense and len(levels) > 1:
             # on a nested sequence a finer level's cells lie inside the coarser
             # ones, so its mesh cannot grow: only the top against level 0 can fail
-            checked = (0, self.top) if self.nested else range(self.top + 1)
+            checked = (0, self.top) if nested else range(self.top + 1)
             meshes = [self.mesh(n) for n in checked]
             if any(m2 > m1 for m1, m2 in zip(meshes, meshes[1:])):
                 raise ValueError("declared dense but mesh is not non-increasing")
             if meshes[-1] >= meshes[0]:
                 raise ValueError("declared dense but top mesh does not beat level 0")
-
-    def _checked(self, levels, strided):
-        """Each level read-only, checked in turn; ``strided`` ones skip finiteness and order."""
-        for n, grid in enumerate(levels):
-            arr = np.asarray(grid, dtype=float)
-            if arr.ndim != 1 or arr.size < 2:
-                raise ValueError(f"level {n} must contain at least two times")
-            if n not in strided:
-                require_finite(arr, f"level {n} times")
-            if arr[0] != 0.0 or arr[-1] != self.T:
-                raise ValueError(f"level {n} must start at 0 and end at T={self.T}")
-            if n not in strided and not strictly_increasing(arr):
-                raise ValueError(f"level {n} is not strictly increasing")
-            arr.flags.writeable = False
-            yield arr
+        return self
 
     @property
     def num_levels(self):
@@ -160,6 +153,10 @@ class PartitionSequence:
             raise ValueError(f"level {n} outside 0..{self.top}")
         return self._levels[n]
 
+    def positions(self, n):
+        """Level ``n``'s positions in the top level of this nested sequence."""
+        return grid_positions(self._levels[self.top], self.level(n))[0]
+
     def mesh(self, n):
         t = self.level(n)
         return float(max(np.subtract(t[a + 1:b + 1], t[a:b]).max() for a, b in blocks(t.size - 1)))
@@ -167,8 +164,8 @@ class PartitionSequence:
     def covers(self, times, n=None):
         """True if every time in ``times`` is a member of level ``n``
         (of every level when ``n`` is None).  Membership is exact."""
-        levels = self._levels if n is None else [self.level(n)]
-        return all(grid_positions(arr, times)[1].all() for arr in levels)
+        levels = range(self.num_levels) if n is None else [n]
+        return all(grid_positions(self.level(k), times)[1].all() for k in levels)
 
     @staticmethod
     def from_descriptor(desc):
@@ -190,7 +187,7 @@ class PartitionSequence:
         return seq
 
     def __repr__(self):
-        sizes = ",".join(str(arr.size) for arr in self._levels)
+        sizes = ",".join(str(self.level(n).size) for n in range(self.num_levels))
         return f"PartitionSequence(T={self.T}, sizes=[{sizes}])"
 
 
@@ -201,8 +198,8 @@ def dyadic(T, max_level):
     finest grid is stored: level n is its read-only view with stride
     ``2**(max_level - n)``, equal to ``i * (T / 2**n)`` bit for bit.
     """
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    if not np.isfinite(T) or T <= 0:
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     if max_level < 1:
         raise ValueError(f"max_level must be >= 1, got {max_level}")
     if max_level > MAX_LEVEL:
@@ -213,14 +210,56 @@ def dyadic(T, max_level):
     top[-1] = T  # guard against rounding in the very last multiply
     top.flags.writeable = False
     levels = [top[:: 2 ** (max_level - n)] for n in range(max_level + 1)]
-    return PartitionSequence(T, levels, dense=True, nested=True)
+    if not strictly_increasing(top):  # a subnormal cell width rounds: name the first level hit
+        n = next(n for n, grid in enumerate(levels) if not strictly_increasing(grid))
+        raise ValueError(f"level {n} is not strictly increasing")
+    # strides of one finite grid increasing from 0 to T
+    return PartitionSequence.__new__(PartitionSequence)._trusted(T, levels, True, True)
+
+
+class _Refinement(PartitionSequence):
+    """``base`` with the distinct sorted times ``extra`` of [0, T] in every
+    level, which keeps its levels finite and increasing, and nested if they
+    were.  It stores its top level (the base's, when that holds every extra
+    time) and merges a coarser one on demand."""
+
+    def __init__(self, base, extra):
+        self._base, self._extra, top = base, extra, base.level(base.top)
+        self._gained = extra[~grid_positions(top, extra)[1]]  # the times the top gains
+        top = merge_times(top, extra) if self._gained.size else top
+        top.flags.writeable = False
+        self._trusted(base.T, [None] * base.top + [top], base.dense, base.nested)
+
+    def level(self, n):
+        if n == self.top:
+            return self._levels[n]
+        grid = merge_times(self._base.level(n), self._extra)
+        grid.flags.writeable = False
+        return grid
+
+    def positions(self, n):
+        """Without a search of the level in the top: a base knot moves up by
+        the count of gained times before it, and only the few extra times
+        are looked up in the top."""
+        top, base, gained = self._levels[-1], self._base, self._gained
+        if n == self.top:
+            return slice(0, top.size, 1)
+        grid = base.level(n)
+        pos, hit = grid_positions(grid, self._extra)
+        knots = index_array(base.positions(n))
+        if gained.size:
+            moves = np.diff(np.searchsorted(grid, gained), prepend=0, append=grid.size)
+            knots += np.repeat(np.arange(gained.size + 1), moves)
+        return np.insert(knots, index_array(pos)[~hit], np.searchsorted(top, self._extra[~hit]))
 
 
 def refine_with(base, extra_times):
     """Insert ``extra_times`` into every level of ``base``.
 
     Inserting the same set everywhere preserves nestedness; it is the
-    standard device for making the grids cover a path's jump times.
+    standard device for making the grids cover a path's jump times.  The base
+    keeps its last refinement, which a second call with the same times
+    returns, so that a path file's sums all run along one refined grid.
     """
     extra = np.asarray(extra_times, dtype=float).reshape(-1)
     require_finite(extra, "extra times")
@@ -230,8 +269,10 @@ def refine_with(base, extra_times):
     if not extra.size:
         return base
     extra = np.unique(extra)
-    levels = [merge_times(base.level(n), extra) for n in range(base.num_levels)]
-    return PartitionSequence(base.T, levels, dense=base.dense, nested=base.nested)
+    last = getattr(base, "_refined", None)
+    if last is None or not np.array_equal(last._extra, extra):
+        base._refined = last = _Refinement(base, extra)
+    return last
 
 
 def refine_onto(seq, times):

@@ -419,7 +419,7 @@ def _c_reads_by_name(name, handle, header_lines):
             if any(sep in chunk[start:] for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
                 return False
             body = np.frombuffer(chunk, np.uint8)[start:]
-            ends = np.flatnonzero((body == 10) | (body == 13))
+            ends = np.flatnonzero((body == 10) | (body == 13) if b"\r" in chunk else body == 10)
             blank = blank and ends.size == body.size
             # a line is its bytes between two line-end bytes and a line end of at most two
             longest = np.diff(ends, prepend=-1 - run).max(initial=0) - 1
@@ -492,17 +492,15 @@ def read_path_csv(f, jump_threshold=None):
     finally:
         if own:
             fh.close()
-    times = data[:, 0]
-    values = data[:, 1 : 1 + d]
+    times, jumps = data[:, 0], []  # a column: the table lives as long as these times
     if has_jumps:
         sizes = data[:, 1 + d :]
         at = np.flatnonzero(np.any(sizes != 0.0, axis=1))
         jumps = zip(times[at], sizes[at])
-    elif thr is not None:
+    values = data[:, 1 : 1 + d].copy()
+    if thr is not None and not has_jumps:
         diffs = np.diff(values, axis=0)
         mask = np.abs(diffs) > thr
         at = np.flatnonzero(np.any(mask, axis=1))
         jumps = zip(times[at + 1], np.where(mask[at], diffs[at], 0.0))
-    else:
-        jumps = []
     return SampledPath(times, values, jumps)

@@ -130,7 +130,8 @@ def _level_sums(path, seq, levels, level_sum):
 
     Checks that ``seq`` spans the path's horizon with at least two levels,
     refines it onto the path's jump times, maps each of ``levels`` (all by
-    default) onto the path grid once, and returns ``(seq, refined, sums)``
+    default) onto the path grid once (as the sequence places it in its top,
+    when that is the path's times), and returns ``(seq, refined, sums)``
     with ``sums[n] = level_sum(seq, n, li)`` on the refined ``seq``.
     """
     _check_horizon(seq, path)
@@ -140,7 +141,9 @@ def _level_sums(path, seq, levels, level_sum):
         levels = range(seq.num_levels)
     if len(levels) == 0:
         raise ValueError("levels must list at least one level")
-    return seq, refined, {n: level_sum(seq, n, path.grid_indices(seq.level(n))) for n in levels}
+    on_top = seq.nested and path.times is seq.level(seq.top)
+    return seq, refined, {n: level_sum(seq, n, seq.positions(n) if on_top else
+                                       path.grid_indices(seq.level(n))) for n in levels}
 
 
 @dataclass

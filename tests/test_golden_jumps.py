@@ -1,14 +1,17 @@
 """Golden bytes of CLI runs on paths with jumps that no benchmark digest
 covers: a d = 2 jump walk's QV, a running-integral Itô sweep with a jump at
-T, and two hedges on a CSV path with two off-level jumps in one top-level
-cell (``hedge`` does not refine the sequence onto them), one of them also
-over three paths; and two
+T, and four runs on a CSV path with two off-level jumps in one top-level
+cell: its QV and a Black–Scholes Itô sweep, both summed along the levels
+refined onto the jumps, and two hedges (``hedge`` reads its density cells
+off the unrefined top level), one of them also over three paths; and two
 ``plausibility`` runs, one on a jump walk and one on a flat path with one
 jump, whose increments are signed zeros.
 
 The digests were recorded before the jumps were stored as grid positions
 and one size array (the ``plausibility`` ones before its running sums moved
-to ``paths._running_sums``), and hold under the default BLAS threads, under
+to ``paths._running_sums``, the ``qv_csv`` and ``integrate_csv`` ones before
+the path file's refined levels were built once and located from their base
+stride), and hold under the default BLAS threads, under
 ``OPENBLAS_NUM_THREADS=1`` and with numpy's AVX-512 dispatch disabled
 (``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``).
 """
@@ -54,6 +57,11 @@ RUNS = {
         "functional": {"name": "asian_forward"},
         "hedge": {"density": {"kind": "const", "value": 0.0}, "realized": "estimate",
                   "payoff": {"kind": "integral", "rule": "right"}, "paths": 1}}),
+    # the file's sums run along the levels refined onto its two jumps
+    "qv_csv": ("qv", _CSV_HEDGE),
+    "integrate_csv": ("integrate", _CSV_HEDGE | {
+        "functional": {"name": "black_scholes", "sigma": 0.2, "strike": 1.0},
+        "integrate": {"residual_levels": [4, 6, 8]}}),
     # asian_forward's Hessian is zero; this one reads the continuous QV
     # increments of the two jumps in one cell
     "bs_csv": ("hedge", _CSV_HEDGE | {
@@ -76,6 +84,20 @@ GOLDEN = {  # sha256 of each output file
             "a66a7708222a9898f6b4cff74bd462ca0a4f1c05fecf2c784df34f7049f9e8c8",
         "ito_residuals.csv":
             "35c287b90e8bbfda4881c9ca6f064260f6d8c5bac3b06a1245ef611c6e7f31c9",
+    },
+    "qv_csv": {
+        "qv_levels.csv":
+            "ace8272537c8d2d8ed9c7db54d5d13f4793a3b89aa4c846770ce751c146be55b",
+        "qv_report.json":
+            "53c426fa85c43075680f37c20b8ddbbac0663529df4e2f6376ccc6a5d1aa7b69",
+    },
+    "integrate_csv": {
+        "integral_levels.csv":
+            "f2f2a5f9cf67197b8480e65f19dd7dee840f0bf653f4a19eca6268cee3d48db5",
+        "integral_report.json":
+            "3b09e0444bc07cf7c0e77800b20226baad6c9565a99c943949e54f4cc8bb38fc",
+        "ito_residuals.csv":
+            "320037fdf78080de02446bb273c30cd2efd3f21bdaf5ec74012c8958d187954f",
     },
     "asian_csv": {
         "hedge_curves.csv":

@@ -1,5 +1,8 @@
+import contextlib
 import json
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from pathcalc import (
     last_index_before,
     refine_with,
 )
+from pathcalc import partitions
 from pathcalc.partitions import grid_positions, index_array, merge_times
 
 
@@ -280,6 +284,80 @@ def test_merge_agrees_with_the_sorted_union(case):
         for n in range(probed.num_levels):
             expected = np.union1d(probed.level(n), path.jump_times)
             assert default_probe_times(probed, path, n).tobytes() == expected.tobytes()
+
+
+@st.composite
+def nested_base_and_extras(draw):
+    """A nested base, a ``dyadic`` one or explicit levels (views of one grid,
+    or ragged) declared dense where their meshes allow it, and extra times of
+    four kinds: off every level (between two top times), on the levels from
+    some level k up, at T, and two in one top cell."""
+    if draw(st.booleans()):
+        seq = dyadic(draw(st.sampled_from([1.0, 0.3])), draw(st.integers(1, 7)))
+    else:
+        seq, _ = draw(sequence_and_extras())
+        if draw(st.booleans()):
+            with contextlib.suppress(ValueError):
+                seq = PartitionSequence(seq.T, [seq.level(n) for n in range(seq.num_levels)])
+    top = seq.level(seq.top)
+    j = draw(st.integers(0, top.size - 2))
+    kinds = {
+        "off": [float(t) for t in (top[:-1] + top[1:]) / 2][:draw(st.integers(0, 3))],
+        "on": draw(st.lists(st.sampled_from(seq.level(draw(st.integers(0, seq.top))).tolist()),
+                            max_size=3)),
+        "T": [seq.T] if draw(st.booleans()) else [],
+        "cell": ([float(top[j] + (top[j + 1] - top[j]) * f) for f in (0.25, 0.75)]
+                 if draw(st.booleans()) else []),
+    }
+    extras = [t for kind in kinds.values() for t in kind]
+    return seq, draw(st.permutations(extras))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested_base_and_extras())
+def test_a_refinement_is_the_merge_and_locates_its_levels_by_stride(case):
+    """A refinement, built with the dense check alone, in blocks of 7: each
+    level is the base level merged with the extra times, bit for bit and
+    read-only; the constructor, with every check, takes those levels or
+    raises what the refinement raises; and each level's positions in the top
+    are those the search of the whole top finds."""
+    base, extras = case
+    with mock.patch.object(partitions, "BLOCK", 7):
+        if not extras:
+            assert refine_with(base, extras) is base
+            return
+        merged = [merge_times(base.level(n), np.unique(extras)) for n in range(base.num_levels)]
+        try:
+            PartitionSequence(base.T, merged, dense=base.dense, nested=True)
+        except ValueError as exc:  # the extra times leave level 0 as fine as the top
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                refine_with(base, extras)
+            return
+        refined = refine_with(base, extras)
+        assert refine_with(base, extras[::-1]) is refined  # the base keeps its refinement
+        top = refined.level(refined.top)
+        for n, expected in enumerate(merged):
+            level = refined.level(n)
+            assert level.tobytes() == expected.tobytes()
+            assert not level.flags.writeable
+            assert grid_positions(top, level)[1].all()
+            assert index_array(refined.positions(n)).tolist() == np.searchsorted(top, level).tolist()
+
+
+def test_a_refinement_keeps_the_dense_check():
+    """Refining runs the dense check, with its messages, on a nested base and
+    on one not declared nested."""
+    loose = PartitionSequence(1.0, [[0.0, 0.5, 1.0], [0.0, 0.1, 0.55, 1.0]], nested=False)
+    with pytest.raises(ValueError, match="^declared dense but mesh is not non-increasing$"):
+        refine_with(loose, [0.25, 0.75])  # level 1's mesh becomes 0.3, level 0's 0.25
+    refined = refine_with(loose, [0.05])
+    assert not refined.nested
+    assert refined.level(1).tolist() == [0.0, 0.05, 0.1, 0.55, 1.0]
+    nested = PartitionSequence(1.0, [[0.0, 1.0], [0.0, 0.6, 1.0]])
+    with pytest.raises(ValueError, match="^declared dense but top mesh does not beat level 0$"):
+        refine_with(nested, [0.6])
+    sparse = PartitionSequence(1.0, [[0.0, 1.0], [0.0, 0.6, 1.0]], dense=False)
+    assert refine_with(sparse, [0.6]).level(0).tolist() == [0.0, 0.6, 1.0]
 
 
 @settings(max_examples=200, deadline=None)

@@ -606,6 +606,29 @@ def test_named_file_route_keeps_the_field_limit(tmp_path, monkeypatch, limit, ch
         csv.field_size_limit(old)
 
 
+@pytest.mark.parametrize("chunk", [2, 5, 16])
+@pytest.mark.parametrize("limit", [16, 17, 18, None])
+@pytest.mark.parametrize("text", [
+    "t,x1\r0.0,1.0\r0.5,1234567.125\r1.0,3.0\r",
+    "t,x1\r\n0.0,1.0\r\n0.5,1234567.125\r\n1.0,3.0\r\n",
+    "t,x1\n0.0,1.0\n0.25,2.0\n0.5,1234567.125\n0.625,2.5\r\n0.75,1.5\r1.0,3.0",
+    "t,x1\r\n0.0,1.0\n0.25,1234567.125\n0.5,2.0\n0.75,1.5\n1.0,3.0\r",
+], ids=["cr", "crlf", "lf-then-crlf-and-cr", "crlf-then-lf"])
+def test_named_file_route_reads_line_ends_chunk_by_chunk(tmp_path, monkeypatch, text, chunk,
+                                                         limit):
+    r"""The guard pass finds line ends by \n alone in a chunk with no \r, and by
+    \n or \r in one with a \r: files with \r, \r\n or mixed line ends, read
+    in chunks of a few bytes, so that some chunks hold a \r and some do not,
+    against field limits that a 15-character line passes or not."""
+    monkeypatch.setattr(paths, "CHUNK", chunk)
+    old = csv.field_size_limit(limit) if limit else None
+    try:
+        _assert_routes_agree(tmp_path, text)
+    finally:
+        if old is not None:
+            csv.field_size_limit(old)
+
+
 _FIELD = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-9, 9).map(str),

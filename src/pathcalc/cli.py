@@ -29,7 +29,7 @@ import numpy as np
 from .convergence import ConvergenceConfig
 from .functionals import density_from_descriptor, functional_from_descriptor
 from .integration import follmer_integral_functional, ito_residual_functional
-from .partitions import BLOCK, MAX_LEVEL, PartitionSequence, blocks, merge_times, refine_onto
+from .partitions import BLOCK, MAX_LEVEL, PartitionSequence, blocks, merge_times
 from .paths import generate, read_path_csv, stop
 from .quadvar import default_probe_times, qv_along, qv_matrix
 from .trading import (
@@ -212,13 +212,13 @@ def _path_from_config(cfg, seq, seed=None):
 
 
 def _require_finest_grid(fname, path, seq):
-    """A path file must be sampled on the partition's finest level refined
-    onto the file's jump times, the grid every command sums along; the path
-    then takes that level as its times (the same bits, the level's memory)."""
+    """A path file must be sampled on the partition's finest level with the
+    file's jump times merged in, the top of the refinement every sum runs
+    along; the path then takes that grid as its times."""
     times, jumps = path.times, path.times[path.jump_index]
-    # a jump past T is merged in alone, and the horizon check rejects the path later
-    fine = (refine_onto(seq, jumps)[0].level(seq.top) if path.T <= seq.T
-            else merge_times(seq.level(seq.top), jumps))
+    fine = seq.level(seq.top)
+    if not seq.covers(jumps, seq.top):
+        fine = merge_times(fine, jumps)
     k = next((a + int(d[0]) for a, b in blocks(min(times.size, fine.size))
               if (d := np.flatnonzero(times[a:b] != fine[a:b])).size), min(times.size, fine.size))
     if k == times.size == fine.size:

@@ -162,9 +162,10 @@ class PartitionSequence:
         return float(max(np.subtract(t[a + 1:b + 1], t[a:b]).max() for a, b in blocks(t.size - 1)))
 
     def covers(self, times, n=None):
-        """True if every time in ``times`` is a member of level ``n``
-        (of every level when ``n`` is None).  Membership is exact."""
-        levels = range(self.num_levels) if n is None else [n]
+        """True if every time in ``times`` is a member of level ``n`` (of every
+        level when ``n`` is None, which on a nested sequence is level 0).
+        Membership is exact."""
+        levels = [n] if n is not None else [0] if self.nested else range(self.num_levels)
         return all(grid_positions(self.level(k), times)[1].all() for k in levels)
 
     @staticmethod
@@ -257,9 +258,7 @@ def refine_with(base, extra_times):
     """Insert ``extra_times`` into every level of ``base``.
 
     Inserting the same set everywhere preserves nestedness; it is the
-    standard device for making the grids cover a path's jump times.  The base
-    keeps its last refinement, which a second call with the same times
-    returns, so that a path file's sums all run along one refined grid.
+    standard device for making the grids cover a path's jump times.
     """
     extra = np.asarray(extra_times, dtype=float).reshape(-1)
     require_finite(extra, "extra times")
@@ -268,11 +267,7 @@ def refine_with(base, extra_times):
         raise ValueError(f"extra time {float(outside[0])!r} is outside [0, {base.T}]")
     if not extra.size:
         return base
-    extra = np.unique(extra)
-    last = getattr(base, "_refined", None)
-    if last is None or not np.array_equal(last._extra, extra):
-        base._refined = last = _Refinement(base, extra)
-    return last
+    return _Refinement(base, np.unique(extra))
 
 
 def refine_onto(seq, times):

@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .convergence import ConvergenceConfig, assess
-from .partitions import blocks, cell_index, merge_times, refine_onto, require_finite, strictly_increasing
+from .partitions import _equal, blocks, cell_index, merge_times, refine_onto, require_finite, strictly_increasing
 from .paths import _running_sums
 
 
@@ -131,7 +131,7 @@ def _level_sums(path, seq, levels, level_sum):
     Checks that ``seq`` spans the path's horizon with at least two levels,
     refines it onto the path's jump times, maps each of ``levels`` (all by
     default) onto the path grid once (as the sequence places it in its top,
-    when that is the path's times), and returns ``(seq, refined, sums)``
+    when the path's times equal that top), and returns ``(seq, refined, sums)``
     with ``sums[n] = level_sum(seq, n, li)`` on the refined ``seq``.
     """
     _check_horizon(seq, path)
@@ -141,7 +141,8 @@ def _level_sums(path, seq, levels, level_sum):
         levels = range(seq.num_levels)
     if len(levels) == 0:
         raise ValueError("levels must list at least one level")
-    on_top = seq.nested and path.times is seq.level(seq.top)
+    top = seq.level(seq.top)
+    on_top = seq.nested and path.times.size == top.size and _equal(path.times, top)
     return seq, refined, {n: level_sum(seq, n, seq.positions(n) if on_top else
                                        path.grid_indices(seq.level(n))) for n in levels}
 
@@ -271,7 +272,8 @@ def _interval_grid(path, level, u, v):
     convention of :meth:`SampledPath.value`."""
     if not 0 <= u < v <= path.T:
         raise ValueError(f"bad interval [{u}, {v}]")
-    kappa = np.concatenate(([u], level[(level > u) & (level < v)], [v]))
+    inside = level[level.searchsorted(u, "right"):level.searchsorted(v, "left")]  # a view
+    kappa = np.concatenate(([u], inside, [v]))
     return kappa, path.values[np.searchsorted(path.times, kappa, side="right") - 1, 0]
 
 

@@ -319,8 +319,10 @@ def test_a_refinement_is_the_merge_and_locates_its_levels_by_stride(case):
     """A refinement, built with the dense check alone, in blocks of 7: each
     level is the base level merged with the extra times, bit for bit and
     read-only; the constructor, with every check, takes those levels or
-    raises what the refinement raises; and each level's positions in the top
-    are those the search of the whole top finds."""
+    raises what the refinement raises; each level's positions in the top
+    are those the search of the whole top finds; and a second call, which
+    builds the refinement again, gives the same bits and leaves the base as
+    it was."""
     base, extras = case
     with mock.patch.object(partitions, "BLOCK", 7):
         if not extras:
@@ -333,15 +335,50 @@ def test_a_refinement_is_the_merge_and_locates_its_levels_by_stride(case):
             with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
                 refine_with(base, extras)
             return
+        before = dict(vars(base))
         refined = refine_with(base, extras)
-        assert refine_with(base, extras[::-1]) is refined  # the base keeps its refinement
+        again = refine_with(base, extras[::-1])
+        assert vars(base).keys() == before.keys()
+        assert all(vars(base)[k] is v for k, v in before.items())  # nothing stored on the base
         top = refined.level(refined.top)
         for n, expected in enumerate(merged):
             level = refined.level(n)
-            assert level.tobytes() == expected.tobytes()
+            assert level.tobytes() == expected.tobytes() == again.level(n).tobytes()
             assert not level.flags.writeable
             assert grid_positions(top, level)[1].all()
-            assert index_array(refined.positions(n)).tolist() == np.searchsorted(top, level).tolist()
+            positions = index_array(refined.positions(n)).tolist()
+            assert positions == np.searchsorted(top, level).tolist()
+            assert positions == index_array(again.positions(n)).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested_base_and_extras(), st.data())
+def test_covers_on_a_nested_sequence_reads_level_0(case, data):
+    """On a nested sequence a time is in every level iff it is in level 0, so
+    ``covers`` with no level equals the loop over every level on dyadic,
+    explicit nested and refined sequences, for times on the levels from some
+    level up, off every level and outside [0, T]; a refinement merges at most
+    one level for it."""
+    base, extras = case
+    seqs = [base]
+    with contextlib.suppress(ValueError):  # the extra times leave level 0 as fine as the top
+        seqs.append(refine_with(base, extras))
+    for seq in seqs:
+        top = seq.level(seq.top)
+        on = seq.level(data.draw(st.integers(0, seq.top))).tolist()
+        pool = [*on, *((top[:-1] + top[1:]) / 2).tolist(), -0.5 * seq.T, 1.5 * seq.T]
+        times = np.unique(data.draw(st.lists(st.sampled_from(pool), max_size=4)))
+        loop = all(grid_positions(seq.level(n), times)[1].all() for n in range(seq.num_levels))
+        with mock.patch.object(partitions, "merge_times", wraps=partitions.merge_times) as merges:
+            assert seq.covers(times) == loop
+        assert merges.call_count <= 1
+
+
+def test_covers_checks_every_level_of_a_sequence_not_nested():
+    seq = PartitionSequence(1.0, [[0.0, 0.5, 1.0], [0.0, 0.25, 1.0]], dense=False, nested=False)
+    assert seq.covers([0.5], 0) and not seq.covers([0.5])
+    assert seq.covers([0.25], 1) and not seq.covers([0.25])
+    assert seq.covers([0.0, 1.0])
 
 
 def test_a_refinement_keeps_the_dense_check():

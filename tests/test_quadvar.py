@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pathcalc import (
     PartitionSequence,
     SampledPath,
+    cli,
     dyadic,
     follmer_integral_functional,
     generate,
@@ -17,9 +18,11 @@ from pathcalc import (
     p_variation,
     qv_along,
     qv_matrix,
+    read_path_csv,
     refine_with,
     stack,
     vovk_uniform_check,
+    write_path_csv,
 )
 from pathcalc.partitions import cell_index, index_array
 from pathcalc.quadvar import _interval_grid
@@ -130,6 +133,30 @@ def test_auto_refinement_flagged():
     rep = qv_along(path, coarse)
     assert rep.refined
     assert rep.limit[-1] == 1.0
+
+
+def test_a_path_file_read_alone_sums_along_its_refinement_by_stride(tmp_path, monkeypatch):
+    """A path file with a jump off the top level, read by ``read_path_csv``
+    with no CLI: its times equal the refinement's top by content, so
+    ``qv_along`` maps the probes and no level through ``grid_indices``, and
+    its sums are the bits of the run on the path whose times the CLI swaps
+    for the merged grid."""
+    seq = dyadic(1.0, 8)
+    jump = 155 / 2**9  # a midpoint of two top-level times
+    f = tmp_path / "walk.csv"
+    write_path_csv(generate({"kind": "with_jumps", "base": {"kind": "scaled_random_walk", "sigma": 0.4},
+                             "jumps": [[jump, [0.3]]]}, 5, refine_with(seq, [jump])), str(f))
+    alone, swapped = read_path_csv(str(f)), read_path_csv(str(f))
+    cli._require_finest_grid(str(f), swapped, seq)
+    probes = np.linspace(0.0, 1.0, 9)
+    mapped, real = [], SampledPath.grid_indices
+    monkeypatch.setattr(SampledPath, "grid_indices", lambda p, ts: mapped.append(ts) or real(p, ts))
+    rep = qv_along(alone, seq, probes)
+    assert rep.refined and len(rep.levels) == 9
+    assert mapped and all(np.array_equal(ts, probes) for ts in mapped)
+    ref = qv_along(swapped, seq, probes)
+    for n in rep.levels:
+        assert rep.approx[n].tobytes() == ref.approx[n].tobytes()
 
 
 def test_off_dyadic_jump_full_pipeline():
@@ -262,7 +289,9 @@ def test_one_qv_body_matches_scalar_route_and_interval_reference(data, dim, leve
         assert np.array_equal(diag(rep.jump_part), ref.jump_part)
 
     # the vectorised interval grid against per-point path.value reads
-    knots = st.one_of(st.sampled_from(times.tolist()), st.floats(0.0, 1.0))
+    # u and v at any time of the path, on the knots of one level, or anywhere
+    on_level = seq.level(data.draw(st.integers(0, seq.top))).tolist()
+    knots = st.one_of(st.sampled_from(times.tolist()), st.sampled_from(on_level), st.floats(0.0, 1.0))
     u, v = sorted(data.draw(st.lists(knots, min_size=2, max_size=2, unique=True)))
     for level_times in [*map(seq.level, range(seq.num_levels)), times]:
         kappa, vals = _interval_grid(path, level_times, u, v)

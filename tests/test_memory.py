@@ -9,7 +9,7 @@ on a path file; and, in a fresh interpreter, the resident memory a ``qv``
 CLI run adds after the import, which also sees memory the C allocator keeps
 after numpy frees it, and the minor page faults of that run, at most 2,500
 under each of ``PYTHONHASHSEED`` 0-5.  One ``hedge`` is held to its peak of
-18.26 arrays (it walks each path whole, not in blocks yet) and keeps no
+11.05 arrays (it walks each path whole, not in blocks yet) and keeps no
 grid-sized array in its report.  Also: a dyadic level reads the path through
 a stride, with no index array.
 
@@ -180,19 +180,22 @@ def test_qv_cli_run_stays_within_its_array_budget(tmp_path):
 
 
 def test_hedge_stays_within_its_array_budget_and_keeps_no_grid_array():
-    """The README's misspecified-volatility hedge on one walk.  Its peak, 18.26
-    arrays at L = 18 and 18.25 at L = 20, is set inside the Black–Scholes
-    evaluation at every grid time, not by the gain sums (3.00 arrays).  The
-    report keeps under 0.01 array: three 65-point curves, none of them a
-    view of an array of the grid's size."""
+    """The README's misspecified-volatility hedge on one walk.  Its peak, 11.03
+    arrays at L = 16, 11.01 at L = 18 and 11.00 at L = 20, is set inside the
+    Black–Scholes evaluation at every grid time (8 arrays, beside the hedge's
+    density cells and mesh), not by the gain sums (3.00 arrays).  The report
+    keeps 6.2-9.6 KB at each level: three 65-point curves, none of them a view
+    of an array of the grid's size, and what a first call leaves behind.  That
+    does not shrink with the grid, so its bound is in bytes: 16 KiB, under
+    0.01 array at L = 18 (20,971 bytes)."""
     seq = dyadic(1.0, LEVEL)
     path = generate(WALK, 0, seq)
     with _tracing():
         _, held, peak = _traced(lambda: hedge(
             black_scholes(0.2, 1.0), call_payoff(1.0), diffusion_density(0.2), path, seq,
             realized_density=diffusion_density(0.3)))
-    assert peak <= 18.26 * UNIT, peak / UNIT
-    assert held <= 0.01 * UNIT, held / UNIT
+    assert peak <= 11.05 * UNIT, peak / UNIT
+    assert held <= 16 * 1024, held
 
 
 _RESIDENT = """

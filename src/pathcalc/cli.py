@@ -18,7 +18,7 @@ import argparse
 import copy
 import ctypes
 import dataclasses
-import gzip  # noqa: F401  (with numpy.ma, below)
+import gzip  # noqa: F401  (with numpy.random, below)
 import json
 import os
 import re
@@ -27,10 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-# np.loadtxt of a named file imports gzip, np.median and np.unique import
-# numpy.ma, and the generators numpy.random, each on first use: imported here,
-# a launch pays for them in its set-up, not in main()
-import numpy.ma  # noqa: F401
+# np.loadtxt of a named file imports gzip, and the generators numpy.random, on
+# first use: imported here, a launch pays for them in its set-up, not in main()
 import numpy.random  # noqa: F401
 
 from .convergence import ConvergenceConfig
@@ -265,12 +263,25 @@ def _cells(column):
 
 
 def _write_csv(path, header, blocks):
-    """A CSV table from blocks of equal-length columns, written block by block,
-    each as one string."""
+    """A CSV table from blocks of equal-length columns of one or more rows,
+    written block by block, each as one string."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for columns in blocks:
-            fh.write("".join([",".join(row) + "\n" for row in zip(*map(_cells, columns))]))
+            fh.write("\n".join(map(",".join, zip(*map(_cells, columns)))) + "\n")
+
+
+def _quantile(s, q):
+    """``np.median(s)`` (q = 0.5) or ``np.quantile(s, q)`` of the sorted finite ``s``
+    by their arithmetic, without their import of numpy.ma: the mean of the middle
+    values, or the linear rule, which at and past the last value goes from it to itself."""
+    if q == 0.5:
+        return float(np.mean(s[(s.size - 1) // 2:s.size // 2 + 1]))
+    v = (s.size - 1) * q
+    k = int(v) if v < s.size - 1 else -1
+    a, b = float(s[k]), float(s[k + 1] if k >= 0 else s[k])
+    g, diff = v - k, b - a
+    return b - diff * (1 - g) if g >= 0.5 else a + diff * g
 
 
 def _write_json(path, obj):
@@ -383,11 +394,11 @@ def cmd_hedge(cfg, seq):
     reasons = {"fpde": sum(map(bool, fpde_flags)),
                "qv_not_converged": sum(not q for q in qv_converged)}
     rel = np.array(rel)
-    finite = rel[np.isfinite(rel)]  # replication runs have predicted == 0
+    finite = np.sort(rel[np.isfinite(rel)])  # replication runs have predicted == 0
     summary = {
         "paths": hcfg["paths"],
-        "median_rel_residual": float(np.median(finite)) if finite.size else None,
-        "p95_rel_residual": float(np.quantile(finite, 0.95)) if finite.size else None,
+        "median_rel_residual": _quantile(finite, 0.5) if finite.size else None,
+        "p95_rel_residual": _quantile(finite, 0.95) if finite.size else None,
         "max_track_error": float(np.max(track_errors)),
         "caveat": any(reasons.values()),
         "caveat_reasons": reasons,

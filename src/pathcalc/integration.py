@@ -26,14 +26,7 @@ from .convergence import ConvergenceConfig, assess
 from .functionals import cylinder
 from .partitions import cell_index
 from .paths import _running_sums, stepwise_approximation, stop
-from .quadvar import (
-    _continuous_qv_increments,
-    _level_sums,
-    _probe_times,
-    _running_sums_at,
-    qv_along,
-    qv_matrix,
-)
+from .quadvar import _continuous_qv_increments, _level_sums, _probe_times, _qv_sums, _running_sums_at
 
 
 def _truncated_dot_sums(x, li, g, probe_idx=None):
@@ -42,16 +35,19 @@ def _truncated_dot_sums(x, li, g, probe_idx=None):
     lx = x[li]
     m = g.shape[0]
 
+    # np.sum(a, axis=1); a one-term sum is 0.0 + t, here taken in place
+    row_sums = lambda a: np.sum(a, axis=1) if a.shape[1] > 1 else np.add(a, 0.0, out=a)[:, 0]
+
     def dot_increments(a, b):
         inc = lx[a + 1:b + 1] - lx[a:b]
         inc *= g[a:b]
-        return np.sum(inc, axis=1)
+        return row_sums(inc)
 
     if probe_idx is None and m + 1 == len(x):
         # no cell is open on the whole grid; the probe route's partial term
         # g . 0.0 stays, NaN where g is not finite (np.sum makes no -0.0)
         sums = np.concatenate(([0.0], np.cumsum(dot_increments(0, m))))
-        sums[:m] += np.sum(g * 0.0, axis=1)
+        sums[:m] += row_sums(g * 0.0)
         return sums
     probe_idx = slice(0, len(x)) if probe_idx is None else probe_idx
     jstar = cell_index(li, probe_idx)
@@ -152,14 +148,12 @@ class ItoReport:
     residual_by_level: dict = field(default_factory=dict)
 
 
-def _qv_flags(path, seq, config):
-    """The QV convergence verdict, summed on only the ``window + 1`` finest
-    levels: :func:`assess` reads no gap below them."""
+def _qv_flags(path, seq, config, probes=None):
+    """The QV report's verdict at ``probes`` (by default its own), summed on only
+    the ``window + 1`` finest levels: :func:`assess` reads no gap below them."""
     window = (config or ConvergenceConfig()).window
     levels = range(max(seq.num_levels - window - 1, 0), seq.num_levels)
-    qv = qv_along if path.dim == 1 else qv_matrix
-    rep = qv(path, seq, config=config, levels=levels)
-    return rep.converged, rep.convergence_metric
+    return _qv_sums(path, seq, probes, config, levels)[-1]
 
 
 def _follmer_terms(F, path, seq, levels):

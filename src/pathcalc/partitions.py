@@ -49,14 +49,14 @@ def grid_positions(grid, ts):
     a dyadic level is of a finer one, ``pos`` is ``slice(0, grid.size, k)``,
     found with no search (and with no comparison when ``ts`` is that view of
     the grid's memory), indexing with it takes a view, and ``hit`` is a
-    read-only broadcast True; otherwise ``pos`` is the ``searchsorted``
-    insertion indices.
+    read-only True of stride 0 over one byte; otherwise ``pos`` is the
+    ``searchsorted`` insertion indices.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim == 1 and 2 <= ts.size <= grid.size:
         k, rem = divmod(grid.size - 1, ts.size - 1)
         if rem == 0 and _equal(grid[::k], ts):
-            return slice(0, grid.size, k), np.broadcast_to(True, ts.shape)
+            return slice(0, grid.size, k), np.ndarray(ts.shape, bool, b"\x01", 0, (0,))
     idx = np.searchsorted(grid, ts)
     return idx, grid[np.minimum(idx, grid.size - 1)] == ts
 
@@ -69,6 +69,8 @@ def index_array(pos):
 def merge_times(grid, times):
     """The sorted union of a sorted ``grid`` and sorted ``times``, each of distinct
     floats: the times off the grid inserted where :func:`grid_positions` puts them."""
+    if not len(times):
+        return grid.copy()
     pos, hit = grid_positions(grid, times)
     return np.insert(grid, index_array(pos)[~hit], times[~hit])
 
@@ -267,7 +269,8 @@ def refine_with(base, extra_times):
         raise ValueError(f"extra time {float(outside[0])!r} is outside [0, {base.T}]")
     if not extra.size:
         return base
-    return _Refinement(base, np.unique(extra))
+    extra = np.sort(extra)  # its distinct values, as np.unique finds them
+    return _Refinement(base, extra[np.concatenate(([True], extra[1:] != extra[:-1]))])
 
 
 def refine_onto(seq, times):

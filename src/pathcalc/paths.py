@@ -76,7 +76,7 @@ class SampledPath:
         if any(d.size != self.dim for _, d in jumps):
             raise ValueError("jump dimension does not match the path")
         jt = np.array([t for t, _ in jumps])
-        index, hit = grid_positions(times, jt)
+        index, hit = grid_positions(times, jt) if jumps else (jt.astype(int), jt.astype(bool))
         if not hit.all():
             raise ValueError(f"jump time {float(jt[~hit][0])!r} is not a grid time; "
                              "refine the grid first")

@@ -162,25 +162,32 @@ class QVReport:
     dim: int = 1
 
 
+def _qv_sums(path, seq, probe_times, config, levels):
+    """``(probes, refined, approx, scale, (converged, metric))`` of the
+    polarization QV, its level sums (probes,) arrays on a scalar path."""
+    probes, probe_idx = _probe_times(seq, path, probe_times)
+    _, refined, approx = _level_sums(
+        path, seq, levels, lambda _seq, _n, li: _polarized_sq_sums(path.values, li, probe_idx()))
+    if path.dim == 1:
+        approx = {n: a[:, 0, 0] for n, a in approx.items()}
+    scale = max(float(np.max(np.ptp(path.values, axis=0))) ** 2, 1e-300)
+    return probes, refined, approx, scale, assess(approx, scale, config)
+
+
 def _qv(path, seq, probe_times, config, levels):
     """Polarization QV report of a d-dimensional path; a scalar path is the
     1x1 case, reported with (probes,) arrays."""
     d = path.dim
-    probes, probe_idx = _probe_times(seq, path, probe_times)
-    _, refined, approx = _level_sums(
-        path, seq, levels, lambda _seq, _n, li: _polarized_sq_sums(path.values, li, probe_idx()))
+    probes, refined, approx, scale, (converged, metric) = _qv_sums(path, seq, probe_times, config, levels)
     # sum_{s <= t} dx(s) dx(s)^T: a running sum over the jumps in time order,
     # read at the count of jumps up to t.
     dx = path.jump_sizes
     running = _running_sums(dx[:, :, None] * dx[:, None, :])
     jump = running[np.searchsorted(path.times[path.jump_index], probes, "right")]
     if d == 1:
-        approx = {n: a[:, 0, 0] for n, a in approx.items()}
         jump = jump[:, 0, 0]
     levels = sorted(approx)
     limit = approx[levels[-1]]
-    scale = max(float(np.max(np.ptp(path.values, axis=0))) ** 2, 1e-300)
-    converged, metric = assess(approx, scale, config)
     return QVReport(
         probe_times=probes,
         levels=levels,

@@ -357,7 +357,7 @@ def hedge(
             "replication conclusions void"
         )
 
-    qv_ok, qv_metric = _qv_flags(path, seq, config)
+    qv_ok, qv_metric = _qv_flags(path, seq, config, probes)
     if not qv_ok:
         notes.append("quadratic variation not converged at the top level")
 

@@ -5,11 +5,16 @@ at its value, so that block edges fall inside small grids: 6, 7, 8 and 15
 cells are BLOCK - 1, BLOCK, BLOCK + 1 and 2 * BLOCK + 1.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathcalc import SampledPath, cli, dyadic, generate, partitions
-from pathcalc.integration import _truncated_dot_sums
+from pathcalc import SampledPath, cli, dyadic, generate, partitions, qv_along, qv_matrix
+from pathcalc.convergence import ConvergenceConfig
+from pathcalc.integration import _qv_flags, _truncated_dot_sums
 from pathcalc.partitions import cell_index, grid_positions, index_array, strictly_increasing
 from pathcalc.paths import _walk_steps
 from pathcalc.quadvar import _running_sums_at, _truncated_sq_sums
@@ -157,6 +162,51 @@ def test_truncated_dot_sums_match_one_cumsum(block, d, k):
                 got = _truncated_dot_sums(x, li, g, probe_idx)
                 ref = _dot_sums_reference(x, li, g, probe_idx)
                 assert np.array_equal(_bits(got), _bits(ref)), m
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_column_gain_sums_match_the_row_sum_route(data):
+    """On a scalar path the gain increments and the partial terms g . 0.0 are
+    each one term, 0.0 + t, taken in place; they equal the (m, 1) ``np.sum``
+    route bit for bit, -0.0 to 0.0 and NaN kept, for rows holding -0.0, NaN
+    and +-inf, on the whole grid and at probes, in blocks of 7 and in one."""
+    m = data.draw(st.integers(1, 20))
+    rows = st.sampled_from([-0.0, 0.0, np.nan, np.inf, -np.inf, -1.5]) | st.floats(-10.0, 10.0)
+    g = np.array(data.draw(st.lists(rows, min_size=m, max_size=m)))[:, None]
+    x = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(-5.0, 5.0),
+                                    min_size=m + 1, max_size=m + 1)))[:, None]
+    probe_idx = np.array(sorted(data.draw(st.sets(st.integers(0, m), min_size=1))))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0.0 and inf - inf
+        inc = np.diff(x, axis=0) * g
+        whole = np.concatenate(([0.0], np.cumsum(np.sum(inc, axis=1))))
+        whole[:m] += np.sum(g * 0.0, axis=1)
+        for block in (7, DEFAULT_BLOCK):
+            with mock.patch.object(partitions, "BLOCK", block):
+                for li in (slice(0, m + 1, 1), np.arange(m + 1)):
+                    assert np.array_equal(_bits(_truncated_dot_sums(x, li, g)), _bits(whole))
+                    got = _truncated_dot_sums(x, li, g, probe_idx)
+                    ref = _dot_sums_reference(x, li, g, probe_idx)
+                    assert np.array_equal(_bits(got), _bits(ref))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_qv_flags_in_blocks_match_the_report_verdict(block, dim, monkeypatch):
+    """The hedge's QV verdict, its level sums taken in blocks, is that of the QV
+    report summed in one block, bit for bit, on a walk with a jump off every
+    level but the top, at the default and at explicit probes."""
+    seq = dyadic(1.0, 5)  # 32 cells: four blocks of 7 and one of 4
+    walk = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0, "dim": dim}
+    path = generate({"kind": "with_jumps", "base": walk, "jumps": [[11 / 32, 0.05]]}, 3, seq)
+    for probes in (None, path.times[[0, 5, 11, 12, 32]]):
+        for window in (1, 2, 3):
+            config = ConvergenceConfig(tol=1.0, window=window)
+            with monkeypatch.context() as one_block:
+                one_block.setattr(partitions, "BLOCK", DEFAULT_BLOCK)
+                full = (qv_along if dim == 1 else qv_matrix)(path, seq, probes, config)
+            converged, metric = _qv_flags(path, seq, config, probes)
+            assert converged is full.converged
+            assert _bits(metric) == _bits(full.convergence_metric)
 
 
 def test_running_sums_at_cells_keep_a_sum_of_negative_zeros(block):

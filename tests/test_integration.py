@@ -454,13 +454,20 @@ def test_single_gradient_evaluation_equals_per_level_integrands(F, data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), dim=st.integers(1, 2))
 def test_qv_flags_from_trailing_levels_equal_all_levels(data, dim):
+    """The verdict of ``_qv_flags``, summed on the ``window + 1`` finest levels
+    with no QV report, is the report's on every level, bit for bit, at the
+    default probes and at explicit ones, with jumps on and off the levels."""
     path, seq, _ = data.draw(ito_paths(dim))
     # an infinite tolerance makes the verdict the monotone-tail test alone
     tol = data.draw(st.sampled_from([1e-3, 1.0, math.inf]))
+    probes = data.draw(st.none() | st.lists(st.sampled_from(path.times.tolist()), min_size=1,
+                                             unique=True).map(sorted))
     for window in range(1, seq.num_levels + 3):
         config = ConvergenceConfig(tol=tol, window=window)
-        full = (qv_along if dim == 1 else qv_matrix)(path, seq, config=config)
-        assert _qv_flags(path, seq, config) == (full.converged, full.convergence_metric)
+        full = (qv_along if dim == 1 else qv_matrix)(path, seq, probes, config=config)
+        converged, metric = _qv_flags(path, seq, config, probes)
+        assert converged is full.converged
+        assert np.float64(metric).tobytes() == np.float64(full.convergence_metric).tobytes()
 
 
 def _per_cell_cylinder_terms(f, f_prime, f_second, path, seq):

@@ -271,6 +271,9 @@ def test_merge_agrees_with_the_sorted_union(case):
         for ts in (times, past):
             assert merge_times(level, ts).tobytes() == np.union1d(level, ts).tobytes()
         assert merge_times(top, level).tobytes() == np.union1d(top, level).tobytes()
+        alone = merge_times(level, np.array([]))  # a new array, with no search
+        assert alone.tobytes() == level.tobytes() and alone.flags.writeable
+        assert not np.shares_memory(alone, level)
     if not extras:
         assert refine_with(seq, extras) is seq
         return
@@ -284,6 +287,16 @@ def test_merge_agrees_with_the_sorted_union(case):
         for n in range(probed.num_levels):
             expected = np.union1d(probed.level(n), path.jump_times)
             assert default_probe_times(probed, path, n).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1,
+                max_size=12))
+def test_refine_with_takes_the_distinct_extra_times_of_np_unique(extras):
+    """The extra times, sorted and their repeats dropped, are ``np.unique``'s
+    bit for bit, with repeats and both zeros (np.unique imports numpy.ma)."""
+    refined = refine_with(dyadic(1.0, 6), extras)
+    assert refined._extra.tobytes() == np.unique(extras).tobytes()
 
 
 @st.composite
@@ -415,6 +428,8 @@ def test_membership_agrees_with_set_reference(case):
         searched = np.searchsorted(grid, ts)
         assert np.array_equal(idx, searched)
         assert np.array_equal(hit, grid[np.minimum(searched, grid.size - 1)] == ts)
+        if isinstance(pos, slice):  # the stride's mask: all True, read-only
+            assert hit.shape == ts.shape and not hit.flags.writeable
         if hit.all():
             assert np.array_equal(values[pos].view(np.int64), values[searched].view(np.int64))
         assert strided_seq.covers(ts, 1) == all(expect_hit)

@@ -224,6 +224,7 @@ def _require_finest_grid(fname, path, seq):
     fine = seq.level(seq.top)
     if not seq.covers(jumps, seq.top):
         fine = merge_times(fine, jumps)
+        fine.flags.writeable = False
     k = next((a + int(d[0]) for a, b in blocks(min(times.size, fine.size))
               if (d := np.flatnonzero(times[a:b] != fine[a:b])).size), min(times.size, fine.size))
     if k == times.size == fine.size:
@@ -350,7 +351,8 @@ def cmd_integrate(cfg, seq):
     sweep = cfg["integrate"]["residual_levels"]
     caveat = not report.converged
     if sweep:
-        rep = ito_residual_functional(F, path, seq, levels=sweep, config=conv)
+        rep = ito_residual_functional(F, path, seq, levels=sweep, config=conv,
+                                      _rows=lambda seq, n, li: report.integrands[n])
         rows = [(n, rep.residual_by_level[n], rep.qv_metric, rep.qv_converged)
                 for n in sweep]
         _write_csv(out / "ito_residuals.csv",

@@ -156,20 +156,20 @@ def _qv_flags(path, seq, config, probes=None):
     return _qv_sums(path, seq, probes, config, levels)[-1]
 
 
-def _follmer_terms(F, path, seq, levels):
-    """``seq`` refined onto the jumps, and ``{n: Föllmer term}`` of F on ``levels``
-    (by default the finest): its level-n gradient rows against the increments."""
-    rows = _gradient_rows(F, path)
+def _follmer_terms(rows, path, seq, levels):
+    """``seq`` refined onto the jumps, and ``{n: Föllmer term}`` on ``levels`` (by
+    default the finest): the gradient rows ``rows(seq, n, li)`` against the increments."""
     seq, _, follmer = _level_sums(
         path, seq, [seq.top] if levels is None else levels,
         lambda seq, n, li: float(np.sum(rows(seq, n, li) * np.diff(path.values[li], axis=0))))
     return seq, follmer
 
 
-def _ito_report(path, seq, follmer, lhs, initial, drift, hess, jump_term, config):
-    """Residuals of a change-of-variable form from its own terms: ``follmer``
-    and ``seq`` from :func:`_follmer_terms`, ``hess`` at the finest cell
-    starts in the form's limit convention."""
+def _ito_report(F, path, seq, follmer, drift, hess, config):
+    """Residuals of a change-of-variable form of F: F(T), F(0) and the jump sum
+    read here, ``follmer`` and ``seq`` from :func:`_follmer_terms`, ``hess`` at
+    the finest cell starts in the form's limit convention."""
+    lhs, initial, jump_term = F.value(stop(path, path.T)), F.value(stop(path, 0.0)), _jump_term(F, path)
     dqv = _continuous_qv_increments(path, seq)
     qv_term = float(_running_sums(0.5 * np.trace(np.matmul(hess, dqv), axis1=1, axis2=2))[-1])
     qv_ok, qv_metric = _qv_flags(path, seq, config)
@@ -199,14 +199,17 @@ def _jump_term(F, path):
     return jump_term
 
 
-def ito_residual_functional(F, path, seq, levels=None, config=None):
+def ito_residual_functional(F, path, seq, levels=None, config=None, *, _rows=None):
     """Gap between F(T, x_T) and the four-term right-hand side of the
     functional change-of-variable identity.
 
-    ``levels`` lists the Riemann-sum levels (default: the finest); the time
-    integral, the quadratic term and the jump sum always use the finest
-    grid, so they are computed once and only the non-anticipative sum is
-    redone per level, which exposes how those sums close the identity.
+    ``levels`` lists the Riemann-sum levels (default: the finest).  The time
+    integral, the quadratic term and the jump sum use the finest grid, once;
+    only the non-anticipative sum is redone per level, which exposes how those
+    sums close the identity, as the pairwise ``np.sum`` of the level's gradient
+    rows times its increments.  It may differ in the last bits from the
+    time-ordered sum at T of :func:`follmer_integral_functional`, whose rows
+    ``integrate`` hands over, so that one run evaluates the gradient once.
     ``residual_by_level`` holds every listed level's residual; ``residual``
     and ``follmer_term`` are those of the finest listed level.  Time integrals
     use the left endpoint; the drift and the second derivative read the
@@ -214,10 +217,7 @@ def ito_residual_functional(F, path, seq, levels=None, config=None):
     A non-converged quadratic variation is reported, not fatal.
     """
     F.require_dim(path)
-    seq, follmer = _follmer_terms(F, path, seq, levels)
-    lhs = F.value(stop(path, path.T))
-    initial = F.value(stop(path, 0.0))
-
+    seq, follmer = _follmer_terms(_rows or _gradient_rows(F, path), path, seq, levels)
     fine = seq.level(seq.top)
     li = path.grid_indices(fine)
     left = path.values[li][:-1].copy()  # x(t_k-) at each cell start
@@ -225,7 +225,7 @@ def ito_residual_functional(F, path, seq, levels=None, config=None):
     np.subtract.at(left, cell_index(li, path.jump_index[cells]), path.jump_sizes[cells])
     horiz, hess = F.at(path, fine[:-1], left, ("horiz", "hess"))
     drift = float(_running_sums(horiz * np.diff(fine))[-1])
-    return _ito_report(path, seq, follmer, lhs, initial, drift, hess, _jump_term(F, path), config)
+    return _ito_report(F, path, seq, follmer, drift, hess, config)
 
 
 def ito_residual_cylinder(f, f_prime, f_second, path, seq, config=None):
@@ -238,8 +238,7 @@ def ito_residual_cylinder(f, f_prime, f_second, path, seq, config=None):
     The Riemann sum is taken on the finest level.
     """
     F = cylinder(f, f_prime, f_second, dim=path.dim)
-    seq, follmer = _follmer_terms(F, path, seq, None)
+    seq, follmer = _follmer_terms(_gradient_rows(F, path), path, seq, None)
     level = seq.level(seq.top)
     (hess,) = F.at(path, level[:-1], path.values[path.grid_indices(level)][:-1], ("hess",))
-    return _ito_report(path, seq, follmer, F.value(stop(path, path.T)), F.value(stop(path, 0.0)),
-                       0.0, hess, _jump_term(F, path), config)
+    return _ito_report(F, path, seq, follmer, 0.0, hess, config)

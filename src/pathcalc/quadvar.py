@@ -136,7 +136,10 @@ def _level_sums(path, seq, levels, level_sum):
     """
     _check_horizon(seq, path)
     _check_two_levels(seq)
-    seq, refined = refine_onto(seq, path.jump_times)
+    try:
+        seq, refined = refine_onto(seq, path.jump_times)
+    except ValueError as exc:  # the refined levels fail a dense sequence's mesh check
+        raise ValueError(f"partition refined onto the path's {len(path.jump_times)} jump times: {exc}") from None
     if levels is None:
         levels = range(seq.num_levels)
     if len(levels) == 0:

@@ -185,6 +185,40 @@ def test_cli_runs_of_builtins_build_no_stepwise_approximation(tmp_path, monkeypa
         assert main(["hedge", "--config", cfg]) in (0, 1), key
 
 
+def test_each_command_asks_the_hook_once_per_whole_grid_quantity(tmp_path, monkeypatch):
+    """The Black–Scholes hook's requests per CLI run on a level-8 walk (257
+    grid times, 256 cells): ``integrate`` with a sweep asks once for the
+    gradient, whose rows make both the Föllmer report and the Itô sweep's
+    Riemann sums, and once for the drift and Hessian; ``hedge`` asks once per
+    path at every grid time (beside its pricing-equation probes); ``qv`` never."""
+    requests = []
+    make = cli.functional_from_descriptor
+
+    def counted(desc):
+        F = make(desc)
+        hook = F.pointwise
+        F.pointwise = lambda path, t, s, want: requests.append((want, t.size)) or hook(
+            path, t, s, want)
+        return F
+
+    monkeypatch.setattr(cli, "functional_from_descriptor", counted)
+    cfg = write_config(tmp_path, "c.json", {
+        "seed": 3, "partition": {"type": "dyadic", "max_level": 8},
+        "path": {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0},
+        "functional": {"name": "black_scholes", "sigma": 0.2, "strike": 1.0},
+        "integrate": {"residual_levels": [2, 4, 6, 8]},
+        "hedge": {"density": {"kind": "bs", "sigma": 0.2}, "paths": 3},
+        "out": str(tmp_path / "out")})
+    assert main(["integrate", "--config", cfg]) in (0, 1)
+    assert requests == [(("grad",), 257), (("horiz", "hess"), 256)]
+    requests.clear()
+    assert main(["hedge", "--config", cfg]) in (0, 1)
+    assert [r for r in requests if r[1] >= 256] == [(("value", "grad", "hess"), 257)] * 3
+    requests.clear()
+    assert main(["qv", "--config", cfg]) in (0, 1)
+    assert requests == []
+
+
 def test_hedge_deterministic(tmp_path):
     base = {
         "seed": 9,
@@ -470,6 +504,42 @@ def test_path_file_jump_threshold_of_the_wrong_size_is_named(tmp_path, capsys):
         assert ("pathcalc: error: jump_threshold must be one number or a list of 1, one per "
                 f"coordinate of the dim-1 path, got {threshold!r}") in capsys.readouterr().err
         assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("command", ["qv", "integrate", "hedge"])
+def test_jumps_that_leave_the_partition_not_dense_are_named(tmp_path, capsys, command):
+    # jump_threshold 0 makes every move of the walk a jump: refined onto its 256
+    # jump times, level 0 is the whole grid, as fine as the top
+    from pathcalc import dyadic, generate, write_path_csv
+
+    spec = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
+    write_path_csv(generate(spec, 5, dyadic(1.0, 8)), str(tmp_path / "walk.csv"))
+    cfg = write_config(tmp_path, "c.json", {
+        "partition": {"max_level": 8},
+        "path": {"file": str(tmp_path / "walk.csv"), "jump_threshold": 0},
+        "functional": {"name": "black_scholes", "sigma": 0.2, "strike": 1.0},
+        "hedge": {"density": {"kind": "bs", "sigma": 0.2}},
+        "out": str(tmp_path / "out")})
+    assert main([command, "--config", cfg]) == 2
+    assert ("pathcalc: error: partition refined onto the path's 256 jump times: declared "
+            "dense but top mesh does not beat level 0") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_path_file_loads_with_read_only_times_around_an_off_level_jump(tmp_path):
+    # the file's grid is the top level with the jump merged in, which the
+    # path then takes as its times
+    from pathcalc import dyadic, generate, read_path_csv, refine_with, write_path_csv
+
+    jump = 155 / 2**9
+    spec = {"kind": "with_jumps", "base": {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0},
+            "jumps": [[jump, 0.1]]}
+    f = str(tmp_path / "walk.csv")
+    write_path_csv(generate(spec, 5, refine_with(dyadic(1.0, 8), [jump])), f)
+    assert not read_path_csv(f).times.flags.writeable
+    path = cli._path_from_config({"seed": 0, "path": {"file": f}}, dyadic(1.0, 8))
+    assert path.jump_times == (jump,) and path.times.size == 258
+    assert not path.times.flags.writeable
 
 
 def test_functional_and_path_dims_must_match(tmp_path, capsys):

@@ -421,6 +421,14 @@ def test_ito_terms_bit_equal_per_cell_reference(F, data):
     assert math.copysign(1.0, rep.drift_term) == math.copysign(1.0, drift)
     assert rep.qv_term == qv_term
     assert rep.residual_by_level == residuals
+    # the rows of the Föllmer report handed over, as the integrate command
+    # does, give the same bits
+    report = follmer_integral_functional(F, path, seq)
+    handed = ito_residual_functional(F, path, seq, levels=levels,
+                                     _rows=lambda seq, n, li: report.integrands[n])
+    assert list(handed.residual_by_level) == list(rep.residual_by_level)
+    assert (np.array(list(handed.residual_by_level.values())).tobytes()
+            == np.array(list(rep.residual_by_level.values())).tobytes())
     if F.name in ("identity_1", "negative_zero_drift"):
         assert rep.drift_term == 0.0 and math.copysign(1.0, rep.drift_term) == 1.0
 

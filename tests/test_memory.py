@@ -10,15 +10,18 @@ CLI run adds after the import, which also sees memory the C allocator keeps
 after numpy frees it, and the minor page faults of that run, at most 2,500
 under each of ``PYTHONHASHSEED`` 0-5.  One ``hedge`` is held to its peak of
 11.05 arrays (it walks each path whole, not in blocks yet) and keeps no
-grid-sized array in its report.  Also: a dyadic level reads the path through
-a stride, with no index array.
+grid-sized array in its report; a whole in-process ``integrate`` CLI run
+with an Itô sweep is held to 11.5 arrays, within which one gradient serves
+both its output files.  Also: a dyadic level reads the path through a
+stride, with no index array.
 
 Runs at L = 18, four blocks, by default; ``PATHCALC_BUDGET_LEVEL=20`` runs it
 at the size of the ``qv_deep`` benchmark.  At L = 16 a block is the whole
 grid, and no budget is looser there than 3.5 arrays (generate and the CLI
 run) or 1.1 arrays (``qv_along``), but the path file's: its run holds the
 file's three-column table beside the grid and the copied values, 5 arrays
-and 1 block (6 arrays at L = 16).
+and 1 block (6 arrays at L = 16), and the ``hedge`` and ``integrate``
+budgets, which are whole-grid at every level.
 """
 
 import contextlib
@@ -177,6 +180,25 @@ def test_qv_cli_run_stays_within_its_array_budget(tmp_path):
         code, _, peak = _traced(lambda: cli.main(["qv", "--config", str(cfg)]))
     assert code in (0, 1)  # 1 is a convergence caveat
     assert peak <= 2 * UNIT + 1.5 * BLOCK, peak / UNIT
+
+
+def test_integrate_cli_run_stays_within_its_array_budget(tmp_path):
+    """A README-style ``integrate`` on a walk: the Black–Scholes Föllmer
+    report and an Itô sweep over levels L-6, L-4, L-2 and L.  It peaks at
+    11.44 arrays at L = 16, 11.18 at L = 18 and 11.14 at L = 20, in the
+    drift-and-Hessian request, beside the report's whole-grid gradient, whose
+    rows the sweep also sums; a second gradient kept for the sweep adds an
+    array."""
+    cfg = tmp_path / "integrate.json"
+    cfg.write_text(json.dumps({
+        "seed": 0, "out": str(tmp_path / "out"), "path": WALK,
+        "partition": {"type": "dyadic", "T": 1.0, "max_level": LEVEL},
+        "functional": {"name": "black_scholes", "sigma": 0.2, "strike": 1.0},
+        "integrate": {"residual_levels": [LEVEL - 6, LEVEL - 4, LEVEL - 2, LEVEL]}}))
+    with _tracing():
+        code, _, peak = _traced(lambda: cli.main(["integrate", "--config", str(cfg)]))
+    assert code in (0, 1)  # 1 is a convergence caveat
+    assert peak <= 11.5 * UNIT, peak / UNIT
 
 
 def test_hedge_stays_within_its_array_budget_and_keeps_no_grid_array():

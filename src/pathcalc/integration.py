@@ -26,7 +26,7 @@ from .convergence import ConvergenceConfig, assess
 from .functionals import cylinder
 from .partitions import cell_index
 from .paths import _running_sums, stepwise_approximation, stop
-from .quadvar import _continuous_qv_increments, _level_sums, _probe_times, _qv_sums, _running_sums_at
+from .quadvar import _continuous_qv_increments, _level_sums, _qv_sums, _running_sums_at
 
 
 def _truncated_dot_sums(x, li, g, probe_idx=None):
@@ -81,30 +81,26 @@ class IntegralReport:
     integrands: dict = field(default_factory=dict, repr=False)
 
 
-def _make_report(path, seq, probes, levels, integrand_at, config):
+def _make_report(run, levels, integrand_at, config):
     """Report of the sums of ``integrand_at(seq, n, li)`` rows against the
-    path's increments, on the sequence refined onto the jump times."""
-    integrands = {}
-    probes, probe_idx = _probe_times(seq, path, probes)
-
-    def level_sum(seq, n, li):
-        integrands[n] = integrand_at(seq, n, li)
-        return _truncated_dot_sums(path.values, li, integrands[n], probe_idx())
-
-    _, refined, sums = _level_sums(path, seq, levels, level_sum)
+    path's increments at the probes of ``run``, along its refined sequence."""
+    integrands, sums = {}, {}
+    for n, li in run.each(levels):
+        integrands[n] = integrand_at(run.seq, n, li)
+        sums[n] = _truncated_dot_sums(run.path.values, li, integrands[n], run.probe_idx)
     levels = sorted(sums)
     limit = sums[levels[-1]]
     scale = max(float(np.max(np.abs(limit))), 1e-300)
     converged, metric = assess(sums, scale, config)
     return IntegralReport(
-        probe_times=probes,
+        probe_times=run.probes,
         levels=levels,
         sums=sums,
         limit=limit,
         converged=converged,
         convergence_metric=metric,
         integrand_kind="functional-gradient",
-        refined=refined,
+        refined=run.refined,
         integrands=integrands,
     )
 
@@ -126,7 +122,8 @@ def _gradient_rows(F, path, g=None):
 def follmer_integral_functional(F, path, seq, probes=None, levels=None, config=None):
     """Riemann sums of grad F against the path, per level."""
     F.require_dim(path)
-    return _make_report(path, seq, probes, levels, _gradient_rows(F, path), config)
+    rows = _gradient_rows(F, path)
+    return _make_report(_level_sums(path, seq, probes), levels, rows, config)
 
 
 # ---------------------------------------------------------------------------
@@ -148,31 +145,29 @@ class ItoReport:
     residual_by_level: dict = field(default_factory=dict)
 
 
-def _qv_flags(path, seq, config, probes=None):
-    """The QV report's verdict at ``probes`` (by default its own), summed on only
-    the ``window + 1`` finest levels: :func:`assess` reads no gap below them."""
-    window = (config or ConvergenceConfig()).window
-    levels = range(max(seq.num_levels - window - 1, 0), seq.num_levels)
-    return _qv_sums(path, seq, probes, config, levels)[-1]
+def _qv_flags(run, config):
+    """The QV report's verdict at the probes of ``run``, summed on only the
+    ``window + 1`` finest levels: :func:`assess` reads no gap below them."""
+    window, top = (config or ConvergenceConfig()).window, run.seq.top
+    return _qv_sums(run, config, range(max(top - window, 0), top + 1))[-1]
 
 
-def _follmer_terms(rows, path, seq, levels):
-    """``seq`` refined onto the jumps, and ``{n: Föllmer term}`` on ``levels`` (by
-    default the finest): the gradient rows ``rows(seq, n, li)`` against the increments."""
-    seq, _, follmer = _level_sums(
-        path, seq, [seq.top] if levels is None else levels,
-        lambda seq, n, li: float(np.sum(rows(seq, n, li) * np.diff(path.values[li], axis=0))))
-    return seq, follmer
+def _follmer_terms(rows, run, levels):
+    """``{n: Föllmer term}`` on ``levels`` (by default the finest) of ``run``: the
+    gradient rows ``rows(seq, n, li)`` against the increments."""
+    return {n: float(np.sum(rows(run.seq, n, li) * np.diff(run.path.values[li], axis=0)))
+            for n, li in run.each([run.seq.top] if levels is None else levels)}
 
 
-def _ito_report(F, path, seq, follmer, drift, hess, config):
-    """Residuals of a change-of-variable form of F: F(T), F(0) and the jump sum
-    read here, ``follmer`` and ``seq`` from :func:`_follmer_terms`, ``hess`` at
+def _ito_report(F, run, follmer, drift, hess, config):
+    """Residuals of a change-of-variable form of F along ``run``: F(T), F(0) and
+    the jump sum read here, ``follmer`` from :func:`_follmer_terms`, ``hess`` at
     the finest cell starts in the form's limit convention."""
+    path = run.path
     lhs, initial, jump_term = F.value(stop(path, path.T)), F.value(stop(path, 0.0)), _jump_term(F, path)
-    dqv = _continuous_qv_increments(path, seq)
+    dqv = _continuous_qv_increments(path, run.seq)
     qv_term = float(_running_sums(0.5 * np.trace(np.matmul(hess, dqv), axis1=1, axis2=2))[-1])
-    qv_ok, qv_metric = _qv_flags(path, seq, config)
+    qv_ok, qv_metric = _qv_flags(run, config)
     residual_by_level = {n: abs(lhs - (initial + follmer[n] + drift + qv_term + jump_term))
                          for n in sorted(follmer)}
     top = max(follmer)  # the finest listed level
@@ -217,15 +212,17 @@ def ito_residual_functional(F, path, seq, levels=None, config=None, *, _rows=Non
     A non-converged quadratic variation is reported, not fatal.
     """
     F.require_dim(path)
-    seq, follmer = _follmer_terms(_rows or _gradient_rows(F, path), path, seq, levels)
-    fine = seq.level(seq.top)
+    rows = _rows or _gradient_rows(F, path)
+    run = _level_sums(path, seq)
+    follmer = _follmer_terms(rows, run, levels)
+    fine = run.seq.level(run.seq.top)
     li = path.grid_indices(fine)
     left = path.values[li][:-1].copy()  # x(t_k-) at each cell start
     cells = path.jump_index < path.times.size - 1  # a jump at T starts no cell
     np.subtract.at(left, cell_index(li, path.jump_index[cells]), path.jump_sizes[cells])
     horiz, hess = F.at(path, fine[:-1], left, ("horiz", "hess"))
     drift = float(_running_sums(horiz * np.diff(fine))[-1])
-    return _ito_report(F, path, seq, follmer, drift, hess, config)
+    return _ito_report(F, run, follmer, drift, hess, config)
 
 
 def ito_residual_cylinder(f, f_prime, f_second, path, seq, config=None):
@@ -238,7 +235,9 @@ def ito_residual_cylinder(f, f_prime, f_second, path, seq, config=None):
     The Riemann sum is taken on the finest level.
     """
     F = cylinder(f, f_prime, f_second, dim=path.dim)
-    seq, follmer = _follmer_terms(_gradient_rows(F, path), path, seq, None)
-    level = seq.level(seq.top)
+    rows = _gradient_rows(F, path)
+    run = _level_sums(path, seq)
+    follmer = _follmer_terms(rows, run, None)
+    level = run.seq.level(run.seq.top)
     (hess,) = F.at(path, level[:-1], path.values[path.grid_indices(level)][:-1], ("hess",))
-    return _ito_report(F, path, seq, follmer, 0.0, hess, config)
+    return _ito_report(F, run, follmer, 0.0, hess, config)

@@ -314,8 +314,10 @@ def generate(spec, seed, seq):
             delta = np.asarray(delta, dtype=float).reshape(-1)
             if delta.size not in (1, base.dim):  # one size moves every coordinate
                 raise ValueError(f"jump at {t!r} has {delta.size} sizes for a dim-{base.dim} path")
-            idx = base.grid_indices([t])[0]
-            values[idx:] += delta[None, :]
+            idx, hit = grid_positions(base.times, [t])
+            if not hit[0]:
+                raise ValueError(f"jump at {t!r} is not a time of the partition's finest level")
+            values[idx[0]:] += delta[None, :]
             jumps[t] = jumps.get(t, np.zeros(base.dim)) + delta
         return _on_grid(base.times, values, sorted(jumps.items()))
     if kind == "qv_descent":

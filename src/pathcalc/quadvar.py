@@ -14,8 +14,8 @@ algebraic identity checked in :func:`vovk_uniform_check`).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -102,19 +102,6 @@ def _continuous_qv_increments(path, seq):
     return out
 
 
-def _probe_times(seq, path, probes):
-    """``probes`` as a float array (by default :func:`default_probe_times`), and a
-    call that maps them onto the path grid once, after :func:`_level_sums` has
-    checked the horizon; raises unless they are finite and strictly increasing."""
-    if probes is None:
-        probes = default_probe_times(seq, path)
-    probes = np.asarray(probes, dtype=float)
-    require_finite(probes, "probe times")
-    if not strictly_increasing(probes):
-        raise ValueError("probe times must be strictly increasing")
-    return probes, cache(lambda: path.grid_indices(probes))
-
-
 def _check_horizon(seq, path):
     if seq.T != path.T:
         raise ValueError(f"the partition horizon {seq.T} is not the path's horizon {path.T}")
@@ -125,29 +112,42 @@ def _check_two_levels(seq):
         raise ValueError("need at least two levels to talk about a limit")
 
 
-def _level_sums(path, seq, levels, level_sum):
-    """The one driver of the per-level partition sums.
+_Run = namedtuple("_Run", "path seq refined probes probe_idx each")  # read by every sum of one call
 
-    Checks that ``seq`` spans the path's horizon with at least two levels,
-    refines it onto the path's jump times, maps each of ``levels`` (all by
-    default) onto the path grid once (as the sequence places it in its top,
-    when the path's times equal that top), and returns ``(seq, refined, sums)``
-    with ``sums[n] = level_sum(seq, n, li)`` on the refined ``seq``.
-    """
+
+def _level_sums(path, seq, probes=None):
+    """The one check-and-refine step, made once by each library call ahead of
+    all its partition sums: checks the probe times (by default
+    :func:`default_probe_times`) and that ``seq`` spans the path's horizon with
+    at least two levels, refines ``seq`` onto the path's jump times and maps the
+    probes onto the path grid.  ``each(levels)`` checks ``levels`` (all by
+    default) and yields ``(n, li)``, level n mapped onto the path grid only when
+    a sum reaches it (as the sequence places it in its top, when the path's
+    times equal that top)."""
+    if probes is None:
+        probes = default_probe_times(seq, path)
+    probes = np.asarray(probes, dtype=float)
+    if probes.ndim != 1 or probes.size == 0:
+        raise ValueError(f"probe times must be a non-empty list of times, got shape {probes.shape}")
+    require_finite(probes, "probe times")
+    if not strictly_increasing(probes):
+        raise ValueError("probe times must be strictly increasing")
     _check_horizon(seq, path)
     _check_two_levels(seq)
     try:
         seq, refined = refine_onto(seq, path.jump_times)
     except ValueError as exc:  # the refined levels fail a dense sequence's mesh check
         raise ValueError(f"partition refined onto the path's {len(path.jump_times)} jump times: {exc}") from None
-    if levels is None:
-        levels = range(seq.num_levels)
-    if len(levels) == 0:
-        raise ValueError("levels must list at least one level")
     top = seq.level(seq.top)
     on_top = seq.nested and path.times.size == top.size and _equal(path.times, top)
-    return seq, refined, {n: level_sum(seq, n, seq.positions(n) if on_top else
-                                       path.grid_indices(seq.level(n))) for n in levels}
+
+    def each(levels=None):
+        levels = range(seq.num_levels) if levels is None else levels
+        if len(levels) == 0:
+            raise ValueError("levels must list at least one level")
+        return ((n, seq.positions(n) if on_top else path.grid_indices(seq.level(n))) for n in levels)
+
+    return _Run(path, seq, refined, probes, path.grid_indices(probes), each)
 
 
 @dataclass
@@ -165,34 +165,34 @@ class QVReport:
     dim: int = 1
 
 
-def _qv_sums(path, seq, probe_times, config, levels):
-    """``(probes, refined, approx, scale, (converged, metric))`` of the
-    polarization QV, its level sums (probes,) arrays on a scalar path."""
-    probes, probe_idx = _probe_times(seq, path, probe_times)
-    _, refined, approx = _level_sums(
-        path, seq, levels, lambda _seq, _n, li: _polarized_sq_sums(path.values, li, probe_idx()))
+def _qv_sums(run, config, levels):
+    """``(approx, scale, (converged, metric))`` of the polarization QV along
+    ``run``, its level sums (probes,) arrays on a scalar path."""
+    path = run.path
+    approx = {n: _polarized_sq_sums(path.values, li, run.probe_idx) for n, li in run.each(levels)}
     if path.dim == 1:
         approx = {n: a[:, 0, 0] for n, a in approx.items()}
     scale = max(float(np.max(np.ptp(path.values, axis=0))) ** 2, 1e-300)
-    return probes, refined, approx, scale, assess(approx, scale, config)
+    return approx, scale, assess(approx, scale, config)
 
 
 def _qv(path, seq, probe_times, config, levels):
     """Polarization QV report of a d-dimensional path; a scalar path is the
     1x1 case, reported with (probes,) arrays."""
     d = path.dim
-    probes, refined, approx, scale, (converged, metric) = _qv_sums(path, seq, probe_times, config, levels)
+    run = _level_sums(path, seq, probe_times)
+    approx, scale, (converged, metric) = _qv_sums(run, config, levels)
     # sum_{s <= t} dx(s) dx(s)^T: a running sum over the jumps in time order,
     # read at the count of jumps up to t.
     dx = path.jump_sizes
     running = _running_sums(dx[:, :, None] * dx[:, None, :])
-    jump = running[np.searchsorted(path.times[path.jump_index], probes, "right")]
+    jump = running[np.searchsorted(path.times[path.jump_index], run.probes, "right")]
     if d == 1:
         jump = jump[:, 0, 0]
     levels = sorted(approx)
     limit = approx[levels[-1]]
     return QVReport(
-        probe_times=probes,
+        probe_times=run.probes,
         levels=levels,
         approx=approx,
         limit=limit,
@@ -201,7 +201,7 @@ def _qv(path, seq, probe_times, config, levels):
         converged=converged,
         convergence_metric=metric,
         scale=scale,
-        refined=refined,
+        refined=run.refined,
         dim=d,
     )
 

@@ -357,9 +357,7 @@ def hedge(
             "replication conclusions void"
         )
 
-    qv_ok, qv_metric = _qv_flags(path, seq, config, probes)
-    if not qv_ok:
-        notes.append("quadratic variation not converged at the top level")
+    _check_horizon(seq, path)  # before the top level is looked up on the path grid
 
     d = path.dim
     level = seq.level(seq.top)  # unrefined onto the jumps, unlike the gains (ROADMAP item 2)
@@ -386,24 +384,28 @@ def hedge(
     # digests pin its bits, so it becomes time-ordered only with a re-record
     predicted = 0.5 * float(traces @ dt) - jump_term
 
+    run = _level_sums(path, seq, probes)  # refined after the whole-grid request, not beside it
+    qv_ok, qv_metric = _qv_flags(run, config)
+    if not qv_ok:
+        notes.append("quadratic variation not converged at the top level")
+
     # The gains at every grid time, summed once per level.  The track error
     # is taken at every grid time when F has a pointwise value, else at the probes.
     grad_rows = _gradient_rows(F, path, grad)
-    gains = _level_sums(path, seq, [seq.top] if levels is None else levels, lambda seq, n, li:
-                        _truncated_dot_sums(path.values, li, grad_rows(seq, n, li)))[2]
+    gains = {n: _truncated_dot_sums(path.values, li, grad_rows(run.seq, n, li))
+             for n, li in run.each([seq.top] if levels is None else levels)}
     levels = sorted(gains)
     f0 = F.value(stop(path, 0.0))
     realized = f0 + float(gains[levels[-1]][-1]) - float(payoff(path))
 
-    probe_idx = path.grid_indices(probes)
-    track_idx = probe_idx if value is None else slice(None)
-    f_track = (F.at(path, probes, path.values[probe_idx], ("value",))[0] if value is None
+    track_idx = run.probe_idx if value is None else slice(None)
+    f_track = (F.at(path, probes, path.values[run.probe_idx], ("value",))[0] if value is None
                else np.asarray(value, dtype=float))
     # a copy, so that the report keeps no grid-sized array alive
-    f_curve = f_track if value is None else f_track[probe_idx].copy()
+    f_curve = f_track if value is None else f_track[run.probe_idx].copy()
     track_by_level = {n: float(np.max(np.abs(f0 + gains[n][track_idx] - f_track)))
                       for n in levels}
-    v_curve = f0 + gains[levels[-1]][probe_idx]
+    v_curve = f0 + gains[levels[-1]][run.probe_idx]
     track = track_by_level[levels[-1]]
 
     return HedgeReport(

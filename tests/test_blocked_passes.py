@@ -17,7 +17,7 @@ from pathcalc.convergence import ConvergenceConfig
 from pathcalc.integration import _qv_flags, _truncated_dot_sums
 from pathcalc.partitions import cell_index, grid_positions, index_array, strictly_increasing
 from pathcalc.paths import _walk_steps
-from pathcalc.quadvar import _running_sums_at, _truncated_sq_sums
+from pathcalc.quadvar import _level_sums, _running_sums_at, _truncated_sq_sums
 
 DEFAULT_BLOCK = partitions.BLOCK
 
@@ -204,7 +204,7 @@ def test_qv_flags_in_blocks_match_the_report_verdict(block, dim, monkeypatch):
             with monkeypatch.context() as one_block:
                 one_block.setattr(partitions, "BLOCK", DEFAULT_BLOCK)
                 full = (qv_along if dim == 1 else qv_matrix)(path, seq, probes, config)
-            converged, metric = _qv_flags(path, seq, config, probes)
+            converged, metric = _qv_flags(_level_sums(path, seq, probes), config)
             assert converged is full.converged
             assert _bits(metric) == _bits(full.convergence_metric)
 

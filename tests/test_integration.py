@@ -473,7 +473,7 @@ def test_qv_flags_from_trailing_levels_equal_all_levels(data, dim):
     for window in range(1, seq.num_levels + 3):
         config = ConvergenceConfig(tol=tol, window=window)
         full = (qv_along if dim == 1 else qv_matrix)(path, seq, probes, config=config)
-        converged, metric = _qv_flags(path, seq, config, probes)
+        converged, metric = _qv_flags(_level_sums(path, seq, probes), config)
         assert converged is full.converged
         assert np.float64(metric).tobytes() == np.float64(full.convergence_metric).tobytes()
 
@@ -612,14 +612,14 @@ def test_ito_reports_qv_caveat():
 def _grid_gains(path, seq, levels, rows):
     """The gains at every grid time as ``hedge`` sums them: the level-sum
     driver with the every-grid-time route of ``_truncated_dot_sums``."""
-    return _level_sums(path, seq, levels,
-                       lambda seq, n, li: _truncated_dot_sums(path.values, li, rows(seq, n, li)))[2]
+    run = _level_sums(path, seq)
+    return {n: _truncated_dot_sums(path.values, li, rows(run.seq, n, li)) for n, li in run.each(levels)}
 
 
 def _grid_gains_reference(path, seq, levels, rows):
     """The gains at every grid time as ``hedge`` once summed them: the Föllmer
     report's probe route with every grid time as a probe."""
-    return _make_report(path, seq, path.times, levels, rows, None).sums
+    return _make_report(_level_sums(path, seq, path.times), levels, rows, None).sums
 
 
 @st.composite

@@ -10,9 +10,12 @@ CLI run adds after the import, which also sees memory the C allocator keeps
 after numpy frees it, and the minor page faults of that run, at most 2,500
 under each of ``PYTHONHASHSEED`` 0-5.  One ``hedge`` is held to its peak of
 11.05 arrays (it walks each path whole, not in blocks yet) and keeps no
-grid-sized array in its report; a whole in-process ``integrate`` CLI run
-with an Itô sweep is held to 11.5 arrays, within which one gradient serves
-both its output files.  Also: a dyadic level reads the path through a
+grid-sized array in its report.  An in-process ``hedge`` CLI run on a path
+file whose jump lies off the top level is held to 16.5 arrays
+(``test_hedge_cli_run_on_a_path_file_with_an_off_top_jump_stays_within_its_array_budget``),
+as it refines onto the jump after its whole-grid request.  A whole in-process
+``integrate`` CLI run with an Itô sweep is held to 11.5 arrays, within which
+one gradient serves both its output files.  Also: a dyadic level reads the path through a
 stride, with no index array.
 
 Runs at L = 18, four blocks, by default; ``PATHCALC_BUDGET_LEVEL=20`` runs it
@@ -218,6 +221,31 @@ def test_hedge_stays_within_its_array_budget_and_keeps_no_grid_array():
             realized_density=diffusion_density(0.3)))
     assert peak <= 11.05 * UNIT, peak / UNIT
     assert held <= 16 * 1024, held
+
+
+def test_hedge_cli_run_on_a_path_file_with_an_off_top_jump_stays_within_its_array_budget(tmp_path):
+    """An in-process ``hedge`` on a level-L walk file whose jump lies off the top
+    level, so that the file's grid is that level with the jump merged in, and
+    the partition is refined onto it.  The peak, 16.16 arrays at L = 16, 16.04
+    at L = 18 and 16.01 at L = 20, is the Black–Scholes request at every grid
+    time.  The hedge refines only after that request: refined before it, the
+    refined top level was held beside it, and the peak was 17.15, 17.04 and
+    17.01 arrays."""
+    jump = (2 * 77 + 1) / 2 ** (LEVEL + 1)
+    f = tmp_path / "walk.csv"
+    write_path_csv(generate({"kind": "with_jumps", "base": WALK, "jumps": [[jump, 0.1]]}, 0,
+                            refine_with(dyadic(1.0, LEVEL), [jump])), str(f))
+    cfg = tmp_path / "hedge.json"
+    cfg.write_text(json.dumps({
+        "out": str(tmp_path / "out"), "path": {"file": str(f)},
+        "partition": {"type": "dyadic", "T": 1.0, "max_level": LEVEL},
+        "functional": {"name": "black_scholes", "sigma": 0.2, "strike": 1.0},
+        "hedge": {"density": {"kind": "bs", "sigma": 0.2}, "realized": {"kind": "bs", "sigma": 0.3},
+                  "payoff": {"kind": "call", "strike": 1.0}}}))
+    with _tracing():
+        code, _, peak = _traced(lambda: cli.main(["hedge", "--config", str(cfg)]))
+    assert code in (0, 1)  # 1 is a numeric caveat
+    assert peak <= 16.5 * UNIT, peak / UNIT
 
 
 _RESIDENT = """

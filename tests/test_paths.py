@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pathcalc import (
+    PartitionSequence,
     SampledPath,
     asian_forward,
     dyadic,
@@ -295,6 +296,18 @@ def test_generator_rejects_bad_params():
     with pytest.raises(ValueError, match="jump at 0.5 has 2 sizes for a dim-1 path"):
         generate({"kind": "with_jumps", "base": {"kind": "scaled_random_walk", "sigma": 1.0},
                   "jumps": [[0.5, [1.0, 2.0]]]}, 0, seq)
+
+
+def test_a_jump_off_the_finest_level_is_named():
+    """A jump time must be a time of the partition's finest level; the
+    partition's ``extra_times`` can add it."""
+    jump = 155 / 2**12
+    walk = {"kind": "geometric_walk", "sigma": 0.3, "x0": 1.0}
+    spec = {"kind": "with_jumps", "base": walk, "jumps": [[jump, 0.1]]}
+    with pytest.raises(ValueError, match=r"^jump at 0\.037841796875 is not a time of the partition's finest level$"):
+        generate(spec, 0, dyadic(1.0, 11))
+    seq = PartitionSequence.from_descriptor({"type": "dyadic", "T": 1.0, "max_level": 11, "extra_times": [jump]})
+    assert generate(spec, 0, seq).jump_times == (jump,)
 
 
 def test_with_jumps_records_and_applies():

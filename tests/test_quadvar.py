@@ -238,6 +238,10 @@ def test_matrix_symmetry_and_cauchy_schwarz():
     assert np.all(off <= bound + 1e-9)
 
 
+# an empty list, a scalar and a nested list, each named as probe times
+NOT_A_LIST_OF_TIMES = [([], r"\(0,\)"), (0.5, r"\(\)"), ([[0.5]], r"\(1, 1\)")]
+
+
 def test_probe_times_must_increase():
     path, seq = seeded_walk(6)
     reports = (
@@ -248,15 +252,22 @@ def test_probe_times_must_increase():
     for report in reports:
         with pytest.raises(ValueError, match="probe times must be strictly increasing"):
             report([0.5, 0.25])
+        for probes, shape in NOT_A_LIST_OF_TIMES:
+            with pytest.raises(ValueError, match=f"^probe times must be a non-empty list of times, got shape {shape}$"):
+                report(probes)
 
 
-@pytest.mark.parametrize("probes, bad", [([0.5, math.nan], "nan"), ([0.25, math.inf, math.inf], "inf")])
-def test_probe_times_must_be_finite(probes, bad):
-    # Tier-1 turns a RuntimeWarning (as from inf - inf) into an error
+@pytest.mark.parametrize("probes, message", [
+    ([0.5, math.nan], "must be finite, got nan"), ([0.25, math.inf, math.inf], "must be finite, got inf"),
+    *((probes, f"must be a non-empty list of times, got shape {shape}") for probes, shape in NOT_A_LIST_OF_TIMES)],
+    ids=["probes0-nan", "probes1-inf", "empty", "scalar", "nested"])
+def test_probe_times_must_be_finite(probes, message):
+    # Tier-1 turns a RuntimeWarning (as from inf - inf) into an error; the
+    # malformed lists fail before any reduction over them
     path, seq = seeded_walk(6)
-    with pytest.raises(ValueError, match=f"probe times must be finite, got {bad}"):
+    with pytest.raises(ValueError, match=f"probe times {message}"):
         qv_along(path, seq, probe_times=probes)
-    with pytest.raises(ValueError, match=f"probe times must be finite, got {bad}"):
+    with pytest.raises(ValueError, match=f"probe times {message}"):
         follmer_integral_functional(identity(), path, seq, probes=probes)
 
 

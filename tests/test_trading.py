@@ -253,26 +253,6 @@ def test_vertical_form_level_gains_are_the_integral_sums():
     assert np.array_equal(ledger.times, rep.probe_times)
 
 
-def test_vertical_form_refines_once(monkeypatch):
-    import pathcalc.partitions as partitions
-
-    calls = []
-    real = partitions.refine_with
-    monkeypatch.setattr(
-        partitions, "refine_with", lambda *a: calls.append(1) or real(*a)
-    )
-    seq = dyadic(1.0, 8)
-    path = generate(
-        {"kind": "with_jumps",
-         "base": {"kind": "geometric_walk", "sigma": 0.2, "x0": 1.0},
-         "jumps": [[0.30078125, [0.2]]]},
-        5, seq,
-    )
-    ledger = gain_from_vertical_form(black_scholes(0.2, 1.0), path, seq)
-    assert len(calls) == 1
-    assert np.array_equal(ledger.gain, ledger.level_gains[seq.top])
-
-
 def test_vertical_form_jump_condition():
     seq = dyadic(1.0, 8)
     path = generate(
@@ -685,6 +665,37 @@ def test_partition_past_the_path_horizon_is_rejected(entry):
     path = generate({"kind": "geometric_walk", "sigma": 0.3}, 3, dyadic(1.0, 8))
     with pytest.raises(ValueError, match="^the partition horizon 2.0 is not the path's horizon 1.0$"):
         LONG_HORIZON_ENTRY_POINTS[entry](path, dyadic(2.0, 8))
+
+
+@pytest.mark.parametrize("entry", ["qv_along", "qv_matrix", "follmer_integral_functional",
+                                   "ito_residual_functional", "ito_residual_cylinder", "hedge",
+                                   "gain_from_vertical_form"])
+def test_each_library_call_refines_once(entry, monkeypatch):
+    """One library call checks the partition, refines it onto the jump times and
+    maps its probes once, and runs every partition sum along that refinement:
+    ``hedge``'s QV verdict and gains, and each Itô form's Föllmer terms and
+    verdict, read one driver result."""
+    import pathcalc.integration as integration
+    import pathcalc.partitions as partitions
+    import pathcalc.quadvar as quadvar
+    import pathcalc.trading as trading
+
+    calls, drives = [], []
+    real, driver = partitions.refine_with, quadvar._level_sums
+    monkeypatch.setattr(partitions, "refine_with", lambda *a: calls.append(1) or real(*a))
+    for module in (quadvar, integration, trading):
+        monkeypatch.setattr(module, "_level_sums", lambda *a: drives.append(1) or driver(*a))
+    seq = dyadic(1.0, 8)
+    path = generate(  # a jump off every level but the top
+        {"kind": "with_jumps",
+         "base": {"kind": "geometric_walk", "sigma": 0.2, "x0": 1.0},
+         "jumps": [[0.30078125, [0.2]]]},
+        5, seq,
+    )
+    report = LONG_HORIZON_ENTRY_POINTS[entry](path, seq)
+    assert len(calls) == len(drives) == 1
+    if entry == "gain_from_vertical_form":
+        assert np.array_equal(report.gain, report.level_gains[seq.top])
 
 
 ONE_LEVEL_ENTRY_POINTS = {

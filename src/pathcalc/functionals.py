@@ -348,8 +348,8 @@ def cylinder(f, f_prime=None, f_second=None, dim=1, name="cylinder"):
 
 def monomial(power, coeff=1.0):
     """F(t, omega) = coeff * omega(t)**power; a config-friendly cylinder."""
-    if power < 0:
-        raise ValueError("power must be a nonnegative integer")
+    if not (power >= 0 and float(power).is_integer()):
+        raise ValueError(f"power must be a nonnegative integer, got {power!r}")
     p = int(power)
 
     def f(x):
@@ -419,10 +419,9 @@ def black_scholes(sigma, strike, kind="call"):
     closed-form gamma it satisfies the pricing equation against the density
     a(t, s) = sigma^2 s^2 identically.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if strike <= 0:
-        raise ValueError("strike must be positive")
+    for name, v in (("sigma", sigma), ("strike", strike)):
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
     if kind not in ("call", "put"):
         raise ValueError(f"kind must be 'call' or 'put', got {kind!r}")
 

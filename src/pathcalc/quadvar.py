@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .convergence import ConvergenceConfig, assess
+from .convergence import assess, verdict
 from .partitions import _equal, blocks, cell_index, merge_times, refine_onto, require_finite, strictly_increasing
 from .paths import _running_sums
 
@@ -243,12 +243,12 @@ def p_variation(path, p):
 
     Solves the sup over all subsets of sample points by an O(n^2) dynamic
     program (grids up to 4096 points).  p < 1 is rejected: the sup
-    degenerates under refinement there.
+    degenerates under refinement there; so are NaN and infinity.
     """
     if path.dim != 1:
         raise ValueError("p_variation expects a scalar path")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < np.inf:
+        raise ValueError(f"p must be >= 1 and finite, got {p!r}")
     v = path.values[:, 0]
     n = v.size
     if n > DP_POINT_LIMIT:
@@ -325,7 +325,7 @@ def norvaisa_qv_check(path, seq, intervals):
             split = (
                 _interval_sq_sum(path, top, s, mid)
                 + _interval_sq_sum(path, top, mid, t)
-                - _interval_sq_sum(path, top, s, t)
+                - sums[-1]
             )
             additivity_gaps.append(split)
         else:
@@ -362,44 +362,44 @@ class VovkReport:
 def vovk_uniform_check(path, seq, n_boundary_samples=8):
     """Uniform-in-time comparison of the level sums (default convergence
     config), plus an exact check of the two-incomplete-cell identity linking
-    the truncated and untruncated conventions at seeded sample times."""
+    the truncated and untruncated conventions at ``2 * n_boundary_samples``
+    seeded sample times.  The sums at every grid time are held one level at a
+    time, beside the top level's."""
     if not seq.nested:
         raise ValueError("the uniform form requires a nested sequence")
     if path.dim != 1:
         raise ValueError("vovk_uniform_check expects a scalar path")
     _check_horizon(seq, path)
     _check_two_levels(seq)
-    config = ConvergenceConfig()
+    if not (isinstance(n_boundary_samples, (int, np.integer)) and n_boundary_samples >= 0):
+        raise ValueError(f"n_boundary_samples must be an integer >= 0, got {n_boundary_samples!r}")
     x = path.values[:, 0]
-    all_idx = np.arange(path.times.size)
-    per_level = []
-    cells = []
-    for n in range(seq.num_levels):
-        level = seq.level(n)
-        li = path.grid_indices(level)
-        per_level.append(_truncated_sq_sums(x, li, all_idx))
-        lx = x[li]
-        cells.append((level, lx, np.diff(lx)))
-    top_vals = per_level[-1]
-    sup_gaps = [float(np.max(np.abs(vals - top_vals))) for vals in per_level]
-    scale = max(float(np.ptp(x)) ** 2, 1e-300)
-    tail = sup_gaps[-(config.window + 1):-1]
-    monotone = all(b <= a for a, b in zip(tail, tail[1:]))
-    uniform = monotone and sup_gaps[-2] <= config.tol * scale
-
+    every = slice(0, x.size)  # the sums at every grid time
+    top = _truncated_sq_sums(x, path.grid_indices(seq.level(seq.top)), every)
     rng = np.random.default_rng(0)
     samples = list(rng.uniform(0.0, path.T, size=n_boundary_samples))
     samples += [float(path.times[k]) for k in
                 rng.integers(0, path.times.size, size=n_boundary_samples)]
-    boundary_gap = 0.0
-    for t in samples:
-        it = path.index_at(t)
-        xt = x[it]
-        for (level, lx, a), trunc in zip(cells, per_level):
+    sample_idx = [path.index_at(t) for t in samples]
+    sup_gaps = []
+    boundary = np.empty((len(samples), seq.num_levels))  # each sample's gap at each level
+    for n in range(seq.num_levels):
+        level = seq.level(n)
+        li = path.grid_indices(level)
+        trunc = top if n == seq.top else _truncated_sq_sums(x, li, every)
+        sup_gaps.append(float(np.max(np.abs(trunc - top))))
+        lx = x[li]
+        a = np.diff(lx)
+        for k, (t, it) in enumerate(zip(samples, sample_idx)):
             kbar = min(int(np.searchsorted(level, t, side="right")) - 1, level.size - 2)
             untrunc = float(np.sum(a[: kbar + 1] ** 2))
-            rhs = (xt - lx[kbar]) ** 2 - (lx[kbar + 1] - lx[kbar]) ** 2
-            boundary_gap = max(boundary_gap, abs((float(trunc[it]) - untrunc) - rhs))
+            rhs = (x[it] - lx[kbar]) ** 2 - (lx[kbar + 1] - lx[kbar]) ** 2
+            boundary[k, n] = abs((float(trunc[it]) - untrunc) - rhs)
+        del trunc, a  # before the next level is summed
+    scale = max(float(np.ptp(x)) ** 2, 1e-300)
+    uniform = verdict(sup_gaps[:-1], scale)
+    # Python's max from 0.0, sample by sample: it passes over a NaN
+    boundary_gap = max((0.0, *boundary.flat))
     return VovkReport(
         levels=list(range(seq.num_levels)),
         sup_gaps=sup_gaps,

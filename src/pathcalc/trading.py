@@ -19,16 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convergence import assess
+from .convergence import cauchy_gaps, verdict
 from .functionals import _elementwise, density_matrix
 from .integration import (
     _gradient_rows,
     _jump_term,
+    _make_report,
     _qv_flags,
     _truncated_dot_sums,
-    follmer_integral_functional,
 )
-from .partitions import cell_index, index_array, refine_onto
+from .partitions import cell_index, index_array
 from .paths import _running_sums, stop
 from .quadvar import (
     _check_horizon,
@@ -153,12 +153,14 @@ def gain_from_vertical_form(F, path, seq, initial_capital=None):
     hold to roundoff, and the per-level gains stay attached for the
     convergence check.  The initial capital is F at time 0 unless given.
     """
-    seq = refine_onto(seq, path.jump_times)[0]
-    rep = follmer_integral_functional(F, path, seq)
+    F.require_dim(path)
+    rows = _gradient_rows(F, path)
+    run = _level_sums(path, seq)  # the ledger's level lies on the refined sequence
+    rep = _make_report(run, None, rows, None)
     top = rep.levels[-1]
     v0 = F.value(stop(path, 0.0)) if initial_capital is None else float(initial_capital)
     return _ledger_from_holdings(
-        path, seq, top, rep.integrands[top], v0, rep.probe_times, rep.sums[top], rep.sums,
+        path, run.seq, top, rep.integrands[top], v0, rep.probe_times, rep.sums[top], rep.sums,
     )
 
 
@@ -200,16 +202,8 @@ def self_financing_check(ledger):
     v_left = np.sum(lam[k] * (xr - dlt - lx[k]), axis=1)
     jump_gap = float(np.max(np.abs(v_right - v_left - np.sum(lam[k] * dlt, axis=1)), initial=0.0))
 
-    gaps = []
-    converged = True
-    if ledger.level_gains:
-        g_scale = max(1.0, float(np.max(np.abs(ledger.gain))))
-        converged, _ = assess(ledger.level_gains, g_scale)
-        keys = sorted(ledger.level_gains)
-        gaps = [
-            float(np.max(np.abs(ledger.level_gains[b] - ledger.level_gains[a])))
-            for a, b in zip(keys, keys[1:])
-        ]
+    gaps = cauchy_gaps(ledger.level_gains)
+    converged = not ledger.level_gains or verdict(gaps, max(1.0, float(np.max(np.abs(ledger.gain)))))
     passed = max(portfolio, budget, bond_gap, jump_gap) <= 1e-10 * scale
     return SelfFinancingReport(
         portfolio_identity_max=portfolio,

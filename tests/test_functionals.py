@@ -598,6 +598,18 @@ def test_builtin_dispatch_and_validation():
         builtin("what_is_this")
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: black_scholes(math.nan, 1.0), "sigma must be a finite number > 0, got nan"),
+    (lambda: black_scholes(0.2, math.inf), "strike must be a finite number > 0, got inf"),
+    (lambda: monomial(2.5), "power must be a nonnegative integer, got 2.5"),
+])
+def test_factories_reject_bad_parameters_by_name(make, message):
+    # NaN priced NaN, an infinite strike failed later in a math domain error,
+    # and a fractional power was truncated to monomial_2
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # pricing-equation residual
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ file whose jump lies off the top level is held to 16.5 arrays
 (``test_hedge_cli_run_on_a_path_file_with_an_off_top_jump_stays_within_its_array_budget``),
 as it refines onto the jump after its whole-grid request.  A whole in-process
 ``integrate`` CLI run with an Itô sweep is held to 11.5 arrays, within which
-one gradient serves both its output files.  Also: a dyadic level reads the path through a
-stride, with no index array.
+one gradient serves both its output files.  ``vovk_uniform_check`` is held to
+7 arrays: it holds one level's sums at every grid time beside the top
+level's, not every level's at once.  Also: a dyadic level reads the path
+through a stride, with no index array.
 
 Runs at L = 18, four blocks, by default; ``PATHCALC_BUDGET_LEVEL=20`` runs it
 at the size of the ``qv_deep`` benchmark.  At L = 16 a block is the whole
@@ -55,6 +57,7 @@ from pathcalc import (
     qv_matrix,
     read_path_csv,
     refine_with,
+    vovk_uniform_check,
     write_path_csv,
 )
 from pathcalc.quadvar import _truncated_sq_sums
@@ -108,6 +111,18 @@ def test_grid_stages_stay_within_their_array_budgets():
     assert held <= 1.1 * UNIT, shares
     assert gen_peak <= UNIT + 1.5 * BLOCK, shares
     assert qv_peak <= 1.1 * BLOCK, shares
+
+
+def test_vovk_uniform_check_holds_one_level_of_sums_at_a_time():
+    """Vovk's uniform check sums the top level at every grid time first, then
+    walks the levels, holding one level's sums beside the top's.  It peaks at
+    5.54 arrays at L = 16, 5.26 at L = 18 and 5.06 at L = 20, within 7 arrays;
+    every level's sums held at once made it 23.0, 24.0 and 26.0."""
+    seq = dyadic(1.0, LEVEL)
+    path = generate(WALK, 0, seq)
+    with _tracing():
+        _, _, peak = _traced(lambda: vovk_uniform_check(path, seq))
+    assert peak <= 7 * UNIT, peak / UNIT
 
 
 def test_qv_matrix_forms_its_pair_sums_a_block_at_a_time():

@@ -24,8 +24,15 @@ from pathcalc import (
     vovk_uniform_check,
     write_path_csv,
 )
+from pathcalc.convergence import ConvergenceConfig
 from pathcalc.partitions import cell_index, index_array
-from pathcalc.quadvar import _interval_grid
+from pathcalc.quadvar import (
+    VovkReport,
+    _check_horizon,
+    _check_two_levels,
+    _interval_grid,
+    _truncated_sq_sums,
+)
 
 
 def component(path, i):
@@ -370,6 +377,14 @@ def test_p_variation_two_point():
         assert p_variation(path, p) == abs(-1.7) ** p
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_p_variation_rejects_a_p_that_is_not_finite(p):
+    # NaN read nan and infinity a number, not a p-variation
+    path = SampledPath([0.0, 0.5, 1.0], [0.0, 1.0, 0.5])
+    with pytest.raises(ValueError, match=f"^p must be >= 1 and finite, got {p}$"):
+        p_variation(path, p)
+
+
 def test_p_variation_dp_equals_brute_force():
     rng = np.random.default_rng(42)
     for _ in range(20):
@@ -499,6 +514,112 @@ def test_vovk_sums_each_level_once(monkeypatch):
     rep = vovk_uniform_check(path, seq)
     assert len(calls) == seq.num_levels
     assert rep.boundary_max_gap < 1e-12
+
+
+def _vovk_every_level_at_once(path, seq, n_boundary_samples=8):
+    """The reference route: ``vovk_uniform_check`` as it was when it held every
+    level's sums at every grid time at once, with its own verdict."""
+    if not seq.nested:
+        raise ValueError("the uniform form requires a nested sequence")
+    if path.dim != 1:
+        raise ValueError("vovk_uniform_check expects a scalar path")
+    _check_horizon(seq, path)
+    _check_two_levels(seq)
+    config = ConvergenceConfig()
+    x = path.values[:, 0]
+    all_idx = np.arange(path.times.size)
+    per_level = []
+    cells = []
+    for n in range(seq.num_levels):
+        level = seq.level(n)
+        li = path.grid_indices(level)
+        per_level.append(_truncated_sq_sums(x, li, all_idx))
+        lx = x[li]
+        cells.append((level, lx, np.diff(lx)))
+    top_vals = per_level[-1]
+    sup_gaps = [float(np.max(np.abs(vals - top_vals))) for vals in per_level]
+    scale = max(float(np.ptp(x)) ** 2, 1e-300)
+    tail = sup_gaps[-(config.window + 1):-1]
+    monotone = all(b <= a for a, b in zip(tail, tail[1:]))
+    uniform = monotone and sup_gaps[-2] <= config.tol * scale
+
+    rng = np.random.default_rng(0)
+    samples = list(rng.uniform(0.0, path.T, size=n_boundary_samples))
+    samples += [float(path.times[k]) for k in
+                rng.integers(0, path.times.size, size=n_boundary_samples)]
+    boundary_gap = 0.0
+    for t in samples:
+        it = path.index_at(t)
+        xt = x[it]
+        for (level, lx, a), trunc in zip(cells, per_level):
+            kbar = min(int(np.searchsorted(level, t, side="right")) - 1, level.size - 2)
+            untrunc = float(np.sum(a[: kbar + 1] ** 2))
+            rhs = (xt - lx[kbar]) ** 2 - (lx[kbar + 1] - lx[kbar]) ** 2
+            boundary_gap = max(boundary_gap, abs((float(trunc[it]) - untrunc) - rhs))
+    return VovkReport(
+        levels=list(range(seq.num_levels)),
+        sup_gaps=sup_gaps,
+        uniform=uniform,
+        boundary_max_gap=boundary_gap,
+        scale=scale,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), level=st.integers(1, 6), n_samples=st.sampled_from([0, 1, 16]))
+def test_vovk_one_level_at_a_time_matches_every_level_at_once(data, level, n_samples):
+    kind = data.draw(st.sampled_from(["dyadic", "nested", "refine_with"]))
+    cells = 2 ** (level + 1)
+    # odd slots are cell midpoints, off every level of dyadic(1, level); one
+    # such time, or four from level 3, leave a refinement's top mesh below
+    # its level 0's, so that it stays dense
+    slots = st.sets(st.integers(1, cells // 2).map(lambda k: 2 * k - 1), max_size=4 if level >= 3 else 1)
+    off = np.array(sorted(data.draw(slots)), dtype=float) / cells
+    if kind == "dyadic":
+        seq = dyadic(1.0, level)
+    elif kind == "refine_with":
+        seq = refine_with(dyadic(1.0, level), off)
+    else:  # each level a subset of the next, all holding 0 and T
+        top = np.union1d(dyadic(1.0, level).level(level), off)
+        levels = [top]
+        for _ in range(level):
+            keep = data.draw(st.lists(st.booleans(), min_size=levels[0].size - 2,
+                                      max_size=levels[0].size - 2))
+            levels.insert(0, levels[0][[True, *keep, True]])
+        seq = PartitionSequence(1.0, levels, dense=False)
+    times = np.union1d(seq.level(seq.top), off)  # the path grid may be finer than the top
+    # values near 1e155 that spread over 1e154 at most: the sums of their
+    # squared increments overflow to inf, and their gaps to NaN, while the
+    # squared range, the scale, is finite; spread over 2e155 it may overflow
+    centre, spread = data.draw(st.sampled_from([(0.0, 1.0), (1e155, 5e153), (0.0, 1e155)]))
+    values = centre + spread * np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=times.size,
+                                                           max_size=times.size)))
+    at = data.draw(st.sets(st.integers(1, times.size - 1), max_size=3))  # the last is T
+    path = SampledPath(times, values, [(times[k], values[k] - values[k - 1] or 1.0) for k in at])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            float(np.ptp(values)) ** 2
+        except OverflowError:
+            for check in (vovk_uniform_check, _vovk_every_level_at_once):
+                with pytest.raises(OverflowError):
+                    check(path, seq, n_samples)
+            return
+        new = vovk_uniform_check(path, seq, n_samples)
+        ref = _vovk_every_level_at_once(path, seq, n_samples)
+    assert new.levels == ref.levels
+    assert np.array(new.sup_gaps).tobytes() == np.array(ref.sup_gaps).tobytes()
+    assert new.uniform is ref.uniform
+    assert np.float64(new.boundary_max_gap).tobytes() == np.float64(ref.boundary_max_gap).tobytes()
+    assert new.scale == ref.scale
+
+
+@pytest.mark.parametrize("n", [-1, 2.0])
+def test_vovk_rejects_a_sample_count_that_is_not_a_count(n):
+    # -1 failed in numpy's "negative dimensions" and 2.0 in a TypeError
+    path, seq = seeded_walk(4)
+    with pytest.raises(ValueError, match=f"^n_boundary_samples must be an integer >= 0, got {n}$"):
+        vovk_uniform_check(path, seq, n)
 
 
 # ---------------------------------------------------------------------------

@@ -698,6 +698,25 @@ def test_each_library_call_refines_once(entry, monkeypatch):
         assert np.array_equal(report.gain, report.level_gains[seq.top])
 
 
+@pytest.mark.parametrize("entry", ["qv_along", "qv_matrix", "follmer_integral_functional",
+                                   "ito_residual_functional", "ito_residual_cylinder", "hedge",
+                                   "gain_from_vertical_form"])
+def test_a_failed_refinement_names_the_jumps(entry):
+    # a jump at every interior time of level 6 puts every one of them in level
+    # 0, so the refined top mesh no longer beats level 0's; the ledger's own
+    # refinement once raised the bare message of the mesh check
+    seq = dyadic(1.0, 6)
+    path = generate(
+        {"kind": "with_jumps",
+         "base": {"kind": "geometric_walk", "sigma": 0.2, "x0": 1.0},
+         "jumps": [[k / 64, [0.01]] for k in range(1, 64)]},
+        5, seq,
+    )
+    with pytest.raises(ValueError, match="^partition refined onto the path's 63 jump times: "
+                                         "declared dense but top mesh does not beat level 0$"):
+        LONG_HORIZON_ENTRY_POINTS[entry](path, seq)
+
+
 ONE_LEVEL_ENTRY_POINTS = {
     name: entry for name, entry in LONG_HORIZON_ENTRY_POINTS.items() if name != "simple_ledger"}
 

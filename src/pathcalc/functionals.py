@@ -449,7 +449,7 @@ def builtin(name, **params):
         return asian_forward()
     if name == "black_scholes":
         sigma = params.get("sigma")
-        strike = params.get("strike", params.get("K"))
+        strike = params.get("strike")
         if sigma is None or strike is None:
             raise ValueError("black_scholes needs sigma and strike")
         return black_scholes(sigma, strike, params.get("kind", "call"))

@@ -119,11 +119,11 @@ def _gradient_rows(F, path, g=None):
     return lambda seq, n, li: g[li][:-1]
 
 
-def follmer_integral_functional(F, path, seq, probes=None, levels=None, config=None):
-    """Riemann sums of grad F against the path, per level."""
+def follmer_integral_functional(F, path, seq, probes=None, config=None):
+    """Riemann sums of grad F against the path, on every level."""
     F.require_dim(path)
     rows = _gradient_rows(F, path)
-    return _make_report(_level_sums(path, seq, probes), levels, rows, config)
+    return _make_report(_level_sums(path, seq, probes), None, rows, config)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +225,10 @@ def ito_residual_functional(F, path, seq, levels=None, config=None, *, _rows=Non
     return _ito_report(F, run, follmer, drift, hess, config)
 
 
-def ito_residual_cylinder(f, f_prime, f_second, path, seq, config=None):
+def ito_residual_cylinder(f, f_prime, f_second, path, seq):
     """Classical form: f(x(T)) against integral, quadratic and jump terms,
     the functional form of the cylinder F(t, omega) = f(omega(t)) with its
-    zero drift left out.
+    zero drift left out.  Its QV verdict takes the default convergence config.
 
     The second-derivative integrand reads the right limit x(s), matching the
     decomposition in which the jump correction omits the second-order term.
@@ -240,4 +240,4 @@ def ito_residual_cylinder(f, f_prime, f_second, path, seq, config=None):
     follmer = _follmer_terms(rows, run, None)
     level = run.seq.level(run.seq.top)
     (hess,) = F.at(path, level[:-1], path.values[path.grid_indices(level)][:-1], ("hess",))
-    return _ito_report(F, run, follmer, 0.0, hess, config)
+    return _ito_report(F, run, follmer, 0.0, hess, None)

@@ -175,16 +175,8 @@ class StoppedPath:
         self.current = np.asarray(current, dtype=float).reshape(-1)
 
     @property
-    def dim(self):
-        return self.path.dim
-
-    @property
     def T(self):
         return self.path.T
-
-    @property
-    def times(self):
-        return self.path.times
 
     def value(self, u):
         if u >= self.cut:

@@ -165,9 +165,10 @@ class QVReport:
     dim: int = 1
 
 
-def _qv_sums(run, config, levels):
+def _qv_sums(run, config, levels=None):
     """``(approx, scale, (converged, metric))`` of the polarization QV along
-    ``run``, its level sums (probes,) arrays on a scalar path."""
+    ``levels`` of ``run`` (all by default), its level sums (probes,) arrays on
+    a scalar path."""
     path = run.path
     approx = {n: _polarized_sq_sums(path.values, li, run.probe_idx) for n, li in run.each(levels)}
     if path.dim == 1:
@@ -176,12 +177,12 @@ def _qv_sums(run, config, levels):
     return approx, scale, assess(approx, scale, config)
 
 
-def _qv(path, seq, probe_times, config, levels):
+def _qv(path, seq, probe_times, config):
     """Polarization QV report of a d-dimensional path; a scalar path is the
     1x1 case, reported with (probes,) arrays."""
     d = path.dim
     run = _level_sums(path, seq, probe_times)
-    approx, scale, (converged, metric) = _qv_sums(run, config, levels)
+    approx, scale, (converged, metric) = _qv_sums(run, config)
     # sum_{s <= t} dx(s) dx(s)^T: a running sum over the jumps in time order,
     # read at the count of jumps up to t.
     dx = path.jump_sizes
@@ -206,20 +207,19 @@ def _qv(path, seq, probe_times, config, levels):
     )
 
 
-def qv_along(path, seq, probe_times=None, config=None, levels=None):
-    """Squared-increment sums of a scalar path along the listed levels
-    (default: every level).
+def qv_along(path, seq, probe_times=None, config=None):
+    """Squared-increment sums of a scalar path along every level.
 
     The report carries per-level values at the probe times, the finest
-    listed level as the limit estimate, the exact jump part and the
+    level as the limit estimate, the exact jump part and the
     continuous remainder, plus the shared Cauchy convergence verdict.
     """
     if path.dim != 1:
         raise ValueError("qv_along expects a scalar path; use qv_matrix for d > 1")
-    return _qv(path, seq, probe_times, config, levels)
+    return _qv(path, seq, probe_times, config)
 
 
-def qv_matrix(path, seq, probe_times=None, config=None, levels=None):
+def qv_matrix(path, seq, probe_times=None, config=None):
     """Matrix quadratic variation for d >= 2 coordinates.
 
     Diagonal entries are the scalar sums of each coordinate; off-diagonals
@@ -228,7 +228,7 @@ def qv_matrix(path, seq, probe_times=None, config=None, levels=None):
     """
     if path.dim < 2:
         raise ValueError("qv_matrix expects at least two coordinates")
-    return _qv(path, seq, probe_times, config, levels)
+    return _qv(path, seq, probe_times, config)
 
 
 # ---------------------------------------------------------------------------

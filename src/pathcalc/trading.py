@@ -143,7 +143,7 @@ def strategy_from_functional(F, path, seq, n):
     return SimpleStrategy.from_values(n, lam, F.value(stop(path, 0.0)))
 
 
-def gain_from_vertical_form(F, path, seq, initial_capital=None):
+def gain_from_vertical_form(F, path, seq):
     """Ledger of the limit strategy built from a vertical 1-form, at the
     :func:`default_probe_times`.
 
@@ -151,17 +151,15 @@ def gain_from_vertical_form(F, path, seq, initial_capital=None):
     level of ``seq`` (their Riemann sums *are* the simple gains); the ledger
     columns come from the finest level so that the self-financing identities
     hold to roundoff, and the per-level gains stay attached for the
-    convergence check.  The initial capital is F at time 0 unless given.
+    convergence check.  The initial capital is F at time 0.
     """
     F.require_dim(path)
     rows = _gradient_rows(F, path)
     run = _level_sums(path, seq)  # the ledger's level lies on the refined sequence
     rep = _make_report(run, None, rows, None)
     top = rep.levels[-1]
-    v0 = F.value(stop(path, 0.0)) if initial_capital is None else float(initial_capital)
-    return _ledger_from_holdings(
-        path, run.seq, top, rep.integrands[top], v0, rep.probe_times, rep.sums[top], rep.sums,
-    )
+    return _ledger_from_holdings(path, run.seq, top, rep.integrands[top], F.value(stop(path, 0.0)),
+                                 rep.probe_times, rep.sums[top], rep.sums)
 
 
 @dataclass

@@ -586,7 +586,7 @@ def test_monomial_matches_cylinder_closed_forms():
 
 
 def test_builtin_dispatch_and_validation():
-    assert builtin("black_scholes", sigma=0.2, K=1.0).name == "black_scholes_call"
+    assert builtin("black_scholes", sigma=0.2, strike=1.0).name == "black_scholes_call"
     assert builtin("asian_forward").name == "asian_forward"
     assert builtin("identity_2", dim=3).name == "identity_2"
     assert builtin("monomial", power=2).name == "monomial_2"
@@ -596,6 +596,8 @@ def test_builtin_dispatch_and_validation():
         builtin("black_scholes", sigma=0.2, strike=-1.0)
     with pytest.raises(ValueError):
         builtin("what_is_this")
+    with pytest.raises(ValueError, match="^black_scholes needs sigma and strike$"):
+        builtin("black_scholes", sigma=0.2, K=1.0)
 
 
 @pytest.mark.parametrize("make, message", [

@@ -444,14 +444,12 @@ POINTWISE_GRAD_FUNCTIONALS = [
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_single_gradient_evaluation_equals_per_level_integrands(F, data):
-    path, seq, levels = data.draw(ito_paths(F.dim))
+    path, seq, _ = data.draw(ito_paths(F.dim))
     assert F.pointwise(path, path.times, path.values, ("grad",))[0] is not None
-    if data.draw(st.booleans()):
-        levels = None  # every level
-    rep = follmer_integral_functional(F, path, seq, levels=levels)
+    rep = follmer_integral_functional(F, path, seq)
     seq = refine_onto(seq, path.jump_times)[0]
     probe_idx = path.grid_indices(rep.probe_times)
-    assert rep.levels == (list(range(seq.num_levels)) if levels is None else levels)
+    assert rep.levels == list(range(seq.num_levels))
     for n in rep.levels:
         g = _per_level_integrand(F, path, seq, n)
         assert np.array_equal(rep.integrands[n], g)

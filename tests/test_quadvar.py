@@ -341,19 +341,6 @@ def test_cell_index_matches_search(data):
     assert np.array_equal(cell_index(li, probe_idx), expected)
 
 
-def test_qv_levels_argument():
-    path, seq = seeded_walk(6)
-    full = qv_along(path, seq)
-    part = qv_along(path, seq, levels=[2, 4, 5])
-    assert part.levels == [2, 4, 5]
-    for n in part.levels:
-        assert np.array_equal(part.approx[n], full.approx[n])
-    assert np.array_equal(part.limit, full.approx[5])
-    assert np.array_equal(part.continuous_part, full.approx[5] - full.jump_part)
-    with pytest.raises(ValueError, match="at least one level"):
-        qv_matrix(stack([path, path]), seq, levels=[])
-
-
 def test_matrix_rejects_scalar():
     path, seq = seeded_walk(5)
     with pytest.raises(ValueError):

@@ -202,7 +202,7 @@ def test_vertical_form_identity_exact_every_level():
 def test_vertical_form_asian_on_linear_path():
     seq = dyadic(1.0, 10)
     path = generate({"kind": "smooth", "name": "linear"}, 0, seq)
-    ledger = gain_from_vertical_form(asian_forward(), path, seq, initial_capital=0.0)
+    ledger = gain_from_vertical_form(asian_forward(), path, seq)
     assert ledger.gain[-1] == pytest.approx(0.5, abs=2.0**-10 + 1e-12)
     # position is T - t evaluated left-continuously
     mid = np.searchsorted(ledger.times, 0.5)

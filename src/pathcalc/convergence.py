@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .partitions import require_count
+
 
 @dataclass(frozen=True)
 class ConvergenceConfig:
@@ -23,8 +25,7 @@ class ConvergenceConfig:
     def __post_init__(self):
         if not self.tol >= 0:
             raise ValueError(f"tol must be >= 0, got {self.tol!r}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window!r}")
+        require_count(self.window, "window", 1)
 
 
 def cauchy_gaps(level_values):

@@ -23,6 +23,7 @@ import types
 
 import numpy as np
 
+from .partitions import require_count
 from .paths import StoppedPath, _running_sums
 
 
@@ -297,7 +298,9 @@ def _zeros(*shape):
 
 def identity(index=0, dim=1):
     """F(t, omega) = omega_index(t)."""
-    if not 0 <= index < dim:
+    require_count(index, "index", 0)
+    require_count(dim, "dim", 1)
+    if index >= dim:
         raise ValueError("index outside the path dimension")
     e = np.zeros(dim)
     e[index] = 1.0

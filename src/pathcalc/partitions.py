@@ -92,6 +92,12 @@ def require_finite(arr, what):
             raise ValueError(f"{what} must be finite, got {float(arr[a:b][~ok][0])!r}")
 
 
+def require_count(v, what, least):
+    """Raise a ValueError naming ``what`` unless ``v`` is an int or numpy integer >= ``least``."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {v!r}")
+
+
 class PartitionSequence:
     """Ordered list of time grids of [0, T], coarsest first.
 

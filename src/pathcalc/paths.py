@@ -27,6 +27,7 @@ from .partitions import (
     cell_index,
     grid_positions,
     index_array,
+    require_count,
     require_finite,
     strictly_increasing,
 )
@@ -276,7 +277,7 @@ def generate(spec, seed, seq):
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         x0 = float(spec.get("x0", 0.0))
-        values = _walk_steps(grid, sigma, int(spec.get("dim", 1)), seed)
+        values = _walk_steps(grid, sigma, spec.get("dim", 1), seed)
         values[0] = x0
         np.cumsum(values[1:], axis=0, out=values[1:])
         values[1:] += x0
@@ -290,7 +291,7 @@ def generate(spec, seed, seq):
             raise ValueError("geometric walk needs a positive start value")
         if sigma * math.sqrt(seq.mesh(seq.top)) >= 1.0:
             raise ValueError("sigma * sqrt(mesh) >= 1 would break positivity")
-        values = _walk_steps(grid, sigma, int(spec.get("dim", 1)), seed)
+        values = _walk_steps(grid, sigma, spec.get("dim", 1), seed)
         values[0] = x0
         factors = values[1:]
         factors += 1.0
@@ -324,6 +325,7 @@ def _walk_steps(grid, sigma, dim, seed):
     signs``; row 0 is left for the caller.  The signs are drawn block by
     block from one Generator, which gives the stream of one
     ``integers(0, 2, size=(m, dim))`` draw."""
+    require_count(dim, "dim", 1)
     rng = np.random.default_rng(seed)
     values = np.empty((grid.size, dim))
     for a, b in blocks(grid.size - 1):

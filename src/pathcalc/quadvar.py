@@ -21,7 +21,8 @@ from itertools import combinations
 import numpy as np
 
 from .convergence import assess, verdict
-from .partitions import _equal, blocks, cell_index, merge_times, refine_onto, require_finite, strictly_increasing
+from .partitions import (
+    _equal, blocks, cell_index, merge_times, refine_onto, require_count, require_finite, strictly_increasing)
 from .paths import _running_sums
 
 
@@ -89,9 +90,18 @@ def _polarized_sq_sums(values, li, probe_idx):
     return out
 
 
+def _qv_scale(values):
+    """``max(range ** 2, 1e-300)`` of the widest coordinate range: the QV verdicts' scale."""
+    ptp = float(np.max(np.ptp(values, axis=0)))
+    if not ptp <= np.sqrt(np.finfo(float).max):  # the largest float with a finite square
+        raise ValueError(f"path values range over {ptp!r}, whose square, the QV scale, overflows")
+    return max(ptp ** 2, 1e-300)
+
+
 def _continuous_qv_increments(path, seq):
     """d[x]^c between consecutive top-level times, as (m, d, d) outer
     products of the increments with the exact jump mass removed."""
+    _qv_scale(path.values)  # names a range whose squares overflow, before any is taken
     li = path.grid_indices(seq.level(seq.top))
     a = np.diff(path.values[li], axis=0)
     out = a[:, :, None] * a[:, None, :]
@@ -170,10 +180,10 @@ def _qv_sums(run, config, levels=None):
     ``levels`` of ``run`` (all by default), its level sums (probes,) arrays on
     a scalar path."""
     path = run.path
+    scale = _qv_scale(path.values)
     approx = {n: _polarized_sq_sums(path.values, li, run.probe_idx) for n, li in run.each(levels)}
     if path.dim == 1:
         approx = {n: a[:, 0, 0] for n, a in approx.items()}
-    scale = max(float(np.max(np.ptp(path.values, axis=0))) ** 2, 1e-300)
     return approx, scale, assess(approx, scale, config)
 
 
@@ -252,9 +262,7 @@ def p_variation(path, p):
     v = path.values[:, 0]
     n = v.size
     if n > DP_POINT_LIMIT:
-        raise ValueError(
-            f"p_variation is limited to {DP_POINT_LIMIT} points, got {n}"
-        )
+        raise ValueError(f"p_variation is limited to {DP_POINT_LIMIT} points, got {n}")
     best = np.zeros(n)
     for j in range(1, n):
         best[j] = np.max(best[:j] + np.abs(v[j] - v[:j]) ** p)
@@ -311,17 +319,15 @@ def norvaisa_qv_check(path, seq, intervals):
     top_values = []
     cauchy_gaps = []
     additivity_gaps = []
+    top = seq.level(seq.top)
     for k, (s, t) in enumerate(intervals):
-        sums = [
-            _interval_sq_sum(path, seq.level(n), s, t) for n in range(seq.num_levels)
-        ]
+        sums = [_interval_sq_sum(path, seq.level(n), s, t) for n in range(seq.num_levels)]
         per_level[k] = sums
         top_values.append(sums[-1])
         cauchy_gaps.append(abs(sums[-1] - sums[-2]))
         mid_idx = path.index_at((s + t) / 2.0)
         mid = float(path.times[mid_idx])
         if s < mid < t:
-            top = seq.level(seq.top)
             split = (
                 _interval_sq_sum(path, top, s, mid)
                 + _interval_sq_sum(path, top, mid, t)
@@ -331,7 +337,6 @@ def norvaisa_qv_check(path, seq, intervals):
         else:
             additivity_gaps.append(0.0)
     jump_checks = []
-    top = seq.level(seq.top)
     prevs = path.times[path.jump_index - 1].tolist()
     for tj, prev, d in zip(path.jump_times, prevs, path.jump_sizes[:, 0].tolist()):
         est = _interval_sq_sum(path, top, prev, tj)
@@ -371,9 +376,9 @@ def vovk_uniform_check(path, seq, n_boundary_samples=8):
         raise ValueError("vovk_uniform_check expects a scalar path")
     _check_horizon(seq, path)
     _check_two_levels(seq)
-    if not (isinstance(n_boundary_samples, (int, np.integer)) and n_boundary_samples >= 0):
-        raise ValueError(f"n_boundary_samples must be an integer >= 0, got {n_boundary_samples!r}")
+    require_count(n_boundary_samples, "n_boundary_samples", 0)
     x = path.values[:, 0]
+    scale = _qv_scale(x)
     every = slice(0, x.size)  # the sums at every grid time
     top = _truncated_sq_sums(x, path.grid_indices(seq.level(seq.top)), every)
     rng = np.random.default_rng(0)
@@ -396,7 +401,6 @@ def vovk_uniform_check(path, seq, n_boundary_samples=8):
             rhs = (x[it] - lx[kbar]) ** 2 - (lx[kbar + 1] - lx[kbar]) ** 2
             boundary[k, n] = abs((float(trunc[it]) - untrunc) - rhs)
         del trunc, a  # before the next level is summed
-    scale = max(float(np.ptp(x)) ** 2, 1e-300)
     uniform = verdict(sup_gaps[:-1], scale)
     # Python's max from 0.0, sample by sample: it passes over a NaN
     boundary_gap = max((0.0, *boundary.flat))

@@ -35,6 +35,7 @@ from .quadvar import (
     _check_two_levels,
     _continuous_qv_increments,
     _level_sums,
+    _qv_scale,
     _truncated_sq_sums,
     default_probe_times,
 )
@@ -66,9 +67,7 @@ class SimpleStrategy:
         level = seq.level(self.level)
         m = level.size - 1
         if len(self.holdings) != m:
-            raise ValueError(
-                f"strategy has {len(self.holdings)} holdings for {m} cells"
-            )
+            raise ValueError(f"strategy has {len(self.holdings)} holdings for {m} cells")
         out = np.empty((m, path.dim))
         for i in range(m):
             out[i] = np.asarray(
@@ -465,10 +464,9 @@ def plausibility_diagnostic(path, seq):
     _check_horizon(seq, path)
     probe_idx = index_array(path.grid_indices(default_probe_times(seq, path)))
     x = path.values[:, 0]
+    scale = _qv_scale(x)
     level_idx = [index_array(path.grid_indices(seq.level(n))) for n in range(seq.num_levels)]
-    approx = [
-        _truncated_sq_sums(x, li, probe_idx) for li in level_idx
-    ]
+    approx = [_truncated_sq_sums(x, li, probe_idx) for li in level_idx]
     levels = list(range(1, seq.num_levels))
     identity_gaps = []
     k_values = []
@@ -486,13 +484,8 @@ def plausibility_diagnostic(path, seq):
         neg_partial += neg
         neg_partial_max.append(float(np.max(neg_partial)))
     k_partial = np.cumsum(k_values).tolist()
-    scale = max(float(np.ptp(x)) ** 2, 1e-300)
     tail = np.array(k_values[-min(4, len(k_values)):])
-    floor = 1e-9 * scale
-    if np.min(tail) <= floor:
-        bounded = True
-    else:
-        bounded = float(np.max(tail) / np.min(tail)) >= 2.0
+    bounded = np.min(tail) <= 1e-9 * scale or float(np.max(tail) / np.min(tail)) >= 2.0
     return PlausibilityReport(
         levels=levels,
         identity_gaps=identity_gaps,

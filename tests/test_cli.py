@@ -506,6 +506,23 @@ def test_path_file_jump_threshold_of_the_wrong_size_is_named(tmp_path, capsys):
         assert not (tmp_path / name).exists()
 
 
+@pytest.mark.parametrize("command", ["qv", "integrate", "hedge", "plausibility"])
+def test_a_path_range_whose_square_overflows_is_named(tmp_path, capsys, command):
+    # the QV scale, the squared range 4e308, ended each command in a bare
+    # OverflowError; integrate reads it in its Ito sweep
+    (tmp_path / "wide.csv").write_text("t,x1\n0,0\n0.5,2e154\n1,0\n")
+    cfg = write_config(tmp_path, "c.json", {
+        "partition": {"type": "dyadic", "T": 1.0, "max_level": 1},
+        "path": {"file": str(tmp_path / "wide.csv")},
+        "integrate": {"residual_levels": [1]},
+        "functional": {"name": "identity_1"},
+        "hedge": {"density": 0.0},
+        "out": str(tmp_path / "out")})
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == ("pathcalc: error: path values range over 2e+154, "
+                                       "whose square, the QV scale, overflows\n")
+
+
 @pytest.mark.parametrize("command", ["qv", "integrate", "hedge"])
 def test_jumps_that_leave_the_partition_not_dense_are_named(tmp_path, capsys, command):
     # jump_threshold 0 makes every move of the walk a jump: refined onto its 256

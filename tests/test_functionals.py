@@ -604,10 +604,18 @@ def test_builtin_dispatch_and_validation():
     (lambda: black_scholes(math.nan, 1.0), "sigma must be a finite number > 0, got nan"),
     (lambda: black_scholes(0.2, math.inf), "strike must be a finite number > 0, got inf"),
     (lambda: monomial(2.5), "power must be a nonnegative integer, got 2.5"),
+    (lambda: identity(1.5, 2), "index must be an integer >= 0, got 1.5"),
+    (lambda: identity(0, 2.5), "dim must be an integer >= 1, got 2.5"),
+    (lambda: generate({"kind": "scaled_random_walk", "sigma": 1.0, "dim": 0}, 0, dyadic(1.0, 2)),
+     "dim must be an integer >= 1, got 0"),
+    (lambda: generate({"kind": "geometric_walk", "sigma": 0.1, "dim": 2.5}, 0, dyadic(1.0, 2)),
+     "dim must be an integer >= 1, got 2.5"),
 ])
 def test_factories_reject_bad_parameters_by_name(make, message):
     # NaN priced NaN, an infinite strike failed later in a math domain error,
-    # and a fractional power was truncated to monomial_2
+    # a fractional power was truncated to monomial_2, a fractional index
+    # failed in numpy's IndexError, and a walk of dim 0 had no coordinates
+    # while one of dim 2.5 had 2
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()
 

@@ -541,9 +541,10 @@ def test_ito_cylinder_bit_equal_per_cell_reference(name, data):
     assert rep.residual_by_level == {top: residual}
 
 
-@pytest.mark.parametrize("window", [0, -2])
+@pytest.mark.parametrize("window", [0, -2, 2.5, math.nan, True])
 def test_convergence_window_below_one_rejected(window):
-    with pytest.raises(ValueError, match="window must be >= 1"):
+    # 2.5 and NaN failed later in a slice TypeError, and True passed as 1
+    with pytest.raises(ValueError, match=re.escape(f"window must be an integer >= 1, got {window!r}")):
         ConvergenceConfig(window=window)
 
 

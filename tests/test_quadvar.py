@@ -587,10 +587,11 @@ def test_vovk_one_level_at_a_time_matches_every_level_at_once(data, level, n_sam
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             float(np.ptp(values)) ** 2
-        except OverflowError:
-            for check in (vovk_uniform_check, _vovk_every_level_at_once):
-                with pytest.raises(OverflowError):
-                    check(path, seq, n_samples)
+        except OverflowError:  # the reference route fails in the square, the new one names the range
+            with pytest.raises(OverflowError):
+                _vovk_every_level_at_once(path, seq, n_samples)
+            with pytest.raises(ValueError, match="^path values range over .*, whose square, the QV scale"):
+                vovk_uniform_check(path, seq, n_samples)
             return
         new = vovk_uniform_check(path, seq, n_samples)
         ref = _vovk_every_level_at_once(path, seq, n_samples)
@@ -601,9 +602,10 @@ def test_vovk_one_level_at_a_time_matches_every_level_at_once(data, level, n_sam
     assert new.scale == ref.scale
 
 
-@pytest.mark.parametrize("n", [-1, 2.0])
+@pytest.mark.parametrize("n", [-1, 2.0, True])
 def test_vovk_rejects_a_sample_count_that_is_not_a_count(n):
-    # -1 failed in numpy's "negative dimensions" and 2.0 in a TypeError
+    # -1 failed in numpy's "negative dimensions", 2.0 in a TypeError and True
+    # in numpy's "expected a sequence of integers"
     path, seq = seeded_walk(4)
     with pytest.raises(ValueError, match=f"^n_boundary_samples must be an integer >= 0, got {n}$"):
         vovk_uniform_check(path, seq, n)

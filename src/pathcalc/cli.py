@@ -9,7 +9,7 @@ config produce byte-identical files: fixed reduction orders, shortest
 round-trip float text, no timestamps.
 
 Exit codes: 0 success, 1 numeric caveat (a convergence or pricing-equation
-flag was raised), 2 usage or config error.
+flag was raised), 2 usage or config error, which writes no file.
 """
 
 from __future__ import annotations
@@ -316,12 +316,6 @@ def _report_json(report):
     return out
 
 
-def _outdir(cfg):
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_qv(cfg, seq):
     path = _path_from_config(cfg, seq)
     conv = _conv_config(cfg)
@@ -332,11 +326,9 @@ def cmd_qv(cfg, seq):
     else:
         report = qv_matrix(path, seq, probes, conv)
         header = ["level", "probe_time", "i", "j", "value"]
-    out = _outdir(cfg)
-    _write_csv(out / "qv_levels.csv", header,
-               _level_rows(report.probe_times, report.approx))
-    _write_json(out / "qv_report.json", {"config": cfg, "report": _report_json(report)})
-    return 0 if report.converged else 1
+    return 0 if report.converged else 1, {
+        "qv_levels.csv": (header, list(_level_rows(report.probe_times, report.approx))),
+        "qv_report.json": {"report": _report_json(report)}}
 
 
 def cmd_integrate(cfg, seq):
@@ -345,9 +337,9 @@ def cmd_integrate(cfg, seq):
     F = functional_from_descriptor(cfg["functional"])
     probes = default_probe_times(seq, path, cfg["probe_level"])
     report = follmer_integral_functional(F, path, seq, probes=probes, config=conv)
-    out = _outdir(cfg)
-    _write_csv(out / "integral_levels.csv", ["level", "probe_time", "value"],
-               _level_rows(report.probe_times, report.sums))
+    files = {"integral_levels.csv": (["level", "probe_time", "value"],
+                                     list(_level_rows(report.probe_times, report.sums))),
+             "integral_report.json": {"report": _report_json(report)}}
     sweep = cfg["integrate"]["residual_levels"]
     caveat = not report.converged
     if sweep:
@@ -355,12 +347,10 @@ def cmd_integrate(cfg, seq):
                                       _rows=lambda seq, n, li: report.integrands[n])
         rows = [(n, rep.residual_by_level[n], rep.qv_metric, rep.qv_converged)
                 for n in sweep]
-        _write_csv(out / "ito_residuals.csv",
-                   ["level", "residual", "qv_metric", "qv_converged"], [zip(*rows)])
+        files["ito_residuals.csv"] = (["level", "residual", "qv_metric", "qv_converged"],
+                                      [list(zip(*rows))])
         caveat = caveat or not rep.qv_converged
-    _write_json(out / "integral_report.json",
-                {"config": cfg, "report": _report_json(report)})
-    return 1 if caveat else 0
+    return 1 if caveat else 0, files
 
 
 def cmd_hedge(cfg, seq):
@@ -387,11 +377,6 @@ def cmd_hedge(cfg, seq):
                      rel, report.track_error, report.fpde_flag, report.qv_converged))
         curves.append((np.full(report.probe_times.size, pid), report.probe_times,
                        report.value_curve, report.functional_curve))
-    out = _outdir(cfg)
-    _write_csv(out / "hedge_paths.csv",
-               ["path_id", "realized", "predicted", "residual", "rel_residual",
-                "track_error", "fpde_flag", "qv_converged"], [zip(*rows)])
-    _write_csv(out / "hedge_curves.csv", ["path_id", "t", "value", "functional"], curves)
     *_, rel, track_errors, fpde_flags, qv_converged = zip(*rows)
     reasons = {"fpde": sum(map(bool, fpde_flags)),
                "qv_not_converged": sum(not q for q in qv_converged)}
@@ -405,22 +390,27 @@ def cmd_hedge(cfg, seq):
         "caveat": any(reasons.values()),
         "caveat_reasons": reasons,
     }
-    _write_json(out / "hedge_summary.json", {"config": cfg, "summary": summary})
-    return 1 if summary["caveat"] else 0
+    return 1 if summary["caveat"] else 0, {
+        "hedge_paths.csv": (["path_id", "realized", "predicted", "residual", "rel_residual",
+                             "track_error", "fpde_flag", "qv_converged"], [list(zip(*rows))]),
+        "hedge_curves.csv": (["path_id", "t", "value", "functional"], curves),
+        "hedge_summary.json": {"summary": summary}}
 
 
 def cmd_plausibility(cfg, seq):
     path = _path_from_config(cfg, seq)
     report = plausibility_diagnostic(path, seq)
-    out = _outdir(cfg)
     columns = (report.levels, report.identity_gaps, report.k_values,
                report.k_partial_sums, report.negative_series_partial_max)
-    _write_csv(out / "plausibility.csv", ["level", "identity_gap", "k_n", "k_partial_sum",
-                                          "neg_series_partial_max"], [columns])
-    _write_json(out / "plausibility.json", {"config": cfg, "report": _report_json(report)})
-    return 0
+    return 0, {
+        "plausibility.csv": (["level", "identity_gap", "k_n", "k_partial_sum",
+                              "neg_series_partial_max"], [columns]),
+        "plausibility.json": {"report": _report_json(report)}}
 
 
+# Each command reads its inputs, writes nothing and returns its exit code and
+# its files: a CSV name maps to (header, column blocks), a JSON name to its body.
+# main writes them, with the config echo, once the command has returned.
 _COMMANDS = {
     "qv": cmd_qv,
     "integrate": cmd_integrate,
@@ -464,8 +454,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        seq = PartitionSequence.from_descriptor(cfg["partition"])
-        return _COMMANDS[args.command](cfg, seq)
+        code, files = _COMMANDS[args.command](cfg, PartitionSequence.from_descriptor(cfg["partition"]))
+        out = Path(cfg["out"])
+        out.mkdir(parents=True, exist_ok=True)
+        for name, body in files.items():
+            if name.endswith(".csv"):
+                _write_csv(out / name, *body)
+            else:
+                _write_json(out / name, {"config": cfg, **body})
+        return code
     except ConfigError as exc:
         print(f"pathcalc: config error: {exc}", file=sys.stderr)
         return 2

@@ -479,6 +479,9 @@ def density_matrix(A, t, x, dim):
     a = np.asarray(a, dtype=float)
     if a.ndim == 0:
         a = a * np.eye(dim)
+    if a.size != dim * dim:
+        raise ValueError(f"density of shape {a.shape} is neither a number nor a {dim}x{dim} "
+                         f"matrix for a dim-{dim} path")
     return a.reshape(dim, dim)
 
 

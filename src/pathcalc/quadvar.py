@@ -72,8 +72,17 @@ def _truncated_sq_sums(x, li, probe_idx, y=None):
         return inc
 
     jstar = cell_index(li, probe_idx)
-    prefix = _running_sums_at(squared_increments, lx.size - 1, jstar)
-    return prefix + (coordinate(x, y, probe_idx) - coordinate(lx, ly, jstar)) ** 2
+    with np.errstate(over="ignore"):  # a sum past the float range is named below
+        prefix = _running_sums_at(squared_increments, lx.size - 1, jstar)
+        sums = prefix + (coordinate(x, y, probe_idx) - coordinate(lx, ly, jstar)) ** 2
+    return _finite_sq_sums(sums, lx.size - 1)
+
+
+def _finite_sq_sums(sums, cells):
+    """``sums``, squared-increment sums along a level of ``cells`` cells, once they are finite."""
+    if not np.isfinite(sums).all():
+        raise ValueError(f"the squared increments along a level of {cells} cells sum past the largest float")
+    return sums
 
 
 def _polarized_sq_sums(values, li, probe_idx):
@@ -90,18 +99,23 @@ def _polarized_sq_sums(values, li, probe_idx):
     return out
 
 
-def _qv_scale(values):
-    """``max(range ** 2, 1e-300)`` of the widest coordinate range: the QV verdicts' scale."""
-    ptp = float(np.max(np.ptp(values, axis=0)))
-    if not ptp <= np.sqrt(np.finfo(float).max):  # the largest float with a finite square
+def _qv_scale(path):
+    """``max(range ** 2, 1e-300)`` of the path's widest coordinate range: the QV
+    verdicts' scale, once neither that range nor a jump size has a square that overflows."""
+    big = np.sqrt(np.finfo(float).max)  # the largest float with a finite square
+    ptp = float(np.max(np.ptp(path.values, axis=0)))
+    if not ptp <= big:
         raise ValueError(f"path values range over {ptp!r}, whose square, the QV scale, overflows")
+    jump = float(np.max(np.abs(path.jump_sizes), initial=0.0))
+    if not jump <= big:
+        raise ValueError(f"a path jump of size {jump!r} has a square that overflows")
     return max(ptp ** 2, 1e-300)
 
 
 def _continuous_qv_increments(path, seq):
     """d[x]^c between consecutive top-level times, as (m, d, d) outer
     products of the increments with the exact jump mass removed."""
-    _qv_scale(path.values)  # names a range whose squares overflow, before any is taken
+    _qv_scale(path)  # names a range or a jump whose squares overflow, before any is taken
     li = path.grid_indices(seq.level(seq.top))
     a = np.diff(path.values[li], axis=0)
     out = a[:, :, None] * a[:, None, :]
@@ -180,7 +194,7 @@ def _qv_sums(run, config, levels=None):
     ``levels`` of ``run`` (all by default), its level sums (probes,) arrays on
     a scalar path."""
     path = run.path
-    scale = _qv_scale(path.values)
+    scale = _qv_scale(path)
     approx = {n: _polarized_sq_sums(path.values, li, run.probe_idx) for n, li in run.each(levels)}
     if path.dim == 1:
         approx = {n: a[:, 0, 0] for n, a in approx.items()}
@@ -378,7 +392,7 @@ def vovk_uniform_check(path, seq, n_boundary_samples=8):
     _check_two_levels(seq)
     require_count(n_boundary_samples, "n_boundary_samples", 0)
     x = path.values[:, 0]
-    scale = _qv_scale(x)
+    scale = _qv_scale(path)
     every = slice(0, x.size)  # the sums at every grid time
     top = _truncated_sq_sums(x, path.grid_indices(seq.level(seq.top)), every)
     rng = np.random.default_rng(0)

@@ -34,6 +34,7 @@ from .quadvar import (
     _check_horizon,
     _check_two_levels,
     _continuous_qv_increments,
+    _finite_sq_sums,
     _level_sums,
     _qv_scale,
     _truncated_sq_sums,
@@ -299,6 +300,8 @@ def estimate_qv_density(path, seq, window=64):
     """
     dt = np.diff(seq.level(seq.top))
     dqv = _continuous_qv_increments(path, seq)
+    with np.errstate(over="ignore"):  # a top-level sum past the float range is named before the division
+        _finite_sq_sums(dqv.sum(axis=0), dqv.shape[0])
     if path.dim == 1:
         return _smooth_cells(dqv[:, 0, 0] / dt, window)
     return _smooth_cells(dqv / dt[:, None, None], window)
@@ -464,7 +467,7 @@ def plausibility_diagnostic(path, seq):
     _check_horizon(seq, path)
     probe_idx = index_array(path.grid_indices(default_probe_times(seq, path)))
     x = path.values[:, 0]
-    scale = _qv_scale(x)
+    scale = _qv_scale(path)
     level_idx = [index_array(path.grid_indices(seq.level(n))) for n in range(seq.num_levels)]
     approx = [_truncated_sq_sums(x, li, probe_idx) for li in level_idx]
     levels = list(range(1, seq.num_levels))

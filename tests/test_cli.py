@@ -506,21 +506,56 @@ def test_path_file_jump_threshold_of_the_wrong_size_is_named(tmp_path, capsys):
         assert not (tmp_path / name).exists()
 
 
-@pytest.mark.parametrize("command", ["qv", "integrate", "hedge", "plausibility"])
-def test_a_path_range_whose_square_overflows_is_named(tmp_path, capsys, command):
-    # the QV scale, the squared range 4e308, ended each command in a bare
-    # OverflowError; integrate reads it in its Ito sweep
-    (tmp_path / "wide.csv").write_text("t,x1\n0,0\n0.5,2e154\n1,0\n")
-    cfg = write_config(tmp_path, "c.json", {
-        "partition": {"type": "dyadic", "T": 1.0, "max_level": 1},
-        "path": {"file": str(tmp_path / "wide.csv")},
+# (path file, max_level, the error it is named by)
+OVERFLOWS = {
+    # the QV scale, the squared range 4e308, ended each command in a bare OverflowError
+    "range": ("t,x1\n0,0\n0.5,2e154\n1,0\n", 1,
+              "path values range over 2e+154, whose square, the QV scale, overflows"),
+    # a scale of 1e308, but two squared increments of 1e308 sum to inf: qv and
+    # integrate reported inf, hedge wrote NaN residuals and plausibility exited 0
+    "sum": ("t,x1\n0,0\n0.5,1e154\n1,0\n", 1,
+            "the squared increments along a level of 2 cells sum past the largest float"),
+    # a jump column is not bounded by the values: qv reported an infinite jump part
+    "jump": ("t,x1,jump1\n0,0,0\n0.25,0,0\n0.5,0,1e200\n0.75,0,0\n1,0,0\n", 2,
+             "a path jump of size 1e+200 has a square that overflows"),
+}
+
+
+def _overflow_config(tmp_path, case):
+    text, level, _ = OVERFLOWS[case]
+    (tmp_path / f"{case}.csv").write_text(text)
+    return write_config(tmp_path, f"{case}.json", {
+        "partition": {"type": "dyadic", "T": 1.0, "max_level": level},
+        "path": {"file": str(tmp_path / f"{case}.csv")},
         "integrate": {"residual_levels": [1]},
         "functional": {"name": "identity_1"},
         "hedge": {"density": 0.0},
         "out": str(tmp_path / "out")})
-    assert main([command, "--config", cfg]) == 2
-    assert capsys.readouterr().err == ("pathcalc: error: path values range over 2e+154, "
-                                       "whose square, the QV scale, overflows\n")
+
+
+@pytest.mark.parametrize("command, case", [
+    pytest.param(command, case, id=command if case == "range" else f"{command}-{case}")
+    for case in OVERFLOWS for command in ["qv", "integrate", "hedge", "plausibility"]])
+def test_a_path_range_whose_square_overflows_is_named(tmp_path, capsys, command, case):
+    # integrate takes a QV scale and squares in its Ito sweep alone
+    assert main([command, "--config", _overflow_config(tmp_path, case)]) == 2
+    assert capsys.readouterr().err == f"pathcalc: error: {OVERFLOWS[case][2]}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_run_that_exits_2_leaves_an_existing_output_directory_as_it_was(tmp_path, capsys):
+    # integrate once wrote integral_levels.csv before its Ito sweep failed
+    cfg = write_config(tmp_path, "walk.json", {
+        "partition": {"type": "dyadic", "T": 1.0, "max_level": 6},
+        "path": {"kind": "scaled_random_walk", "sigma": 1.0},
+        "integrate": {"residual_levels": [4, 6]},
+        "out": str(tmp_path / "out")})
+    assert main(["integrate", "--config", cfg]) in (0, 1)
+    before = {f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()}
+    assert sorted(before) == ["integral_levels.csv", "integral_report.json", "ito_residuals.csv"]
+    assert main(["integrate", "--config", _overflow_config(tmp_path, "sum")]) == 2
+    assert capsys.readouterr().err == f"pathcalc: error: {OVERFLOWS['sum'][2]}\n"
+    assert {f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()} == before
 
 
 @pytest.mark.parametrize("command", ["qv", "integrate", "hedge"])

@@ -27,7 +27,7 @@ from pathcalc import (
     vovk_uniform_check,
 )
 from pathcalc import cli
-from pathcalc.functionals import density_from_descriptor
+from pathcalc.functionals import density_from_descriptor, density_matrix
 
 SEQ = dyadic(1.0, 2)
 LINE = generate({"kind": "smooth", "name": "linear"}, 0, SEQ)  # x(t) = t on 0, 1/4, ..., 1
@@ -76,6 +76,9 @@ CASES = [
     ("kind must be 'call' or 'put', got 'straddle'", lambda tmp: black_scholes(0.2, 1.0, "straddle")),
     ("black_scholes needs sigma and strike", lambda tmp: builtin("black_scholes", sigma=0.2)),
     ("unknown density descriptor 'lognormal'", lambda tmp: density_from_descriptor({"kind": "lognormal"})),
+    # sigma^2 s^2 is one number per coordinate on a dim-2 path: numpy's "cannot reshape"
+    ("density of shape (2,) is neither a number nor a 2x2 matrix for a dim-2 path",
+     lambda tmp: density_matrix(density_from_descriptor({"kind": "bs", "sigma": 0.2}), 0.0, PAIR.values[1], 2)),
     # trading
     ("strategy has 3 holdings for 4 cells",
      lambda tmp: simple_ledger(SimpleStrategy.constant(2, 1.0, 3), LINE, SEQ)),
